@@ -1,22 +1,14 @@
 //! # plt-approx — the approximate answering tier
 //!
-//! Two complementary mechanisms trade bounded error for latency and
-//! memory on the serving path:
-//!
-//! * [`IndicatorSketch`] — a deterministic Bernoulli sample of the
-//!   serving window with explicit ε/δ parameters. It answers
-//!   `SUPPORT OF {X} APPROX` in `O(sketch)` without touching the
-//!   snapshot, with a stated absolute error bound derived from
-//!   Hoeffding's inequality (`m = ⌈ln(2/δ)/(2ε²)⌉` samples, memory
-//!   independent of the window size). It implements
-//!   [`plt_query::SupportSketch`], so attaching one to a query source
-//!   makes the planner's `sketch_probe` operator eligible for
-//!   `APPROX`-tier support queries.
-//! * [`SampledRebuild`] — Toivonen-style sampled re-mining
-//!   (`plt_baselines::SamplingMiner`) as a fast-path snapshot rebuild:
-//!   mine a sample at lowered support, verify the negative border
-//!   exactly, fall back to a full re-mine on a violation. Always exact;
-//!   only the latency is probabilistic.
+//! [`IndicatorSketch`] trades bounded error for latency and memory on the
+//! serving path: a deterministic Bernoulli sample of the serving window
+//! with explicit ε/δ parameters. It answers `SUPPORT OF {X} APPROX` in
+//! `O(sketch)` without touching the snapshot, with a stated absolute
+//! error bound derived from Hoeffding's inequality
+//! (`m = ⌈ln(2/δ)/(2ε²)⌉` samples, memory independent of the window
+//! size). It implements [`plt_query::SupportSketch`], so attaching one to
+//! a query source makes the planner's `sketch_probe` operator eligible
+//! for `APPROX`-tier support queries.
 //!
 //! ```
 //! use plt_approx::{IndicatorSketch, SketchConfig};
@@ -35,9 +27,6 @@
 //! assert!(support.abs_diff(3) <= bound);
 //! ```
 
-pub mod rebuild;
 pub mod sketch;
 
-pub use plt_baselines::SamplingOutcome;
-pub use rebuild::SampledRebuild;
 pub use sketch::{Estimate, IndicatorSketch, SketchConfig};

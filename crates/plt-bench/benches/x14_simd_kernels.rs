@@ -42,10 +42,6 @@ fn bench(c: &mut Criterion) {
 
     // Raw kernel primitives over deterministic synthetic inputs.
     let deltas: Vec<u32> = (0..65_536u32).map(|i| i % 7).collect();
-    let counts: Vec<u64> = (0..65_536u64)
-        .map(|i| i.wrapping_mul(2_654_435_761) % 1_000)
-        .collect();
-    let ids: Vec<u32> = (0..65_536u32).collect();
     let words_a: Vec<u64> = (0..4_096u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
@@ -58,12 +54,6 @@ fn bench(c: &mut Criterion) {
             kernels::set_thread_backend(Some(backend));
             let mut out = Vec::new();
             b.iter(|| kernels::prefix_sum_into(&deltas, &mut out));
-            kernels::set_thread_backend(None);
-        });
-        group.bench_function(BenchmarkId::new("filter_ge", label), |b| {
-            kernels::set_thread_backend(Some(backend));
-            let mut kept = Vec::new();
-            b.iter(|| kernels::filter_ge_into(&counts, &ids, 500, &mut kept));
             kernels::set_thread_backend(None);
         });
         group.bench_function(BenchmarkId::new("and_popcount", label), |b| {

@@ -2,8 +2,8 @@
 //! batch throughput through a live TCP server, reactor vs
 //! thread-per-connection.
 //!
-//! Unlike X11 (which calls the engine in-process), every iteration here
-//! crosses the wire: frame encode, socket write, server decode,
+//! Unlike an in-process engine call, every iteration here crosses the
+//! wire: frame encode, socket write, server decode,
 //! dispatch, reply frame, client decode. The gap between the two models
 //! is scheduling and transport, not mining. The full grid — idle
 //! ceiling and 64/512/4096-client load — lives in `experiments --exp

@@ -4,12 +4,13 @@
 //! ```text
 //! experiments [--exp <id>[,<id>…]] [--full] [--json-out <path>]
 //!
-//!   ids: t1 f1 f2 f3 f4 f5 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x12 x13 x14 x15 x16 x17 x18 paper all
+//!   ids: t1 f1 f2 f3 f4 f5 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x13 x14 x15 x16 x17 x18 paper all
 //!        (default: paper — the exhibits that come straight from the text)
 //!   --full: evaluation-scale workloads instead of the quick ones
-//!   --json-out: also write x12..x18's machine-readable record to this path
+//!   --json-out: also write x13..x18's machine-readable record to this path
 //! ```
 
+use std::fmt::Display;
 use std::io::Write;
 
 use plt_bench::experiments::{self, Scale};
@@ -67,7 +68,7 @@ fn main() {
             "all" => expanded.extend(
                 [
                     "t1", "f1", "f2", "f3", "f4", "f5", "x1", "x2", "x3", "x4", "x5", "x6", "x7",
-                    "x8", "x9", "x10", "x12", "x13", "x14", "x15", "x16", "x17", "x18",
+                    "x8", "x9", "x10", "x13", "x14", "x15", "x16", "x17", "x18",
                 ]
                 .map(str::to_owned),
             ),
@@ -85,7 +86,7 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: experiments [--exp t1|f1..f5|x1..x10|x12..x18|paper|all[,..]] [--full] \
+        "usage: experiments [--exp t1|f1..f5|x1..x10|x13..x18|paper|all[,..]] [--full] \
          [--json-out <path>]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
@@ -127,105 +128,58 @@ fn run_one(out: &mut impl Write, id: &str, scale: Scale, json_out: Option<&str>)
         "x8" => writeln!(out, "{}", experiments::x8_construction(scale)).unwrap(),
         "x9" => writeln!(out, "{}", experiments::x9_rank_policy(scale)).unwrap(),
         "x10" => writeln!(out, "{}", experiments::x10_zipf_sweep(scale)).unwrap(),
-        "x12" => {
-            let cells = experiments::x12_engine_cells(scale);
-            writeln!(out, "{}", experiments::x12_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x12_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
         "x13" => {
             let cells = experiments::x13_incremental_cells(scale);
-            writeln!(out, "{}", experiments::x13_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x13_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let json = || experiments::x13_json(&cells, scale);
+            emit(out, experiments::x13_table(&cells), json_out, json);
         }
         "x14" => {
             let cells = experiments::x14_simd_cells(scale);
             let kernels = experiments::x14_kernel_cells(scale);
-            writeln!(out, "{}", experiments::x14_table(&cells, &kernels)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x14_json(&cells, &kernels, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let table = experiments::x14_table(&cells, &kernels);
+            let json = || experiments::x14_json(&cells, &kernels, scale);
+            emit(out, table, json_out, json);
         }
         "x15" => {
             let cells = experiments::x15_storage_cells(scale);
-            writeln!(out, "{}", experiments::x15_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x15_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let json = || experiments::x15_json(&cells, scale);
+            emit(out, experiments::x15_table(&cells), json_out, json);
         }
         "x16" => {
             let cells = experiments::x16_serve_cells(scale);
-            writeln!(out, "{}", experiments::x16_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x16_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let json = || experiments::x16_json(&cells, scale);
+            emit(out, experiments::x16_table(&cells), json_out, json);
         }
         "x17" => {
             let cells = experiments::x17_query_cells(scale);
-            writeln!(out, "{}", experiments::x17_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x17_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let json = || experiments::x17_json(&cells, scale);
+            emit(out, experiments::x17_table(&cells), json_out, json);
         }
         "x18" => {
             let cells = experiments::x18_approx_cells(scale);
-            writeln!(out, "{}", experiments::x18_table(&cells)).unwrap();
-            if let Some(path) = json_out {
-                let json = experiments::x18_json(&cells, scale);
-                match plt_bench::write_json_out(path, &json) {
-                    Ok(()) => writeln!(out, "wrote {path}").unwrap(),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
+            let json = || experiments::x18_json(&cells, scale);
+            emit(out, experiments::x18_table(&cells), json_out, json);
         }
         other => usage(&format!("unknown experiment {other:?}")),
+    }
+}
+
+/// Prints an experiment's table and, with `--json-out`, writes its
+/// machine-readable record to that path (exiting on a write failure).
+fn emit(
+    out: &mut impl Write,
+    table: impl Display,
+    json_out: Option<&str>,
+    json: impl FnOnce() -> String,
+) {
+    writeln!(out, "{table}").unwrap();
+    if let Some(path) = json_out {
+        match plt_bench::write_json_out(path, &json()) {
+            Ok(()) => writeln!(out, "wrote {path}").unwrap(),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use plt_core::posvec::PositionVector;
 use plt_core::ranking::{ItemRanking, RankPolicy};
 use plt_core::subset::{NaiveChecker, SubsetChecker};
 use plt_core::topdown::{all_subset_supports, all_subset_supports_naive};
-use plt_core::{CondEngine, ConditionalMiner, HybridMiner, TopDownMiner};
+use plt_core::{ConditionalMiner, HybridMiner, TopDownMiner};
 use plt_data::vertical::VerticalDb;
 use plt_data::TransactionDb;
 use plt_parallel::{par_construct, run_with_threads, ParallelEclatMiner, ParallelPltMiner};
@@ -553,219 +553,6 @@ pub fn x9_rank_policy(scale: Scale) -> Table {
     table
 }
 
-/// One X12 measurement: both conditional-mining engines over a dataset
-/// cell, sequential and parallel, plus the arena engine's own counters
-/// and the construction-phase breakdown for the cell's PLT.
-#[derive(Debug, Clone)]
-pub struct EngineCell {
-    /// Dataset label, e.g. `DENSE16.D600`.
-    pub dataset: String,
-    /// Absolute minimum support used.
-    pub min_sup: Support,
-    /// Number of frequent itemsets (identical across engines — asserted).
-    pub itemsets: usize,
-    /// Sequential map-engine wall time.
-    pub map_secs: f64,
-    /// Sequential arena-engine wall time.
-    pub arena_secs: f64,
-    /// Parallel map-engine wall time.
-    pub par_map_secs: f64,
-    /// Parallel arena-engine wall time.
-    pub par_arena_secs: f64,
-    /// Item-ranking scan phase of construction (one untimed-loop pass).
-    pub construct_rank_secs: f64,
-    /// Vector-encoding phase of construction.
-    pub construct_encode_secs: f64,
-    /// Arena engine counters from one instrumented sequential run.
-    pub arena_stats: plt_core::MineStats,
-}
-
-impl EngineCell {
-    /// Sequential speedup of arena over map.
-    pub fn speedup(&self) -> f64 {
-        self.map_secs / self.arena_secs
-    }
-}
-
-/// X12 — conditional-engine comparison: the legacy map layout vs the flat
-/// arena layout, on sparse, dense, and power-law data. Raw cells; see
-/// [`x12_engine_compare`] for the rendered table and [`x12_json`] for the
-/// machine-readable record.
-pub fn x12_engine_cells(scale: Scale) -> Vec<EngineCell> {
-    let runs = scale.runs().max(2);
-    let mut workloads: Vec<(String, Vec<Vec<Item>>, Support)> = Vec::new();
-    {
-        let n = scale.pick(2_000, 10_000);
-        let db = datasets::sparse(n);
-        for rel in [0.01, 0.005] {
-            let ms = ((rel * n as f64).ceil() as Support).max(1);
-            workloads.push((format!("T10.I4.D{n}@{:.1}%", rel * 100.0), db.clone(), ms));
-        }
-    }
-    {
-        let n = scale.pick(600, 3_000);
-        let db = datasets::dense(n, 16);
-        for rel in [0.5, 0.3] {
-            let ms = ((rel * n as f64).ceil() as Support).max(1);
-            workloads.push((format!("DENSE16.D{n}@{:.0}%", rel * 100.0), db.clone(), ms));
-        }
-    }
-    {
-        let n = scale.pick(2_000, 10_000);
-        let db = datasets::zipf(n, 1.1);
-        let ms = ((0.01 * n as f64).ceil() as Support).max(1);
-        workloads.push((format!("ZIPF1.1.D{n}@1.0%"), db, ms));
-    }
-
-    let mut cells = Vec::new();
-    for (dataset, db, min_sup) in workloads {
-        // Construct once and time `mine_plt` so the cells isolate the
-        // engines — construction is byte-identical either way. One
-        // instrumented pass records the construction-phase breakdown and
-        // the arena engine's counters; the timed runs below stay
-        // recorder-free so the wall-clock numbers are undisturbed.
-        let mut recorder = plt_obs::MetricsRecorder::new();
-        let plt = {
-            let mut obs = plt_obs::Obs::new(&mut recorder);
-            let plt = plt_core::construct::construct_obs(
-                &db,
-                min_sup,
-                ConstructOptions::conditional(),
-                &mut obs,
-            )
-            .unwrap();
-            let _ = plt_core::Mine::mine(&ConditionalMiner::default(), &plt, &mut obs);
-            plt
-        };
-        let arena_stats = plt_core::MineStats {
-            vectors_folded: recorder.counter_value("arena.vectors_folded"),
-            dedup_hits: recorder.counter_value("arena.dedup_hits"),
-            copy_throughs: recorder.counter_value("arena.copy_throughs"),
-            single_path_shortcuts: recorder.counter_value("arena.single_path_shortcuts"),
-            bytes_peak: recorder.gauge_value("arena.bytes_peak"),
-            simd_calls: recorder.counter_value("kernel.simd_calls"),
-            scalar_calls: recorder.counter_value("kernel.scalar_calls"),
-            bitmap_intersections: recorder.counter_value("kernel.bitmap_intersections"),
-        };
-        let construct_rank_secs = recorder.span_total_ns("construct/rank") as f64 / 1e9;
-        let construct_encode_secs = recorder.span_total_ns("construct/encode") as f64 / 1e9;
-        // The engines dispatch through `Box<dyn Mine>` — the cells vary
-        // only in which trait object they time.
-        let map_miner: Box<dyn plt_core::Mine> =
-            Box::new(ConditionalMiner::with_engine(CondEngine::Map));
-        let arena_miner: Box<dyn plt_core::Mine> = Box::new(ConditionalMiner::default());
-        let par_map: Box<dyn plt_core::Mine> =
-            Box::new(ParallelPltMiner::with_engine(CondEngine::Map));
-        let par_arena: Box<dyn plt_core::Mine> = Box::new(ParallelPltMiner::default());
-        let (map_result, t_map) = time_best(runs, || mine_plt(map_miner.as_ref(), &plt));
-        let (arena_result, t_arena) = time_best(runs, || mine_plt(arena_miner.as_ref(), &plt));
-        assert_eq!(
-            map_result.sorted(),
-            arena_result.sorted(),
-            "engines disagree on {dataset}"
-        );
-        let (pm_result, t_par_map) = time_best(runs, || mine_plt(par_map.as_ref(), &plt));
-        let (pa_result, t_par_arena) = time_best(runs, || mine_plt(par_arena.as_ref(), &plt));
-        assert_eq!(pm_result.len(), map_result.len(), "parallel map |F|");
-        assert_eq!(pa_result.len(), map_result.len(), "parallel arena |F|");
-        cells.push(EngineCell {
-            dataset,
-            min_sup,
-            itemsets: map_result.len(),
-            map_secs: t_map.as_secs_f64(),
-            arena_secs: t_arena.as_secs_f64(),
-            par_map_secs: t_par_map.as_secs_f64(),
-            par_arena_secs: t_par_arena.as_secs_f64(),
-            construct_rank_secs,
-            construct_encode_secs,
-            arena_stats,
-        });
-    }
-    cells
-}
-
-/// X12 rendered as a table.
-pub fn x12_table(cells: &[EngineCell]) -> Table {
-    let mut table = Table::new(
-        "X12: conditional engine, map vs arena",
-        &[
-            "dataset",
-            "|F|",
-            "map",
-            "arena",
-            "speedup",
-            "par map",
-            "par arena",
-        ],
-    );
-    for c in cells {
-        table.row(vec![
-            c.dataset.clone(),
-            c.itemsets.to_string(),
-            fmt_duration(Duration::from_secs_f64(c.map_secs)),
-            fmt_duration(Duration::from_secs_f64(c.arena_secs)),
-            format!("{:.2}x", c.speedup()),
-            fmt_duration(Duration::from_secs_f64(c.par_map_secs)),
-            fmt_duration(Duration::from_secs_f64(c.par_arena_secs)),
-        ]);
-    }
-    table
-}
-
-/// X12 — conditional-engine comparison (table form, for the binary).
-pub fn x12_engine_compare(scale: Scale) -> Table {
-    x12_table(&x12_engine_cells(scale))
-}
-
-/// Machine-readable record of an X12 run (the committed
-/// `BENCH_conditional.json`). Hand-rolled JSON — the workspace is
-/// dependency-free by design.
-pub fn x12_json(cells: &[EngineCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x12_engine_compare\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"min_sup\": {}, \"itemsets\": {}, \
-             \"map_secs\": {:.6}, \"arena_secs\": {:.6}, \"speedup\": {:.3}, \
-             \"par_map_secs\": {:.6}, \"par_arena_secs\": {:.6}, \
-             \"construct_rank_secs\": {:.6}, \"construct_encode_secs\": {:.6}, \
-             \"arena\": {{\"vectors_folded\": {}, \"dedup_hits\": {}, \
-             \"copy_throughs\": {}, \"single_path_shortcuts\": {}, \
-             \"bytes_peak\": {}}}}}{}\n",
-            c.dataset,
-            c.min_sup,
-            c.itemsets,
-            c.map_secs,
-            c.arena_secs,
-            c.speedup(),
-            c.par_map_secs,
-            c.par_arena_secs,
-            c.construct_rank_secs,
-            c.construct_encode_secs,
-            c.arena_stats.vectors_folded,
-            c.arena_stats.dedup_hits,
-            c.arena_stats.copy_throughs,
-            c.arena_stats.single_path_shortcuts,
-            c.arena_stats.bytes_peak,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// One X13 measurement: an incremental rebuild of a delta through the
 /// sharded pipeline vs a full re-mine from scratch, on one dataset and
 /// one delta placement mode.
@@ -949,7 +736,8 @@ pub fn x13_incremental(scale: Scale) -> Table {
 }
 
 /// Machine-readable record of an X13 run (the committed
-/// `BENCH_incremental.json`). Hand-rolled JSON, same as [`x12_json`].
+/// `BENCH_incremental.json`). Hand-rolled JSON — the workspace is
+/// dependency-free by design.
 pub fn x13_json(cells: &[IncrementalCell], scale: Scale) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"experiment\": \"x13_incremental\",\n");
@@ -1234,9 +1022,7 @@ pub struct SimdCell {
     pub min_sup: Support,
     /// Number of frequent itemsets (identical across runs — asserted).
     pub itemsets: usize,
-    /// Arena engine with every kernel forced onto the scalar backend —
-    /// this is the committed X12 baseline the issue's speedup target is
-    /// measured against.
+    /// Arena engine with every kernel forced onto the scalar backend.
     pub arena_scalar_secs: f64,
     /// Arena engine with every kernel forced onto the SIMD backend
     /// (degrades to scalar when the build or CPU lacks it).
@@ -1281,7 +1067,8 @@ impl SimdCell {
 /// the benchmark itself.
 #[derive(Debug, Clone)]
 pub struct KernelCell {
-    /// Kernel name (`prefix_sum`, `filter_ge`, `and_popcount`).
+    /// Kernel name (`prefix_sum`, `count_ge`, `sum_gather`,
+    /// `and_popcount`).
     pub kernel: String,
     /// Input length in elements (words for the bitset kernel).
     pub len: usize,
@@ -1326,10 +1113,9 @@ fn synth_u64(len: usize, seed: u64) -> Vec<u64> {
 }
 
 /// X14 — end-to-end kernel cells: the arena engine under each backend
-/// pin and Eclat under each tidset representation, on the same sparse,
-/// dense, and power-law workloads as X12. The scalar arena column is the
-/// committed `BENCH_conditional.json` baseline, so `speedup()` reads
-/// directly as "gain over current arena numbers".
+/// pin and Eclat under each tidset representation, on sparse, dense, and
+/// power-law workloads. The scalar arena column is the baseline, so
+/// `speedup()` reads directly as "gain over current arena numbers".
 pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
     use plt_core::kernels::{self, Backend, KernelStats};
 
@@ -1452,23 +1238,6 @@ pub fn x14_kernel_cells(scale: Scale) -> Vec<KernelCell> {
         {
             let counts = counts.clone();
             let ids = ids.clone();
-            let mut kept = Vec::new();
-            ops.push((
-                "filter_ge",
-                len,
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for _ in 0..reps {
-                        kernels::filter_ge_into(&counts, &ids, 500, &mut kept);
-                        acc = acc.wrapping_add(kept.len() as u64);
-                    }
-                    acc
-                }),
-            ));
-        }
-        {
-            let counts = counts.clone();
-            let ids = ids.clone();
             ops.push((
                 "count_ge",
                 len,
@@ -1577,7 +1346,8 @@ pub fn x14_simd_kernels(scale: Scale) -> Table {
 }
 
 /// Machine-readable record of an X14 run (the committed
-/// `BENCH_simd.json`). Hand-rolled JSON, same as [`x12_json`].
+/// `BENCH_simd.json`). Hand-rolled JSON — the workspace is
+/// dependency-free by design.
 pub fn x14_json(cells: &[SimdCell], kernels: &[KernelCell], scale: Scale) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"experiment\": \"x14_simd_kernels\",\n");
@@ -2368,9 +2138,8 @@ pub fn x17_json(cells: &[QueryCell], scale: Scale) -> String {
 }
 
 /// One X18 measurement: the approximate answering tier on one dataset
-/// cell — the indicator sketch against exact answering, and the
-/// Toivonen sampled rebuild against the exact conditional re-mine it
-/// replaces. Every sketch estimate is asserted within its stated error
+/// cell — the indicator sketch against exact answering. Every sketch
+/// estimate is asserted within its stated error
 /// bound before any number is reported (a live correctness check, like
 /// the miner-agreement assertions in the sweep cells).
 #[derive(Debug, Clone)]
@@ -2414,14 +2183,6 @@ pub struct ApproxCell {
     pub oracle_us: f64,
     /// `exact_us / sketch_us`.
     pub speedup: f64,
-    /// Best wall time of one Toivonen sampled rebuild (always exact).
-    pub sampled_rebuild_secs: f64,
-    /// Best wall time of the exact conditional re-mine it replaces.
-    pub exact_rebuild_secs: f64,
-    /// `exact_rebuild_secs / sampled_rebuild_secs`.
-    pub rebuild_speedup: f64,
-    /// Whether the timed sampled rebuild lost the gamble and fell back.
-    pub sampled_fell_back: bool,
 }
 
 /// X18 — the approximate tier: sketch memory and probe latency vs the
@@ -2435,7 +2196,7 @@ pub struct ApproxCell {
 /// [`x18_table`] for the rendered table and [`x18_json`] for the
 /// committed `BENCH_approx.json` record.
 pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
-    use plt_approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+    use plt_approx::{IndicatorSketch, SketchConfig};
     use plt_query::{MemSource, PhysOp, Rows, Source, SupportSketch};
     use plt_rules::RuleConfig;
 
@@ -2612,19 +2373,6 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
         let exact_us = t_exact.as_secs_f64() * 1e6 / infrequent.len() as f64;
         let oracle_us = t_oracle.as_secs_f64() * 1e6 / exact_exprs.len() as f64;
 
-        // Rebuild: the Toivonen gamble vs the exact re-mine, answers
-        // asserted identical (the sampled path is always exact).
-        let sampler = SampledRebuild::default();
-        let ((sampled_result, outcome), t_sampled) =
-            time_best(runs, || sampler.mine(&db, min_sup, 1));
-        let (exact_result, t_exact_rebuild) =
-            time_best(runs, || ConditionalMiner::default().mine(&db, min_sup));
-        assert_eq!(
-            sampled_result.sorted(),
-            exact_result.sorted(),
-            "{dataset}: sampled rebuild must stay exact"
-        );
-
         cells.push(ApproxCell {
             dataset,
             transactions: db.len(),
@@ -2642,10 +2390,6 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
             exact_us,
             oracle_us,
             speedup: exact_us / sketch_us.max(1e-3),
-            sampled_rebuild_secs: t_sampled.as_secs_f64(),
-            exact_rebuild_secs: t_exact_rebuild.as_secs_f64(),
-            rebuild_speedup: t_exact_rebuild.as_secs_f64() / t_sampled.as_secs_f64().max(1e-9),
-            sampled_fell_back: outcome.fell_back,
         });
     }
     cells
@@ -2654,7 +2398,7 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
 /// X18 rendered as a table.
 pub fn x18_table(cells: &[ApproxCell]) -> Table {
     let mut table = Table::new(
-        "X18: approximate tier — sketch memory & latency vs exact, sampled rebuild vs re-mine",
+        "X18: approximate tier — sketch memory & latency vs exact",
         &[
             "dataset",
             "kept",
@@ -2664,7 +2408,6 @@ pub fn x18_table(cells: &[ApproxCell]) -> Table {
             "exact",
             "oracle",
             "speedup",
-            "rebuild",
         ],
     );
     for c in cells {
@@ -2677,7 +2420,6 @@ pub fn x18_table(cells: &[ApproxCell]) -> Table {
             format!("{:.1}us", c.exact_us),
             format!("{:.1}us", c.oracle_us),
             format!("{:.1}x", c.speedup),
-            format!("{:.2}x", c.rebuild_speedup),
         ]);
     }
     table
@@ -2712,9 +2454,7 @@ pub fn x18_json(cells: &[ApproxCell], scale: Scale) -> String {
              \"sketch_bytes\": {}, \"window_bytes\": {}, \"memory_fraction\": {:.4}, \
              \"probes\": {}, \"max_abs_error\": {}, \"max_bound\": {}, \
              \"sketch_us\": {:.3}, \"exact_us\": {:.3}, \"oracle_us\": {:.3}, \
-             \"speedup\": {:.3}, \
-             \"sampled_rebuild_secs\": {:.6}, \"exact_rebuild_secs\": {:.6}, \
-             \"rebuild_speedup\": {:.3}, \"sampled_fell_back\": {}}}{}\n",
+             \"speedup\": {:.3}}}{}\n",
             c.dataset,
             c.transactions,
             c.min_sup,
@@ -2731,10 +2471,6 @@ pub fn x18_json(cells: &[ApproxCell], scale: Scale) -> String {
             c.exact_us,
             c.oracle_us,
             c.speedup,
-            c.sampled_rebuild_secs,
-            c.exact_rebuild_secs,
-            c.rebuild_speedup,
-            c.sampled_fell_back,
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }
@@ -2791,34 +2527,6 @@ mod tests {
     fn x8_structures_build() {
         let t = x8_construction(Scale::Quick);
         assert_eq!(t.num_rows(), 5);
-    }
-
-    #[test]
-    fn x12_engines_agree_and_emit_json() {
-        let cells = x12_engine_cells(Scale::Quick);
-        assert_eq!(cells.len(), 5);
-        for c in &cells {
-            assert!(c.itemsets > 0, "empty family on {}", c.dataset);
-            assert!(c.map_secs > 0.0 && c.arena_secs > 0.0);
-            assert!(
-                c.construct_rank_secs > 0.0 && c.construct_encode_secs > 0.0,
-                "missing construction phases on {}",
-                c.dataset
-            );
-            assert!(
-                c.arena_stats.bytes_peak > 0,
-                "no arena footprint on {}",
-                c.dataset
-            );
-        }
-        let json = x12_json(&cells, Scale::Quick);
-        assert!(json.contains("\"experiment\": \"x12_engine_compare\""));
-        assert!(json.contains("\"bench_meta\""));
-        assert!(json.contains("\"rustc\""));
-        assert_eq!(json.matches("\"dataset\"").count(), 5);
-        assert_eq!(json.matches("\"vectors_folded\"").count(), 5);
-        assert_eq!(json.matches("\"construct_rank_secs\"").count(), 5);
-        assert_eq!(x12_table(&cells).num_rows(), 5);
     }
 
     #[test]
@@ -2923,8 +2631,8 @@ mod tests {
     #[test]
     fn x18_sketch_stays_bounded_cheap_and_small_and_emits_json() {
         let cells = x18_approx_cells(Scale::Quick);
-        // One cell per workload; within-bound, sampled-rebuild-exactness,
-        // and sketch-actually-sampling are asserted inside the builder.
+        // One cell per workload; within-bound and sketch-actually-sampling
+        // are asserted inside the builder.
         assert_eq!(cells.len(), 3);
         for c in &cells {
             assert!(
@@ -2948,7 +2656,6 @@ mod tests {
                 c.exact_us
             );
             assert!(c.oracle_us > 0.0);
-            assert!(c.sampled_rebuild_secs > 0.0 && c.exact_rebuild_secs > 0.0);
         }
         let json = x18_json(&cells, Scale::Quick);
         assert!(json.contains("\"experiment\": \"x18_approx\""));
@@ -3070,8 +2777,8 @@ mod tests {
             }
         }
         let kernels = x14_kernel_cells(Scale::Quick);
-        // 5 primitives x 2 sizes; checksums compared inside the builder.
-        assert_eq!(kernels.len(), 10);
+        // 4 primitives x 2 sizes; checksums compared inside the builder.
+        assert_eq!(kernels.len(), 8);
         for k in &kernels {
             assert!(k.scalar_secs > 0.0 && k.simd_secs > 0.0, "{}", k.kernel);
         }
@@ -3081,8 +2788,8 @@ mod tests {
         assert_eq!(json.matches("\"dataset\"").count(), 3);
         assert_eq!(json.matches("\"arena_speedup\"").count(), 3);
         assert_eq!(json.matches("\"bitmap_intersections\"").count(), 3);
-        assert_eq!(json.matches("\"kernel\":").count(), 13); // 3 nested + 10 micro
-        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 * 2 + 10);
+        assert_eq!(json.matches("\"kernel\":").count(), 11); // 3 nested + 8 micro
+        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 * 2 + 8);
     }
 
     #[test]

@@ -78,36 +78,6 @@ impl Algo {
     }
 }
 
-/// Working-set layout for the PLT conditional miners (`conditional` and
-/// `parallel` algorithms; ignored by the others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Flat arena layout: contiguous buffers, zero steady-state
-    /// allocations — the default.
-    #[default]
-    Arena,
-    /// The original map-of-hash-maps layout, kept for differential runs.
-    Map,
-}
-
-impl Engine {
-    /// Canonical name, as accepted by `--engine` and emitted in metrics JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Arena => "arena",
-            Engine::Map => "map",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Engine> {
-        Some(match s {
-            "arena" => Engine::Arena,
-            "map" => Engine::Map,
-            _ => return None,
-        })
-    }
-}
-
 /// Kernel backend for the data-parallel primitives (`mine` subcommand;
 /// applies to every algorithm that routes through the kernel layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,8 +166,6 @@ pub enum Command {
         min_sup: MinSup,
         /// Algorithm choice.
         algo: Algo,
-        /// Conditional-mining engine (PLT algorithms only).
-        engine: Engine,
         /// Kernel backend for the data-parallel primitives.
         kernel: Kernel,
         /// Condensation filter.
@@ -299,9 +267,6 @@ pub enum Command {
         /// Serving concurrency model: thread-per-connection or the
         /// epoll reactor (Linux; falls back to threads elsewhere).
         server_model: plt_serve::ServerModel,
-        /// Snapshot rebuild mode: incremental shard re-mine (default)
-        /// or Toivonen-style sampled re-mine with exact fallback.
-        rebuild_mode: plt_serve::RebuildMode,
         /// Indicator-sketch error rate ε; attaches an approximate
         /// `SUPPORT OF` tier to every snapshot. `None` disables it.
         sketch_eps: Option<f64>,
@@ -367,7 +332,7 @@ usage:
   plt-mine mine  --input <file.dat> --min-sup <frac|count>
                  [--algo conditional|topdown|parallel|apriori|fp-growth|
                   eclat|declat|h-mine|ais|partition|dic]
-                 [--engine arena|map] [--kernel auto|simd|scalar]
+                 [--kernel auto|simd|scalar]
                  [--closed | --maximal] [--limit N]
                  [--metrics-json <out.json>]
   plt-mine rules --input <file.dat> --min-sup <frac|count> --min-conf <frac>
@@ -387,7 +352,6 @@ usage:
                  [--addr 127.0.0.1:7878] [--min-conf <frac>] [--window N]
                  [--fault-seed S] [--deadline-ms MS] [--data-dir <dir>]
                  [--server-model threads|reactor]
-                 [--rebuild-mode incremental|sampled]
                  [--sketch-eps E [--sketch-delta D]]
   plt-mine store inspect --data-dir <dir>
   plt-mine query --addr <host:port> [--itemset \"1 2 3\" ...] [--top N]
@@ -459,7 +423,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     match sub.as_str() {
         "mine" => {
             let (mut input, mut min_sup, mut algo) = (None, None, Algo::default());
-            let mut engine = Engine::default();
             let mut kernel = Kernel::default();
             let mut condense = Condense::default();
             let mut limit = None;
@@ -472,11 +435,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         let v = cur.value(flag)?;
                         algo = Algo::from_str(v)
                             .ok_or_else(|| ParseError(format!("unknown algorithm {v:?}")))?;
-                    }
-                    "--engine" => {
-                        let v = cur.value(flag)?;
-                        engine = Engine::from_str(v)
-                            .ok_or_else(|| ParseError(format!("unknown engine {v:?}")))?;
                     }
                     "--kernel" => {
                         let v = cur.value(flag)?;
@@ -499,7 +457,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 input: input.ok_or(ParseError("mine requires --input".into()))?,
                 min_sup: min_sup.ok_or(ParseError("mine requires --min-sup".into()))?,
                 algo,
-                engine,
                 kernel,
                 condense,
                 limit,
@@ -735,7 +692,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             let (mut fault_seed, mut deadline_ms) = (None, None);
             let mut data_dir = None;
             let mut server_model = plt_serve::ServerModel::default();
-            let mut rebuild_mode = plt_serve::RebuildMode::default();
             let (mut sketch_eps, mut sketch_delta) = (None, 0.01);
             while let Some(flag) = cur.next_flag() {
                 match flag {
@@ -773,9 +729,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         server_model =
                             plt_serve::ServerModel::parse(cur.value(flag)?).map_err(ParseError)?
                     }
-                    "--rebuild-mode" => {
-                        rebuild_mode = cur.value(flag)?.parse().map_err(ParseError)?
-                    }
                     "--sketch-eps" => {
                         let v: f64 = cur.value(flag)?.parse().map_err(|e| {
                             ParseError(format!("--sketch-eps must be a number: {e}"))
@@ -810,7 +763,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 deadline_ms,
                 data_dir,
                 server_model,
-                rebuild_mode,
                 sketch_eps,
                 sketch_delta,
             })
@@ -888,7 +840,6 @@ mod tests {
                 input: "x.dat".into(),
                 min_sup: MinSup::Relative(0.01),
                 algo: Algo::Conditional,
-                engine: Engine::Arena,
                 kernel: Kernel::Auto,
                 condense: Condense::All,
                 limit: None,
@@ -962,33 +913,29 @@ mod tests {
     }
 
     #[test]
-    fn parses_engine_flag() {
-        for (name, engine) in [("arena", Engine::Arena), ("map", Engine::Map)] {
-            let c = parse(&argv(&[
-                "mine",
-                "--input",
-                "x",
-                "--min-sup",
-                "2",
-                "--engine",
-                name,
-            ]))
-            .unwrap();
-            match c {
-                Command::Mine { engine: e, .. } => assert_eq!(e, engine, "{name}"),
-                _ => panic!(),
-            }
-        }
-        assert!(parse(&argv(&[
+    fn map_engine_and_sampled_rebuild_flags_are_unknown() {
+        let e = parse(&argv(&[
             "mine",
             "--input",
             "x",
             "--min-sup",
             "2",
             "--engine",
-            "bogus",
+            "map",
         ]))
-        .is_err());
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag \"--engine\""), "{}", e.0);
+        let e = parse(&argv(&[
+            "serve",
+            "--input",
+            "x",
+            "--min-sup",
+            "2",
+            "--rebuild-mode",
+            "sampled",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag \"--rebuild-mode\""), "{}", e.0);
     }
 
     #[test]
@@ -1107,7 +1054,6 @@ mod tests {
                 deadline_ms: None,
                 data_dir: None,
                 server_model: plt_serve::ServerModel::Threads,
-                rebuild_mode: plt_serve::RebuildMode::Incremental,
                 sketch_eps: None,
                 sketch_delta: 0.01,
             }
@@ -1260,8 +1206,6 @@ mod tests {
             "x.dat",
             "--min-sup",
             "2",
-            "--rebuild-mode",
-            "sampled",
             "--sketch-eps",
             "0.05",
             "--sketch-delta",
@@ -1270,23 +1214,17 @@ mod tests {
         .unwrap();
         match c {
             Command::Serve {
-                rebuild_mode,
                 sketch_eps,
                 sketch_delta,
                 ..
             } => {
-                assert_eq!(
-                    rebuild_mode,
-                    plt_serve::RebuildMode::Sampled(plt_serve::SampledRebuild::default())
-                );
                 assert_eq!(sketch_eps, Some(0.05));
                 assert_eq!(sketch_delta, 0.001);
             }
             _ => panic!(),
         }
-        // Bad mode, out-of-range epsilon, and a dangling delta all fail.
+        // Out-of-range epsilon and a dangling delta fail.
         for bad in [
-            vec!["--rebuild-mode", "psychic"],
             vec!["--sketch-eps", "0"],
             vec!["--sketch-eps", "1.5"],
             vec!["--sketch-delta", "0.1"],

@@ -11,7 +11,6 @@ use plt_compress::CompressedPlt;
 use plt_core::construct::{construct, ConstructOptions};
 use plt_core::miner::{Miner, MiningResult};
 use plt_core::tree::LexTree;
-use plt_core::CondEngine;
 use plt_data::gen::basket::{BasketConfig, BasketGenerator};
 use plt_data::gen::dense::{DenseConfig, DenseGenerator};
 use plt_data::gen::quest::{QuestConfig, QuestGenerator};
@@ -19,7 +18,7 @@ use plt_data::{fimi, DbStats, TransactionDb};
 use plt_rules::{top_rules, RuleConfig};
 use plt_shard::{Delta, MineStrategy, MinerBuilder};
 
-use crate::args::{Algo, Command, Condense, Engine, GenKind, Kernel, MinSup};
+use crate::args::{Algo, Command, Condense, GenKind, Kernel, MinSup};
 
 /// Errors surfaced to the user: message only, no panics.
 pub type CmdResult = Result<(), String>;
@@ -31,7 +30,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             input,
             min_sup,
             algo,
-            engine,
             kernel,
             condense,
             limit,
@@ -40,7 +38,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             &input,
             min_sup,
             algo,
-            engine,
             kernel,
             condense,
             limit,
@@ -90,7 +87,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             deadline_ms,
             data_dir,
             server_model,
-            rebuild_mode,
             sketch_eps,
             sketch_delta,
         } => serve(
@@ -103,7 +99,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             deadline_ms,
             data_dir.as_deref(),
             server_model,
-            rebuild_mode,
             sketch_eps,
             sketch_delta,
             out,
@@ -145,7 +140,6 @@ fn serve(
     deadline_ms: Option<u64>,
     data_dir: Option<&str>,
     server_model: plt_serve::ServerModel,
-    rebuild_mode: plt_serve::RebuildMode,
     sketch_eps: Option<f64>,
     sketch_delta: f64,
     out: &mut dyn Write,
@@ -172,7 +166,6 @@ fn serve(
         fault: fault.clone(),
         data_dir: data_dir.map(std::path::PathBuf::from),
         durable: plt_store::DurableOptions::default(),
-        rebuild_mode,
         sketch: sketch_eps.map(|epsilon| plt_serve::SketchConfig {
             epsilon,
             delta: sketch_delta,
@@ -214,10 +207,6 @@ fn serve(
             "approximate tier active: sketch eps={eps} delta={sketch_delta} (query with APPROX)"
         )
         .map_err(|e| e.to_string())?;
-    }
-    if rebuild_mode != plt_serve::RebuildMode::Incremental {
-        writeln!(out, "sampled rebuilds active (Toivonen, exact fallback)")
-            .map_err(|e| e.to_string())?;
     }
     out.flush().map_err(|e| e.to_string())?;
     handle.join();
@@ -561,26 +550,16 @@ fn load(input: &str) -> Result<TransactionDb, String> {
     fimi::read_file(input).map_err(|e| format!("cannot read {input}: {e}"))
 }
 
-fn cond_engine(engine: Engine) -> CondEngine {
-    match engine {
-        Engine::Arena => CondEngine::Arena,
-        Engine::Map => CondEngine::Map,
-    }
+fn plt_miner(strategy: MineStrategy) -> Box<dyn Miner> {
+    MinerBuilder::new().strategy(strategy).build_miner()
 }
 
-fn plt_miner(strategy: MineStrategy, engine: Engine) -> Box<dyn Miner> {
-    MinerBuilder::new()
-        .strategy(strategy)
-        .engine(cond_engine(engine))
-        .build_miner()
-}
-
-fn miner_for(algo: Algo, engine: Engine) -> Box<dyn Miner> {
+fn miner_for(algo: Algo) -> Box<dyn Miner> {
     match algo {
-        Algo::Conditional => plt_miner(MineStrategy::Conditional, engine),
-        Algo::TopDown => plt_miner(MineStrategy::TopDown, engine),
-        Algo::Hybrid => plt_miner(MineStrategy::Hybrid, engine),
-        Algo::Parallel => plt_miner(MineStrategy::Parallel, engine),
+        Algo::Conditional => plt_miner(MineStrategy::Conditional),
+        Algo::TopDown => plt_miner(MineStrategy::TopDown),
+        Algo::Hybrid => plt_miner(MineStrategy::Hybrid),
+        Algo::Parallel => plt_miner(MineStrategy::Parallel),
         Algo::Apriori => Box::new(AprioriMiner::default()),
         Algo::FpGrowth => Box::new(FpGrowthMiner),
         Algo::Eclat => Box::new(EclatMiner::default()),
@@ -597,14 +576,13 @@ fn run_miner(
     db: &TransactionDb,
     min_sup: MinSup,
     algo: Algo,
-    engine: Engine,
     obs: &mut plt_obs::Obs,
 ) -> Result<MiningResult, String> {
     let abs = min_sup.resolve(db.len());
     if abs == 0 {
         return Err("resolved minimum support is zero".into());
     }
-    Ok(miner_for(algo, engine).mine_with_obs(db.transactions(), abs, obs))
+    Ok(miner_for(algo).mine_with_obs(db.transactions(), abs, obs))
 }
 
 /// Renders the recorder plus run context as schema-v1 JSON and writes it
@@ -657,7 +635,6 @@ fn mine(
     input: &str,
     min_sup: MinSup,
     algo: Algo,
-    engine: Engine,
     kernel: Kernel,
     condense: Condense,
     limit: Option<usize>,
@@ -683,7 +660,7 @@ fn mine(
             });
             (family, "closed frequent")
         } else {
-            let result = run_miner(&db, min_sup, algo, engine, &mut obs)?;
+            let result = run_miner(&db, min_sup, algo, &mut obs)?;
             match condense {
                 Condense::All => (result, "frequent"),
                 Condense::Closed => (closed_itemsets(&result), "closed frequent"),
@@ -695,7 +672,8 @@ fn mine(
         let context = [
             ("input", format!("{:?}", input)),
             ("algo", format!("{:?}", algo.name())),
-            ("engine", format!("{:?}", engine.name())),
+            // Schema v1 keeps the field; the arena is the only engine.
+            ("engine", format!("{:?}", "arena")),
             ("kernel", format!("{:?}", kernel.name())),
             ("min_support", family.min_support().to_string()),
             ("num_transactions", db.len().to_string()),
@@ -731,13 +709,7 @@ fn rules(
     out: &mut dyn Write,
 ) -> CmdResult {
     let db = load(input)?;
-    let result = run_miner(
-        &db,
-        min_sup,
-        Algo::Conditional,
-        Engine::default(),
-        &mut plt_obs::Obs::none(),
-    )?;
+    let result = run_miner(&db, min_sup, Algo::Conditional, &mut plt_obs::Obs::none())?;
     let rules = top_rules(
         &result,
         RuleConfig {

@@ -1,12 +1,12 @@
 //! Arena-backed, allocation-free conditional mining (`DESIGN.md` §6, §11).
 //!
-//! The map-based engine in [`crate::conditional`] is a literal rendering of
-//! Algorithm 3: a `BTreeMap<Rank, FxHashMap<PositionVector, Support>>` of
-//! sum-groups, with a fresh boxed-slice vector heap-allocated for every
-//! prefix at every recursion level. This module is the same algorithm on a
-//! flat layout that exploits what the paper actually promises — the PLT is
-//! "a table-like data structure" whose cached sums make conditional
-//! extraction a lookup, not a rebuild:
+//! A literal rendering of Algorithm 3 keeps a
+//! `BTreeMap<Rank, FxHashMap<PositionVector, Support>>` of sum-groups and
+//! heap-allocates a fresh vector for every prefix at every recursion level
+//! (the hybrid miner in [`crate::hybrid`] still works that way). This
+//! module is the same algorithm on a flat layout that exploits what the
+//! paper actually promises — the PLT is "a table-like data structure"
+//! whose cached sums make conditional extraction a lookup, not a rebuild:
 //!
 //! * a (conditional) database is **one contiguous position buffer**
 //!   (`Vec<Rank>`) plus packed per-entry columns — no per-vector
@@ -24,7 +24,7 @@
 //!   position value and inserting this vector into the proper partition")
 //!   is an **O(1) re-tag**: shrink `lens` by one, subtract the dropped
 //!   position from the cached sum, push the entry id into the bucket of
-//!   the new sum. The map engine pays an allocation plus a hash insert for
+//!   the new sum. A map layout pays an allocation plus a hash insert for
 //!   the same step;
 //! * the two local scans of `Conditional_Construct` run over per-depth
 //!   **scratch buffers** held in a recursion-level [`ArenaPool`], so
@@ -35,11 +35,10 @@
 //!   feature and the CPU allow, with the scalar path as the
 //!   always-available differential oracle.
 //!
-//! Equivalence with the map engine (same itemsets, same supports) is
-//! enforced by the property suites here, in `tests/arena_equivalence.rs`
-//! and `tests/kernel_equivalence.rs`, and by the differential
-//! `CondEngine::Map` path kept on
-//! [`ConditionalMiner`](crate::conditional::ConditionalMiner).
+//! Correctness (same itemsets, same supports as brute force, the hybrid
+//! and top-down PLT miners, FP-growth and Eclat) is enforced by the
+//! property suites here, in `tests/arena_equivalence.rs`,
+//! `tests/miners_agree.rs` and `tests/kernel_equivalence.rs`.
 
 use crate::item::{Itemset, Rank, Support};
 use crate::miner::MiningResult;
@@ -434,14 +433,17 @@ impl ArenaPool {
         self.stats.bitmap_intersections += delta.bitmap_intersections;
     }
 
-    /// Mines a conditional database under a fixed suffix of global ranks —
-    /// the arena counterpart of
-    /// [`mine_conditional`](crate::conditional::mine_conditional). The
-    /// database is given as `(positions, frequency)` windows so callers
+    /// Mines a conditional database under a fixed suffix of global ranks.
+    /// The database is given as `(positions, frequency)` windows so callers
     /// holding flat storage (the parallel projections) feed it without
     /// materialising vectors; it is locally re-filtered against the
-    /// minimum support before mining, exactly like the map path. The
-    /// suffix's own support is *not* emitted.
+    /// minimum support before mining. The suffix's own support is *not*
+    /// emitted.
+    ///
+    /// This is the unit of work of the paper's partitioning claim ("PLT
+    /// provides partition criteria that makes it easy to partition the
+    /// mining process into several separate tasks"): `plt-parallel` and
+    /// `plt-shard` project the PLT once per item and fan these calls out.
     pub fn mine_conditional<'a, I>(
         &mut self,
         conditional: I,
@@ -586,7 +588,7 @@ fn mine_level(
         // survivors as CD_j. Folding merges duplicate prefixes as it
         // goes: distinct vectors `[P, x]` and `[P, y]` both fold to `P`,
         // and on dense data those duplicates compound through the
-        // recursion. The map engine merges them in its hash insert; the
+        // recursion. A map layout merges them in its hash insert; the
         // drain-scoped dedup table restores the same invariant (each
         // bucket holds distinct vectors) at the same O(len)-per-entry
         // cost, without allocating.
@@ -723,8 +725,8 @@ pub fn mine_plt_arena(plt: &Plt) -> MiningResult {
     ArenaPool::new().mine_plt(plt)
 }
 
-/// One-shot arena mining of a materialised conditional database — the
-/// drop-in counterpart of [`crate::conditional::mine_conditional`].
+/// One-shot arena mining of a materialised conditional database (see
+/// [`ArenaPool::mine_conditional`]).
 pub fn mine_conditional_arena(
     conditional: &[(PositionVector, Support)],
     plt: &Plt,
@@ -740,10 +742,9 @@ pub fn mine_conditional_arena(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conditional::{mine_conditional, CondEngine, ConditionalMiner};
     use crate::construct::{construct, ConstructOptions};
     use crate::item::Item;
-    use crate::miner::{BruteForceMiner, Mine, Miner};
+    use crate::miner::{BruteForceMiner, Miner};
     use crate::ranking::RankPolicy;
     use proptest::prelude::*;
 
@@ -762,20 +763,42 @@ mod tests {
         construct(db, min_sup, ConstructOptions::conditional()).unwrap()
     }
 
+    /// Item `j`'s full conditional database: the sub-`j` prefix of every
+    /// vector that contains rank `j`.
+    fn projection(plt: &Plt, j: Rank) -> Vec<(PositionVector, Support)> {
+        plt.iter()
+            .filter(|(v, _)| v.contains_rank(j))
+            .filter_map(|(v, e)| {
+                let prefix: Vec<Rank> = v.ranks_iter().take_while(|&r| r < j).collect();
+                (!prefix.is_empty()).then(|| (PositionVector::from_ranks(&prefix).unwrap(), e.freq))
+            })
+            .collect()
+    }
+
+    /// The brute-force itemsets whose highest-ranked item is `j`, minus
+    /// `{j}` itself — exactly what mining `j`'s projection must emit.
+    fn restricted_to_suffix(db: &[Vec<Item>], plt: &Plt, j: Rank) -> Vec<(Itemset, Support)> {
+        let ranking = plt.ranking();
+        BruteForceMiner
+            .mine(db, plt.min_support())
+            .sorted()
+            .into_iter()
+            .filter(|(s, _)| {
+                s.len() > 1
+                    && s.contains(ranking.item(j))
+                    && s.items()
+                        .iter()
+                        .all(|&i| ranking.rank(i).is_some_and(|r| r <= j))
+            })
+            .collect()
+    }
+
     #[test]
     fn matches_brute_force_on_table1() {
         let expect = BruteForceMiner.mine(&table1(), 2);
         let got = mine_plt_arena(&build(&table1(), 2));
         assert_eq!(got.sorted(), expect.sorted());
         got.check_anti_monotone().unwrap();
-    }
-
-    #[test]
-    fn matches_map_engine_on_table1() {
-        let plt = build(&table1(), 2);
-        let map = ConditionalMiner::with_engine(CondEngine::Map).mine_plt(&plt);
-        let arena = mine_plt_arena(&plt);
-        assert_eq!(arena.sorted(), map.sorted());
     }
 
     #[test]
@@ -794,12 +817,16 @@ mod tests {
     }
 
     #[test]
-    fn conditional_matches_map_conditional() {
+    fn conditional_matches_brute_force_restricted_to_suffix() {
         let plt = build(&table1(), 2);
-        let (_, cd, _) = crate::conditional::extract_conditional(&plt, 4);
-        let map = mine_conditional(&cd, &plt, &[4]);
-        let arena = mine_conditional_arena(&cd, &plt, &[4]);
-        assert_eq!(arena.sorted(), map.sorted());
+        for j in 1..=plt.ranking().len() as Rank {
+            let arena = mine_conditional_arena(&projection(&plt, j), &plt, &[j]);
+            assert_eq!(
+                arena.sorted(),
+                restricted_to_suffix(&table1(), &plt, j),
+                "rank {j}"
+            );
+        }
     }
 
     #[test]
@@ -921,10 +948,11 @@ mod tests {
             }
         }
 
-        /// Arena conditional mining agrees with the map path per item, for
-        /// every rank policy.
+        /// Arena conditional mining of each item's projection agrees with
+        /// the brute-force family restricted to that suffix, for every
+        /// rank policy.
         #[test]
-        fn prop_conditional_matches_map(
+        fn prop_conditional_matches_brute_force(
             db in proptest::collection::vec(
                 proptest::collection::btree_set(0u32..12, 1..6),
                 1..30,
@@ -940,10 +968,8 @@ mod tests {
                     with_prefixes: false,
                 }).unwrap();
                 for j in 1..=plt.ranking().len() as Rank {
-                    let (_, cd, _) = crate::conditional::extract_conditional(&plt, j);
-                    let map = mine_conditional(&cd, &plt, &[j]);
-                    let arena = mine_conditional_arena(&cd, &plt, &[j]);
-                    prop_assert_eq!(arena.sorted(), map.sorted());
+                    let arena = mine_conditional_arena(&projection(&plt, j), &plt, &[j]);
+                    prop_assert_eq!(arena.sorted(), restricted_to_suffix(&db, &plt, j));
                 }
             }
         }

@@ -23,41 +23,15 @@
 //! Items are processed "in reverse lexicographic order", i.e. by descending
 //! rank, both at the top level and inside every conditional structure.
 
-use std::collections::BTreeMap;
-
 use crate::construct::{construct, ConstructOptions};
-use crate::hash::FxHashMap;
-use crate::item::{Item, Itemset, Rank, Support};
+use crate::item::{Item, Rank, Support};
 use crate::miner::{Miner, MiningResult};
 use crate::plt::Plt;
 use crate::posvec::PositionVector;
 use crate::ranking::RankPolicy;
 
-/// Working representation of a (conditional) PLT during mining: vectors
-/// grouped by their sum. `BTreeMap` gives us "maximum rank present" and
-/// descending iteration for free; the inner map deduplicates identical
-/// vectors exactly as PLT partitions do.
-pub(crate) type SumGroups = BTreeMap<Rank, FxHashMap<PositionVector, Support>>;
-
-/// Which conditional-mining engine to run.
-///
-/// Both engines implement the same Algorithm 3 and produce identical
-/// results (itemsets and supports); they differ only in working-set
-/// layout and therefore speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CondEngine {
-    /// Flat arena layout ([`crate::arena`]): contiguous position buffer,
-    /// dense sum buckets, O(1) prefix fold-back, zero steady-state
-    /// allocations. The default.
-    #[default]
-    Arena,
-    /// The original map layout (`BTreeMap` of hash maps, one boxed-slice
-    /// vector per prefix). Kept for differential testing and as the
-    /// reference rendering of the paper's pseudocode.
-    Map,
-}
-
-/// The conditional (pattern-growth) miner.
+/// The conditional (pattern-growth) miner. The recursion runs on the
+/// flat arena layout of [`crate::arena`].
 ///
 /// # Examples
 ///
@@ -74,8 +48,6 @@ pub enum CondEngine {
 pub struct ConditionalMiner {
     /// Item-order policy for the underlying PLT.
     pub rank_policy: RankPolicy,
-    /// Working-set layout for the mining recursion.
-    pub engine: CondEngine,
 }
 
 impl ConditionalMiner {
@@ -84,142 +56,20 @@ impl ConditionalMiner {
     /// Prefer constructing miners through `plt-shard`'s `MinerBuilder`,
     /// which configures every engine through one path.
     pub fn with_policy(rank_policy: RankPolicy) -> Self {
-        ConditionalMiner {
-            rank_policy,
-            engine: CondEngine::default(),
-        }
+        ConditionalMiner { rank_policy }
     }
-
-    /// Miner with a specific engine.
-    ///
-    /// Prefer constructing miners through `plt-shard`'s `MinerBuilder`,
-    /// which configures every engine through one path.
-    pub fn with_engine(engine: CondEngine) -> Self {
-        ConditionalMiner {
-            rank_policy: RankPolicy::default(),
-            engine,
-        }
-    }
-
-    /// The map-engine path: rebuild sum-groups from the PLT and recurse.
-    fn mine_plt_map(&self, plt: &Plt) -> MiningResult {
-        let mut groups: SumGroups = BTreeMap::new();
-        for (v, e) in plt.iter() {
-            *groups
-                .entry(e.sum)
-                .or_default()
-                .entry(v.clone())
-                .or_insert(0) += e.freq;
-        }
-        let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
-        let mut suffix = Vec::new();
-        mine_groups(groups, plt, &mut suffix, &mut result);
-        result
-    }
-}
-
-/// The recursive core — the paper's `Mining(PLT, itemset)`.
-///
-/// `groups` is the current (conditional) PLT; `suffix` holds the global
-/// ranks of the items already fixed, in the (descending) order they were
-/// chosen.
-fn mine_groups(
-    mut groups: SumGroups,
-    plt: &Plt,
-    suffix: &mut Vec<Rank>,
-    result: &mut MiningResult,
-) {
-    // "For j = Max down to 1": peel the highest sum until none remain.
-    while let Some((&j, _)) = groups.iter().next_back() {
-        let group = groups.remove(&j).expect("key just observed");
-        let support: Support = group.values().sum();
-
-        // Conditional_Construct: fold each vector's prefix back into the
-        // working structure (it must keep supporting its smaller items
-        // regardless of whether `j` is frequent), and collect the prefixes
-        // as item `j`'s conditional database CD_j.
-        let mut conditional: Vec<(PositionVector, Support)> = Vec::new();
-        for (v, f) in group {
-            if let Some(prefix) = v.parent() {
-                let prefix_sum = prefix.sum();
-                *groups
-                    .entry(prefix_sum)
-                    .or_default()
-                    .entry(prefix.clone())
-                    .or_insert(0) += f;
-                conditional.push((prefix, f));
-            }
-        }
-
-        if support < plt.min_support() {
-            // "If the new extension is no longer frequent, there is no need
-            // for a new conditional database."
-            continue;
-        }
-
-        suffix.push(j);
-        let items = plt.ranking().items_for_ranks(suffix);
-        result.insert(Itemset::from_sorted(items), support);
-
-        // CPLT = PLT_Construction(CD_j, min_sup): re-run the two-scan
-        // construction *within* the conditional database — count item
-        // (rank) frequencies, drop locally infrequent ranks, re-encode.
-        let cplt = conditional_construct(&conditional, plt.min_support());
-        if !cplt.is_empty() {
-            mine_groups(cplt, plt, suffix, result);
-        }
-        suffix.pop();
-    }
-}
-
-/// Builds a conditional PLT (as sum-groups) from prefix vectors, filtering
-/// ranks that are infrequent within the conditional database. Ranks remain
-/// global — positions are recomputed as deltas over the surviving ranks, so
-/// every lemma keeps holding inside conditional structures.
-pub(crate) fn conditional_construct(
-    conditional: &[(PositionVector, Support)],
-    min_support: Support,
-) -> SumGroups {
-    // Scan 1 (local): rank frequencies within CD_j.
-    let mut counts: FxHashMap<Rank, Support> = FxHashMap::default();
-    for (v, f) in conditional {
-        for r in v.ranks_iter() {
-            *counts.entry(r).or_insert(0) += f;
-        }
-    }
-
-    // Scan 2 (local): filter and re-encode.
-    let mut groups: SumGroups = BTreeMap::new();
-    let mut kept: Vec<Rank> = Vec::new();
-    for (v, f) in conditional {
-        kept.clear();
-        kept.extend(v.ranks_iter().filter(|r| counts[r] >= min_support));
-        if kept.is_empty() {
-            continue;
-        }
-        let filtered = PositionVector::from_ranks(&kept).expect("strictly increasing ranks");
-        let sum = filtered.sum();
-        *groups.entry(sum).or_default().entry(filtered).or_insert(0) += f;
-    }
-    groups
 }
 
 /// The PLT-level entry point: the recursion is reported as a
-/// `mine/conditional` span, and the arena engine flushes its `arena.*`
-/// counters into the recorder. (Implemented with a qualified path so the
-/// two `mine` methods never collide inside this module.)
+/// `mine/conditional` span, and the arena flushes its `arena.*` counters
+/// into the recorder. (Implemented with a qualified path so the two
+/// `mine` methods never collide inside this module.)
 impl crate::miner::Mine for ConditionalMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let t0 = obs.start();
-        let result = match self.engine {
-            CondEngine::Arena => {
-                let mut pool = crate::arena::ArenaPool::new();
-                let result = pool.mine_plt(plt);
-                pool.take_stats().record(obs);
-                result
-            }
-            CondEngine::Map => self.mine_plt_map(plt),
-        };
+        let mut pool = crate::arena::ArenaPool::new();
+        let result = pool.mine_plt(plt);
+        pool.take_stats().record(obs);
         obs.stop("mine/conditional", t0);
         result
     }
@@ -227,10 +77,7 @@ impl crate::miner::Mine for ConditionalMiner {
 
 impl Miner for ConditionalMiner {
     fn name(&self) -> &'static str {
-        match self.engine {
-            CondEngine::Arena => "plt-conditional",
-            CondEngine::Map => "plt-conditional-map",
-        }
+        "plt-conditional"
     }
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
@@ -264,27 +111,6 @@ impl Miner for ConditionalMiner {
         .expect("invalid transaction database");
         crate::miner::Mine::mine(self, &plt, obs)
     }
-}
-
-/// Mines a conditional database under a fixed suffix of (global) ranks:
-/// builds the conditional PLT (locally re-filtered against the minimum
-/// support) and runs the recursive miner over it. The support of the suffix
-/// itself is *not* emitted — the caller established it when projecting.
-///
-/// This is the unit of work of the paper's partitioning claim ("PLT
-/// provides partition criteria that makes it easy to partition the mining
-/// process into several separate tasks"): `plt-parallel` projects the PLT
-/// once per item and fans these calls out across threads.
-pub fn mine_conditional(
-    conditional: &[(PositionVector, Support)],
-    plt: &Plt,
-    suffix: &[Rank],
-) -> MiningResult {
-    let groups = conditional_construct(conditional, plt.min_support());
-    let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
-    let mut sfx = suffix.to_vec();
-    mine_groups(groups, plt, &mut sfx, &mut result);
-    result
 }
 
 /// One step of `Conditional_Construct` exposed for inspection (Figure 5):
@@ -372,8 +198,8 @@ mod tests {
         let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
         let (support, cd, _) = extract_conditional(&plt, 4);
         assert_eq!(support, 4);
-        let partial = mine_conditional(&cd, &plt, &[4]);
-        let full = ConditionalMiner::default().mine(&table1(), 2);
+        let partial = crate::arena::mine_conditional_arena(&cd, &plt, &[4]);
+        let full = BruteForceMiner.mine(&table1(), 2);
         let expect: Vec<_> = full
             .sorted()
             .into_iter()

@@ -18,14 +18,24 @@
 //! performance trade (ablated in experiment X4's spirit; tested for
 //! equivalence at every extreme here).
 
+use std::collections::BTreeMap;
+
 use crate::construct::{construct, ConstructOptions};
+use crate::hash::FxHashMap;
 use crate::item::{Item, Itemset, Rank, Support};
 use crate::miner::{Miner, MiningResult};
 use crate::plt::Plt;
+use crate::posvec::PositionVector;
 use crate::ranking::RankPolicy;
 use crate::topdown::all_subset_supports_of;
 
-use crate::conditional::{conditional_construct, SumGroups};
+/// Working representation of a (conditional) PLT during mining: vectors
+/// grouped by their sum. `BTreeMap` gives us "maximum rank present" and
+/// descending iteration for free; the inner map deduplicates identical
+/// vectors exactly as PLT partitions do. This is the literal rendering of
+/// Algorithm 3's structure, independent of the arena layout the
+/// conditional miner runs on.
+type SumGroups = BTreeMap<Rank, FxHashMap<PositionVector, Support>>;
 
 /// The hybrid conditional/top-down miner.
 ///
@@ -149,6 +159,38 @@ impl HybridMiner {
             }
         }
     }
+}
+
+/// Builds a conditional PLT (as sum-groups) from prefix vectors, filtering
+/// ranks that are infrequent within the conditional database. Ranks remain
+/// global — positions are recomputed as deltas over the surviving ranks, so
+/// every lemma keeps holding inside conditional structures.
+fn conditional_construct(
+    conditional: &[(PositionVector, Support)],
+    min_support: Support,
+) -> SumGroups {
+    // Scan 1 (local): rank frequencies within CD_j.
+    let mut counts: FxHashMap<Rank, Support> = FxHashMap::default();
+    for (v, f) in conditional {
+        for r in v.ranks_iter() {
+            *counts.entry(r).or_insert(0) += f;
+        }
+    }
+
+    // Scan 2 (local): filter and re-encode.
+    let mut groups: SumGroups = BTreeMap::new();
+    let mut kept: Vec<Rank> = Vec::new();
+    for (v, f) in conditional {
+        kept.clear();
+        kept.extend(v.ranks_iter().filter(|r| counts[r] >= min_support));
+        if kept.is_empty() {
+            continue;
+        }
+        let filtered = PositionVector::from_ranks(&kept).expect("strictly increasing ranks");
+        let sum = filtered.sum();
+        *groups.entry(sum).or_default().entry(filtered).or_insert(0) += f;
+    }
+    groups
 }
 
 /// Upper-bounds the top-down cost `Σ 2^len`; `None` when it exceeds

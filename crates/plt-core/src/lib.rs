@@ -83,7 +83,7 @@ pub mod topdown;
 pub mod tree;
 
 pub use arena::{ArenaPool, MineStats};
-pub use conditional::{CondEngine, ConditionalMiner};
+pub use conditional::ConditionalMiner;
 pub use error::{PltError, Result};
 pub use hybrid::HybridMiner;
 pub use item::{Item, Itemset, Rank, Support};

@@ -11,8 +11,8 @@
 //!   vector at `j`'s position). These per-item units are completely
 //!   independent.
 //! * [`ParallelPltMiner`] — fans the units out over a Rayon thread pool;
-//!   each task runs the sequential conditional miner
-//!   ([`plt_core::conditional::mine_conditional`]) on its own projection
+//!   each task runs the arena conditional miner
+//!   ([`plt_core::ArenaPool::mine_conditional`]) on its own projection
 //!   and results are merged (they are disjoint: task `j` produces exactly
 //!   the itemsets whose highest-ranked item is `j`).
 //! * [`construct`] — parallel two-scan PLT construction: both the item

@@ -15,7 +15,6 @@
 use rayon::prelude::*;
 
 use plt_core::arena::{ArenaPool, MineStats};
-use plt_core::conditional::{mine_conditional, CondEngine};
 use plt_core::construct::ConstructOptions;
 use plt_core::item::{Item, Itemset, Rank, Support};
 use plt_core::miner::{Miner, MiningResult};
@@ -30,8 +29,6 @@ use crate::projection::project_all;
 pub struct ParallelPltMiner {
     /// Item-order policy for the underlying PLT.
     pub rank_policy: RankPolicy,
-    /// Working-set layout for the per-item conditional miners.
-    pub engine: CondEngine,
     /// Kernel backend pinned onto every worker for the duration of its
     /// fold (`None` = inherit the process-global/auto selection). Pinning
     /// happens once per worker fold state, so the per-call dispatch in
@@ -51,17 +48,6 @@ impl ParallelPltMiner {
         }
     }
 
-    /// Miner with a specific engine.
-    ///
-    /// Prefer constructing miners through `plt-shard`'s `MinerBuilder`,
-    /// which configures every engine through one path.
-    pub fn with_engine(engine: CondEngine) -> Self {
-        ParallelPltMiner {
-            engine,
-            ..Default::default()
-        }
-    }
-
     /// The same miner with a pinned kernel backend (`None` = auto).
     pub fn with_kernel(mut self, kernel: Option<plt_simd::Backend>) -> Self {
         self.kernel = kernel;
@@ -77,7 +63,6 @@ impl plt_core::miner::Mine for ParallelPltMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let projections = obs.time("mine/project", || project_all(plt));
         let n = plt.ranking().len() as Rank;
-        let engine = self.engine;
         let kernel = self.kernel;
         let empty = || MiningResult::new(plt.min_support(), plt.num_transactions());
         let t0 = obs.start();
@@ -102,10 +87,7 @@ impl plt_core::miner::Mine for ParallelPltMiner {
                         local.insert(Itemset::from_sorted(vec![item]), support);
                         let cd = projections.conditional(j);
                         if !cd.is_empty() {
-                            local.merge(match engine {
-                                CondEngine::Arena => pool.mine_conditional(cd.iter(), plt, &[j]),
-                                CondEngine::Map => mine_conditional(&cd.to_vectors(), plt, &[j]),
-                            });
+                            local.merge(pool.mine_conditional(cd.iter(), plt, &[j]));
                         }
                     }
                     (pool, local)
@@ -193,13 +175,6 @@ mod tests {
         let seq = ConditionalMiner::default().mine(&table1(), 2);
         let par = ParallelPltMiner::default().mine(&table1(), 2);
         assert_eq!(par.sorted(), seq.sorted());
-    }
-
-    #[test]
-    fn map_engine_matches_arena_engine() {
-        let arena = ParallelPltMiner::default().mine(&table1(), 2);
-        let map = ParallelPltMiner::with_engine(CondEngine::Map).mine(&table1(), 2);
-        assert_eq!(map.sorted(), arena.sorted());
     }
 
     #[test]

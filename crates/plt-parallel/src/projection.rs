@@ -17,7 +17,6 @@
 
 use plt_core::item::{Rank, Support};
 use plt_core::plt::Plt;
-use plt_core::posvec::PositionVector;
 
 /// One item's projection: support plus its conditional database in flat
 /// storage.
@@ -55,19 +54,6 @@ impl<'a> CondView<'a> {
         self.entries
             .iter()
             .map(move |&(off, len, freq)| (&positions[off as usize..(off + len) as usize], freq))
-    }
-
-    /// Materialises the database as owned vectors — the legacy shape the
-    /// map engine consumes; also handy in tests.
-    pub fn to_vectors(&self) -> Vec<(PositionVector, Support)> {
-        self.iter()
-            .map(|(p, f)| {
-                (
-                    PositionVector::from_positions(p.to_vec()).expect("stored positions are valid"),
-                    f,
-                )
-            })
-            .collect()
     }
 }
 
@@ -146,10 +132,6 @@ mod tests {
         ]
     }
 
-    fn pv(p: &[Rank]) -> PositionVector {
-        PositionVector::from_positions(p.to_vec()).unwrap()
-    }
-
     #[test]
     fn supports_match_item_scan() {
         let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
@@ -163,23 +145,6 @@ mod tests {
 
     #[test]
     fn conditional_of_top_rank_matches_figure5() {
-        let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
-        let proj = project_all(&plt);
-        let mut cd: Vec<(PositionVector, Support)> = proj.conditional(4).to_vectors();
-        cd.sort();
-        assert_eq!(
-            cd,
-            vec![
-                (pv(&[1, 1]), 1),
-                (pv(&[1, 1, 1]), 1),
-                (pv(&[2, 1]), 1),
-                (pv(&[3]), 1),
-            ]
-        );
-    }
-
-    #[test]
-    fn flat_view_iterates_position_windows() {
         let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
         let proj = project_all(&plt);
         let view = proj.conditional(4);
@@ -213,8 +178,8 @@ mod tests {
         let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
         let proj = project_all(&plt);
         let mut total: Support = 0;
-        for (v, f) in proj.conditional(3).to_vectors() {
-            assert!(v.sum() < 3);
+        for (positions, f) in proj.conditional(3).iter() {
+            assert!(positions.iter().sum::<Rank>() < 3);
             total += f;
         }
         // 4 prefix-contributing occurrences (ABC×2, ABCD, BCD).

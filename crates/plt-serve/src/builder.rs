@@ -15,17 +15,18 @@
 //! (crate::metrics::Metrics::builder_failures)), the engine is marked
 //! [`Stale`](crate::engine::ServingState::Stale), and the last good
 //! snapshot keeps answering — with `stale: true` on every response —
-//! until a later rebuild succeeds. `flush` acks the *old* generation on
-//! failure, so waiting ingesters never hang on a dead rebuild.
+//! until a later rebuild succeeds. An acknowledged batch is acked with
+//! the *old* generation on failure, so waiting ingesters never hang on a
+//! dead rebuild.
 
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use plt_approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+use plt_approx::{IndicatorSketch, SketchConfig};
 use plt_core::item::{Item, Support};
-use plt_core::{Plt, RankPolicy};
+use plt_core::RankPolicy;
 use plt_rules::RuleConfig;
 use plt_shard::{Delta, RebuildReport, ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};
 use plt_store::{DurableOptions, DurablePipeline, StoreError};
@@ -33,36 +34,6 @@ use plt_store::{DurableOptions, DurablePipeline, StoreError};
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::snapshot::Snapshot;
-
-/// How each publish turns the applied window into a snapshot index.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum RebuildMode {
-    /// Incremental shard re-mine (the default): only dirty rank-range
-    /// shards are re-mined and clean fragments reused.
-    #[default]
-    Incremental,
-    /// Toivonen-style sampled re-mine of the whole window: mine a
-    /// sample at a slacked threshold, verify the negative border against
-    /// the full window, and fall back to an exact re-mine on a border
-    /// violation — so the published snapshot is exact either way. The
-    /// attempt/violation/fallback tally lands in
-    /// [`Metrics::sampled_report`](crate::metrics::Metrics::sampled_report).
-    Sampled(SampledRebuild),
-}
-
-impl std::str::FromStr for RebuildMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<RebuildMode, String> {
-        match s {
-            "incremental" => Ok(RebuildMode::Incremental),
-            "sampled" => Ok(RebuildMode::Sampled(SampledRebuild::default())),
-            other => Err(format!(
-                "unknown rebuild mode {other:?} (expected \"incremental\" or \"sampled\")"
-            )),
-        }
-    }
-}
 
 /// Builder configuration.
 #[derive(Debug, Clone)]
@@ -91,9 +62,6 @@ pub struct BuilderConfig {
     /// Durable-store policy (fsync batching, resident-shard budget,
     /// checkpoint cadence). Ignored unless `data_dir` is set.
     pub durable: DurableOptions,
-    /// How publishes re-mine the window (incremental shard re-mine, or
-    /// Toivonen-style sampled re-mine with exact fallback).
-    pub rebuild_mode: RebuildMode,
     /// When set, the builder maintains an [`IndicatorSketch`] alongside
     /// the window and attaches it to every published snapshot, giving
     /// the query planner an `APPROX`-tier support path that never
@@ -114,7 +82,6 @@ impl Default for BuilderConfig {
             fault: None,
             data_dir: None,
             durable: DurableOptions::default(),
-            rebuild_mode: RebuildMode::default(),
             sketch: None,
         }
     }
@@ -152,19 +119,11 @@ impl Pipe {
         }
     }
 
-    /// The sliding window as owned transactions — the sampled rebuild
-    /// and sketch warmup both need to walk it.
+    /// The sliding window as owned transactions, for the sketch warmup.
     fn window_vec(&self) -> Vec<Vec<Item>> {
         match self {
             Pipe::Memory(p) => p.window().map(<[Item]>::to_vec).collect(),
             Pipe::Durable(p) => p.pipeline().window().map(<[Item]>::to_vec).collect(),
-        }
-    }
-
-    fn plt_clone(&self) -> Plt {
-        match self {
-            Pipe::Memory(p) => p.plt().clone(),
-            Pipe::Durable(p) => p.pipeline().plt().clone(),
         }
     }
 
@@ -186,9 +145,9 @@ impl Pipe {
 }
 
 enum Msg {
-    Ingest(Vec<Vec<Item>>),
-    /// Rebuild + publish even without new data, then ack.
-    Flush(Sender<u64>),
+    /// A batch to apply. With an ack, the builder publishes even when the
+    /// batch is empty and sends back the generation that covers it.
+    Ingest(Vec<Vec<Item>>, Option<Sender<u64>>),
     Stop,
 }
 
@@ -209,15 +168,13 @@ impl BuilderHandle {
     /// Queues a batch of transactions. Returns `false` if the builder
     /// thread has exited.
     pub fn ingest(&self, transactions: Vec<Vec<Item>>) -> bool {
-        self.tx.send(Msg::Ingest(transactions)).is_ok()
+        self.tx.send(Msg::Ingest(transactions, None)).is_ok()
     }
 
     /// Forces a rebuild/publish and waits for it; returns the published
     /// generation, or `None` if the builder has exited.
     pub fn flush(&self) -> Option<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx.send(Msg::Flush(ack_tx)).ok()?;
-        ack_rx.recv().ok()
+        self.queue().flush()
     }
 
     /// A cloneable submission handle for connection threads (`Sender`
@@ -252,14 +209,21 @@ impl std::fmt::Debug for IngestQueue {
 impl IngestQueue {
     /// Queues a batch; `false` if the builder has exited.
     pub fn ingest(&self, transactions: Vec<Vec<Item>>) -> bool {
-        self.tx.send(Msg::Ingest(transactions)).is_ok()
+        self.tx.send(Msg::Ingest(transactions, None)).is_ok()
+    }
+
+    /// Queues a batch together with its acknowledgement: the receiver
+    /// yields the generation of the one publish that covers the batch.
+    /// `None` if the builder has exited.
+    pub fn ingest_acked(&self, transactions: Vec<Vec<Item>>) -> Option<Receiver<u64>> {
+        let (ack_tx, ack_rx) = mpsc::channel();
+        self.tx.send(Msg::Ingest(transactions, Some(ack_tx))).ok()?;
+        Some(ack_rx)
     }
 
     /// Rebuild + publish, waiting for the new generation.
     pub fn flush(&self) -> Option<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx.send(Msg::Flush(ack_tx)).ok()?;
-        ack_rx.recv().ok()
+        self.ingest_acked(Vec::new())?.recv().ok()
     }
 }
 
@@ -285,7 +249,7 @@ pub fn bootstrap(
         capacity: Some(config.window_capacity),
         ..ShardConfig::default()
     };
-    let mut pipeline = match &config.data_dir {
+    let pipeline = match &config.data_dir {
         Some(dir) => {
             // The snapshot index is built from the merged result, so the
             // builder always materializes it regardless of the caller's
@@ -303,7 +267,7 @@ pub fn bootstrap(
     // Warm the sketch from the pipeline's own window, not from `warmup`:
     // on a durable restart the recovered window is the authoritative
     // state, and the sketch must mirror it transaction for transaction.
-    let mut sketch = config.sketch.map(|mut sketch_config| {
+    let sketch = config.sketch.map(|mut sketch_config| {
         sketch_config.capacity = config.window_capacity;
         let mut sk = IndicatorSketch::new(sketch_config);
         for t in pipeline.window_vec() {
@@ -332,77 +296,21 @@ pub fn bootstrap(
     }
 
     let (tx, rx) = mpsc::channel::<Msg>();
-    let engine_for_thread = engine.clone();
-    let rule_config = config.rule_config;
-    let rebuild_mode = config.rebuild_mode;
-    let min_support = config.min_support;
-    let fault = config.fault.clone();
+    let mut rebuilder = Rebuilder {
+        pipeline,
+        engine: engine.clone(),
+        generation: 1,
+        rule_config: config.rule_config,
+        sketch,
+        fault: config.fault.clone(),
+    };
     let thread = std::thread::Builder::new()
         .name("plt-snapshot-builder".into())
         .spawn(move || {
-            let mut generation = 1u64;
-            'serve: while let Ok(msg) = rx.recv() {
-                match msg {
-                    Msg::Ingest(mut batch) => {
-                        // Drain any queued batches so one rebuild covers
-                        // them all — rebuilds are the expensive part.
-                        loop {
-                            match rx.try_recv() {
-                                Ok(Msg::Ingest(more)) => batch.extend(more),
-                                Ok(Msg::Flush(ack)) => {
-                                    generation = ingest_and_publish(
-                                        &mut pipeline,
-                                        &engine_for_thread,
-                                        std::mem::take(&mut batch),
-                                        generation,
-                                        rule_config,
-                                        rebuild_mode,
-                                        min_support,
-                                        &mut sketch,
-                                        fault.as_deref(),
-                                    );
-                                    let _ = ack.send(generation);
-                                }
-                                Ok(Msg::Stop) | Err(mpsc::TryRecvError::Disconnected) => {
-                                    break 'serve;
-                                }
-                                Err(mpsc::TryRecvError::Empty) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            generation = ingest_and_publish(
-                                &mut pipeline,
-                                &engine_for_thread,
-                                batch,
-                                generation,
-                                rule_config,
-                                rebuild_mode,
-                                min_support,
-                                &mut sketch,
-                                fault.as_deref(),
-                            );
-                        }
-                    }
-                    Msg::Flush(ack) => {
-                        generation = ingest_and_publish(
-                            &mut pipeline,
-                            &engine_for_thread,
-                            Vec::new(),
-                            generation,
-                            rule_config,
-                            rebuild_mode,
-                            min_support,
-                            &mut sketch,
-                            fault.as_deref(),
-                        );
-                        let _ = ack.send(generation);
-                    }
-                    Msg::Stop => break 'serve,
-                }
-            }
+            rebuilder.run(rx);
             // Clean shutdown: checkpoint + fsync the durable store so
             // the next open has no WAL tail to replay.
-            pipeline.shutdown();
+            rebuilder.pipeline.shutdown();
         })
         .expect("spawn builder thread");
 
@@ -415,97 +323,121 @@ pub fn bootstrap(
     ))
 }
 
-/// One rebuild: apply the batch as an incremental delta, re-mine the
-/// dirty shards, publish. Returns the new generation — or the *old* one
-/// if the rebuild panicked, in which case the engine is marked stale and
-/// keeps serving the last good snapshot. The pipeline retains the applied
-/// batch either way, so a later successful rebuild still covers it.
-#[allow(clippy::too_many_arguments)]
-fn ingest_and_publish(
-    pipeline: &mut Pipe,
-    engine: &Engine,
-    batch: Vec<Vec<Item>>,
+/// The builder thread's state: the pipeline it applies batches to, the
+/// engine it publishes into, and the last published generation.
+struct Rebuilder {
+    pipeline: Pipe,
+    engine: Arc<Engine>,
     generation: u64,
     rule_config: RuleConfig,
-    rebuild_mode: RebuildMode,
-    min_support: Support,
-    sketch: &mut Option<IndicatorSketch>,
-    fault: Option<&FaultPlan>,
-) -> u64 {
-    let started = std::time::Instant::now();
-    engine.mark_rebuilding();
-    // The sketch consumes the batch before the pipeline does, so its
-    // FIFO window slides in lockstep with the pipeline's.
-    if let Some(sk) = sketch.as_mut() {
-        for t in &batch {
-            sk.observe(t);
+    sketch: Option<IndicatorSketch>,
+    fault: Option<Arc<FaultPlan>>,
+}
+
+impl Rebuilder {
+    /// Serves the queue until `Stop` or until every sender is gone.
+    fn run(&mut self, rx: Receiver<Msg>) {
+        while let Ok(Msg::Ingest(mut batch, ack)) = rx.recv() {
+            let mut acks: Vec<Sender<u64>> = ack.into_iter().collect();
+            // Drain any queued batches so one rebuild covers them all —
+            // rebuilds are the expensive part — and ack them together.
+            // A disconnect ends the outer loop at the next `recv`.
+            let mut stop = false;
+            for msg in rx.try_iter() {
+                match msg {
+                    Msg::Ingest(more, ack) => {
+                        batch.extend(more);
+                        acks.extend(ack);
+                    }
+                    Msg::Stop => {
+                        stop = true;
+                        break;
+                    }
+                }
+            }
+            if !batch.is_empty() || !acks.is_empty() {
+                self.ingest_and_publish(batch);
+            }
+            for ack in acks {
+                let _ = ack.send(self.generation);
+            }
+            if stop {
+                return;
+            }
         }
     }
-    // Incremental update: the delta dirties only the shards whose rank
-    // ranges it touches; clean fragments are reused, and a vocabulary
-    // drift falls back to a full re-rank + re-mine inside `apply`. On the
-    // durable path the delta hits the WAL before the in-memory apply.
-    let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pipeline.apply(Delta::add(batch))
-    }));
-    let report = match applied {
-        Ok(Ok(report)) => report,
-        // An apply error or panic is absorbed like a failed rebuild: the
-        // last good snapshot keeps answering. The pipeline documents that
-        // it stays internally consistent, so later batches can still land.
-        Ok(Err(_)) | Err(_) => {
-            engine.mark_stale();
-            return generation;
-        }
-    };
-    engine
-        .metrics()
-        .record_shards(report.dirty_shards as u64, report.total_shards as u64);
-    pipeline.record_storage(engine);
-    let applied_at = started.elapsed();
-    let next = generation + 1;
-    // The pipeline is consistent past this point; snapshot assembly reads
-    // it immutably, so catching its unwind is sound.
-    let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plan) = fault {
-            plan.maybe_builder_panic();
-        }
-        match rebuild_mode {
-            RebuildMode::Incremental => pipeline.snapshot(next, rule_config),
-            // Sampled fast path: re-mine the whole window from a sample,
-            // verifying the negative border (exact fallback on a
-            // violation), so the snapshot's contents match what the
-            // incremental path would publish.
-            RebuildMode::Sampled(sampler) => {
-                let window = pipeline.window_vec();
-                let (result, outcome) = sampler.mine(&window, min_support, next);
-                engine.metrics().record_sampled(&outcome);
-                Snapshot::build(next, pipeline.plt_clone(), &result, rule_config)
+
+    /// One rebuild: apply the batch as an incremental delta, re-mine the
+    /// dirty shards, publish. Advances the generation — or keeps the old
+    /// one if the rebuild panicked, in which case the engine is marked
+    /// stale and keeps serving the last good snapshot. The pipeline
+    /// retains the applied batch either way, so a later successful
+    /// rebuild still covers it.
+    fn ingest_and_publish(&mut self, batch: Vec<Vec<Item>>) {
+        let started = std::time::Instant::now();
+        let engine = &*self.engine;
+        engine.mark_rebuilding();
+        // The sketch consumes the batch before the pipeline does, so its
+        // FIFO window slides in lockstep with the pipeline's.
+        if let Some(sk) = self.sketch.as_mut() {
+            for t in &batch {
+                sk.observe(t);
             }
         }
-    }));
-    let total = started.elapsed();
-    // Phase durations feed the metrics registry whether the rebuild
-    // landed or was absorbed — failed passes cost real time too. Phase
-    // mapping: push = structural update, rerank = dirty-shard re-mine +
-    // fragment merge, snapshot = snapshot assembly.
-    engine.metrics().record_rebuild(
-        report.update,
-        report.remine + report.merge,
-        total - applied_at,
-        total,
-    );
-    match rebuilt {
-        Ok(mut snapshot) => {
-            if let Some(sk) = sketch.as_ref() {
-                snapshot = snapshot.with_sketch(Box::new(sk.clone()));
+        // Incremental update: the delta dirties only the shards whose rank
+        // ranges it touches; clean fragments are reused, and a vocabulary
+        // drift falls back to a full re-rank + re-mine inside `apply`. On
+        // the durable path the delta hits the WAL before the in-memory
+        // apply.
+        let pipeline = &mut self.pipeline;
+        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pipeline.apply(Delta::add(batch))
+        }));
+        let report = match applied {
+            Ok(Ok(report)) => report,
+            // An apply error or panic is absorbed like a failed rebuild:
+            // the last good snapshot keeps answering. The pipeline
+            // documents that it stays internally consistent, so later
+            // batches can still land.
+            Ok(Err(_)) | Err(_) => {
+                engine.mark_stale();
+                return;
             }
-            engine.publish(Arc::new(snapshot));
-            next
-        }
-        Err(_) => {
-            engine.mark_stale();
-            generation
+        };
+        engine
+            .metrics()
+            .record_shards(report.dirty_shards as u64, report.total_shards as u64);
+        self.pipeline.record_storage(engine);
+        let applied_at = started.elapsed();
+        let next = self.generation + 1;
+        // The pipeline is consistent past this point; snapshot assembly
+        // reads it immutably, so catching its unwind is sound.
+        let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(plan) = &self.fault {
+                plan.maybe_builder_panic();
+            }
+            self.pipeline.snapshot(next, self.rule_config)
+        }));
+        let total = started.elapsed();
+        // Phase durations feed the metrics registry whether the rebuild
+        // landed or was absorbed — failed passes cost real time too. Phase
+        // mapping: push = structural update, rerank = dirty-shard re-mine
+        // + fragment merge, snapshot = snapshot assembly.
+        engine.metrics().record_rebuild(
+            report.update,
+            report.remine + report.merge,
+            total - applied_at,
+            total,
+        );
+        match rebuilt {
+            Ok(mut snapshot) => {
+                if let Some(sk) = self.sketch.as_ref() {
+                    snapshot = snapshot.with_sketch(Box::new(sk.clone()));
+                }
+                engine.publish(Arc::new(snapshot));
+                self.generation = next;
+            }
+            Err(_) => engine.mark_stale(),
         }
     }
 }

@@ -135,9 +135,10 @@ impl Engine {
     }
 
     /// Publishes a new snapshot: pointer swap, then cache invalidation
-    /// (cached responses answered for the old generation). In-flight
-    /// requests keep their pinned generation; the old snapshot is freed
-    /// when its last guard releases.
+    /// (cached responses answered for the old generation; the clear frees
+    /// them, and their generation tag keeps a late write from ever
+    /// answering for the new one). In-flight requests keep their pinned
+    /// generation; the old snapshot is freed when its last guard releases.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
         let generation = snapshot.generation();
         self.snapshot.swap(snapshot, generation);
@@ -215,7 +216,7 @@ impl Engine {
         let endpoint = endpoint_of(request);
         if let Some(e) = endpoint_cacheable(request) {
             let key = request.cache_key();
-            if let Some(hit) = self.cache.get(&key) {
+            if let Some(hit) = self.cache.get(&key, self.snapshot.generation()) {
                 self.metrics.endpoint(e).record(start.elapsed(), Some(true));
                 // A cached `query` payload froze the provenance of its
                 // original (fresh) run; flip `cache_hit` so `--explain`
@@ -227,28 +228,36 @@ impl Engine {
                 }
                 return hit;
             }
-            let response = self.answer(request, reader).to_string();
-            self.cache.put(key, response.clone());
+            let snap = self.pin_for(reader);
+            // Tagged with the generation the answer is pinned to: if a
+            // publish lands before the put, lookups at the newer
+            // generation miss this entry instead of serving it.
+            let generation = snap.generation();
+            let response = self.answer(request, snap).to_string();
+            self.cache.put(key, generation, response.clone());
             self.metrics
                 .endpoint(e)
                 .record(start.elapsed(), Some(false));
             return response;
         }
-        let response = self.answer(request, reader).to_string();
+        let response = self.answer(request, self.pin_for(reader)).to_string();
         if let Some(e) = endpoint {
             self.metrics.endpoint(e).record(start.elapsed(), None);
         }
         response
     }
 
-    fn answer(&self, request: &Request, reader: Option<&mut ReaderCache<Snapshot>>) -> Json {
-        // Pin one generation for the whole request: every field of the
-        // response comes from the same snapshot even if a publish lands
-        // mid-answer.
-        let snap = match reader {
+    /// Pins one generation for the whole request: every field of the
+    /// response comes from the same snapshot even if a publish lands
+    /// mid-answer.
+    fn pin_for(&self, reader: Option<&mut ReaderCache<Snapshot>>) -> ReadGuard<Snapshot> {
+        match reader {
             Some(cache) => self.pin_with(cache),
             None => self.pin(),
-        };
+        }
+    }
+
+    fn answer(&self, request: &Request, snap: ReadGuard<Snapshot>) -> Json {
         // Every query response names its generation and whether that
         // generation is known-stale (last rebuild failed), so clients can
         // tell degraded answers from fresh ones.
@@ -437,16 +446,6 @@ impl Engine {
                                 "shard_count",
                                 Json::from(self.metrics.shard_count.load(Ordering::Relaxed)),
                             ),
-                            ("sampled", {
-                                let (sampled, attempts, violations, fallbacks) =
-                                    self.metrics.sampled_report();
-                                Json::obj(vec![
-                                    ("rebuilds", Json::from(sampled)),
-                                    ("attempts", Json::from(attempts)),
-                                    ("border_violations", Json::from(violations)),
-                                    ("exact_fallbacks", Json::from(fallbacks)),
-                                ])
-                            }),
                         ])
                     }),
                     ("sketch", {
@@ -778,6 +777,11 @@ mod tests {
     fn readers_see_consistent_snapshots_during_publishes() {
         let engine = Arc::new(engine());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let keys: Vec<Request> = [vec![0], vec![1], vec![0, 1], vec![2]]
+            .into_iter()
+            .map(|items| Request::Support { items })
+            .collect();
+        let keys = &keys;
         std::thread::scope(|scope| {
             // Writer: republish generations 2..=20.
             {
@@ -800,12 +804,14 @@ mod tests {
             }
             // Readers: every response must be internally consistent —
             // parseable, ok, and from *some* complete generation.
-            for _ in 0..3 {
+            for reader in 0..3 {
                 let engine = engine.clone();
                 let stop = stop.clone();
                 scope.spawn(move || {
+                    let mut i = reader;
                     while !stop.load(Ordering::Relaxed) {
-                        let response = engine.handle(&Request::Support { items: vec![0] });
+                        let response = engine.handle(&keys[i % keys.len()]);
+                        i += 1;
                         let v = Json::parse(&response).unwrap();
                         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
                         let g = v.get("generation").unwrap().as_u64().unwrap();
@@ -814,6 +820,19 @@ mod tests {
                 });
             }
         });
+        // Once the last publish has returned, no cached reply may name an
+        // older generation — not even one whose answer was computed
+        // before that publish and written to the cache after it.
+        for _ in 0..2 {
+            for request in keys {
+                let v = Json::parse(&engine.handle(request)).unwrap();
+                assert_eq!(
+                    v.get("generation").unwrap().as_u64(),
+                    Some(20),
+                    "{request:?}"
+                );
+            }
+        }
     }
 
     #[test]

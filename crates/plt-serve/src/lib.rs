@@ -68,12 +68,12 @@ pub mod reader_pool;
 pub mod server;
 pub mod snapshot;
 
-pub use builder::{bootstrap, BuilderConfig, BuilderHandle, IngestQueue, RebuildMode};
+pub use builder::{bootstrap, BuilderConfig, BuilderHandle, IngestQueue};
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy, SupportReply};
 pub use decode::FrameDecoder;
 pub use engine::{Engine, ServingState};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, Site};
-pub use plt_approx::{SampledRebuild, SketchConfig};
+pub use plt_approx::SketchConfig;
 pub use proto::{negotiate_version, Request, MAX_PROTOCOL_VERSION};
 pub use reader_pool::{ReadGuard, ReaderCache, ReaderPool};
 pub use server::{serve, ServerConfig, ServerHandle, ServerModel};

@@ -143,17 +143,6 @@ pub struct Metrics {
     /// Cumulative dirty shards re-mined across all incremental rebuilds
     /// (divide by `rebuilds` for the mean dirty fraction).
     pub shards_remined: AtomicU64,
-    /// Rebuilds answered by the sampled (Toivonen) fast path without
-    /// falling back to an exact re-mine.
-    pub sampled_rebuilds: AtomicU64,
-    /// Sampling attempts across all sampled rebuilds (≥ 1 per rebuild).
-    pub sampled_attempts: AtomicU64,
-    /// Negative-border violations observed during sampled rebuilds
-    /// (each forces a retry or the exact fallback).
-    pub sampled_border_violations: AtomicU64,
-    /// Sampled rebuilds that exhausted their attempts and fell back to
-    /// the exact miner.
-    pub sampled_fallbacks: AtomicU64,
     /// Current shard count of the incremental pipeline (gauge).
     pub shard_count: AtomicU64,
     /// Durable-store gauges; all zero (and hidden from `STATS`) when the
@@ -374,29 +363,6 @@ impl Metrics {
             .fetch_add(snapshot.as_micros() as u64, Ordering::Relaxed);
         self.rebuild_total_us
             .fetch_add(total.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Records the outcome of one sampled (Toivonen) rebuild.
-    pub fn record_sampled(&self, outcome: &plt_approx::SamplingOutcome) {
-        self.sampled_attempts
-            .fetch_add(outcome.attempts as u64, Ordering::Relaxed);
-        self.sampled_border_violations
-            .fetch_add(outcome.border_violations as u64, Ordering::Relaxed);
-        if outcome.fell_back {
-            self.sampled_fallbacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.sampled_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `(sampled_rebuilds, attempts, border_violations, fallbacks)`.
-    pub fn sampled_report(&self) -> (u64, u64, u64, u64) {
-        (
-            self.sampled_rebuilds.load(Ordering::Relaxed),
-            self.sampled_attempts.load(Ordering::Relaxed),
-            self.sampled_border_violations.load(Ordering::Relaxed),
-            self.sampled_fallbacks.load(Ordering::Relaxed),
-        )
     }
 
     /// Records the dirty-shard work of one incremental rebuild.

@@ -13,8 +13,8 @@
 //! partial-write resumption.
 //!
 //! A connection walks `Reading → Writing → Reading …`, detouring through
-//! `AwaitingFlush` for `ingest {wait:true}` (the blocking
-//! `IngestQueue::flush` runs on a per-reactor waiter thread; the
+//! `AwaitingFlush` for `ingest {wait:true}` (the blocking wait for the
+//! batch's acknowledgement runs on a per-reactor waiter thread; the
 //! connection stops decoding further frames until the completion
 //! arrives, preserving per-connection response ordering, and a slot
 //! *epoch* guards completions against slab reuse). Requests pin one
@@ -49,10 +49,11 @@ use crate::builder::IngestQueue;
 use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
 use crate::engine::Engine;
 use crate::fault::{IoFault, Site};
-use crate::json::Json;
-use crate::proto::{err_response, ok_response, render_response};
+use crate::proto::{err_response, render_response};
 use crate::reader_pool::ReaderCache;
-use crate::server::{dispatch_request, wake_acceptors, Dispatch, ServerConfig, ServerHandle};
+use crate::server::{
+    dispatch_request, ingest_ack_response, wake_acceptors, Dispatch, ServerConfig, ServerHandle,
+};
 use crate::snapshot::Snapshot;
 
 /// Raw kernel bindings, declared directly like `plt_store::mmap` does.
@@ -212,11 +213,13 @@ struct Conn {
     version: u64,
 }
 
-/// Job for the waiter thread: run the blocking flush for a connection.
+/// Job for the waiter thread: wait for a connection's ingest ack.
 struct FlushJob {
     token: usize,
     epoch: u64,
     accepted: u64,
+    /// Yields the generation that covers the batch.
+    ack: Receiver<u64>,
     /// Envelope version of the submitting connection at dispatch time.
     version: u64,
 }
@@ -549,7 +552,7 @@ impl Reactor {
                 self.conn(idx).close_after_flush = true;
                 self.queue_response(idx, &response);
             }
-            Dispatch::AwaitFlush { accepted } => {
+            Dispatch::AwaitFlush { accepted, ack } => {
                 let epoch = self.conn(idx).epoch;
                 self.transition(idx, ConnState::AwaitingFlush);
                 if self
@@ -558,6 +561,7 @@ impl Reactor {
                         token: idx,
                         epoch,
                         accepted,
+                        ack,
                         version,
                     })
                     .is_err()
@@ -775,27 +779,16 @@ impl Reactor {
     }
 }
 
-/// Waiter thread: runs blocking `flush` calls so the reactor never
-/// parks. One per reactor; flushes serialize behind the builder anyway.
+/// Waiter thread: blocks on ingest acknowledgements so the reactor never
+/// parks. One per reactor; acks serialize behind the builder anyway.
 fn waiter_loop(
-    ingest: Option<IngestQueue>,
     engine: Arc<Engine>,
     jobs: Receiver<FlushJob>,
     done: Sender<FlushDone>,
     waker: Arc<Waker>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let response = match ingest.as_ref().and_then(|q| q.flush()) {
-            Some(generation) => render_response(
-                &ok_response(vec![
-                    ("accepted", Json::from(job.accepted)),
-                    ("generation", Json::from(generation)),
-                    ("stale", Json::Bool(engine.is_stale())),
-                ]),
-                job.version,
-            ),
-            None => render_response(&err_response("snapshot builder has exited"), job.version),
-        };
+        let response = ingest_ack_response(&engine, job.accepted, job.ack.recv().ok(), job.version);
         if done
             .send(FlushDone {
                 token: job.token,
@@ -929,10 +922,9 @@ pub(crate) fn serve_reactor(
             std::thread::Builder::new()
                 .name(format!("plt-serve-waiter-{i}"))
                 .spawn({
-                    let ingest = ingest.clone();
                     let engine = engine.clone();
                     let waker = waker.clone();
-                    move || waiter_loop(ingest, engine, flush_rx, done_tx, waker)
+                    move || waiter_loop(engine, flush_rx, done_tx, waker)
                 })?,
         );
 

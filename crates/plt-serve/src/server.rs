@@ -19,6 +19,7 @@
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -320,11 +321,11 @@ pub(crate) enum Dispatch {
     Respond(String),
     /// Write this response, then stop the whole server.
     ShutdownRequested(String),
-    /// An `ingest {wait: true}` was submitted; run the blocking
-    /// `IngestQueue::flush` (inline for the threads model, on a waiter
-    /// thread for the reactor) and answer with `accepted` + the
-    /// published generation.
-    AwaitFlush { accepted: u64 },
+    /// An `ingest {wait: true}` was submitted with its acknowledgement;
+    /// block on `ack` (inline for the threads model, on a waiter thread
+    /// for the reactor) and answer with `accepted` + the generation of
+    /// the publish that covered the batch.
+    AwaitFlush { accepted: u64, ack: Receiver<u64> },
 }
 
 /// Parses and dispatches one request payload. Everything except the
@@ -382,18 +383,24 @@ pub(crate) fn dispatch_request(
             )),
             Some(queue) => {
                 let accepted = transactions.len() as u64;
-                if !queue.ingest(transactions) {
+                let exited = || {
                     Dispatch::Respond(render_response(
                         &err_response("snapshot builder has exited"),
                         *version,
                     ))
-                } else if wait {
-                    Dispatch::AwaitFlush { accepted }
-                } else {
+                };
+                if wait {
+                    match queue.ingest_acked(transactions) {
+                        Some(ack) => Dispatch::AwaitFlush { accepted, ack },
+                        None => exited(),
+                    }
+                } else if queue.ingest(transactions) {
                     Dispatch::Respond(render_response(
                         &ok_response(vec![("accepted", Json::from(accepted))]),
                         *version,
                     ))
+                } else {
+                    exited()
                 }
             }
         },
@@ -404,6 +411,27 @@ pub(crate) fn dispatch_request(
             },
             *version,
         )),
+    }
+}
+
+/// The reply to an `ingest {wait: true}` once its acknowledgement
+/// arrived (`None`: the builder exited before publishing the batch).
+pub(crate) fn ingest_ack_response(
+    engine: &Engine,
+    accepted: u64,
+    generation: Option<u64>,
+    version: u64,
+) -> String {
+    match generation {
+        Some(generation) => render_response(
+            &ok_response(vec![
+                ("accepted", Json::from(accepted)),
+                ("generation", Json::from(generation)),
+                ("stale", Json::Bool(engine.is_stale())),
+            ]),
+            version,
+        ),
+        None => render_response(&err_response("snapshot builder has exited"), version),
     }
 }
 
@@ -487,17 +515,9 @@ fn handle_connection(
                 let _ = write_frame_with(&mut writer, &response, frame_fault);
                 return ConnectionOutcome::ShutdownRequested;
             }
-            Dispatch::AwaitFlush { accepted } => match ingest.and_then(|q| q.flush()) {
-                Some(generation) => render_response(
-                    &ok_response(vec![
-                        ("accepted", Json::from(accepted)),
-                        ("generation", Json::from(generation)),
-                        ("stale", Json::Bool(engine.is_stale())),
-                    ]),
-                    version,
-                ),
-                None => render_response(&err_response("snapshot builder has exited"), version),
-            },
+            Dispatch::AwaitFlush { accepted, ack } => {
+                ingest_ack_response(engine, accepted, ack.recv().ok(), version)
+            }
         };
         match write_frame_with(&mut writer, &response, frame_fault) {
             Ok(()) => {}

@@ -1,7 +1,7 @@
 //! `MinerBuilder` — the one configuration path for every PLT miner.
 //!
 //! `plt-cli` and `plt-serve` used to construct miners through scattered
-//! per-type constructors (`ConditionalMiner::with_engine`,
+//! per-type constructors (`ConditionalMiner::with_policy`,
 //! `TopDownMiner::with_policy`, …). The builder replaces those call sites:
 //! pick a [`MineStrategy`], tune the knobs, and take the result as a
 //! [`Mine`] trait object (PLT-level), a [`Miner`] (transaction-level), or
@@ -10,7 +10,7 @@
 use plt_core::error::Result;
 use plt_core::item::{Item, Support};
 use plt_core::ranking::RankPolicy;
-use plt_core::{CondEngine, ConditionalMiner, HybridMiner, Mine, Miner, TopDownMiner};
+use plt_core::{ConditionalMiner, HybridMiner, Mine, Miner, TopDownMiner};
 use plt_parallel::ParallelPltMiner;
 
 use crate::pipeline::{ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};
@@ -57,7 +57,6 @@ impl MineStrategy {
 #[derive(Debug, Clone, Copy)]
 pub struct MinerBuilder {
     strategy: MineStrategy,
-    engine: CondEngine,
     rank_policy: RankPolicy,
     min_support: Support,
     shard_count: usize,
@@ -68,7 +67,6 @@ impl Default for MinerBuilder {
     fn default() -> MinerBuilder {
         MinerBuilder {
             strategy: MineStrategy::Conditional,
-            engine: CondEngine::Arena,
             rank_policy: RankPolicy::Lexicographic,
             min_support: 2,
             shard_count: DEFAULT_SHARD_COUNT,
@@ -78,8 +76,8 @@ impl Default for MinerBuilder {
 }
 
 impl MinerBuilder {
-    /// Starts from the defaults: conditional strategy, arena engine,
-    /// lexicographic ranking, minimum support 2, 16 shards.
+    /// Starts from the defaults: conditional strategy, lexicographic
+    /// ranking, minimum support 2, 16 shards.
     pub fn new() -> MinerBuilder {
         MinerBuilder::default()
     }
@@ -87,12 +85,6 @@ impl MinerBuilder {
     /// Selects the mining strategy.
     pub fn strategy(mut self, strategy: MineStrategy) -> MinerBuilder {
         self.strategy = strategy;
-        self
-    }
-
-    /// Selects the conditional-mining engine (arena or map).
-    pub fn engine(mut self, engine: CondEngine) -> MinerBuilder {
-        self.engine = engine;
         self
     }
 
@@ -129,10 +121,7 @@ impl MinerBuilder {
     /// The PLT-level miner as a [`Mine`] trait object.
     pub fn build(&self) -> Box<dyn Mine> {
         match self.strategy {
-            MineStrategy::Conditional => Box::new(ConditionalMiner {
-                rank_policy: self.rank_policy,
-                engine: self.engine,
-            }),
+            MineStrategy::Conditional => Box::new(ConditionalMiner::with_policy(self.rank_policy)),
             MineStrategy::TopDown => Box::new(TopDownMiner {
                 rank_policy: self.rank_policy,
                 ..TopDownMiner::default()
@@ -143,7 +132,6 @@ impl MinerBuilder {
             }),
             MineStrategy::Parallel => Box::new(ParallelPltMiner {
                 rank_policy: self.rank_policy,
-                engine: self.engine,
                 kernel: self.kernel,
             }),
         }
@@ -153,10 +141,7 @@ impl MinerBuilder {
     /// trait object (takes `(&[Vec<Item>], min_support)` directly).
     pub fn build_miner(&self) -> Box<dyn Miner> {
         match self.strategy {
-            MineStrategy::Conditional => Box::new(ConditionalMiner {
-                rank_policy: self.rank_policy,
-                engine: self.engine,
-            }),
+            MineStrategy::Conditional => Box::new(ConditionalMiner::with_policy(self.rank_policy)),
             MineStrategy::TopDown => Box::new(TopDownMiner {
                 rank_policy: self.rank_policy,
                 ..TopDownMiner::default()
@@ -167,7 +152,6 @@ impl MinerBuilder {
             }),
             MineStrategy::Parallel => Box::new(ParallelPltMiner {
                 rank_policy: self.rank_policy,
-                engine: self.engine,
                 kernel: self.kernel,
             }),
         }
@@ -179,7 +163,6 @@ impl MinerBuilder {
             shard_count: self.shard_count,
             min_support: self.min_support,
             rank_policy: self.rank_policy,
-            engine: self.engine,
             capacity,
             defer_merge: false,
         }

@@ -26,7 +26,7 @@
 //! would change the vocabulary, and matches it bit-for-bit either way.
 //!
 //! The crate also hosts [`MinerBuilder`], the single configuration path
-//! (strategy, engine, rank policy, minimum support, shard count) through
+//! (strategy, rank policy, minimum support, shard count) through
 //! which `plt-cli` and `plt-serve` construct every PLT miner — as a
 //! [`plt_core::Mine`] trait object, a transaction-level
 //! [`plt_core::Miner`], or a [`ShardedPipeline`].

@@ -11,14 +11,12 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use plt_core::arena::ArenaPool;
-use plt_core::conditional::mine_conditional;
 use plt_core::error::{PltError, Result};
 use plt_core::hash::{FxHashMap, FxHashSet};
 use plt_core::item::{Item, Itemset, Rank, Support};
 use plt_core::miner::MiningResult;
 use plt_core::plt::Plt;
 use plt_core::ranking::{ItemRanking, RankPolicy};
-use plt_core::CondEngine;
 use plt_obs::Obs;
 use rayon::prelude::*;
 
@@ -39,8 +37,6 @@ pub struct ShardConfig {
     pub min_support: Support,
     /// Item ordering policy for the ranking.
     pub rank_policy: RankPolicy,
-    /// Conditional-mining engine used when re-mining a shard.
-    pub engine: CondEngine,
     /// Optional sliding-window capacity: when set, applying an add beyond
     /// capacity evicts the oldest transaction first (counted as a removal
     /// for dirty-shard purposes). `None` means the window is unbounded.
@@ -59,7 +55,6 @@ impl Default for ShardConfig {
             shard_count: DEFAULT_SHARD_COUNT,
             min_support: 2,
             rank_policy: RankPolicy::Lexicographic,
-            engine: CondEngine::Arena,
             capacity: None,
             defer_merge: false,
         }
@@ -409,7 +404,6 @@ impl ShardedPipeline {
         let plt = &self.plt;
         let bounds = &self.bounds;
         let min_support = self.config.min_support;
-        let engine = self.config.engine;
         let mined: Vec<(usize, MiningResult, Duration)> = dirty
             .par_iter()
             .fold(
@@ -427,10 +421,7 @@ impl ShardedPipeline {
                             slot.support,
                         );
                         if !slot.is_empty() {
-                            frag.merge(match engine {
-                                CondEngine::Arena => pool.mine_conditional(slot.iter(), plt, &[r]),
-                                CondEngine::Map => mine_conditional(&slot.to_vectors(), plt, &[r]),
-                            });
+                            frag.merge(pool.mine_conditional(slot.iter(), plt, &[r]));
                         }
                     }
                     acc.push((s, frag, shard_started.elapsed()));
@@ -583,8 +574,7 @@ impl ShardedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plt_core::miner::Miner;
-    use plt_core::ConditionalMiner;
+    use plt_core::miner::{BruteForceMiner, Miner};
     use std::collections::BTreeMap;
 
     fn support_map(result: &MiningResult) -> BTreeMap<Vec<Item>, Support> {
@@ -595,7 +585,7 @@ mod tests {
     }
 
     fn full_mine(transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
-        ConditionalMiner::default().mine(transactions, min_support)
+        BruteForceMiner.mine(transactions, min_support)
     }
 
     fn assert_matches_full(pipeline: &ShardedPipeline, window: &[Vec<Item>]) {
@@ -740,9 +730,8 @@ mod tests {
     }
 
     #[test]
-    fn map_engine_agrees() {
+    fn three_shards_agree() {
         let config = ShardConfig {
-            engine: CondEngine::Map,
             shard_count: 3,
             ..ShardConfig::default()
         };

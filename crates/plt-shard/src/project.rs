@@ -10,7 +10,6 @@
 
 use plt_core::item::{Rank, Support};
 use plt_core::plt::Plt;
-use plt_core::posvec::PositionVector;
 
 /// One dirty rank's projection: support plus its conditional database in
 /// flat storage (the layout the arena engine consumes directly).
@@ -37,18 +36,6 @@ impl Slot {
         self.entries
             .iter()
             .map(move |&(off, len, freq)| (&positions[off as usize..(off + len) as usize], freq))
-    }
-
-    /// Materialises the database as owned vectors for the map engine.
-    pub(crate) fn to_vectors(&self) -> Vec<(PositionVector, Support)> {
-        self.iter()
-            .map(|(p, f)| {
-                (
-                    PositionVector::from_positions(p.to_vec()).expect("stored positions are valid"),
-                    f,
-                )
-            })
-            .collect()
     }
 }
 

@@ -29,7 +29,7 @@ pub use plt_store as store;
 pub use plt_stream as stream;
 
 pub use plt_core::{
-    ArenaPool, CondEngine, ConditionalMiner, Itemset, Mine, Miner, MiningResult, Plt,
-    PositionVector, RankPolicy, Support, TopDownMiner,
+    ArenaPool, ConditionalMiner, Itemset, Mine, Miner, MiningResult, Plt, PositionVector,
+    RankPolicy, Support, TopDownMiner,
 };
 pub use plt_shard::{MineStrategy, MinerBuilder, ShardedPipeline};

@@ -3,7 +3,7 @@
 //! error bound of the exact support, across a ≥128-case sweep mixing
 //! exhaustive sketches (small windows, bound 0) with genuinely sampled
 //! ones; the `EXACT` default must stay bit-identical to the oracle; and
-//! the Toivonen sampled-rebuild path must stay exact even when its
+//! Toivonen's sampling miner must stay exact even when its
 //! negative-border verification trips and forces the fallback.
 //!
 //! The failure probability per sketch query is δ; the suites pin
@@ -13,7 +13,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use plt::approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+use plt::approx::{IndicatorSketch, SketchConfig};
+use plt::baselines::SamplingMiner;
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::miner::BruteForceMiner;
 use plt::core::{ConditionalMiner, Miner};
@@ -223,8 +224,7 @@ proptest! {
 /// Starving the sampler (tiny sample, no support slack, one attempt)
 /// trips the negative-border verification on real windows — and the
 /// mined result must be exact anyway, because a violation forces the
-/// exact fallback. This is the failure path the serving builder relies
-/// on for correctness.
+/// exact fallback.
 #[test]
 fn negative_border_violations_force_the_exact_fallback() {
     // Many itemsets sit near the threshold, so a 6% sample routinely
@@ -240,21 +240,20 @@ fn negative_border_violations_force_the_exact_fallback() {
     let min_support = 55;
     let expect = BruteForceMiner.mine(&window, min_support).sorted();
 
-    let sampler = SampledRebuild {
-        sample_fraction: 0.06,
-        support_slack: 0.0,
-        seed: 0x0b0b_b1e5,
-        max_attempts: 1,
-    };
     let mut violations = 0;
     let mut fallbacks = 0;
-    for generation in 0..40 {
-        let (result, outcome) = sampler.mine(&window, min_support, generation);
+    for round in 0..40u64 {
+        let sampler = SamplingMiner {
+            sample_fraction: 0.06,
+            support_slack: 0.0,
+            seed: 0x0b0b_b1e5u64.wrapping_add(round.wrapping_mul(0x9e37_79b9)),
+            max_attempts: 1,
+        };
+        let (result, outcome) = sampler.mine_with_outcome(&window, min_support);
         assert_eq!(
             result.sorted(),
             expect,
-            "generation {generation}: sampled rebuild must stay exact \
-             (outcome: {outcome:?})"
+            "round {round}: the sampling miner must stay exact (outcome: {outcome:?})"
         );
         violations += outcome.border_violations;
         if outcome.fell_back {
@@ -267,37 +266,4 @@ fn negative_border_violations_force_the_exact_fallback() {
          the fallback path went unexercised"
     );
     assert!(fallbacks > 0, "violations must force the exact fallback");
-}
-
-/// The serving defaults keep the gamble cheap: with the default
-/// `SampledRebuild` the fast path usually wins, and its answers are
-/// still exact across generations.
-#[test]
-fn default_sampled_rebuild_is_exact_and_usually_avoids_fallback() {
-    let window: Vec<Vec<u32>> = (0..600u32)
-        .map(|i| {
-            let mut t = vec![i % 9, 9 + (i % 4)];
-            if i % 3 == 0 {
-                t.push(20);
-            }
-            t.sort_unstable();
-            t
-        })
-        .collect();
-    let min_support = 40;
-    let expect = BruteForceMiner.mine(&window, min_support).sorted();
-    let sampler = SampledRebuild::default();
-    let mut sampled_wins = 0;
-    for generation in 0..10 {
-        let (result, outcome) = sampler.mine(&window, min_support, generation);
-        assert_eq!(result.sorted(), expect, "generation {generation}");
-        if !outcome.fell_back {
-            sampled_wins += 1;
-        }
-    }
-    assert!(
-        sampled_wins >= 5,
-        "the default configuration should win the sampling gamble most \
-         of the time, won {sampled_wins}/10"
-    );
 }

@@ -1,28 +1,51 @@
 //! Differential suite for the arena conditional engine: on random and
 //! generated databases, the arena path must produce the *exact* frequent
-//! family (itemsets and supports) of the legacy map engine, the top-down
-//! miner, and the FP-growth baseline — sequentially, in parallel, and
-//! under pool reuse.
+//! family (itemsets and supports) of the hybrid miner (an independent
+//! map-layout PLT recursion), the top-down miner, FP-growth, Eclat and —
+//! where the database is small enough — brute force, sequentially, in
+//! parallel, per item projection, and under pool reuse.
 
 use std::collections::BTreeSet;
 
-use plt::baselines::FpGrowthMiner;
+use plt::baselines::{EclatMiner, FpGrowthMiner};
 use plt::core::construct::{construct, ConstructOptions};
-use plt::core::miner::Miner;
+use plt::core::miner::{BruteForceMiner, Miner};
 use plt::core::subset::{NaiveChecker, SubsetChecker};
+use plt::core::HybridMiner;
 use plt::data::{DenseConfig, DenseGenerator, QuestConfig, QuestGenerator};
-use plt::parallel::ParallelPltMiner;
-use plt::{ArenaPool, CondEngine, ConditionalMiner, PositionVector, RankPolicy, TopDownMiner};
+use plt::parallel::{project_all, ParallelPltMiner};
+use plt::{ArenaPool, ConditionalMiner, PositionVector, RankPolicy, TopDownMiner};
 use proptest::prelude::*;
 
-/// Everything that must agree with the arena engine.
-fn references() -> Vec<Box<dyn Miner>> {
-    vec![
-        Box::new(ConditionalMiner::with_engine(CondEngine::Map)),
+/// Brute force enumerates every subset of every transaction; past this
+/// many subsets in total it is left out of the reference set.
+const BRUTE_FORCE_BUDGET: u64 = 1 << 18;
+
+/// The hybrid miner with its top-down finish disabled: the plain
+/// map-layout rendering of Algorithm 3.
+fn map_recursion(rank_policy: RankPolicy) -> HybridMiner {
+    HybridMiner {
+        rank_policy,
+        topdown_budget: 0,
+    }
+}
+
+/// Everything that must agree with the arena engine on `db`.
+fn references(db: &[Vec<u32>]) -> Vec<Box<dyn Miner>> {
+    let mut miners: Vec<Box<dyn Miner>> = vec![
+        Box::new(map_recursion(RankPolicy::default())),
+        Box::new(HybridMiner::default()),
         Box::new(TopDownMiner::default()),
         Box::new(FpGrowthMiner),
-        Box::new(ParallelPltMiner::with_engine(CondEngine::Map)),
-    ]
+        Box::new(EclatMiner::default()),
+    ];
+    let subsets = db
+        .iter()
+        .fold(0u64, |n, t| n.saturating_add(1 << t.len().min(63)));
+    if subsets <= BRUTE_FORCE_BUDGET {
+        miners.push(Box::new(BruteForceMiner));
+    }
+    miners
 }
 
 fn assert_arena_agrees(db: &[Vec<u32>], min_support: u64, label: &str) {
@@ -31,7 +54,7 @@ fn assert_arena_agrees(db: &[Vec<u32>], min_support: u64, label: &str) {
         .check_anti_monotone()
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let expect = arena.sorted();
-    for miner in references() {
+    for miner in references(db) {
         assert_eq!(
             miner.mine(db, min_support).sorted(),
             expect,
@@ -78,19 +101,13 @@ fn arena_agrees_under_every_rank_policy() {
         RankPolicy::FrequencyAscending,
         RankPolicy::FrequencyDescending,
     ] {
-        let arena = ConditionalMiner {
-            rank_policy: policy,
-            engine: CondEngine::Arena,
-        };
-        let map = ConditionalMiner {
-            rank_policy: policy,
-            engine: CondEngine::Map,
-        };
+        let arena = ConditionalMiner::with_policy(policy).mine(&db, 8).sorted();
         assert_eq!(
-            arena.mine(&db, 8).sorted(),
-            map.mine(&db, 8).sorted(),
+            arena,
+            map_recursion(policy).mine(&db, 8).sorted(),
             "{policy:?}"
         );
+        assert_eq!(arena, FpGrowthMiner.mine(&db, 8).sorted(), "{policy:?}");
     }
 }
 
@@ -115,10 +132,11 @@ fn one_pool_across_heterogeneous_databases() {
     for db in [&sparse, &dense, &sparse, &dense] {
         for min_support in [3u64, 20, 60] {
             let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
-            let reused = pool.mine_plt(&plt);
-            let fresh =
-                plt::core::Mine::mine_plt(&ConditionalMiner::with_engine(CondEngine::Map), &plt);
-            assert_eq!(reused.sorted(), fresh.sorted(), "min_support {min_support}");
+            let reused = pool.mine_plt(&plt).sorted();
+            let fresh = ArenaPool::new().mine_plt(&plt).sorted();
+            assert_eq!(reused, fresh, "min_support {min_support}");
+            let fp = FpGrowthMiner.mine(db, min_support).sorted();
+            assert_eq!(reused, fp, "min_support {min_support}");
         }
     }
 }
@@ -150,6 +168,51 @@ proptest! {
     ) {
         let db: Vec<Vec<u32>> = db.into_iter().map(|t| t.into_iter().collect()).collect();
         assert_arena_agrees(&db, min_support, "prop dense");
+    }
+
+    /// Per-item projections: `ArenaPool::mine_conditional` on item `j`'s
+    /// projection emits exactly the brute-force itemsets whose
+    /// highest-ranked item is `j`, minus `{j}` itself, under every rank
+    /// policy — one warmed pool across all items, as the parallel and
+    /// sharded miners use it.
+    #[test]
+    fn prop_projection_mining_matches_brute_force_restricted_to_suffix(
+        db in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..14, 1..7),
+            1..40,
+        ),
+        min_support in 1u64..5,
+    ) {
+        let db: Vec<Vec<u32>> = db.into_iter().map(|t| t.into_iter().collect()).collect();
+        let full = BruteForceMiner.mine(&db, min_support).sorted();
+        for policy in [
+            RankPolicy::Lexicographic,
+            RankPolicy::FrequencyAscending,
+            RankPolicy::FrequencyDescending,
+        ] {
+            let plt = construct(&db, min_support, ConstructOptions {
+                rank_policy: policy,
+                with_prefixes: false,
+            }).unwrap();
+            let ranking = plt.ranking();
+            let projections = project_all(&plt);
+            let mut pool = ArenaPool::new();
+            for j in 1..=ranking.len() as u32 {
+                let got = pool
+                    .mine_conditional(projections.conditional(j).iter(), &plt, &[j])
+                    .sorted();
+                let expect: Vec<_> = full
+                    .iter()
+                    .filter(|(s, _)| {
+                        s.len() > 1
+                            && s.contains(ranking.item(j))
+                            && s.items().iter().all(|&i| ranking.rank(i).is_some_and(|r| r <= j))
+                    })
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(got, expect, "{:?} rank {}", policy, j);
+            }
+        }
     }
 }
 

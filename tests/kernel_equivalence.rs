@@ -96,19 +96,16 @@ fn gather_kernels_agree_across_adversarial_lengths() {
         let (a, b) = on_both_backends(|| kernels::count_ge(&values, &ids, min));
         assert_eq!(a, b, "count_ge at len {len}");
 
-        let (a, b) = on_both_backends(|| {
-            let mut kept = Vec::new();
-            kernels::filter_ge_into(&values, &ids, min, &mut kept);
-            kept
-        });
-        assert_eq!(a, b, "filter_ge_into at len {len}");
-        // The filtered set is exactly the ids whose value clears the bar.
+        // `filter_ge_into` is scalar on every backend; its filtered set is
+        // exactly the ids whose value clears the bar, in order.
+        let mut kept = Vec::new();
+        kernels::filter_ge_into(&values, &ids, min, &mut kept);
         let expect: Vec<u32> = ids
             .iter()
             .copied()
             .filter(|&id| values[id as usize] >= min)
             .collect();
-        assert_eq!(a, expect, "filter_ge_into semantics at len {len}");
+        assert_eq!(kept, expect, "filter_ge_into semantics at len {len}");
     }
 }
 
@@ -340,8 +337,8 @@ proptest! {
         prop_assert_eq!(s, v);
     }
 
-    /// Random support tables: gather/count/filter agree between backends
-    /// under permuted id orders.
+    /// Random support tables: gather/count agree between backends under
+    /// permuted id orders, and the filter keeps exactly the qualifying ids.
     #[test]
     fn prop_gather_kernels_agree(
         values in proptest::collection::vec(any::<u64>(), 1..400),
@@ -351,15 +348,16 @@ proptest! {
         let min = min % 10_000;
         let ids: Vec<u32> = (0..values.len() as u32).rev().collect();
         let (a, b) = on_both_backends(|| {
-            let mut kept = Vec::new();
-            kernels::filter_ge_into(&values, &ids, min, &mut kept);
             (
                 kernels::sum_gather(&values, &ids),
                 kernels::count_ge(&values, &ids, min),
-                kept,
             )
         });
         prop_assert_eq!(a, b);
+        let mut kept = Vec::new();
+        kernels::filter_ge_into(&values, &ids, min, &mut kept);
+        prop_assert_eq!(kept.len(), a.1);
+        prop_assert!(kept.iter().all(|&id| values[id as usize] >= min));
     }
 
     /// miners_agree-style sweep: on random skewed databases the bitmap

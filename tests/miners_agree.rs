@@ -1,7 +1,8 @@
 //! Cross-crate agreement: every miner in the workspace produces the exact
 //! same frequent-itemset family (itemsets *and* supports) on realistic
 //! generated workloads — PLT (both approaches, sequential and parallel)
-//! against every baseline.
+//! against every baseline, and against brute force wherever the database
+//! is small enough to enumerate.
 
 use std::collections::BTreeSet;
 
@@ -9,13 +10,13 @@ use plt::baselines::apriori::{AprioriMiner, CountingStrategy, PruneStrategy};
 use plt::baselines::{
     AisMiner, DicMiner, EclatMiner, FpGrowthMiner, HMineMiner, PartitionMiner, SamplingMiner,
 };
-use plt::core::miner::Miner;
+use plt::core::miner::{BruteForceMiner, Miner};
 use plt::core::HybridMiner;
 use plt::data::{
     BasketConfig, BasketGenerator, DenseConfig, DenseGenerator, QuestConfig, QuestGenerator,
 };
 use plt::parallel::{ParallelEclatMiner, ParallelPltMiner};
-use plt::{CondEngine, ConditionalMiner, RankPolicy, TopDownMiner};
+use plt::{ConditionalMiner, RankPolicy, TopDownMiner};
 use proptest::prelude::*;
 
 mod common;
@@ -53,13 +54,28 @@ fn all_miners() -> Vec<Box<dyn Miner>> {
     ]
 }
 
+/// Brute force enumerates every subset of every transaction; it joins a
+/// roster only when that totals at most this many subsets.
+const BRUTE_FORCE_BUDGET: u64 = 1 << 18;
+
+/// `miners`, plus brute force when `db` is small enough for it.
+fn with_brute_force(db: &[Vec<u32>], mut miners: Vec<Box<dyn Miner>>) -> Vec<Box<dyn Miner>> {
+    let subsets = db
+        .iter()
+        .fold(0u64, |n, t| n.saturating_add(1 << t.len().min(63)));
+    if subsets <= BRUTE_FORCE_BUDGET {
+        miners.push(Box::new(BruteForceMiner));
+    }
+    miners
+}
+
 fn assert_all_agree(db: &[Vec<u32>], min_support: u64, label: &str) {
     let reference = ConditionalMiner::default().mine(db, min_support);
     reference
         .check_anti_monotone()
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let expect = reference.sorted();
-    for miner in all_miners() {
+    for miner in with_brute_force(db, all_miners()) {
         let got = miner.mine(db, min_support).sorted();
         assert_eq!(
             got.len(),
@@ -111,7 +127,7 @@ fn agree_on_market_baskets() {
 #[test]
 fn agree_when_nothing_is_frequent() {
     let db = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
-    for miner in all_miners() {
+    for miner in with_brute_force(&db, all_miners()) {
         assert!(miner.mine(&db, 2).is_empty(), "{}", miner.name());
     }
 }
@@ -194,14 +210,22 @@ fn agree_on_degenerate_databases() {
 // ---------------------------------------------------------------------------
 
 /// The engine pairs under differential test: the arena conditional engine
-/// against every other implementation family.
-fn differential_roster() -> Vec<Box<dyn Miner>> {
-    vec![
-        Box::new(ConditionalMiner::with_engine(CondEngine::Map)),
-        Box::new(TopDownMiner::default()),
-        Box::new(FpGrowthMiner),
-        Box::new(EclatMiner::default()),
-    ]
+/// against every other implementation family — the map-layout PLT
+/// recursion (the hybrid miner with its top-down finish disabled), the
+/// top-down miner, FP-growth, Eclat, and brute force.
+fn differential_roster(db: &[Vec<u32>]) -> Vec<Box<dyn Miner>> {
+    with_brute_force(
+        db,
+        vec![
+            Box::new(HybridMiner {
+                topdown_budget: 0,
+                ..Default::default()
+            }),
+            Box::new(TopDownMiner::default()),
+            Box::new(FpGrowthMiner),
+            Box::new(EclatMiner::default()),
+        ],
+    )
 }
 
 /// Runs every engine pair over one `(db, min_support)` cell; `Err` carries
@@ -212,7 +236,7 @@ fn engines_agree(db: &[Vec<u32>], min_support: u64) -> Result<(), String> {
         .check_anti_monotone()
         .map_err(|e| format!("arena family not anti-monotone at min_support {min_support}: {e}"))?;
     let reference = support_map(&arena);
-    for miner in differential_roster() {
+    for miner in differential_roster(db) {
         let got = support_map(&miner.mine(db, min_support));
         if let Some(diff) = diff_support_maps(&reference, &got) {
             return Err(format!(

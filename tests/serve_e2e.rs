@@ -3,11 +3,14 @@
 //! cross-checking every wire answer against the miner's result, and the
 //! ingest path against a re-mine of the grown window.
 
+use std::sync::atomic::Ordering;
+
 use plt::core::miner::Miner;
 use plt::data::{BasketConfig, BasketGenerator};
+use plt::serve::json::Json;
 use plt::serve::{
-    bootstrap, serve, BuilderConfig, Client, ClientConfig, RebuildMode, Request, SampledRebuild,
-    ServerConfig, ServerModel, SketchConfig,
+    bootstrap, serve, BuilderConfig, Client, ClientConfig, Request, ServerConfig, ServerModel,
+    SketchConfig,
 };
 use plt::ConditionalMiner;
 
@@ -407,7 +410,7 @@ fn malformed_queries_are_typed_errors_and_leave_the_connection_usable() {
 }
 
 #[test]
-fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
+fn approx_tier_serves_bounded_answers() {
     let db = BasketGenerator::new(BasketConfig {
         num_baskets: 400,
         ..Default::default()
@@ -418,7 +421,6 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
         let config = BuilderConfig {
             window_capacity: db.transactions().len() * 4,
             min_support,
-            rebuild_mode: RebuildMode::Sampled(SampledRebuild::default()),
             sketch: Some(SketchConfig {
                 epsilon: 0.05,
                 delta: 0.01,
@@ -493,8 +495,8 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
             Some(top[0].1)
         );
 
-        // An ingest triggers a sampled (Toivonen) rebuild; the published
-        // answers still match an offline exact re-mine of the window.
+        // An ingest feeds the sketch and republishes; the published
+        // answers match an offline exact re-mine of the window.
         let extra = vec![db.transactions()[0].clone(), db.transactions()[1].clone()];
         client
             .ingest(extra.clone(), true)
@@ -507,12 +509,12 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
             let reply = client.support(itemset.items()).expect("support");
             assert_eq!(
                 reply.support, support,
-                "{model:?} v{version}: sampled rebuild must stay exact for {itemset}"
+                "{model:?} v{version}: rebuild must stay exact for {itemset}"
             );
         }
 
-        // Stats surface the approximate tier: sketch gauges, approx
-        // counters, and the sampled-rebuild block.
+        // Stats surface the approximate tier: sketch gauges and approx
+        // counters.
         let stats = client.stats().expect("stats");
         let sketch = stats.get("sketch").expect("sketch stats block");
         assert!(sketch.get("epsilon").and_then(|x| x.as_f64()).unwrap() > 0.0);
@@ -529,14 +531,133 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
                 >= top.len() as u64,
             "{model:?} v{version}: APPROX requests counted"
         );
-        let sampled = stats
-            .get("rebuild")
-            .and_then(|r| r.get("sampled"))
-            .expect("sampled rebuild stats");
-        assert!(
-            sampled.get("attempts").and_then(|x| x.as_u64()).unwrap() >= 1,
-            "{model:?} v{version}: ingest drove a sampled rebuild"
+
+        client.shutdown().expect("shutdown");
+        handle.join();
+        builder.stop();
+    }
+}
+
+/// Sorted keys of a JSON object.
+fn keys(v: &Json) -> Vec<&str> {
+    let Json::Obj(pairs) = v else {
+        panic!("expected an object, got {v}");
+    };
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys
+}
+
+#[test]
+fn stats_reply_fields_are_pinned() {
+    let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
+    for (model, version) in cases() {
+        let (handle, builder) = start(&warmup, 2, model);
+        let mut client = connect(handle.addr(), version);
+        client
+            .ingest(vec![vec![1, 3]], true)
+            .expect("ingest")
+            .expect("generation");
+        let stats = client.stats().expect("stats");
+
+        let mut expect = vec![
+            "builder_failures",
+            "cache_entries",
+            "endpoints",
+            "generation",
+            "min_support",
+            "num_itemsets",
+            "num_rules",
+            "num_transactions",
+            "ok",
+            "protocol_errors",
+            "publishes",
+            "query",
+            "reactor",
+            "reader_pool",
+            "rebuild",
+            "rejected_connections",
+            "sketch",
+            "stale",
+            "state",
+            "storage",
+            "timeouts",
+        ];
+        if version >= 2 {
+            // The client flattens the v2 envelope, which always carries
+            // the `approx` flag.
+            expect.push("approx");
+            expect.sort_unstable();
+        }
+        assert_eq!(keys(&stats), expect, "{model:?} v{version}");
+        let rebuild = stats.get("rebuild").expect("rebuild block");
+        assert_eq!(
+            keys(rebuild),
+            [
+                "dirty_shards",
+                "push_us",
+                "rebuilds",
+                "rerank_us",
+                "shard_count",
+                "snapshot_us",
+                "total_us",
+            ],
+            "{model:?} v{version}"
         );
+        assert_eq!(
+            keys(stats.get("reader_pool").unwrap()),
+            ["active_pins", "swaps"]
+        );
+        let endpoint = &stats.get("endpoints").and_then(|e| e.as_arr()).unwrap()[0];
+        assert_eq!(
+            keys(endpoint),
+            [
+                "cache_hits",
+                "cache_misses",
+                "endpoint",
+                "p50_us",
+                "p99_us",
+                "requests"
+            ]
+        );
+
+        client.shutdown().expect("shutdown");
+        handle.join();
+        builder.stop();
+    }
+}
+
+#[test]
+fn each_wait_ingest_publishes_exactly_once() {
+    let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
+    for model in server_models() {
+        let config = BuilderConfig {
+            window_capacity: 1_000,
+            min_support: 2,
+            ..BuilderConfig::default()
+        };
+        let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
+        let handle = serve(
+            "127.0.0.1:0",
+            engine.clone(),
+            Some(builder.queue()),
+            ServerConfig {
+                server_model: model,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind ephemeral port");
+        let mut client = connect(handle.addr(), 1);
+        for round in 0..50u32 {
+            let before = engine.metrics().publishes.load(Ordering::Relaxed);
+            let generation = client
+                .ingest(vec![vec![1, 2 + round % 3]], true)
+                .expect("ingest")
+                .expect("generation in wait mode");
+            let after = engine.metrics().publishes.load(Ordering::Relaxed);
+            assert_eq!(after, before + 1, "{model:?}: round {round}");
+            assert_eq!(engine.current().generation(), generation, "{model:?}");
+        }
 
         client.shutdown().expect("shutdown");
         handle.join();

@@ -49,7 +49,12 @@ fn read_raw_frame(r: &mut impl BufRead) -> Option<String> {
 /// suite exists to catch. `None` means the connection was admitted (no
 /// refusal arrived within the wait) or closed silently.
 fn connect_expecting_shed(addr: std::net::SocketAddr, wait: Duration) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
+    read_volunteered_frame(TcpStream::connect(addr).ok()?, wait)
+}
+
+/// The frame the server volunteers on an already-open connection, if one
+/// arrives within `wait`.
+fn read_volunteered_frame(stream: TcpStream, wait: Duration) -> Option<String> {
     stream.set_read_timeout(Some(wait)).unwrap();
     let mut reader = BufReader::new(stream);
     read_raw_frame(&mut reader)
@@ -173,21 +178,26 @@ fn a_full_accept_backlog_sheds_instead_of_queueing() {
         .expect("poke the reactor into a stalled read");
 
     // Burst more connections than the backlog can hold while the
-    // reactor sleeps. At least one must come back with the backlog shed
-    // frame; none may hang.
+    // reactor sleeps. Every connect is made before any reply is read, so
+    // the whole burst lands inside the stalled read (reading between
+    // connects would give the reactor time to drain the one-slot queue).
+    // At least one must come back with the backlog shed frame; none may
+    // hang.
+    let burst: Vec<TcpStream> = (0..12)
+        .map(|_| TcpStream::connect(addr).expect("burst connect"))
+        .collect();
     // Shed frames come straight off the acceptor thread, so a short
     // read window suffices; an admitted-but-unanswered socket gives up
     // quickly instead of waiting out a full deadline.
     let mut sheds = 0;
-    for _ in 0..12 {
-        if let Some(frame) = connect_expecting_shed(addr, Duration::from_millis(400)) {
+    for stream in burst {
+        if let Some(frame) = read_volunteered_frame(stream, Duration::from_millis(400)) {
             assert!(
                 frame.contains("shed: accept backlog full"),
                 "unexpected refusal: {frame}"
             );
             sheds += 1;
         }
-        // No sleep: outrun the stalled reactor on purpose.
     }
     assert!(
         sheds >= 1,
