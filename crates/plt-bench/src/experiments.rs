@@ -1965,7 +1965,7 @@ pub struct QueryCell {
 /// so the speedup column measures pure plan quality. Covers all four
 /// specialized operators across sparse/dense/zipf workloads.
 pub fn x17_query_cells(scale: Scale) -> Vec<QueryCell> {
-    use plt_query::{MemSource, PhysOp, Source};
+    use plt_query::{PhysOp, Snapshot};
     use plt_rules::RuleConfig;
 
     let runs = scale.runs().max(3);
@@ -1995,7 +1995,7 @@ pub fn x17_query_cells(scale: Scale) -> Vec<QueryCell> {
     for (dataset, db, min_sup) in workloads {
         let plt = construct(&db, min_sup, ConstructOptions::conditional()).expect("construct");
         let result = ConditionalMiner::default().mine(&db, min_sup);
-        let src = MemSource::build(1, plt, &result, RuleConfig::default());
+        let src = Snapshot::build(1, plt, &result, RuleConfig::default());
         let ranked = src.ranked();
         assert!(!ranked.is_empty(), "{dataset} must induce frequent sets");
 
@@ -2006,7 +2006,7 @@ pub fn x17_query_cells(scale: Scale) -> Vec<QueryCell> {
         // The least-frequent root: its supersets sit deep in the ranked
         // order, so the naive scan walks most of it.
         let rare_root = src
-            .extensions_of(&[])
+            .extensions(&[], usize::MAX)
             .last()
             .map(|&(item, _)| item)
             .expect("at least one frequent item");
@@ -2197,7 +2197,7 @@ pub struct ApproxCell {
 /// committed `BENCH_approx.json` record.
 pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
     use plt_approx::{IndicatorSketch, SketchConfig};
-    use plt_query::{MemSource, PhysOp, Rows, Source, SupportSketch};
+    use plt_query::{PhysOp, Rows, Snapshot, SupportSketch};
     use plt_rules::RuleConfig;
 
     let runs = scale.runs().max(3);
@@ -2254,11 +2254,15 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
             .map(|t| std::mem::size_of_val(t.as_slice()) + std::mem::size_of::<Vec<Item>>())
             .sum();
         let src =
-            MemSource::build(1, plt, &result, RuleConfig::default()).with_sketch(Box::new(sketch));
+            Snapshot::build(1, plt, &result, RuleConfig::default()).with_sketch(Box::new(sketch));
 
         let ranked = src.ranked();
         assert!(!ranked.is_empty(), "{dataset} must induce frequent sets");
-        let items: Vec<Item> = src.extensions_of(&[]).iter().map(|&(i, _)| i).collect();
+        let items: Vec<Item> = src
+            .extensions(&[], usize::MAX)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
 
         // Infrequent probes: small combinations of frequent items that
         // did not make the index, found by a deterministic stride scan.
@@ -2272,7 +2276,7 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
                 probe.sort_unstable();
                 probe.dedup();
                 if probe.len() == width
-                    && src.support_of(&probe).0 < min_sup
+                    && src.support(&probe).support < min_sup
                     && !infrequent.contains(&probe)
                 {
                     infrequent.push(probe);

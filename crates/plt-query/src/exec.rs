@@ -20,7 +20,7 @@ use plt_shard::MinerBuilder;
 
 use crate::ast::{CmpOp, Field, PatElem, Pred, Query, QueryKind};
 use crate::plan::PhysOp;
-use crate::source::Source;
+use crate::snapshot::Snapshot;
 
 /// Metadata accompanying an approximate answer: the executed operator
 /// guarantees the reported support is within `error_bound` of truth.
@@ -133,8 +133,8 @@ pub struct NaiveExecutor;
 
 impl NaiveExecutor {
     /// Runs `q` (already normalized) against `src` by exhaustive scan.
-    pub fn run(src: &dyn Source, q: &Query) -> Rows {
-        let n = src.stats().num_transactions;
+    pub fn run(src: &Snapshot, q: &Query) -> Rows {
+        let n = src.num_transactions();
         match &q.kind {
             QueryKind::Support { items } => {
                 // Count matching vectors directly off the PLT: the sum of
@@ -156,7 +156,7 @@ impl NaiveExecutor {
                 Rows::Support {
                     items: items.clone(),
                     support,
-                    frequent: support >= src.stats().min_support && !items.is_empty(),
+                    frequent: support >= src.min_support() && !items.is_empty(),
                 }
             }
             QueryKind::Top { k, filter } => {
@@ -206,22 +206,22 @@ impl NaiveExecutor {
 /// Returns `PltError::Query` if the operator does not apply to this
 /// query shape (the planner never produces such a pairing; the error
 /// protects the test-only force hook).
-pub fn execute(op: PhysOp, q: &Query, src: &dyn Source) -> Result<(Rows, Option<ApproxMeta>)> {
+pub fn execute(op: PhysOp, q: &Query, src: &Snapshot) -> Result<(Rows, Option<ApproxMeta>)> {
     let exact = |rows: Rows| (rows, None);
     match (op, &q.kind) {
         (PhysOp::FullScan, _) => Ok(exact(NaiveExecutor::run(src, q))),
         (PhysOp::IndexPoint, QueryKind::Support { items }) => {
-            let (support, frequent) = src.support_of(items);
+            let a = src.support(items);
             Ok(exact(Rows::Support {
                 items: items.clone(),
-                support,
-                frequent,
+                support: a.support,
+                frequent: a.frequent,
             }))
         }
         (PhysOp::SketchProbe, QueryKind::Support { items }) => {
             let Some(sketch) = src.sketch() else {
                 return Err(PltError::Query {
-                    message: "sketch_probe needs a source with an attached sketch".into(),
+                    message: "sketch_probe needs a snapshot with an attached sketch".into(),
                 });
             };
             let (support, error_bound) = sketch.estimate(items);
@@ -229,16 +229,16 @@ pub fn execute(op: PhysOp, q: &Query, src: &dyn Source) -> Result<(Rows, Option<
                 Rows::Support {
                     items: items.clone(),
                     support,
-                    frequent: support >= src.stats().min_support && !items.is_empty(),
+                    frequent: support >= src.min_support() && !items.is_empty(),
                 },
                 Some(ApproxMeta { error_bound }),
             ))
         }
         (PhysOp::ExtTraverse, QueryKind::Top { k, filter }) => {
             let seeds: Vec<(Itemset, Support)> = src
-                .extensions_of(&[])
-                .into_iter()
-                .map(|(item, sup)| (Itemset::from_sorted(vec![item]), sup))
+                .all_extensions(&[])
+                .iter()
+                .map(|&(item, sup)| (Itemset::from_sorted(vec![item]), sup))
                 .collect();
             Ok(exact(Rows::Itemsets(ext_traverse(
                 src,
@@ -248,12 +248,12 @@ pub fn execute(op: PhysOp, q: &Query, src: &dyn Source) -> Result<(Rows, Option<
             ))))
         }
         (PhysOp::ExtTraverse, QueryKind::MineCond { cond, k }) => {
-            let (support, frequent) = src.support_of(cond);
-            if !frequent {
+            let a = src.support(cond);
+            if !a.frequent {
                 // Anti-monotone: no frequent superset of an infrequent set.
                 return Ok(exact(Rows::Itemsets(Vec::new())));
             }
-            let seed = (Itemset::new(cond.clone()), support);
+            let seed = (Itemset::new(cond.clone()), a.support);
             Ok(exact(Rows::Itemsets(ext_traverse(
                 src,
                 vec![seed],
@@ -287,7 +287,7 @@ pub fn execute(op: PhysOp, q: &Query, src: &dyn Source) -> Result<(Rows, Option<
 /// the traversal stops. The collected rows are then canonically sorted
 /// to settle ties and truncated to `k`.
 fn ext_traverse(
-    src: &dyn Source,
+    src: &Snapshot,
     seeds: Vec<(Itemset, Support)>,
     filter: Option<&Pred>,
     k: usize,
@@ -295,7 +295,7 @@ fn ext_traverse(
     if k == 0 {
         return Vec::new();
     }
-    let n = src.stats().num_transactions;
+    let n = src.num_transactions();
     let mut heap: BinaryHeap<(Support, Reverse<Itemset>)> = BinaryHeap::new();
     let mut visited: HashSet<Itemset> = HashSet::new();
     for (set, sup) in seeds {
@@ -315,7 +315,7 @@ fn ext_traverse(
         if passes {
             passing.push((set.clone(), sup));
         }
-        for (item, child_sup) in src.extensions_of(set.items()) {
+        for &(item, child_sup) in src.all_extensions(set.items()) {
             let child = set.with(item);
             if visited.insert(child.clone()) {
                 heap.push((child_sup, Reverse(child)));
@@ -334,8 +334,8 @@ fn ext_traverse(
 /// once the scan passes below `c`, no later rule can satisfy that
 /// conjunct. Collection also stops as soon as `k` rows pass (the scan
 /// order *is* the output order).
-fn rule_scan(src: &dyn Source, filter: Option<&Pred>, k: Option<usize>) -> Vec<Rule> {
-    let n = src.stats().num_transactions;
+fn rule_scan(src: &Snapshot, filter: Option<&Pred>, k: Option<usize>) -> Vec<Rule> {
+    let n = src.num_transactions();
     let bound = filter.and_then(confidence_bound);
     let k = k.unwrap_or(usize::MAX);
     let mut out = Vec::new();
@@ -396,9 +396,9 @@ pub(crate) fn confidence_bound(pred: &Pred) -> Option<(f64, bool)> {
 /// it at the global threshold yields exactly the frequent supersets of
 /// `cond` (different `Y` collapsing to the same `Y ∪ cond` carry equal
 /// supports, so the dedup below is lossless).
-fn cond_mine(src: &dyn Source, cond: &[Item], k: Option<usize>) -> Result<Vec<(Itemset, Support)>> {
+fn cond_mine(src: &Snapshot, cond: &[Item], k: Option<usize>) -> Result<Vec<(Itemset, Support)>> {
     let plt = src.plt();
-    let min_support = src.stats().min_support;
+    let min_support = src.min_support();
     let Some(cond_ranks) = cond
         .iter()
         .map(|&i| plt.ranking().rank(i))
@@ -442,9 +442,9 @@ fn cond_mine(src: &dyn Source, cond: &[Item], k: Option<usize>) -> Result<Vec<(I
 mod tests {
     use super::*;
     use crate::ast::Num;
-    use crate::source::tests::{mem_source, mem_source_with_sketch};
+    use crate::snapshot::tests::{snapshot, snapshot_with_sketch};
 
-    fn assert_op_matches_naive(src: &dyn Source, q: &Query, op: PhysOp) {
+    fn assert_op_matches_naive(src: &Snapshot, q: &Query, op: PhysOp) {
         let naive = NaiveExecutor::run(src, q);
         let (got, meta) = execute(op, q, src).unwrap();
         assert_eq!(got, naive, "{} disagrees with naive on `{q}`", op.as_str());
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn index_point_matches_naive_support() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         for items in [vec![0], vec![0, 1], vec![0, 1, 2], vec![0, 2, 3], vec![99]] {
             let q = Query::exact(QueryKind::Support { items });
             assert_op_matches_naive(&src, &q, PhysOp::IndexPoint);
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn sketch_probe_answers_within_its_stated_bound() {
-        let src = mem_source_with_sketch(2, 8, 0.2);
+        let src = snapshot_with_sketch(2, 8, 0.2);
         for items in [vec![0], vec![0, 1], vec![0, 1, 2], vec![0, 2, 3], vec![99]] {
             let q = Query::approx(QueryKind::Support { items }, None);
             let naive = NaiveExecutor::run(&src, &q);
@@ -484,7 +484,7 @@ mod tests {
             );
         }
         // No sketch attached → typed error, not a panic.
-        let bare = mem_source(2);
+        let bare = snapshot(2);
         let q = Query::approx(QueryKind::Support { items: vec![0] }, None);
         let err = execute(PhysOp::SketchProbe, &q, &bare).unwrap_err();
         assert!(err.to_string().contains("attached sketch"));
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn ext_traverse_matches_naive_top() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let filters = [
             None,
             Some(Pred::Cmp {
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn mine_cond_operators_match_naive() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         for cond in [vec![0], vec![1], vec![0, 1], vec![2, 3], vec![5], vec![99]] {
             for k in [None, Some(1), Some(3), Some(100)] {
                 let q = Query::exact(QueryKind::MineCond {
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn rule_scan_matches_naive() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let filters = [
             None,
             Some(Pred::Cmp {
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn mismatched_operator_is_a_typed_error() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let q = Query::exact(QueryKind::Support { items: vec![0] });
         let err = execute(PhysOp::RuleScan, &q, &src).unwrap_err();
         assert!(err.to_string().contains("does not apply"));

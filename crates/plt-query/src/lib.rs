@@ -16,23 +16,24 @@
 //! traversal (Lemma 4.1.3) with top-k early termination, ordered
 //! rule-index scan, or on-demand conditional mining — plus the
 //! brute-force [`FullScan`](plan::PhysOp::FullScan) that doubles as the
-//! differential-testing oracle. Costs come from the source's cardinality
-//! stats; normalized ASTs key a [generation-aware LRU plan
+//! differential-testing oracle. Costs come from the [`Snapshot`]'s
+//! cardinalities; normalized ASTs key a [generation-aware LRU plan
 //! cache](cache::PlanCache). Every operator returns rows identical to
-//! the naive scan — `tests/query_equivalence.rs` proves it plan by plan.
+//! the naive scan — `tests/query_equivalence.rs` proves it plan by plan
+//! on the same [`Snapshot`] index plt-serve serves from.
 //!
 //! ```
 //! use plt_core::construct::{construct, ConstructOptions};
 //! use plt_core::{ConditionalMiner, Miner};
-//! use plt_query::{run, MemSource};
+//! use plt_query::{run, Snapshot};
 //! use plt_rules::RuleConfig;
 //!
 //! let db = vec![vec![1, 2, 3], vec![1, 2], vec![1, 2], vec![2, 3]];
 //! let plt = construct(&db, 2, ConstructOptions::conditional()).unwrap();
 //! let result = ConditionalMiner::default().mine(&db, 2);
-//! let src = MemSource::build(1, plt, &result, RuleConfig::default());
+//! let snap = Snapshot::build(1, plt, &result, RuleConfig::default());
 //!
-//! let (rows, prov) = run("SUPPORT OF {1,2}", &src, &mut plt_obs::Obs::none()).unwrap();
+//! let (rows, prov) = run("SUPPORT OF {1,2}", &snap, &mut plt_obs::Obs::none()).unwrap();
 //! assert_eq!(rows.len(), 1);
 //! assert_eq!(prov.plan.op.as_str(), "index_point");
 //! ```
@@ -42,6 +43,7 @@ pub mod cache;
 pub mod exec;
 pub mod parse;
 pub mod plan;
+pub mod snapshot;
 pub mod source;
 
 pub use ast::{CmpOp, Field, Num, PatElem, Pred, Query, QueryKind, Tier};
@@ -49,7 +51,8 @@ pub use cache::{CacheCounters, PlanCache};
 pub use exec::{ApproxMeta, NaiveExecutor, Rows};
 pub use parse::{parse, MAX_PRED_DEPTH, MAX_QUERY_BYTES};
 pub use plan::{applicable_ops, PhysOp, Plan};
-pub use source::{MemSource, Source, SourceStats, SupportSketch};
+pub use snapshot::{Recommendation, Snapshot, SupportAnswer, SupportSource};
+pub use source::SupportSketch;
 
 use plt_core::error::Result;
 use plt_obs::Obs;
@@ -97,7 +100,7 @@ fn parse_normalized(expr: &str, obs: &mut Obs) -> Result<Query> {
 
 fn execute_planned(
     q: &Query,
-    src: &dyn Source,
+    src: &Snapshot,
     plan: Plan,
     cache_hit: bool,
     obs: &mut Obs,
@@ -130,22 +133,22 @@ fn execute_planned(
 
 /// Parses, plans, and executes one expression. The one-stop entry point
 /// when no plan cache is in play.
-pub fn run(expr: &str, src: &dyn Source, obs: &mut Obs) -> Result<(Rows, Provenance)> {
+pub fn run(expr: &str, src: &Snapshot, obs: &mut Obs) -> Result<(Rows, Provenance)> {
     let q = parse_normalized(expr, obs)?;
     let plan = plan::plan(&q, src, None)?;
     execute_planned(&q, src, plan, false, obs)
 }
 
 /// Like [`run`], but consults `cache` (keyed by the printed normalized
-/// AST, scoped to the source's current generation) before planning.
+/// AST, scoped to the snapshot's generation) before planning.
 pub fn run_cached(
     expr: &str,
-    src: &dyn Source,
+    src: &Snapshot,
     cache: &PlanCache,
     obs: &mut Obs,
 ) -> Result<(Rows, Provenance)> {
     let q = parse_normalized(expr, obs)?;
-    let generation = src.stats().generation;
+    let generation = src.generation();
     let key = q.to_string(); // q is normalized: its printed form IS the key
     if let Some(plan) = cache.lookup(&key, generation) {
         obs.counter("query.plan_cache.hits", 1);
@@ -160,7 +163,7 @@ pub fn run_cached(
 /// Test-only override hook: parse and execute with a forced physical
 /// operator (erroring if it does not apply). The differential suite
 /// uses this to drive every operator over the same query.
-pub fn run_forced(expr: &str, src: &dyn Source, op: PhysOp) -> Result<(Rows, Provenance)> {
+pub fn run_forced(expr: &str, src: &Snapshot, op: PhysOp) -> Result<(Rows, Provenance)> {
     let mut obs = Obs::none();
     let q = parse_normalized(expr, &mut obs)?;
     let plan = plan::plan(&q, src, Some(op))?;
@@ -170,12 +173,12 @@ pub fn run_forced(expr: &str, src: &dyn Source, op: PhysOp) -> Result<(Rows, Pro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::tests::mem_source;
+    use crate::snapshot::tests::snapshot;
     use plt_obs::MetricsRecorder;
 
     #[test]
     fn run_answers_and_reports_provenance() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let mut rec = MetricsRecorder::new();
         let (rows, prov) = run("SUPPORT OF {0,1,2}", &src, &mut Obs::new(&mut rec)).unwrap();
         assert_eq!(
@@ -195,7 +198,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_counted_and_typed() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let mut rec = MetricsRecorder::new();
         let err = run("SUPPORT OF {}", &src, &mut Obs::new(&mut rec)).unwrap_err();
         assert!(err.to_string().starts_with("query: "));
@@ -205,7 +208,7 @@ mod tests {
 
     #[test]
     fn cached_runs_hit_on_normalized_equivalence() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let cache = PlanCache::new(8);
         let mut obs = Obs::none();
         let (rows1, p1) = run_cached(
@@ -232,9 +235,9 @@ mod tests {
 
     #[test]
     fn approx_tier_reports_provenance_and_counters() {
-        use crate::source::tests::mem_source_with_sketch;
+        use crate::snapshot::tests::snapshot_with_sketch;
         // Sketch attached, probe forced: approximate provenance.
-        let src = mem_source_with_sketch(2, 8, 0.2);
+        let src = snapshot_with_sketch(2, 8, 0.2);
         let (rows, prov) =
             run_forced("SUPPORT OF {0,1} APPROX", &src, PhysOp::SketchProbe).unwrap();
         assert_eq!(rows.kind(), "support");
@@ -242,7 +245,7 @@ mod tests {
         assert!(prov.error_bound.is_some());
         // No sketch: the APPROX request falls back to an exact operator
         // and says so, both in provenance and in the counters.
-        let bare = mem_source(2);
+        let bare = snapshot(2);
         let mut rec = MetricsRecorder::new();
         let (_, prov) = run("SUPPORT OF {0,1} APPROX", &bare, &mut Obs::new(&mut rec)).unwrap();
         assert!(!prov.approx);
@@ -254,7 +257,7 @@ mod tests {
 
     #[test]
     fn tiers_key_the_plan_cache_separately() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let cache = PlanCache::new(8);
         let mut obs = Obs::none();
         let (_, p1) = run_cached("SUPPORT OF {0,1}", &src, &cache, &mut obs).unwrap();
@@ -271,7 +274,7 @@ mod tests {
 
     #[test]
     fn forced_runs_agree_with_the_planner() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let mut obs = Obs::none();
         for expr in [
             "SUPPORT OF {0,1}",

@@ -2,7 +2,7 @@
 //!
 //! Each query shape admits several physical operators (see the table in
 //! `DESIGN.md` §13); the planner estimates each candidate's cost from
-//! the source's cardinality stats and picks the cheapest, breaking ties
+//! the snapshot's cardinalities and picks the cheapest, breaking ties
 //! toward the earlier (more specialized) candidate. All candidates
 //! return identical rows — the choice affects time, never results —
 //! which is what lets `tests/query_equivalence.rs` force each operator
@@ -11,7 +11,7 @@
 use plt_core::error::{PltError, Result};
 
 use crate::ast::{Query, QueryKind, Tier};
-use crate::source::Source;
+use crate::snapshot::Snapshot;
 
 /// A physical operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +31,7 @@ pub enum PhysOp {
     /// Brute-force scan — the universal fallback and the differential
     /// oracle.
     FullScan,
-    /// Bounded-error probe of the source's attached indicator sketch.
+    /// Bounded-error probe of the snapshot's attached indicator sketch.
     /// `SUPPORT OF` under the `APPROX` tier only — never a candidate
     /// for exact-tier queries, so the all-operators-agree invariant is
     /// untouched.
@@ -79,16 +79,15 @@ pub fn applicable_ops(q: &Query) -> &'static [PhysOp] {
     }
 }
 
-/// Estimated cost of running `op` on `q` against a source with the
-/// given stats. See `DESIGN.md` §13 for the model's derivation.
-fn cost_of(op: PhysOp, q: &Query, src: &dyn Source) -> f64 {
-    let stats = src.stats();
-    let n_sets = stats.num_itemsets as f64;
-    let n_rules = stats.num_rules as f64;
-    let n_vectors = stats.num_vectors as f64;
+/// Estimated cost of running `op` on `q` against a snapshot with the
+/// given cardinalities. See `DESIGN.md` §13 for the model's derivation.
+fn cost_of(op: PhysOp, q: &Query, src: &Snapshot) -> f64 {
+    let n_sets = src.num_itemsets() as f64;
+    let n_rules = src.num_rules() as f64;
+    let n_vectors = src.plt().num_vectors() as f64;
     // Average children per traversal node; floor 2 keeps sparse indexes
     // from looking free.
-    let fanout = (n_sets / (stats.num_roots.max(1) as f64)).max(2.0);
+    let fanout = (n_sets / (src.num_roots().max(1) as f64)).max(2.0);
     match (op, &q.kind) {
         (PhysOp::SketchProbe, QueryKind::Support { .. }) => match src.sketch() {
             // The probe scans the retained sample once. Unusable when no
@@ -137,8 +136,7 @@ fn cost_of(op: PhysOp, q: &Query, src: &dyn Source) -> f64 {
         (PhysOp::CondMine, QueryKind::MineCond { cond, .. }) => {
             // Rebuild cost scales with the conditional database size
             // (= support of the condition), plus a fixed mining setup.
-            let (s_cond, _) = src.support_of(cond);
-            s_cond as f64 * 4.0 + 16.0
+            src.support(cond).support as f64 * 4.0 + 16.0
         }
         (PhysOp::FullScan, QueryKind::MineCond { .. }) => n_sets,
         // Planner never pairs other combinations; make them unattractive
@@ -147,12 +145,12 @@ fn cost_of(op: PhysOp, q: &Query, src: &dyn Source) -> f64 {
     }
 }
 
-/// Validates `q` against the source at plan time, so every operator
+/// Validates `q` against the snapshot at plan time, so every operator
 /// fails identically on invalid input. Only `MINE COND` conditions are
 /// checked: naming an item the ranking has never seen is a user error
 /// (`SUPPORT OF` an unknown item legitimately answers 0, and filter
 /// items that never match simply select nothing).
-fn validate(q: &Query, src: &dyn Source) -> Result<()> {
+fn validate(q: &Query, src: &Snapshot) -> Result<()> {
     if let QueryKind::MineCond { cond, .. } = &q.kind {
         let plt = src.plt();
         for &item in cond {
@@ -170,7 +168,7 @@ fn validate(q: &Query, src: &dyn Source) -> Result<()> {
 /// given operator is used if applicable (the test-only override hook);
 /// otherwise the cheapest candidate wins, ties going to the earlier
 /// (more specialized) one.
-pub fn plan(q: &Query, src: &dyn Source, force: Option<PhysOp>) -> Result<Plan> {
+pub fn plan(q: &Query, src: &Snapshot, force: Option<PhysOp>) -> Result<Plan> {
     validate(q, src)?;
     let candidates = applicable_ops(q);
     if let Some(op) = force {
@@ -203,11 +201,11 @@ pub fn plan(q: &Query, src: &dyn Source, force: Option<PhysOp>) -> Result<Plan> 
 mod tests {
     use super::*;
     use crate::ast::{CmpOp, Field, Num, Pred};
-    use crate::source::tests::mem_source;
+    use crate::snapshot::tests::snapshot;
 
     #[test]
     fn planner_prefers_the_specialized_operator() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let p = plan(
             &Query::exact(QueryKind::Support { items: vec![0, 1] }),
             &src,
@@ -217,7 +215,7 @@ mod tests {
         assert_eq!(p.op, PhysOp::IndexPoint);
         let top = Query::exact(QueryKind::Top { k: 3, filter: None });
         let p = plan(&top, &src, None).unwrap();
-        // Tiny source: either way is fine, but the cost must be finite
+        // Tiny snapshot: either way is fine, but the cost must be finite
         // and the op applicable.
         assert!(p.cost.is_finite());
         assert!(applicable_ops(&top).contains(&p.op));
@@ -239,7 +237,7 @@ mod tests {
 
     #[test]
     fn confidence_bound_discounts_rule_scan() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let bounded = plan(
             &Query::exact(QueryKind::Rules {
                 filter: Some(Pred::Cmp {
@@ -267,7 +265,7 @@ mod tests {
 
     #[test]
     fn force_hook_respects_applicability() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let q = Query::exact(QueryKind::MineCond {
             cond: vec![0],
             k: Some(5),
@@ -281,7 +279,7 @@ mod tests {
 
     #[test]
     fn unknown_cond_item_is_rejected_at_plan_time() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let q = Query::exact(QueryKind::MineCond {
             cond: vec![99],
             k: None,
@@ -294,7 +292,7 @@ mod tests {
 
     #[test]
     fn sketch_probe_is_approx_tier_only() {
-        let src = mem_source(2);
+        let src = snapshot(2);
         let kind = QueryKind::Support { items: vec![0, 1] };
         let exact = Query::exact(kind.clone());
         assert!(!applicable_ops(&exact).contains(&PhysOp::SketchProbe));
@@ -311,11 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn sketch_probe_wins_on_large_sources_and_respects_eps() {
-        use crate::source::tests::mem_source_with_sketch;
-        // Sketch of 8 rows, epsilon 0.1, against a source whose oracle
+    fn sketch_probe_wins_on_large_snapshots_and_respects_eps() {
+        use crate::snapshot::tests::snapshot_with_sketch;
+        // Sketch of 8 rows, epsilon 0.1, against a snapshot whose oracle
         // fallback dwarfs it.
-        let src = mem_source_with_sketch(2, 8, 0.1);
+        let src = snapshot_with_sketch(2, 8, 0.1);
         let kind = QueryKind::Support { items: vec![0, 1] };
         let p = plan(&Query::approx(kind.clone(), None), &src, None).unwrap();
         // Tiny table: index_point may still win on cost; the probe must

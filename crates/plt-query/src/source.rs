@@ -1,42 +1,13 @@
-//! The [`Source`] abstraction: what a query executes against.
-//!
-//! Every physical operator reads mined results through this trait, so
-//! the planner and executor are independent of where the results live —
-//! `plt-serve`'s `Snapshot` implements it for the serving path, and the
-//! in-crate [`MemSource`] is a small reference implementation for unit
-//! tests and offline use.
+//! [`SupportSketch`]: the approximate-tier hook a
+//! [`Snapshot`](crate::Snapshot) may carry. `plt-approx` provides the
+//! production implementation.
 
-use std::collections::HashMap;
+use plt_core::item::{Item, Support};
 
-use plt_core::item::{Item, Itemset, Support};
-use plt_core::miner::MiningResult;
-use plt_core::query::SupportOracle;
-use plt_core::Plt;
-use plt_rules::{generate_rules, sort_rules, Rule, RuleConfig};
-
-/// Cardinality statistics the cost model plans from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceStats {
-    /// Publish generation (keys the plan cache).
-    pub generation: u64,
-    /// Transactions behind the mined result.
-    pub num_transactions: u64,
-    /// Absolute mining threshold.
-    pub min_support: Support,
-    /// Frequent itemsets (`N` in the cost model).
-    pub num_itemsets: usize,
-    /// Association rules (`R`).
-    pub num_rules: usize,
-    /// Distinct position vectors in the PLT (`V`).
-    pub num_vectors: usize,
-    /// Frequent single items (`r`, the extension-traversal roots).
-    pub num_roots: usize,
-}
-
-/// An approximate support sketch a [`Source`] may attach. The
-/// `SketchProbe` physical operator answers `SUPPORT OF` through this
-/// trait in O(sketch) without touching the snapshot index or PLT.
-/// `plt-approx` provides the production implementation.
+/// An approximate support sketch a [`Snapshot`](crate::Snapshot) may
+/// attach. The `SketchProbe` physical operator answers `SUPPORT OF`
+/// through this trait in O(sketch) without touching the snapshot index
+/// or PLT.
 pub trait SupportSketch: std::fmt::Debug + Send + Sync {
     /// `(estimate, bound)`: the estimated support of `items` and the
     /// guaranteed absolute error bound, both in transactions —
@@ -56,207 +27,9 @@ pub trait SupportSketch: std::fmt::Debug + Send + Sync {
     fn memory_bytes(&self) -> usize;
 }
 
-/// A mined generation the query layer can execute against.
-///
-/// Implementations must uphold the canonical orders the executor relies
-/// on: [`ranked`](Source::ranked) is sorted support-descending, then
-/// size-ascending, then lexicographic; [`rules`](Source::rules) is in
-/// `plt_rules::sort_rules` order (confidence desc, lift desc, support
-/// desc, antecedent/consequent lex).
-pub trait Source {
-    /// Cardinalities for the cost model.
-    fn stats(&self) -> SourceStats;
-
-    /// Exact `(support, frequent)` of an arbitrary itemset — index probe
-    /// for frequent sets, oracle fallback otherwise.
-    fn support_of(&self, items: &[Item]) -> (Support, bool);
-
-    /// All frequent itemsets in canonical order.
-    fn ranked(&self) -> &[(Itemset, Support)];
-
-    /// Frequent one-item extensions of `items` with the extended set's
-    /// support, support-descending (Lemma 4.1.3 inverted). The empty
-    /// basket extends to the frequent single items.
-    fn extensions_of(&self, items: &[Item]) -> Vec<(Item, Support)>;
-
-    /// All rules in standard quality order.
-    fn rules(&self) -> &[Rule];
-
-    /// The underlying PLT (drives on-demand conditional mining).
-    fn plt(&self) -> &Plt;
-
-    /// The attached approximate sketch, if any (drives the
-    /// `SketchProbe` operator). Sources without one plan exact
-    /// operators only, even under the `APPROX` tier.
-    fn sketch(&self) -> Option<&dyn SupportSketch> {
-        None
-    }
-}
-
-/// In-memory reference [`Source`] built directly from a PLT and its
-/// mining result. Mirrors the serving snapshot's index structure with
-/// plain itemset keys; used by plt-query's own tests and anywhere a
-/// query should run without the serving stack.
-#[derive(Debug)]
-pub struct MemSource {
-    generation: u64,
-    plt: Plt,
-    oracle: SupportOracle,
-    index: HashMap<Itemset, Support>,
-    extensions: HashMap<Itemset, Vec<(Item, Support)>>,
-    roots: Vec<(Item, Support)>,
-    ranked: Vec<(Itemset, Support)>,
-    rules: Vec<Rule>,
-    sketch: Option<Box<dyn SupportSketch>>,
-}
-
-impl MemSource {
-    /// Builds the source from a PLT and the result of mining it at the
-    /// PLT's threshold.
-    pub fn build(
-        generation: u64,
-        plt: Plt,
-        result: &MiningResult,
-        rule_config: RuleConfig,
-    ) -> MemSource {
-        let oracle = SupportOracle::new(&plt);
-        let mut index = HashMap::with_capacity(result.len());
-        let mut extensions: HashMap<Itemset, Vec<(Item, Support)>> = HashMap::new();
-        let mut roots = Vec::new();
-        let mut ranked = Vec::with_capacity(result.len());
-
-        for (itemset, support) in result.iter() {
-            ranked.push((itemset.clone(), support));
-            if itemset.len() == 1 {
-                roots.push((itemset.items()[0], support));
-            }
-            if itemset.len() >= 2 {
-                // Dropping any one item yields a subset that gains the
-                // dropped item as a known frequent extension.
-                for &dropped in itemset.items() {
-                    let sub: Vec<Item> = itemset
-                        .items()
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != dropped)
-                        .collect();
-                    extensions
-                        .entry(Itemset::from_sorted(sub))
-                        .or_default()
-                        .push((dropped, support));
-                }
-            }
-            index.insert(itemset.clone(), support);
-        }
-
-        for exts in extensions.values_mut() {
-            exts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        }
-        roots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(a.0.len().cmp(&b.0.len()))
-                .then(a.0.cmp(&b.0))
-        });
-
-        let mut rules = generate_rules(result, rule_config);
-        sort_rules(&mut rules);
-
-        MemSource {
-            generation,
-            plt,
-            oracle,
-            index,
-            extensions,
-            roots,
-            ranked,
-            rules,
-            sketch: None,
-        }
-    }
-
-    /// Attaches an approximate sketch, making `SketchProbe` plannable
-    /// against this source.
-    pub fn with_sketch(mut self, sketch: Box<dyn SupportSketch>) -> MemSource {
-        self.sketch = Some(sketch);
-        self
-    }
-}
-
-impl Source for MemSource {
-    fn stats(&self) -> SourceStats {
-        SourceStats {
-            generation: self.generation,
-            num_transactions: self.plt.num_transactions(),
-            min_support: self.plt.min_support(),
-            num_itemsets: self.ranked.len(),
-            num_rules: self.rules.len(),
-            num_vectors: self.plt.num_vectors(),
-            num_roots: self.roots.len(),
-        }
-    }
-
-    fn support_of(&self, items: &[Item]) -> (Support, bool) {
-        let set = Itemset::new(items.to_vec());
-        if let Some(&support) = self.index.get(&set) {
-            return (support, true);
-        }
-        let support = self.oracle.support(items, &self.plt);
-        (
-            support,
-            support >= self.plt.min_support() && !items.is_empty(),
-        )
-    }
-
-    fn ranked(&self) -> &[(Itemset, Support)] {
-        &self.ranked
-    }
-
-    fn extensions_of(&self, items: &[Item]) -> Vec<(Item, Support)> {
-        if items.is_empty() {
-            return self.roots.clone();
-        }
-        let set = Itemset::new(items.to_vec());
-        self.extensions.get(&set).cloned().unwrap_or_default()
-    }
-
-    fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
-    fn plt(&self) -> &Plt {
-        &self.plt
-    }
-
-    fn sketch(&self) -> Option<&dyn SupportSketch> {
-        self.sketch.as_deref()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use plt_core::construct::{construct, ConstructOptions};
-    use plt_core::{ConditionalMiner, Miner};
-
-    /// Table 1 of the paper: A=0 … F=5.
-    pub(crate) fn table1() -> Vec<Vec<Item>> {
-        vec![
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![0, 1, 2, 3],
-            vec![0, 1, 3, 4],
-            vec![1, 2, 3],
-            vec![2, 3, 5],
-        ]
-    }
-
-    pub(crate) fn mem_source(min_support: Support) -> MemSource {
-        let db = table1();
-        let plt = construct(&db, min_support, ConstructOptions::conditional()).unwrap();
-        let result = ConditionalMiner::default().mine(&db, min_support);
-        MemSource::build(1, plt, &result, RuleConfig::default())
-    }
 
     /// A deterministic test sketch: counts exactly over a held copy of
     /// the database, then undercounts by one (capped at the stated
@@ -291,90 +64,6 @@ pub(crate) mod tests {
 
         fn memory_bytes(&self) -> usize {
             self.db.iter().map(|t| t.len() * 4).sum()
-        }
-    }
-
-    pub(crate) fn mem_source_with_sketch(
-        min_support: Support,
-        cost: usize,
-        epsilon: f64,
-    ) -> MemSource {
-        mem_source(min_support).with_sketch(Box::new(TestSketch {
-            db: table1(),
-            cost,
-            epsilon,
-        }))
-    }
-
-    #[test]
-    fn stats_report_real_cardinalities() {
-        let src = mem_source(2);
-        let s = src.stats();
-        assert_eq!(s.generation, 1);
-        assert_eq!(s.num_transactions, 6);
-        assert_eq!(s.min_support, 2);
-        assert_eq!(s.num_itemsets, src.ranked().len());
-        assert_eq!(s.num_rules, src.rules().len());
-        assert!(s.num_roots >= 2);
-        assert!(s.num_vectors > 0);
-    }
-
-    #[test]
-    fn support_probes_index_then_oracle() {
-        let src = mem_source(2);
-        assert_eq!(src.support_of(&[0, 1, 2]), (3, true));
-        // Order-free (Itemset::new sorts).
-        assert_eq!(src.support_of(&[2, 0, 1]), (3, true));
-        // Infrequent: oracle, not frequent.
-        assert_eq!(src.support_of(&[0, 2, 3]), (1, false));
-        // Unranked item: support 0.
-        assert_eq!(src.support_of(&[99]), (0, false));
-    }
-
-    #[test]
-    fn extensions_match_mined_supersets() {
-        let src = mem_source(2);
-        // {A,B} extends to C (support 3) and D (support 2).
-        assert_eq!(src.extensions_of(&[0, 1]), vec![(2, 3), (3, 2)]);
-        // Empty basket → frequent single items, support-descending.
-        let roots = src.extensions_of(&[]);
-        assert!(roots.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert_eq!(roots.len(), src.stats().num_roots);
-        // Every frequent superset is reachable by dropping one item.
-        for (itemset, support) in src.ranked().iter() {
-            if itemset.len() < 2 {
-                continue;
-            }
-            for &e in itemset.items() {
-                let without: Vec<Item> = itemset
-                    .items()
-                    .iter()
-                    .copied()
-                    .filter(|&i| i != e)
-                    .collect();
-                assert!(
-                    src.extensions_of(&without).contains(&(e, *support)),
-                    "extensions({without:?}) missing ({e}, {support})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ranked_is_canonical_and_rules_sorted() {
-        let src = mem_source(2);
-        for w in src.ranked().windows(2) {
-            let (ref a, sa) = w[0];
-            let (ref b, sb) = w[1];
-            assert!(
-                sa > sb
-                    || (sa == sb && a.len() < b.len())
-                    || (sa == sb && a.len() == b.len() && a < b),
-                "ranked order violated at {a} vs {b}"
-            );
-        }
-        for w in src.rules().windows(2) {
-            assert!(w[0].confidence >= w[1].confidence);
         }
     }
 }

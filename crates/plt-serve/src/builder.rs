@@ -27,13 +27,13 @@ use std::thread::JoinHandle;
 use plt_approx::{IndicatorSketch, SketchConfig};
 use plt_core::item::{Item, Support};
 use plt_core::RankPolicy;
+use plt_query::Snapshot;
 use plt_rules::RuleConfig;
 use plt_shard::{Delta, RebuildReport, ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};
 use plt_store::{DurableOptions, DurablePipeline, StoreError};
 
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
-use crate::snapshot::Snapshot;
 
 /// Builder configuration.
 #[derive(Debug, Clone)]

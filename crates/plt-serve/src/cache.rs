@@ -1,11 +1,11 @@
 //! Sharded LRU cache for rendered responses.
 //!
 //! Read endpoints are deterministic functions of (snapshot generation,
-//! request), so the engine caches the rendered JSON string keyed by the
-//! canonical request text and tagged with the generation it was answered
-//! from; a lookup at any other generation is a miss, so a reply that
-//! lands after a publish cleared the cache can never be served for the
-//! newer generation. The map is split into shards, each behind its
+//! stale flag, request), so the engine caches the rendered JSON string
+//! keyed by the canonical request text and tagged with the `(generation,
+//! stale)` pair it was rendered from; a lookup under any other tag is a
+//! miss, so a reply that lands after a publish or a `mark_stale` cleared
+//! the cache can never be served under the newer state. The map is split into shards, each behind its
 //! own mutex, so concurrent readers on different shards never contend;
 //! within a shard, recency is a monotone tick and eviction removes the
 //! smallest tick (an `O(shard)` scan — shards are small by
@@ -14,6 +14,9 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// What a cached reply was rendered from: `(generation, stale)`.
+pub type Tag = (u64, bool);
 
 /// A sharded least-recently-used string cache.
 #[derive(Debug)]
@@ -25,8 +28,8 @@ pub struct ShardedCache {
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// key → (recency tick, generation, rendered reply).
-    entries: HashMap<String, (u64, u64, String)>,
+    /// key → (recency tick, tag, rendered reply).
+    entries: HashMap<String, (u64, Tag, String)>,
 }
 
 impl ShardedCache {
@@ -52,13 +55,13 @@ impl ShardedCache {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Fetches the reply cached for `generation` and refreshes its
-    /// recency. An entry answered from another generation is a miss.
-    pub fn get(&self, key: &str, generation: u64) -> Option<String> {
+    /// Fetches the reply cached under `tag` and refreshes its recency.
+    /// An entry rendered under another tag is a miss.
+    pub fn get(&self, key: &str, tag: Tag) -> Option<String> {
         let mut shard = self.shard(key).lock().unwrap();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         match shard.entries.get_mut(key)? {
-            (stamp, g, value) if *g == generation => {
+            (stamp, t, value) if *t == tag => {
                 *stamp = tick;
                 Some(value.clone())
             }
@@ -66,9 +69,9 @@ impl ShardedCache {
         }
     }
 
-    /// Inserts a reply answered from `generation`, evicting the
+    /// Inserts a reply rendered under `tag`, evicting the
     /// least-recently-used entry of the target shard when it is full.
-    pub fn put(&self, key: String, generation: u64, value: String) {
+    pub fn put(&self, key: String, tag: Tag, value: String) {
         let mut shard = self.shard(&key).lock().unwrap();
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         if shard.entries.len() >= self.per_shard && !shard.entries.contains_key(&key) {
@@ -81,11 +84,11 @@ impl ShardedCache {
                 shard.entries.remove(&oldest);
             }
         }
-        shard.entries.insert(key, (tick, generation, value));
+        shard.entries.insert(key, (tick, tag, value));
     }
 
-    /// Drops every entry — called when a new snapshot is published,
-    /// since cached responses embed the old generation's answers.
+    /// Drops every entry — called when a new snapshot is published or
+    /// the serving state changes, since cached responses embed both.
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().unwrap().entries.clear();
@@ -112,11 +115,11 @@ mod tests {
     #[test]
     fn get_put_round_trip() {
         let cache = ShardedCache::new(64, 8);
-        assert_eq!(cache.get("a", 1), None);
-        cache.put("a".into(), 1, "1".into());
-        assert_eq!(cache.get("a", 1).as_deref(), Some("1"));
-        cache.put("a".into(), 1, "2".into());
-        assert_eq!(cache.get("a", 1).as_deref(), Some("2"));
+        assert_eq!(cache.get("a", (1, false)), None);
+        cache.put("a".into(), (1, false), "1".into());
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("1"));
+        cache.put("a".into(), (1, false), "2".into());
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("2"));
         assert_eq!(cache.len(), 1);
     }
 
@@ -124,13 +127,13 @@ mod tests {
     fn evicts_least_recently_used_within_shard() {
         // One shard of capacity 2 makes eviction order observable.
         let cache = ShardedCache::new(2, 1);
-        cache.put("a".into(), 1, "1".into());
-        cache.put("b".into(), 1, "2".into());
-        cache.get("a", 1); // refresh a; b is now LRU
-        cache.put("c".into(), 1, "3".into());
-        assert_eq!(cache.get("a", 1).as_deref(), Some("1"));
-        assert_eq!(cache.get("b", 1), None);
-        assert_eq!(cache.get("c", 1).as_deref(), Some("3"));
+        cache.put("a".into(), (1, false), "1".into());
+        cache.put("b".into(), (1, false), "2".into());
+        cache.get("a", (1, false)); // refresh a; b is now LRU
+        cache.put("c".into(), (1, false), "3".into());
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("1"));
+        assert_eq!(cache.get("b", (1, false)), None);
+        assert_eq!(cache.get("c", (1, false)).as_deref(), Some("3"));
     }
 
     #[test]
@@ -140,67 +143,83 @@ mod tests {
         // last-touch order.
         let cache = ShardedCache::new(4, 1);
         for k in ["a", "b", "c", "d"] {
-            cache.put(k.into(), 1, k.to_uppercase());
+            cache.put(k.into(), (1, false), k.to_uppercase());
         }
         // Recency (oldest → newest) becomes: b, d, a, c.
-        cache.get("b", 1);
-        cache.get("d", 1);
-        cache.get("a", 1);
-        cache.get("c", 1);
+        cache.get("b", (1, false));
+        cache.get("d", (1, false));
+        cache.get("a", (1, false));
+        cache.get("c", (1, false));
 
-        cache.put("e".into(), 1, "E".into());
-        assert_eq!(cache.get("b", 1), None, "b was least recently touched");
-        cache.put("f".into(), 1, "F".into());
-        assert_eq!(cache.get("d", 1), None, "then d");
+        cache.put("e".into(), (1, false), "E".into());
+        assert_eq!(
+            cache.get("b", (1, false)),
+            None,
+            "b was least recently touched"
+        );
+        cache.put("f".into(), (1, false), "F".into());
+        assert_eq!(cache.get("d", (1, false)), None, "then d");
         // a and c survive, plus the two newcomers.
-        assert_eq!(cache.get("a", 1).as_deref(), Some("A"));
-        assert_eq!(cache.get("c", 1).as_deref(), Some("C"));
-        assert_eq!(cache.get("e", 1).as_deref(), Some("E"));
-        assert_eq!(cache.get("f", 1).as_deref(), Some("F"));
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("A"));
+        assert_eq!(cache.get("c", (1, false)).as_deref(), Some("C"));
+        assert_eq!(cache.get("e", (1, false)).as_deref(), Some("E"));
+        assert_eq!(cache.get("f", (1, false)).as_deref(), Some("F"));
         assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn overwriting_a_present_key_never_evicts() {
         let cache = ShardedCache::new(2, 1);
-        cache.put("a".into(), 1, "1".into());
-        cache.put("b".into(), 1, "2".into());
+        cache.put("a".into(), (1, false), "1".into());
+        cache.put("b".into(), (1, false), "2".into());
         // Shard is full, but "a" is present: replace in place.
-        cache.put("a".into(), 1, "3".into());
-        assert_eq!(cache.get("a", 1).as_deref(), Some("3"));
-        assert_eq!(cache.get("b", 1).as_deref(), Some("2"));
+        cache.put("a".into(), (1, false), "3".into());
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("3"));
+        assert_eq!(cache.get("b", (1, false)).as_deref(), Some("2"));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn put_refreshes_recency_like_get() {
         let cache = ShardedCache::new(2, 1);
-        cache.put("a".into(), 1, "1".into());
-        cache.put("b".into(), 1, "2".into());
-        cache.put("a".into(), 1, "1b".into()); // a is now the newest
-        cache.put("c".into(), 1, "3".into());
-        assert_eq!(cache.get("b", 1), None, "b was LRU after a's re-put");
-        assert_eq!(cache.get("a", 1).as_deref(), Some("1b"));
+        cache.put("a".into(), (1, false), "1".into());
+        cache.put("b".into(), (1, false), "2".into());
+        cache.put("a".into(), (1, false), "1b".into()); // a is now the newest
+        cache.put("c".into(), (1, false), "3".into());
+        assert_eq!(
+            cache.get("b", (1, false)),
+            None,
+            "b was LRU after a's re-put"
+        );
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("1b"));
     }
 
     #[test]
     fn an_entry_from_another_generation_is_a_miss() {
         let cache = ShardedCache::new(64, 8);
-        cache.put("a".into(), 1, "old".into());
-        assert_eq!(cache.get("a", 2), None);
-        assert_eq!(cache.get("a", 1).as_deref(), Some("old"));
+        cache.put("a".into(), (1, false), "old".into());
+        assert_eq!(cache.get("a", (2, false)), None);
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("old"));
         // A re-put at the newer generation replaces the stale entry.
-        cache.put("a".into(), 2, "new".into());
-        assert_eq!(cache.get("a", 2).as_deref(), Some("new"));
-        assert_eq!(cache.get("a", 1), None);
+        cache.put("a".into(), (2, false), "new".into());
+        assert_eq!(cache.get("a", (2, false)).as_deref(), Some("new"));
+        assert_eq!(cache.get("a", (1, false)), None);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn an_entry_rendered_under_another_stale_flag_is_a_miss() {
+        let cache = ShardedCache::new(64, 8);
+        cache.put("a".into(), (1, false), "fresh".into());
+        assert_eq!(cache.get("a", (1, true)), None);
+        assert_eq!(cache.get("a", (1, false)).as_deref(), Some("fresh"));
     }
 
     #[test]
     fn clear_empties_all_shards() {
         let cache = ShardedCache::new(32, 4);
         for i in 0..20 {
-            cache.put(format!("k{i}"), 1, "v".into());
+            cache.put(format!("k{i}"), (1, false), "v".into());
         }
         assert!(!cache.is_empty());
         cache.clear();
@@ -216,8 +235,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let key = format!("k{}", (t * 31 + i) % 50);
-                        if cache.get(&key, 1).is_none() {
-                            cache.put(key, 1, format!("{i}"));
+                        if cache.get(&key, (1, false)).is_none() {
+                            cache.put(key, (1, false), format!("{i}"));
                         }
                     }
                 });

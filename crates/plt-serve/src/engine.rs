@@ -13,12 +13,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use plt_query::Snapshot;
+
 use crate::cache::ShardedCache;
 use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
 use crate::proto::{err_response, negotiate_version, ok_response, Request};
 use crate::reader_pool::{ReadGuard, ReaderCache, ReaderPool};
-use crate::snapshot::Snapshot;
 
 /// Degradation state of the serving snapshot. The builder drives the
 /// transitions: `Fresh` after a successful publish, `Rebuilding` while a
@@ -214,9 +215,12 @@ impl Engine {
     ) -> String {
         let start = Instant::now();
         let endpoint = endpoint_of(request);
-        if let Some(e) = endpoint_cacheable(request) {
+        // Read once: the reply embeds this flag, and its cache tag must
+        // name the same value.
+        let stale = self.is_stale();
+        if let Some(e) = endpoint.filter(|&e| cacheable(e)) {
             let key = request.cache_key();
-            if let Some(hit) = self.cache.get(&key, self.snapshot.generation()) {
+            if let Some(hit) = self.cache.get(&key, (self.snapshot.generation(), stale)) {
                 self.metrics.endpoint(e).record(start.elapsed(), Some(true));
                 // A cached `query` payload froze the provenance of its
                 // original (fresh) run; flip `cache_hit` so `--explain`
@@ -229,18 +233,21 @@ impl Engine {
                 return hit;
             }
             let snap = self.pin_for(reader);
-            // Tagged with the generation the answer is pinned to: if a
-            // publish lands before the put, lookups at the newer
-            // generation miss this entry instead of serving it.
-            let generation = snap.generation();
-            let response = self.answer(request, snap).to_string();
-            self.cache.put(key, generation, response.clone());
+            // Tagged with the generation the answer is pinned to and the
+            // stale flag it embeds: if a publish or a state change lands
+            // before the put, lookups under the newer tag miss this entry
+            // instead of serving it.
+            let tag = (snap.generation(), stale);
+            let response = self.answer(request, snap, stale).to_string();
+            self.cache.put(key, tag, response.clone());
             self.metrics
                 .endpoint(e)
                 .record(start.elapsed(), Some(false));
             return response;
         }
-        let response = self.answer(request, self.pin_for(reader)).to_string();
+        let response = self
+            .answer(request, self.pin_for(reader), stale)
+            .to_string();
         if let Some(e) = endpoint {
             self.metrics.endpoint(e).record(start.elapsed(), None);
         }
@@ -257,11 +264,10 @@ impl Engine {
         }
     }
 
-    fn answer(&self, request: &Request, snap: ReadGuard<Snapshot>) -> Json {
-        // Every query response names its generation and whether that
-        // generation is known-stale (last rebuild failed), so clients can
-        // tell degraded answers from fresh ones.
-        let stale = self.is_stale();
+    /// Every query response names its generation and whether that
+    /// generation is known-stale (`stale`: the last rebuild failed), so
+    /// clients can tell degraded answers from fresh ones.
+    fn answer(&self, request: &Request, snap: ReadGuard<Snapshot>, stale: bool) -> Json {
         match request {
             Request::Support { items } => {
                 let a = snap.support(items);
@@ -279,16 +285,7 @@ impl Engine {
                     .into_iter()
                     .map(|(itemset, support)| {
                         Json::obj(vec![
-                            (
-                                "items",
-                                Json::Arr(
-                                    itemset
-                                        .items()
-                                        .iter()
-                                        .map(|&i| Json::from(i as u64))
-                                        .collect(),
-                                ),
-                            ),
+                            ("items", Json::items(itemset.items())),
                             ("support", Json::from(support)),
                         ])
                     })
@@ -326,16 +323,7 @@ impl Engine {
                             ("confidence", Json::from(r.confidence)),
                             ("lift", Json::from(r.lift)),
                             ("support", Json::from(r.support)),
-                            (
-                                "because",
-                                Json::Arr(
-                                    r.because
-                                        .items()
-                                        .iter()
-                                        .map(|&i| Json::from(i as u64))
-                                        .collect(),
-                                ),
-                            ),
+                            ("because", Json::items(r.because.items())),
                         ])
                     })
                     .collect();
@@ -350,11 +338,11 @@ impl Engine {
                     Some(shared) => {
                         let mut recorder = shared.lock().unwrap();
                         let mut obs = plt_obs::Obs::new(&mut *recorder);
-                        plt_query::run_cached(expr, &*snap, &self.plans, &mut obs)
+                        plt_query::run_cached(expr, &snap, &self.plans, &mut obs)
                     }
                     None => {
                         let mut obs = plt_obs::Obs::none();
-                        plt_query::run_cached(expr, &*snap, &self.plans, &mut obs)
+                        plt_query::run_cached(expr, &snap, &self.plans, &mut obs)
                     }
                 };
                 match result {
@@ -449,7 +437,7 @@ impl Engine {
                         ])
                     }),
                     ("sketch", {
-                        match plt_query::Source::sketch(&*snap) {
+                        match snap.sketch() {
                             Some(sk) => Json::obj(vec![
                                 ("epsilon", Json::from(sk.epsilon())),
                                 ("cost", Json::from(sk.cost() as u64)),
@@ -623,55 +611,33 @@ fn endpoint_of(request: &Request) -> Option<Endpoint> {
     })
 }
 
-/// Which endpoint, if the request's response may be cached. Cacheable ⇔
-/// a pure function of (generation, request).
-/// Rewrites `cache_hit` to `true` in a cached `query` payload.
-fn mark_response_cache_hit(payload: String) -> String {
-    match Json::parse(&payload) {
-        Ok(Json::Obj(mut pairs)) => {
-            for (key, value) in &mut pairs {
-                if key == "cache_hit" {
-                    *value = Json::Bool(true);
-                }
-            }
-            Json::Obj(pairs).to_string()
-        }
-        _ => payload,
-    }
+/// Whether an endpoint's responses may be cached. Cacheable ⇔ a pure
+/// function of (generation, stale flag, request).
+fn cacheable(endpoint: Endpoint) -> bool {
+    !matches!(
+        endpoint,
+        Endpoint::Stats | Endpoint::Ingest | Endpoint::Ping
+    )
 }
 
-fn endpoint_cacheable(request: &Request) -> Option<Endpoint> {
-    match request {
-        Request::Support { .. } => Some(Endpoint::Support),
-        Request::TopK { .. } => Some(Endpoint::TopK),
-        Request::Extensions { .. } => Some(Endpoint::Extensions),
-        Request::Recommend { .. } => Some(Endpoint::Recommend),
-        Request::Query { .. } => Some(Endpoint::Query),
-        _ => None,
-    }
+/// Rewrites `cache_hit` to `true` in a cached `query` payload. An
+/// engine-rendered query reply holds `"cache_hit":false` exactly once,
+/// before any row: `row_kind` and `plan` are fixed identifiers and rows
+/// hold only numbers and booleans, so one splice suffices (error
+/// replies carry no such field and pass through unchanged).
+fn mark_response_cache_hit(payload: String) -> String {
+    payload.replacen("\"cache_hit\":false", "\"cache_hit\":true", 1)
 }
 
 /// Renders a query result set as the `rows` response field.
 fn rows_json(rows: &plt_query::Rows) -> Json {
-    fn items_json(itemset: &plt_core::item::Itemset) -> Json {
-        Json::Arr(
-            itemset
-                .items()
-                .iter()
-                .map(|&i| Json::from(i as u64))
-                .collect(),
-        )
-    }
     match rows {
         plt_query::Rows::Support {
             items,
             support,
             frequent,
         } => Json::Arr(vec![Json::obj(vec![
-            (
-                "items",
-                Json::Arr(items.iter().map(|&i| Json::from(i as u64)).collect()),
-            ),
+            ("items", Json::items(items)),
             ("support", Json::from(*support)),
             ("frequent", Json::Bool(*frequent)),
         ])]),
@@ -679,7 +645,7 @@ fn rows_json(rows: &plt_query::Rows) -> Json {
             rows.iter()
                 .map(|(itemset, support)| {
                     Json::obj(vec![
-                        ("items", items_json(itemset)),
+                        ("items", Json::items(itemset.items())),
                         ("support", Json::from(*support)),
                     ])
                 })
@@ -690,8 +656,8 @@ fn rows_json(rows: &plt_query::Rows) -> Json {
                 .iter()
                 .map(|r| {
                     Json::obj(vec![
-                        ("antecedent", items_json(&r.antecedent)),
-                        ("consequent", items_json(&r.consequent)),
+                        ("antecedent", Json::items(r.antecedent.items())),
+                        ("consequent", Json::items(r.consequent.items())),
                         ("support", Json::from(r.support)),
                         ("confidence", Json::from(r.confidence)),
                         ("lift", Json::from(r.lift)),
@@ -879,6 +845,61 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_rendered_before_mark_stale_is_never_served_after_it() {
+        let engine = engine();
+        let keys: Vec<Request> = [vec![0], vec![1], vec![0, 1], vec![2]]
+            .into_iter()
+            .map(|items| Request::Support { items })
+            .collect();
+        // The race is narrow — a reader renders `stale:false`,
+        // `mark_stale` clears the cache, then the reader's put lands at
+        // the unchanged generation — so play it out over many rounds.
+        for round in 0..200u64 {
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                // Writer: every state transition, ending on a failed
+                // rebuild while the readers are still running.
+                scope.spawn(|| {
+                    for generation in 2 + 2 * round..4 + 2 * round {
+                        engine.mark_rebuilding();
+                        engine.mark_stale();
+                        let db = vec![vec![0, 1], vec![0, 1], vec![0, 2]];
+                        let plt = construct(&db, 2, ConstructOptions::conditional()).unwrap();
+                        let result = ConditionalMiner::default().mine(&db, 2);
+                        engine.publish(Arc::new(Snapshot::build(
+                            generation,
+                            plt,
+                            &result,
+                            RuleConfig::default(),
+                        )));
+                    }
+                    engine.mark_rebuilding();
+                    engine.mark_stale();
+                    stop.store(true, Ordering::SeqCst);
+                });
+                for reader in 0..3 {
+                    let (engine, stop, keys) = (&engine, &stop, &keys);
+                    scope.spawn(move || {
+                        let mut i = reader;
+                        while !stop.load(Ordering::SeqCst) {
+                            engine.handle(&keys[i % keys.len()]);
+                            i += 1;
+                        }
+                    });
+                }
+            });
+            for request in &keys {
+                let v = Json::parse(&engine.handle(request)).unwrap();
+                assert_eq!(
+                    v.get("stale").unwrap().as_bool(),
+                    Some(true),
+                    "round {round}: {request:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn query_endpoint_answers_with_plan_provenance() {
         let engine = engine();
         let response = engine.handle(&Request::Query {
@@ -991,11 +1012,18 @@ mod tests {
         let req = Request::Query {
             expr: "SUPPORT OF {0, 1, 2}".to_string(),
         };
-        let first = Json::parse(&engine.handle(&req)).unwrap();
+        let miss = engine.handle(&req);
+        let first = Json::parse(&miss).unwrap();
         assert_eq!(first.get("cache_hit").unwrap().as_bool(), Some(false));
         // Same spelling again: served from the response cache, which
         // must still carry the plan provenance — and admit the hit.
-        let second = Json::parse(&engine.handle(&req)).unwrap();
+        let hit = engine.handle(&req);
+        // Byte for byte the miss, once the flag is swapped back.
+        assert_eq!(
+            hit.replacen("\"cache_hit\":true", "\"cache_hit\":false", 1),
+            miss
+        );
+        let second = Json::parse(&hit).unwrap();
         assert_eq!(second.get("cache_hit").unwrap().as_bool(), Some(true));
         assert_eq!(
             second.get("plan").unwrap().as_str(),

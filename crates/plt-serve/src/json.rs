@@ -78,6 +78,11 @@ impl Json {
         }
     }
 
+    /// An array of item ids — the inverse of [`as_items`](Self::as_items).
+    pub fn items(items: &[u32]) -> Json {
+        Json::Arr(items.iter().map(|&i| Json::from(i as u64)).collect())
+    }
+
     /// Interprets an array of numbers as `u32` items; `None` if any
     /// element is not a non-negative integral number in range.
     pub fn as_items(&self) -> Option<Vec<u32>> {

@@ -166,12 +166,10 @@ impl Request {
 
     /// Renders the request as a protocol object (client side).
     pub fn to_json(&self) -> Json {
-        let items_json =
-            |items: &[Item]| Json::Arr(items.iter().map(|&i| Json::from(i as u64)).collect());
         match self {
             Request::Support { items } => Json::obj(vec![
                 ("op", Json::str("support")),
-                ("items", items_json(items)),
+                ("items", Json::items(items)),
             ]),
             Request::TopK { k, min_size } => Json::obj(vec![
                 ("op", Json::str("top_k")),
@@ -180,12 +178,12 @@ impl Request {
             ]),
             Request::Extensions { items, k } => Json::obj(vec![
                 ("op", Json::str("extensions")),
-                ("items", items_json(items)),
+                ("items", Json::items(items)),
                 ("k", Json::from(*k as u64)),
             ]),
             Request::Recommend { items, k } => Json::obj(vec![
                 ("op", Json::str("recommend")),
-                ("items", items_json(items)),
+                ("items", Json::items(items)),
                 ("k", Json::from(*k as u64)),
             ]),
             Request::Query { expr } => Json::obj(vec![
@@ -197,7 +195,7 @@ impl Request {
                 ("op", Json::str("ingest")),
                 (
                     "transactions",
-                    Json::Arr(transactions.iter().map(|t| items_json(t)).collect()),
+                    Json::Arr(transactions.iter().map(|t| Json::items(t)).collect()),
                 ),
                 ("wait", Json::Bool(*wait)),
             ]),

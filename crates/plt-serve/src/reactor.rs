@@ -44,6 +44,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use plt_obs::{MetricsRecorder, Recorder};
+use plt_query::Snapshot;
 
 use crate::builder::IngestQueue;
 use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
@@ -54,7 +55,6 @@ use crate::reader_pool::ReaderCache;
 use crate::server::{
     dispatch_request, ingest_ack_response, wake_acceptors, Dispatch, ServerConfig, ServerHandle,
 };
-use crate::snapshot::Snapshot;
 
 /// Raw kernel bindings, declared directly like `plt_store::mmap` does.
 mod sys {

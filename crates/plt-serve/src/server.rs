@@ -24,6 +24,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use plt_query::Snapshot;
+
 use crate::builder::IngestQueue;
 use crate::engine::Engine;
 use crate::fault::{FaultPlan, FaultyStream, Site};
@@ -33,7 +35,6 @@ use crate::proto::{
     render_response, write_frame, write_frame_with, Request, MAX_FRAME_BYTES,
 };
 use crate::reader_pool::ReaderCache;
-use crate::snapshot::Snapshot;
 
 /// Which concurrency model serves connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -18,7 +18,7 @@ use plt::baselines::SamplingMiner;
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::miner::BruteForceMiner;
 use plt::core::{ConditionalMiner, Miner};
-use plt::query::{run, run_forced, MemSource, PhysOp, Rows, SupportSketch};
+use plt::query::{run, run_forced, PhysOp, Rows, Snapshot, SupportSketch};
 use plt::rules::RuleConfig;
 use proptest::prelude::*;
 
@@ -65,10 +65,10 @@ fn gen_db(rng: &mut Rng, n_tx: usize, n_items: u32) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// A source whose generation mined at support 1 (so the rank-limited
+/// A snapshot whose generation mined at support 1 (so the rank-limited
 /// exact answer equals the true window support for every in-vocabulary
 /// probe), with a sketch warmed over the same window.
-fn sketch_source(db: &[Vec<u32>], epsilon: f64, seed: u64) -> MemSource {
+fn sketch_source(db: &[Vec<u32>], epsilon: f64, seed: u64) -> Snapshot {
     let plt = construct(db, 1, ConstructOptions::conditional()).unwrap();
     let result = ConditionalMiner::default().mine(db, 1);
     let mut sketch = IndicatorSketch::new(SketchConfig {
@@ -80,7 +80,7 @@ fn sketch_source(db: &[Vec<u32>], epsilon: f64, seed: u64) -> MemSource {
     for t in db {
         sketch.observe(t);
     }
-    MemSource::build(1, plt, &result, RuleConfig::default()).with_sketch(Box::new(sketch))
+    Snapshot::build(1, plt, &result, RuleConfig::default()).with_sketch(Box::new(sketch))
 }
 
 fn support_of(rows: &Rows) -> u64 {

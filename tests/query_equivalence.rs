@@ -4,7 +4,10 @@
 //! planner's own choice all return rows **identical** to the naive
 //! full-scan oracle ([`NaiveExecutor`]), including top-k tie-break
 //! order, across a ≥256-case property sweep over skewed and duplicated
-//! datasets crossed with several support thresholds.
+//! datasets crossed with several support thresholds. Every case runs
+//! against a [`Snapshot`], the same index plt-serve answers from, and
+//! each `SUPPORT OF` probe also checks the snapshot's index/oracle
+//! split: the index answers exactly the frequent, fully ranked sets.
 //!
 //! Operators are driven individually through the test-only plan
 //! override hook (`run_forced`); the vendored proptest shim does not
@@ -16,7 +19,9 @@ use std::collections::BTreeSet;
 
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::{ConditionalMiner, Miner};
-use plt::query::{applicable_ops, parse, run, run_forced, MemSource, NaiveExecutor};
+use plt::query::{
+    applicable_ops, parse, run, run_forced, NaiveExecutor, QueryKind, Rows, Snapshot, SupportSource,
+};
 use plt::rules::RuleConfig;
 use proptest::prelude::*;
 
@@ -137,7 +142,7 @@ fn gen_queries(rng: &mut Rng, n_items: u32) -> Vec<String> {
 /// Runs `expr` through the oracle, the planner, and every applicable
 /// forced operator; `Err` carries a replayable description of the first
 /// disagreement.
-fn check_all_plans(src: &MemSource, expr: &str) -> Result<(), String> {
+fn check_all_plans(src: &Snapshot, expr: &str) -> Result<(), String> {
     let q = parse(expr)
         .map_err(|e| format!("`{expr}` failed to parse: {e}"))?
         .normalize();
@@ -188,6 +193,24 @@ fn check_all_plans(src: &MemSource, expr: &str) -> Result<(), String> {
         ));
     }
 
+    // The point lookup answers from the index exactly when the set was
+    // mined (frequent, every item ranked); everything else must take
+    // the oracle fallback, and both must agree with the naive flag.
+    if let (QueryKind::Support { items }, Rows::Support { frequent, .. }) = (&q.kind, &oracle) {
+        let answer = src.support(items);
+        let ranked = items.iter().all(|&i| src.plt().ranking().rank(i).is_some());
+        let want = if ranked && *frequent {
+            SupportSource::Index
+        } else {
+            SupportSource::Oracle
+        };
+        if answer.source != want || answer.frequent != *frequent {
+            return Err(format!(
+                "snapshot support on `{expr}` answered {answer:?}, want source {want:?} frequent {frequent}"
+            ));
+        }
+    }
+
     for &op in ops {
         let (rows, forced_prov) =
             run_forced(expr, src, op).map_err(|e| format!("{} on `{expr}`: {e}", op.as_str()))?;
@@ -208,10 +231,10 @@ fn check_all_plans(src: &MemSource, expr: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn build_source(db: &[Vec<u32>], min_support: u64) -> MemSource {
+fn build_source(db: &[Vec<u32>], min_support: u64) -> Snapshot {
     let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
     let result = ConditionalMiner::default().mine(db, min_support);
-    MemSource::build(1, plt, &result, RuleConfig::default())
+    Snapshot::build(1, plt, &result, RuleConfig::default())
 }
 
 proptest! {

@@ -558,13 +558,13 @@ fn slowloris_one_byte_writes_still_get_exact_answers() {
 // ---------------------------------------------------------------------------
 
 /// Offline ground truth for an itemsets query: the same expression run
-/// through plt-query against a source built directly from the window.
+/// through plt-query against a snapshot built directly from the window.
 fn offline_itemset_rows(db: &[Vec<u32>], min_support: u64, expr: &str) -> Vec<(Vec<u32>, u64)> {
     use plt::core::construct::{construct, ConstructOptions};
     let tree = construct(db, min_support, ConstructOptions::conditional()).unwrap();
     let result = ConditionalMiner::default().mine(db, min_support);
-    let src = plt::query::MemSource::build(1, tree, &result, plt::rules::RuleConfig::default());
-    let (rows, _) = plt::query::run(expr, &src, &mut plt::obs::Obs::none()).unwrap();
+    let snap = plt::query::Snapshot::build(1, tree, &result, plt::rules::RuleConfig::default());
+    let (rows, _) = plt::query::run(expr, &snap, &mut plt::obs::Obs::none()).unwrap();
     match rows {
         plt::query::Rows::Itemsets(v) => v
             .into_iter()
