@@ -1,6 +1,5 @@
-//! X14 — SIMD/bitset kernels: the arena engine pinned to each kernel
-//! backend, Eclat under each tidset representation, and the raw
-//! `plt_core::kernels` primitives on both backends. Build with
+//! X14 — SIMD/bitset kernels: Eclat under each tidset representation,
+//! and the raw `plt_core::kernels` primitives on both backends. Build with
 //! `--features simd` to compare against the AVX2 path; without it the
 //! "simd" groups measure the scalar fallback (the dispatch degrades).
 
@@ -8,10 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use plt_baselines::{EclatMiner, TidRepr};
 use plt_bench::datasets;
-use plt_core::construct::{construct, ConstructOptions};
 use plt_core::kernels::{self, Backend};
 use plt_core::miner::Miner;
-use plt_core::{ConditionalMiner, Mine};
 
 fn bench(c: &mut Criterion) {
     let workloads: Vec<(&str, Vec<Vec<u32>>, u64)> = vec![
@@ -20,17 +17,8 @@ fn bench(c: &mut Criterion) {
         ("zipf", datasets::zipf(2_000, 1.1), 20),
     ];
     for (name, db, min_sup) in &workloads {
-        let plt = construct(db, *min_sup, ConstructOptions::conditional()).unwrap();
         let mut group = c.benchmark_group(format!("x14/{name}"));
         group.sample_size(10);
-        for (label, backend) in [("scalar", Backend::Scalar), ("simd", Backend::Simd)] {
-            group.bench_with_input(BenchmarkId::new("arena", label), &plt, |b, plt| {
-                kernels::set_thread_backend(Some(backend));
-                let miner = ConditionalMiner::default();
-                b.iter(|| miner.mine_plt(plt));
-                kernels::set_thread_backend(None);
-            });
-        }
         for (label, repr) in [("tidset", TidRepr::Tidset), ("bitset", TidRepr::Bitset)] {
             let miner = EclatMiner::default().with_repr(repr);
             group.bench_with_input(BenchmarkId::new("eclat", label), db, |b, db| {

@@ -27,13 +27,6 @@ use plt_shard::{Delta, ShardConfig, ShardedPipeline};
 
 use crate::{datasets, fmt_duration, time_best, Table};
 
-/// Dispatches a PLT-level miner through the `Mine` trait object without
-/// importing `Mine` into this module (its `mine` method would collide with
-/// `Miner::mine` on the concrete miner types used elsewhere here).
-fn mine_plt(miner: &dyn plt_core::Mine, plt: &plt_core::Plt) -> MiningResult {
-    plt_core::Mine::mine_plt(miner, plt)
-}
-
 /// Workload scale: `Quick` finishes in seconds (CI / laptops); `Full`
 /// approximates evaluation-section sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1010,10 +1003,9 @@ pub fn x15_json(cells: &[StorageCell], scale: Scale) -> String {
     s
 }
 
-/// One X14 end-to-end measurement: the arena engine pinned to each
-/// kernel backend, and Eclat over sorted tidsets vs packed bitsets, on
-/// one dataset cell. The answers are asserted identical across all four
-/// runs before any number is reported.
+/// One X14 end-to-end measurement: Eclat over sorted tidsets vs packed
+/// bitsets on one dataset cell. Both answers are asserted identical to
+/// each other and to the arena engine's before any number is reported.
 #[derive(Debug, Clone)]
 pub struct SimdCell {
     /// Dataset label, e.g. `DENSE16.D600@30%`.
@@ -1022,42 +1014,25 @@ pub struct SimdCell {
     pub min_sup: Support,
     /// Number of frequent itemsets (identical across runs — asserted).
     pub itemsets: usize,
-    /// Arena engine with every kernel forced onto the scalar backend.
-    pub arena_scalar_secs: f64,
-    /// Arena engine with every kernel forced onto the SIMD backend
-    /// (degrades to scalar when the build or CPU lacks it).
-    pub arena_simd_secs: f64,
     /// Eclat over sorted tidsets (transaction-level, includes its own
     /// vertical-database build).
     pub eclat_tidset_secs: f64,
     /// Eclat over packed `u64` bitsets (AND + popcount joins).
     pub eclat_bitset_secs: f64,
     /// Kernel calls dispatched to the vector backend during one
-    /// instrumented SIMD arena pass plus one bitset Eclat pass.
+    /// instrumented bitset Eclat pass.
     pub simd_calls: u64,
-    /// Kernel calls dispatched to the scalar backend in the same passes.
+    /// Kernel calls dispatched to the scalar backend in the same pass.
     pub scalar_calls: u64,
     /// Bitset joins performed by the instrumented bitset Eclat pass.
     pub bitmap_intersections: u64,
 }
 
 impl SimdCell {
-    /// Arena speedup from the backend pin alone.
-    pub fn arena_speedup(&self) -> f64 {
-        self.arena_scalar_secs / self.arena_simd_secs
-    }
-
-    /// Eclat speedup from the bitset representation.
+    /// Eclat speedup from the bitset representation — the cell's
+    /// headline, written as both `eclat_speedup` and `speedup`.
     pub fn eclat_speedup(&self) -> f64 {
         self.eclat_tidset_secs / self.eclat_bitset_secs
-    }
-
-    /// Headline: the largest backend/representation speedup the kernel
-    /// layer delivers on this cell. In practice this is the bitset join
-    /// kernels for Eclat (the arena engine is fold-bound, not scan-bound,
-    /// so the backend pin alone moves it little — see DESIGN.md §11).
-    pub fn speedup(&self) -> f64 {
-        self.arena_speedup().max(self.eclat_speedup())
     }
 }
 
@@ -1112,12 +1087,11 @@ fn synth_u64(len: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// X14 — end-to-end kernel cells: the arena engine under each backend
-/// pin and Eclat under each tidset representation, on sparse, dense, and
-/// power-law workloads. The scalar arena column is the baseline, so
-/// `speedup()` reads directly as "gain over current arena numbers".
+/// X14 — end-to-end kernel cells: Eclat under each tidset
+/// representation on sparse, dense, and power-law workloads, with the
+/// arena engine's answer as the oracle.
 pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
-    use plt_core::kernels::{self, Backend, KernelStats};
+    use plt_core::kernels::KernelStats;
 
     let runs = scale.runs().max(2);
     let mut workloads: Vec<(String, Vec<Vec<Item>>, Support)> = Vec::new();
@@ -1142,25 +1116,7 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
 
     let mut cells = Vec::new();
     for (dataset, db, min_sup) in workloads {
-        let plt = construct(&db, min_sup, ConstructOptions::conditional()).unwrap();
-        let arena: Box<dyn plt_core::Mine> = Box::new(ConditionalMiner::default());
-        // Pin the timing thread to one backend per run; both timed runs
-        // mine the same PLT, so the cells isolate the kernel dispatch.
-        kernels::set_thread_backend(Some(Backend::Scalar));
-        let (scalar_result, t_scalar) = time_best(runs, || mine_plt(arena.as_ref(), &plt));
-        kernels::set_thread_backend(Some(Backend::Simd));
-        let (simd_result, t_simd) = time_best(runs, || mine_plt(arena.as_ref(), &plt));
-        // One untimed instrumented pass for the dispatch counters.
-        let before = KernelStats::snapshot_thread();
-        let _ = mine_plt(arena.as_ref(), &plt);
-        let arena_kernels = KernelStats::snapshot_thread().since(&before);
-        kernels::set_thread_backend(None);
-        assert_eq!(
-            scalar_result.sorted(),
-            simd_result.sorted(),
-            "kernel backends disagree on {dataset}"
-        );
-
+        let arena = ConditionalMiner::default().mine(&db, min_sup);
         // Eclat cells run unpinned: the bitset path's joins auto-select
         // the best available backend, same as production use.
         let tidset = EclatMiner::default().with_repr(TidRepr::Tidset);
@@ -1173,10 +1129,11 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
             "Eclat representations disagree on {dataset}"
         );
         assert_eq!(
-            tid_result.len(),
-            scalar_result.len(),
-            "Eclat and arena disagree on |F| at {dataset}"
+            tid_result.sorted(),
+            arena.sorted(),
+            "Eclat and the arena disagree on {dataset}"
         );
+        // One untimed instrumented pass for the dispatch counters.
         let before = KernelStats::snapshot_thread();
         let _ = bitset.mine(&db, min_sup);
         let bit_kernels = KernelStats::snapshot_thread().since(&before);
@@ -1184,13 +1141,11 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
         cells.push(SimdCell {
             dataset,
             min_sup,
-            itemsets: scalar_result.len(),
-            arena_scalar_secs: t_scalar.as_secs_f64(),
-            arena_simd_secs: t_simd.as_secs_f64(),
+            itemsets: arena.len(),
             eclat_tidset_secs: t_tid.as_secs_f64(),
             eclat_bitset_secs: t_bit.as_secs_f64(),
-            simd_calls: arena_kernels.simd_calls + bit_kernels.simd_calls,
-            scalar_calls: arena_kernels.scalar_calls + bit_kernels.scalar_calls,
+            simd_calls: bit_kernels.simd_calls,
+            scalar_calls: bit_kernels.scalar_calls,
             bitmap_intersections: bit_kernels.bitmap_intersections,
         });
     }
@@ -1302,29 +1257,20 @@ pub fn x14_kernel_cells(scale: Scale) -> Vec<KernelCell> {
     cells
 }
 
-/// X14 rendered as a table: two rows per dataset cell (arena pin, Eclat
+/// X14 rendered as a table: one row per dataset cell (Eclat
 /// representation) then one row per kernel microcell.
 pub fn x14_table(cells: &[SimdCell], kernels: &[KernelCell]) -> Table {
     let mut table = Table::new(
-        "X14: SIMD/bitset kernels — backend pin, Eclat representation, raw kernels",
-        &["cell", "|F|/len", "scalar", "simd", "speedup", "headline"],
+        "X14: SIMD/bitset kernels — Eclat representation, raw kernels",
+        &["cell", "|F|/len", "scalar", "simd", "speedup"],
     );
     for c in cells {
-        table.row(vec![
-            format!("{} arena", c.dataset),
-            c.itemsets.to_string(),
-            fmt_duration(Duration::from_secs_f64(c.arena_scalar_secs)),
-            fmt_duration(Duration::from_secs_f64(c.arena_simd_secs)),
-            format!("{:.2}x", c.arena_speedup()),
-            format!("{:.2}x", c.speedup()),
-        ]);
         table.row(vec![
             format!("{} eclat", c.dataset),
             c.itemsets.to_string(),
             fmt_duration(Duration::from_secs_f64(c.eclat_tidset_secs)),
             fmt_duration(Duration::from_secs_f64(c.eclat_bitset_secs)),
             format!("{:.2}x", c.eclat_speedup()),
-            String::new(),
         ]);
     }
     for k in kernels {
@@ -1334,7 +1280,6 @@ pub fn x14_table(cells: &[SimdCell], kernels: &[KernelCell]) -> Table {
             fmt_duration(Duration::from_secs_f64(k.scalar_secs)),
             fmt_duration(Duration::from_secs_f64(k.simd_secs)),
             format!("{:.2}x", k.speedup()),
-            String::new(),
         ]);
     }
     table
@@ -1366,21 +1311,17 @@ pub fn x14_json(cells: &[SimdCell], kernels: &[KernelCell], scale: Scale) -> Str
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"dataset\": \"{}\", \"min_sup\": {}, \"itemsets\": {}, \
-             \"arena_scalar_secs\": {:.6}, \"arena_simd_secs\": {:.6}, \
-             \"arena_speedup\": {:.3}, \"eclat_tidset_secs\": {:.6}, \
-             \"eclat_bitset_secs\": {:.6}, \"eclat_speedup\": {:.3}, \
-             \"speedup\": {:.3}, \"kernel\": {{\"simd_calls\": {}, \
-             \"scalar_calls\": {}, \"bitmap_intersections\": {}}}}}{}\n",
+             \"eclat_tidset_secs\": {:.6}, \"eclat_bitset_secs\": {:.6}, \
+             \"eclat_speedup\": {:.3}, \"speedup\": {:.3}, \
+             \"kernel\": {{\"simd_calls\": {}, \"scalar_calls\": {}, \
+             \"bitmap_intersections\": {}}}}}{}\n",
             c.dataset,
             c.min_sup,
             c.itemsets,
-            c.arena_scalar_secs,
-            c.arena_simd_secs,
-            c.arena_speedup(),
             c.eclat_tidset_secs,
             c.eclat_bitset_secs,
             c.eclat_speedup(),
-            c.speedup(),
+            c.eclat_speedup(),
             c.simd_calls,
             c.scalar_calls,
             c.bitmap_intersections,
@@ -2758,12 +2699,11 @@ mod tests {
     #[test]
     fn x14_kernels_agree_and_emit_json() {
         let cells = x14_simd_cells(Scale::Quick);
-        // 3 datasets; cross-backend and cross-representation agreement
+        // 3 datasets; agreement of both representations with the arena
         // is asserted inside the cell builder itself.
         assert_eq!(cells.len(), 3);
         for c in &cells {
             assert!(c.itemsets > 0, "empty family on {}", c.dataset);
-            assert!(c.arena_scalar_secs > 0.0 && c.arena_simd_secs > 0.0);
             assert!(c.eclat_tidset_secs > 0.0 && c.eclat_bitset_secs > 0.0);
             assert!(
                 c.simd_calls + c.scalar_calls > 0,
@@ -2790,10 +2730,10 @@ mod tests {
         assert!(json.contains("\"experiment\": \"x14_simd_kernels\""));
         assert!(json.contains("\"bench_meta\""));
         assert_eq!(json.matches("\"dataset\"").count(), 3);
-        assert_eq!(json.matches("\"arena_speedup\"").count(), 3);
+        assert_eq!(json.matches("\"eclat_speedup\"").count(), 3);
         assert_eq!(json.matches("\"bitmap_intersections\"").count(), 3);
         assert_eq!(json.matches("\"kernel\":").count(), 11); // 3 nested + 8 micro
-        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 * 2 + 8);
+        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 + 8);
     }
 
     #[test]

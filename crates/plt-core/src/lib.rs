@@ -61,8 +61,9 @@ pub mod arena;
 pub mod conditional;
 /// Data-parallel kernel layer — re-export of the [`plt_simd`] crate.
 ///
-/// The mining hot paths (arena scans, support accumulation, bitset
-/// intersection in the baselines) call these kernels; backend selection
+/// Position-vector decoding and the baselines' bitset intersections
+/// call these kernels (the arena engine runs plain fused loops and
+/// dispatches none); backend selection
 /// (`scalar` oracle vs the AVX2 path under the `simd` feature) and the
 /// dispatch counters live here. See `DESIGN.md` §11.
 pub mod kernels {

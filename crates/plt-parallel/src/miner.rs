@@ -29,11 +29,6 @@ use crate::projection::project_all;
 pub struct ParallelPltMiner {
     /// Item-order policy for the underlying PLT.
     pub rank_policy: RankPolicy,
-    /// Kernel backend pinned onto every worker for the duration of its
-    /// fold (`None` = inherit the process-global/auto selection). Pinning
-    /// happens once per worker fold state, so the per-call dispatch in
-    /// the hot loops reads a warm thread-local.
-    pub kernel: Option<plt_simd::Backend>,
 }
 
 impl ParallelPltMiner {
@@ -42,16 +37,7 @@ impl ParallelPltMiner {
     /// Prefer constructing miners through `plt-shard`'s `MinerBuilder`,
     /// which configures every engine through one path.
     pub fn with_policy(rank_policy: RankPolicy) -> Self {
-        ParallelPltMiner {
-            rank_policy,
-            ..Default::default()
-        }
-    }
-
-    /// The same miner with a pinned kernel backend (`None` = auto).
-    pub fn with_kernel(mut self, kernel: Option<plt_simd::Backend>) -> Self {
-        self.kernel = kernel;
-        self
+        ParallelPltMiner { rank_policy }
     }
 }
 
@@ -63,23 +49,15 @@ impl plt_core::miner::Mine for ParallelPltMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let projections = obs.time("mine/project", || project_all(plt));
         let n = plt.ranking().len() as Rank;
-        let kernel = self.kernel;
         let empty = || MiningResult::new(plt.min_support(), plt.num_transactions());
         let t0 = obs.start();
         let (result, stats) = (1..=n)
             .into_par_iter()
             // Per-worker fold: the (pool, local-result) accumulator lives
             // on one worker for its whole run of items, so every item it
-            // mines reuses the same warmed arena storage. The kernel
-            // backend is pinned (or unpinned) on the worker thread here,
-            // once per fold state rather than per kernel call; rayon
-            // workers persist across runs, so `None` must clear any pin a
-            // previous run left behind.
+            // mines reuses the same warmed arena storage.
             .fold(
-                || {
-                    plt_simd::set_thread_backend(kernel);
-                    (ArenaPool::new(), empty())
-                },
+                || (ArenaPool::new(), empty()),
                 |(mut pool, mut local), j| {
                     let support = projections.support(j);
                     if support >= plt.min_support() {
@@ -197,20 +175,6 @@ mod tests {
         // per-worker arena counters must be non-zero.
         assert!(rec.counter_value("arena.vectors_folded") > 0);
         assert!(rec.gauge_value("arena.bytes_peak") > 0);
-    }
-
-    #[test]
-    fn pinned_kernel_backends_agree() {
-        // The same database mined with every worker pinned to each
-        // backend; answers must match (Simd degrades to Scalar when the
-        // CPU or build lacks it, so this is safe in every configuration).
-        let auto = ParallelPltMiner::default().mine(&table1(), 2);
-        for backend in [plt_simd::Backend::Scalar, plt_simd::Backend::Simd] {
-            let pinned = ParallelPltMiner::default()
-                .with_kernel(Some(backend))
-                .mine(&table1(), 2);
-            assert_eq!(pinned.sorted(), auto.sorted(), "{backend:?}");
-        }
     }
 
     #[test]

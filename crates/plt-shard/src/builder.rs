@@ -60,7 +60,6 @@ pub struct MinerBuilder {
     rank_policy: RankPolicy,
     min_support: Support,
     shard_count: usize,
-    kernel: Option<plt_core::kernels::Backend>,
 }
 
 impl Default for MinerBuilder {
@@ -70,7 +69,6 @@ impl Default for MinerBuilder {
             rank_policy: RankPolicy::Lexicographic,
             min_support: 2,
             shard_count: DEFAULT_SHARD_COUNT,
-            kernel: None,
         }
     }
 }
@@ -110,14 +108,6 @@ impl MinerBuilder {
         self
     }
 
-    /// Pins the kernel backend the parallel strategy's workers use
-    /// (`None` = inherit the process-global/auto selection). Sequential
-    /// strategies read the ambient selection and ignore this knob.
-    pub fn kernel(mut self, kernel: Option<plt_core::kernels::Backend>) -> MinerBuilder {
-        self.kernel = kernel;
-        self
-    }
-
     /// The PLT-level miner as a [`Mine`] trait object.
     pub fn build(&self) -> Box<dyn Mine> {
         match self.strategy {
@@ -130,10 +120,7 @@ impl MinerBuilder {
                 rank_policy: self.rank_policy,
                 ..HybridMiner::default()
             }),
-            MineStrategy::Parallel => Box::new(ParallelPltMiner {
-                rank_policy: self.rank_policy,
-                kernel: self.kernel,
-            }),
+            MineStrategy::Parallel => Box::new(ParallelPltMiner::with_policy(self.rank_policy)),
         }
     }
 
@@ -150,10 +137,7 @@ impl MinerBuilder {
                 rank_policy: self.rank_policy,
                 ..HybridMiner::default()
             }),
-            MineStrategy::Parallel => Box::new(ParallelPltMiner {
-                rank_policy: self.rank_policy,
-                kernel: self.kernel,
-            }),
+            MineStrategy::Parallel => Box::new(ParallelPltMiner::with_policy(self.rank_policy)),
         }
     }
 

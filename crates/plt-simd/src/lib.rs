@@ -1,10 +1,10 @@
 //! # plt-simd — data-parallel kernels for the mining hot paths
 //!
-//! The arena engine (`plt-core::arena`) and the vertical baselines
-//! (`plt-baselines::eclat`) spend their time in a handful of loop shapes:
-//! the Lemma 4.1.1 prefix-sum scan that recovers ranks from position
-//! deltas, gathered support accumulation over packed entry tables, and
-//! TID-set intersection. This crate packages those shapes as kernels with
+//! The vertical baselines (`plt-baselines::eclat`, Apriori's bitset
+//! probe) and position-vector decoding spend their time in a handful of
+//! loop shapes: the Lemma 4.1.1 prefix-sum scan that recovers ranks from
+//! position deltas, gathered support accumulation, and TID-set
+//! intersection. This crate packages those shapes as kernels with
 //! two interchangeable backends:
 //!
 //! * **scalar** — portable `u64`-word code, always compiled, written so
@@ -21,8 +21,8 @@
 //!
 //! Resolution order for every kernel call:
 //!
-//! 1. the **thread** override ([`set_thread_backend`]) — the parallel
-//!    miner pins one choice per rayon worker;
+//! 1. the **thread** override ([`set_thread_backend`]) — what the
+//!    differential tests and X14 pin per run;
 //! 2. the **process** override ([`set_global_backend`]) — what
 //!    `plt-mine --kernel simd|scalar` sets;
 //! 3. **auto**: SIMD if compiled in *and* detected at runtime, scalar
@@ -36,9 +36,9 @@
 //! Every kernel call bumps a thread-local counter for the backend that
 //! actually ran, and the bitset kernels additionally count intersections.
 //! [`KernelStats::snapshot_thread`] + [`KernelStats::since`] bracket a
-//! mining call so engines (`plt-core::MineStats`) can report
-//! `simd_calls` / `scalar_calls` / `bitmap_intersections` through
-//! plt-obs without any atomics on the hot path.
+//! mining call so callers (X14, the Eclat tests) can read
+//! `simd_calls` / `scalar_calls` / `bitmap_intersections` without any
+//! atomics on the hot path.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};

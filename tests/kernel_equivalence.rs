@@ -2,8 +2,9 @@
 //! primitive must produce bit-identical results on the scalar and SIMD
 //! backends, over adversarial shapes — empty inputs, single elements,
 //! lengths straddling the vector lane width, misaligned slices, all-zero
-//! and all-max words — and the miners built on the kernels (bitset Eclat,
-//! tidset Eclat, the arena engine) must agree on full support maps.
+//! and all-max words — and the Eclat miners built on the kernels (bitset
+//! and tidset) must agree on full support maps with the arena engine,
+//! which dispatches no kernels and serves as the reference.
 //!
 //! On builds without the `simd` feature the Simd backend degrades to
 //! scalar and every check passes trivially; the CI matrix runs this suite
@@ -242,9 +243,9 @@ fn dispatch_matches_the_scalar_oracle_directly() {
     }
 }
 
-/// Full-support-map agreement between the kernel-backed miners: tidset
-/// Eclat, bitset Eclat (forced, regardless of density), and the arena
-/// conditional engine.
+/// Full-support-map agreement between the kernel-backed miners — tidset
+/// Eclat and bitset Eclat (forced, regardless of density) — and the
+/// arena conditional engine.
 fn miners_agree(db: &[Vec<u32>], min_support: u64) -> Result<(), String> {
     let arena = ConditionalMiner::default().mine(db, min_support);
     let reference = support_map(&arena);
