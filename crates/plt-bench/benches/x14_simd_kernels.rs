@@ -1,13 +1,14 @@
 //! X14 — SIMD/bitset kernels: Eclat under each tidset representation,
-//! and the raw `plt_core::kernels` primitives on both backends. Build with
-//! `--features simd` to compare against the AVX2 path; without it the
-//! "simd" groups measure the scalar fallback (the dispatch degrades).
+//! and the raw `plt_core::kernels` primitives as direct `scalar::` calls
+//! against dispatch. Build with `--features simd` to compare against the
+//! AVX2 path; without it the "simd" entries measure dispatch onto the
+//! scalar code.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use plt_baselines::{EclatMiner, TidRepr};
 use plt_bench::datasets;
-use plt_core::kernels::{self, Backend};
+use plt_core::kernels::{self, scalar};
 use plt_core::miner::Miner;
 
 fn bench(c: &mut Criterion) {
@@ -37,19 +38,19 @@ fn bench(c: &mut Criterion) {
         .map(|i| i.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
         .collect();
     let mut group = c.benchmark_group("x14/kernels");
-    for (label, backend) in [("scalar", Backend::Scalar), ("simd", Backend::Simd)] {
-        group.bench_function(BenchmarkId::new("prefix_sum", label), |b| {
-            kernels::set_thread_backend(Some(backend));
-            let mut out = Vec::new();
-            b.iter(|| kernels::prefix_sum_into(&deltas, &mut out));
-            kernels::set_thread_backend(None);
-        });
-        group.bench_function(BenchmarkId::new("and_popcount", label), |b| {
-            kernels::set_thread_backend(Some(backend));
-            b.iter(|| kernels::and_popcount(&words_a, &words_b));
-            kernels::set_thread_backend(None);
-        });
-    }
+    let mut out = Vec::new();
+    group.bench_function(BenchmarkId::new("prefix_sum", "scalar"), |b| {
+        b.iter(|| scalar::prefix_sum_into(&deltas, &mut out))
+    });
+    group.bench_function(BenchmarkId::new("prefix_sum", "simd"), |b| {
+        b.iter(|| kernels::prefix_sum_into(&deltas, &mut out))
+    });
+    group.bench_function(BenchmarkId::new("and_popcount", "scalar"), |b| {
+        b.iter(|| scalar::and_popcount(&words_a, &words_b))
+    });
+    group.bench_function(BenchmarkId::new("and_popcount", "simd"), |b| {
+        b.iter(|| kernels::and_popcount(&words_a, &words_b))
+    });
     group.finish();
 }
 

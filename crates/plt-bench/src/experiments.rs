@@ -1037,19 +1037,19 @@ impl SimdCell {
 }
 
 /// One X14 microbenchmark: a single `plt_core::kernels` primitive timed
-/// on both backends over the same synthetic input, with the results
-/// checksummed and asserted equal — the differential check runs inside
-/// the benchmark itself.
+/// through the scalar oracle and through dispatch over the same
+/// synthetic input, with the results checksummed and asserted equal —
+/// the differential check runs inside the benchmark itself.
 #[derive(Debug, Clone)]
 pub struct KernelCell {
-    /// Kernel name (`prefix_sum`, `count_ge`, `sum_gather`,
-    /// `and_popcount`).
+    /// Kernel name (`prefix_sum`, `and_popcount`).
     pub kernel: String,
     /// Input length in elements (words for the bitset kernel).
     pub len: usize,
-    /// Best wall time on the forced scalar backend.
+    /// Best wall time calling `kernels::scalar` directly.
     pub scalar_secs: f64,
-    /// Best wall time on the forced SIMD backend.
+    /// Best wall time through dispatch, on the backend the CPU resolves
+    /// to (the scalar code again on builds without SIMD).
     pub simd_secs: f64,
 }
 
@@ -1117,8 +1117,8 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
     let mut cells = Vec::new();
     for (dataset, db, min_sup) in workloads {
         let arena = ConditionalMiner::default().mine(&db, min_sup);
-        // Eclat cells run unpinned: the bitset path's joins auto-select
-        // the best available backend, same as production use.
+        // The bitset path's joins run on the backend the CPU picks, same
+        // as production use.
         let tidset = EclatMiner::default().with_repr(TidRepr::Tidset);
         let bitset = EclatMiner::default().with_repr(TidRepr::Bitset);
         let (tid_result, t_tid) = time_best(runs, || tidset.mine(&db, min_sup));
@@ -1152,107 +1152,80 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
     cells
 }
 
-/// X14 — raw kernel microcells: each `plt_core::kernels` primitive timed
-/// on both backends over deterministic synthetic inputs at two sizes.
-/// Each op folds its outputs into a checksum that must match across
-/// backends, so every timing doubles as an equivalence check.
+/// Times one kernel through the scalar oracle and through dispatch; both
+/// closures fold their outputs into a checksum that must match.
+fn kernel_cell(
+    kernel: &str,
+    len: usize,
+    runs: usize,
+    oracle: impl FnMut() -> u64,
+    dispatch: impl FnMut() -> u64,
+) -> KernelCell {
+    let (sum_scalar, t_scalar) = time_best(runs, oracle);
+    let (sum_simd, t_simd) = time_best(runs, dispatch);
+    assert_eq!(
+        sum_scalar, sum_simd,
+        "{kernel}[{len}] dispatch disagrees with the scalar oracle"
+    );
+    KernelCell {
+        kernel: kernel.to_string(),
+        len,
+        scalar_secs: t_scalar.as_secs_f64(),
+        simd_secs: t_simd.as_secs_f64(),
+    }
+}
+
+/// X14 — raw kernel microcells: `prefix_sum` and `and_popcount`, each
+/// timed as a direct `kernels::scalar` call against the dispatched entry
+/// point over deterministic synthetic inputs at two sizes.
 pub fn x14_kernel_cells(scale: Scale) -> Vec<KernelCell> {
-    use plt_core::kernels::{self, Backend};
+    use plt_core::kernels::{self, scalar};
 
     let runs = scale.runs().max(3);
     let reps = scale.pick(64, 512);
     let mut cells = Vec::new();
     for len in [4_096usize, 65_536] {
         let deltas = synth_u32(len, 1, 7);
-        let counts: Vec<u64> = synth_u32(len, 2, 1_000)
-            .into_iter()
-            .map(u64::from)
-            .collect();
-        let ids: Vec<u32> = (0..len as u32).collect();
         let words_a = synth_u64(len / 16, 3);
         let words_b = synth_u64(len / 16, 4);
 
-        type KernelOp<'a> = (&'a str, usize, Box<dyn FnMut() -> u64>);
-        let mut ops: Vec<KernelOp<'_>> = Vec::new();
-        {
-            let deltas = deltas.clone();
+        let prefix_sum = |f: fn(&[u32], &mut Vec<u32>)| {
+            let deltas = &deltas;
             let mut out = Vec::new();
-            ops.push((
-                "prefix_sum",
-                len,
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for _ in 0..reps {
-                        kernels::prefix_sum_into(&deltas, &mut out);
-                        acc = acc.wrapping_add(u64::from(*out.last().unwrap()));
-                    }
-                    acc
-                }),
-            ));
-        }
-        {
-            let counts = counts.clone();
-            let ids = ids.clone();
-            ops.push((
-                "count_ge",
-                len,
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for _ in 0..reps {
-                        acc = acc.wrapping_add(kernels::count_ge(&counts, &ids, 500) as u64);
-                    }
-                    acc
-                }),
-            ));
-        }
-        {
-            let counts = counts.clone();
-            let ids = ids.clone();
-            ops.push((
-                "sum_gather",
-                len,
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for _ in 0..reps {
-                        acc = acc.wrapping_add(kernels::sum_gather(&counts, &ids));
-                    }
-                    acc
-                }),
-            ));
-        }
-        {
-            let a = words_a.clone();
-            let b = words_b.clone();
-            ops.push((
-                "and_popcount",
-                len / 16,
-                Box::new(move || {
-                    let mut acc = 0u64;
-                    for _ in 0..reps {
-                        acc = acc.wrapping_add(kernels::and_popcount(&a, &b));
-                    }
-                    acc
-                }),
-            ));
-        }
+            move || {
+                let mut acc = 0u64;
+                for _ in 0..reps {
+                    f(deltas, &mut out);
+                    acc = acc.wrapping_add(u64::from(*out.last().unwrap()));
+                }
+                acc
+            }
+        };
+        cells.push(kernel_cell(
+            "prefix_sum",
+            len,
+            runs,
+            prefix_sum(scalar::prefix_sum_into),
+            prefix_sum(kernels::prefix_sum_into),
+        ));
 
-        for (kernel, cell_len, mut op) in ops {
-            kernels::set_thread_backend(Some(Backend::Scalar));
-            let (sum_scalar, t_scalar) = time_best(runs, &mut op);
-            kernels::set_thread_backend(Some(Backend::Simd));
-            let (sum_simd, t_simd) = time_best(runs, &mut op);
-            kernels::set_thread_backend(None);
-            assert_eq!(
-                sum_scalar, sum_simd,
-                "{kernel}[{cell_len}] backends disagree"
-            );
-            cells.push(KernelCell {
-                kernel: kernel.to_string(),
-                len: cell_len,
-                scalar_secs: t_scalar.as_secs_f64(),
-                simd_secs: t_simd.as_secs_f64(),
-            });
-        }
+        let and_popcount = |f: fn(&[u64], &[u64]) -> u64| {
+            let (a, b) = (&words_a, &words_b);
+            move || {
+                let mut acc = 0u64;
+                for _ in 0..reps {
+                    acc = acc.wrapping_add(f(a, b));
+                }
+                acc
+            }
+        };
+        cells.push(kernel_cell(
+            "and_popcount",
+            len / 16,
+            runs,
+            and_popcount(scalar::and_popcount),
+            and_popcount(kernels::and_popcount),
+        ));
     }
     cells
 }
@@ -2721,8 +2694,8 @@ mod tests {
             }
         }
         let kernels = x14_kernel_cells(Scale::Quick);
-        // 4 primitives x 2 sizes; checksums compared inside the builder.
-        assert_eq!(kernels.len(), 8);
+        // 2 primitives x 2 sizes; checksums compared inside the builder.
+        assert_eq!(kernels.len(), 4);
         for k in &kernels {
             assert!(k.scalar_secs > 0.0 && k.simd_secs > 0.0, "{}", k.kernel);
         }
@@ -2732,8 +2705,8 @@ mod tests {
         assert_eq!(json.matches("\"dataset\"").count(), 3);
         assert_eq!(json.matches("\"eclat_speedup\"").count(), 3);
         assert_eq!(json.matches("\"bitmap_intersections\"").count(), 3);
-        assert_eq!(json.matches("\"kernel\":").count(), 11); // 3 nested + 8 micro
-        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 + 8);
+        assert_eq!(json.matches("\"kernel\":").count(), 7); // 3 nested + 4 micro
+        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 + 4);
     }
 
     #[test]

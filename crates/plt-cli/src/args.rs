@@ -78,41 +78,6 @@ impl Algo {
     }
 }
 
-/// Kernel backend for the data-parallel primitives (`mine` subcommand;
-/// applies to every algorithm that routes through the kernel layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// Runtime detection: AVX2 when compiled in and available, scalar
-    /// otherwise — the default.
-    #[default]
-    Auto,
-    /// Force the SIMD backend (silently degrades to scalar when the
-    /// build or CPU lacks it).
-    Simd,
-    /// Force the scalar backend.
-    Scalar,
-}
-
-impl Kernel {
-    /// Canonical name, as accepted by `--kernel` and emitted in metrics JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Auto => "auto",
-            Kernel::Simd => "simd",
-            Kernel::Scalar => "scalar",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Kernel> {
-        Some(match s {
-            "auto" => Kernel::Auto,
-            "simd" => Kernel::Simd,
-            "scalar" => Kernel::Scalar,
-            _ => return None,
-        })
-    }
-}
-
 /// Condensation applied to `mine` output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Condense {
@@ -166,8 +131,6 @@ pub enum Command {
         min_sup: MinSup,
         /// Algorithm choice.
         algo: Algo,
-        /// Kernel backend for the data-parallel primitives.
-        kernel: Kernel,
         /// Condensation filter.
         condense: Condense,
         /// Print at most this many itemsets.
@@ -332,7 +295,6 @@ usage:
   plt-mine mine  --input <file.dat> --min-sup <frac|count>
                  [--algo conditional|topdown|parallel|apriori|fp-growth|
                   eclat|declat|h-mine|ais|partition|dic]
-                 [--kernel auto|simd|scalar]
                  [--closed | --maximal] [--limit N]
                  [--metrics-json <out.json>]
   plt-mine rules --input <file.dat> --min-sup <frac|count> --min-conf <frac>
@@ -423,7 +385,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     match sub.as_str() {
         "mine" => {
             let (mut input, mut min_sup, mut algo) = (None, None, Algo::default());
-            let mut kernel = Kernel::default();
             let mut condense = Condense::default();
             let mut limit = None;
             let mut metrics_json = None;
@@ -435,11 +396,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         let v = cur.value(flag)?;
                         algo = Algo::from_str(v)
                             .ok_or_else(|| ParseError(format!("unknown algorithm {v:?}")))?;
-                    }
-                    "--kernel" => {
-                        let v = cur.value(flag)?;
-                        kernel = Kernel::from_str(v)
-                            .ok_or_else(|| ParseError(format!("unknown kernel {v:?}")))?;
                     }
                     "--closed" => condense = Condense::Closed,
                     "--maximal" => condense = Condense::Maximal,
@@ -457,7 +413,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 input: input.ok_or(ParseError("mine requires --input".into()))?,
                 min_sup: min_sup.ok_or(ParseError("mine requires --min-sup".into()))?,
                 algo,
-                kernel,
                 condense,
                 limit,
                 metrics_json,
@@ -840,46 +795,11 @@ mod tests {
                 input: "x.dat".into(),
                 min_sup: MinSup::Relative(0.01),
                 algo: Algo::Conditional,
-                kernel: Kernel::Auto,
                 condense: Condense::All,
                 limit: None,
                 metrics_json: None,
             }
         );
-    }
-
-    #[test]
-    fn parses_kernel_flag() {
-        for (name, kernel) in [
-            ("auto", Kernel::Auto),
-            ("simd", Kernel::Simd),
-            ("scalar", Kernel::Scalar),
-        ] {
-            let c = parse(&argv(&[
-                "mine",
-                "--input",
-                "x",
-                "--min-sup",
-                "2",
-                "--kernel",
-                name,
-            ]))
-            .unwrap();
-            match c {
-                Command::Mine { kernel: k, .. } => assert_eq!(k, kernel, "{name}"),
-                _ => panic!(),
-            }
-        }
-        assert!(parse(&argv(&[
-            "mine",
-            "--input",
-            "x",
-            "--min-sup",
-            "2",
-            "--kernel",
-            "avx512",
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -913,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn map_engine_and_sampled_rebuild_flags_are_unknown() {
+    fn removed_engine_kernel_and_rebuild_flags_are_unknown() {
         let e = parse(&argv(&[
             "mine",
             "--input",
@@ -925,6 +845,17 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("unknown flag \"--engine\""), "{}", e.0);
+        let e = parse(&argv(&[
+            "mine",
+            "--input",
+            "x",
+            "--min-sup",
+            "2",
+            "--kernel",
+            "scalar",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag \"--kernel\""), "{}", e.0);
         let e = parse(&argv(&[
             "serve",
             "--input",

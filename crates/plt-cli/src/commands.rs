@@ -18,7 +18,7 @@ use plt_data::{fimi, DbStats, TransactionDb};
 use plt_rules::{top_rules, RuleConfig};
 use plt_shard::{Delta, MineStrategy, MinerBuilder};
 
-use crate::args::{Algo, Command, Condense, GenKind, Kernel, MinSup};
+use crate::args::{Algo, Command, Condense, GenKind, MinSup};
 
 /// Errors surfaced to the user: message only, no panics.
 pub type CmdResult = Result<(), String>;
@@ -30,7 +30,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             input,
             min_sup,
             algo,
-            kernel,
             condense,
             limit,
             metrics_json,
@@ -38,7 +37,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             &input,
             min_sup,
             algo,
-            kernel,
             condense,
             limit,
             metrics_json.as_deref(),
@@ -602,47 +600,16 @@ fn write_metrics_json(
     std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Maps the CLI kernel choice onto a process-global backend override.
-fn kernel_backend(kernel: Kernel) -> Option<plt_core::kernels::Backend> {
-    match kernel {
-        Kernel::Auto => None,
-        Kernel::Simd => Some(plt_core::kernels::Backend::Simd),
-        Kernel::Scalar => Some(plt_core::kernels::Backend::Scalar),
-    }
-}
-
-/// Restores the previous global backend override when dropped, so a
-/// `--kernel` run cannot leak its selection into the rest of the process
-/// (the library entry point is reused by tests and embedding callers).
-struct KernelGuard(Option<plt_core::kernels::Backend>);
-
-impl KernelGuard {
-    fn set(kernel: Kernel) -> KernelGuard {
-        let prev = plt_core::kernels::global_backend();
-        plt_core::kernels::set_global_backend(kernel_backend(kernel));
-        KernelGuard(prev)
-    }
-}
-
-impl Drop for KernelGuard {
-    fn drop(&mut self) {
-        plt_core::kernels::set_global_backend(self.0);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn mine(
     input: &str,
     min_sup: MinSup,
     algo: Algo,
-    kernel: Kernel,
     condense: Condense,
     limit: Option<usize>,
     metrics_json: Option<&str>,
     out: &mut dyn Write,
 ) -> CmdResult {
     let db = load(input)?;
-    let _kernel_guard = KernelGuard::set(kernel);
     let mut recorder = plt_obs::MetricsRecorder::new();
     let started = std::time::Instant::now();
     // `--closed` under the default algorithm uses the native closed miner
@@ -674,7 +641,11 @@ fn mine(
             ("algo", format!("{:?}", algo.name())),
             // Schema v1 keeps the field; the arena is the only engine.
             ("engine", format!("{:?}", "arena")),
-            ("kernel", format!("{:?}", kernel.name())),
+            // The bitset kernels' backend, picked from the CPU.
+            (
+                "kernel",
+                format!("{:?}", plt_core::kernels::active_backend().name()),
+            ),
             ("min_support", family.min_support().to_string()),
             ("num_transactions", db.len().to_string()),
             ("itemsets", family.len().to_string()),

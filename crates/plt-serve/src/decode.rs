@@ -20,11 +20,11 @@
 use crate::fault::{FaultPlan, FrameFault, Site};
 use crate::proto::MAX_FRAME_BYTES;
 
-/// Longest accepted length header, including its newline. The blocking
-/// codec's `read_line` is unbounded here; a nonblocking decoder must cap
-/// buffering for a peer that never sends the newline. 4096 admits any
-/// genuine header (a `usize` is at most 20 digits) with room for absurd
-/// whitespace padding, while bounding header memory per connection.
+/// Longest accepted length header, including its newline, in both
+/// codecs: a peer that never sends the newline is refused instead of
+/// buffered. 4096 admits any genuine header (a `usize` is at most 20
+/// digits) with room for absurd whitespace padding, while bounding header
+/// memory per connection.
 pub const MAX_HEADER_BYTES: usize = 4096;
 
 #[derive(Debug)]
@@ -240,6 +240,7 @@ mod tests {
             b"2\nxyz\n",    // payload followed by junk, no newline at [len]
             b"3\nab\xff\n", // invalid utf-8 payload
             b"99999999999999999999999999\n", // unparseable (overflow) header
+            &[b'9'; MAX_HEADER_BYTES + 10], // runaway header, no newline
         ];
         for stream in cases {
             let mut r = std::io::Cursor::new(stream.to_vec());

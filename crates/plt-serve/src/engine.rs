@@ -10,7 +10,7 @@
 //! per-worker [`ReaderCache`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use plt_query::Snapshot;
@@ -73,9 +73,6 @@ pub struct Engine {
     /// generation they were planned against, so a publish invalidates
     /// them lazily on next lookup.
     plans: plt_query::PlanCache,
-    /// Optional shared plt-obs recorder; when attached, query executions
-    /// emit `query.*` counters and `query/execute` spans into it.
-    obs: OnceLock<Arc<Mutex<plt_obs::MetricsRecorder>>>,
 }
 
 impl Engine {
@@ -96,14 +93,7 @@ impl Engine {
             metrics,
             state: AtomicU8::new(ServingState::Fresh.as_u8()),
             plans: plt_query::PlanCache::new(256),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Attaches a shared plt-obs recorder; query executions then emit
-    /// `query.*` counters and spans into it. First attachment wins.
-    pub fn attach_obs(&self, obs: Arc<Mutex<plt_obs::MetricsRecorder>>) {
-        let _ = self.obs.set(obs);
     }
 
     /// The query-language plan cache (stats and tests).
@@ -334,17 +324,8 @@ impl Engine {
                 ])
             }
             Request::Query { expr } => {
-                let result = match self.obs.get() {
-                    Some(shared) => {
-                        let mut recorder = shared.lock().unwrap();
-                        let mut obs = plt_obs::Obs::new(&mut *recorder);
-                        plt_query::run_cached(expr, &snap, &self.plans, &mut obs)
-                    }
-                    None => {
-                        let mut obs = plt_obs::Obs::none();
-                        plt_query::run_cached(expr, &snap, &self.plans, &mut obs)
-                    }
-                };
+                let result =
+                    plt_query::run_cached(expr, &snap, &self.plans, &mut plt_obs::Obs::none());
                 match result {
                     Ok((rows, prov)) => {
                         self.metrics.query.record(Some(prov.plan.op));

@@ -255,23 +255,23 @@ impl QueryStats {
 /// Counters for the epoll reactor server model, following the
 /// [`StorageMetrics`] enabled-flag pattern: `enabled` flips to 1 when a
 /// reactor starts, so `stats` omits the block for the thread model.
-/// Reactor threads accumulate locally and flush here in batches — these
-/// are cheap to read but a beat behind the poll loop.
+/// Reactor and acceptor threads update them directly; `stats` reports
+/// them under `"reactor"`.
 #[derive(Debug, Default)]
 pub struct ReactorMetrics {
     pub enabled: AtomicU64,
     /// Reactor threads running (gauge).
     pub reactors: AtomicU64,
-    /// epoll events handled (`reactor.events`).
+    /// epoll events handled.
     pub events: AtomicU64,
-    /// Connection state-machine transitions (`conn.state_transitions`).
+    /// Connection state-machine transitions.
     pub state_transitions: AtomicU64,
     /// Connections accepted and dispatched to a reactor.
     pub accepted: AtomicU64,
     /// Connections currently registered across all reactors (gauge).
     pub active_connections: AtomicU64,
-    /// Connections refused with a `shed` response (`shed.count`) —
-    /// reactor budget or accept backlog full. Also counted into
+    /// Connections refused with a `shed` response — reactor budget or
+    /// accept backlog full. Also counted into
     /// [`Metrics::rejected_connections`] so both models share one
     /// refusal counter.
     pub shed_connections: AtomicU64,

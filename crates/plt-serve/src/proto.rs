@@ -14,10 +14,11 @@
 //! when `ok` is false). The full request/response vocabulary is
 //! documented in the workspace README's *Serving* section.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use plt_core::item::Item;
 
+use crate::decode::MAX_HEADER_BYTES;
 use crate::fault::{FaultPlan, FrameFault, Site};
 use crate::json::Json;
 
@@ -360,14 +361,26 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
 }
 
 /// Reads one frame with an explicit size limit (the server's configured
-/// backpressure bound). The limit is checked before any allocation.
+/// backpressure bound). The limit is checked before any allocation, and
+/// the length header is read through a [`MAX_HEADER_BYTES`] window, so a
+/// peer that never sends the newline cannot grow the buffer.
 pub fn read_frame_limited(
     r: &mut impl BufRead,
     max_frame: usize,
 ) -> std::io::Result<Option<String>> {
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    let read = r
+        .by_ref()
+        .take(MAX_HEADER_BYTES as u64)
+        .read_line(&mut header)?;
+    if read == 0 {
         return Ok(None);
+    }
+    if read == MAX_HEADER_BYTES && !header.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame header exceeds {MAX_HEADER_BYTES} bytes"),
+        ));
     }
     let len: usize = header.trim().parse().map_err(|_| {
         std::io::Error::new(
@@ -382,10 +395,10 @@ pub fn read_frame_limited(
         ));
     }
     let mut payload = vec![0u8; len];
-    std::io::Read::read_exact(r, &mut payload)?;
+    r.read_exact(&mut payload)?;
     // Trailing newline.
     let mut nl = [0u8; 1];
-    std::io::Read::read_exact(r, &mut nl)?;
+    r.read_exact(&mut nl)?;
     if nl[0] != b'\n' {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -480,6 +493,20 @@ mod tests {
         let huge = format!("{}\n", MAX_FRAME_BYTES + 1);
         let mut r = std::io::Cursor::new(huge.into_bytes());
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn header_line_is_capped() {
+        let mut r = std::io::Cursor::new(vec![b'9'; 1 << 20]);
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.to_string(), "frame header exceeds 4096 bytes");
+        assert_eq!(r.position(), MAX_HEADER_BYTES as u64, "read past the cap");
+        // The longest accepted header line is exactly the cap, newline
+        // included.
+        let mut padded = format!("{:0>width$}\n", 2, width = MAX_HEADER_BYTES - 1).into_bytes();
+        padded.extend_from_slice(b"{}\n");
+        let mut r = std::io::Cursor::new(padded);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{}"));
     }
 
     #[test]

@@ -40,10 +40,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use plt_obs::{MetricsRecorder, Recorder};
 use plt_query::Snapshot;
 
 use crate::builder::IngestQueue;
@@ -170,11 +169,7 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// sweeping deadlines.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
-/// Poll iterations between flushes of the reactor's local plt-obs
-/// recorder into the shared one.
-const OBS_FLUSH_EVERY: u64 = 1024;
-
-/// Connection lifecycle for the `conn.state_transitions` counter.
+/// Connection lifecycle for the `state_transitions` counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
     /// Waiting for (more of) a request frame.
@@ -260,7 +255,6 @@ struct Reactor {
     all_wakers: Arc<Vec<Arc<Waker>>>,
     addr: SocketAddr,
     reader: ReaderCache<Snapshot>,
-    obs: MetricsRecorder,
 }
 
 impl Reactor {
@@ -332,7 +326,6 @@ impl Reactor {
             }
         };
         if changed {
-            self.obs.counter("conn.state_transitions", 1);
             self.engine
                 .metrics()
                 .reactor
@@ -347,7 +340,6 @@ impl Reactor {
                 .epoll
                 .ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
             self.free.push(idx);
-            self.obs.counter("conn.state_transitions", 1);
             let reactor = &self.engine.metrics().reactor;
             reactor.state_transitions.fetch_add(1, Ordering::Relaxed);
             reactor.active_connections.fetch_sub(1, Ordering::Relaxed);
@@ -714,9 +706,8 @@ impl Reactor {
         }
     }
 
-    fn run(mut self, shared_obs: Option<Arc<Mutex<MetricsRecorder>>>) {
+    fn run(mut self) {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 512];
-        let mut polls: u64 = 0;
         {
             let r = &self.engine.metrics().reactor;
             r.mark_enabled();
@@ -744,18 +735,11 @@ impl Reactor {
                     self.handle_event(data, revents);
                 }
             }
-            polls += 1;
             self.sweep_deadlines();
             if handled > 0 {
-                let elapsed = handle_start.elapsed();
-                self.obs.counter("reactor.events", handled);
-                self.obs.span("reactor/poll", elapsed.as_nanos() as u64);
                 let r = &self.engine.metrics().reactor;
                 r.events.fetch_add(handled, Ordering::Relaxed);
-                r.poll.record(elapsed, None);
-            }
-            if polls.is_multiple_of(OBS_FLUSH_EVERY) {
-                self.flush_obs(&shared_obs);
+                r.poll.record(handle_start.elapsed(), None);
             }
         }
         // Unwind: every registered connection, plus any accepted sockets
@@ -765,16 +749,6 @@ impl Reactor {
         }
         while self.conn_rx.try_recv().is_ok() {
             self.release_refused();
-        }
-        self.flush_obs(&shared_obs);
-    }
-
-    fn flush_obs(&mut self, shared: &Option<Arc<Mutex<MetricsRecorder>>>) {
-        if let Some(shared) = shared {
-            if !self.obs.is_empty() {
-                shared.lock().unwrap().merge(&self.obs);
-                self.obs = MetricsRecorder::new();
-            }
         }
     }
 }
@@ -812,10 +786,8 @@ fn acceptor_loop(
     queues: Vec<SyncSender<TcpStream>>,
     wakers: Arc<Vec<Arc<Waker>>>,
     config: ServerConfig,
-    shared_obs: Option<Arc<Mutex<MetricsRecorder>>>,
 ) {
     let mut next = 0usize;
-    let mut obs = MetricsRecorder::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -831,12 +803,7 @@ fn acceptor_loop(
         if reactor_metrics.active_connections.load(Ordering::Relaxed)
             >= config.max_connections as u64
         {
-            shed(
-                &engine,
-                &mut obs,
-                stream,
-                "shed: server at connection capacity",
-            );
+            shed(&engine, stream, "shed: server at connection capacity");
             continue;
         }
         // Optimistically count the connection; a reactor that fails to
@@ -863,22 +830,16 @@ fn acceptor_loop(
             reactor_metrics
                 .active_connections
                 .fetch_sub(1, Ordering::Relaxed);
-            shed(&engine, &mut obs, stream, "shed: accept backlog full");
-        }
-    }
-    if let Some(shared) = shared_obs {
-        if !obs.is_empty() {
-            shared.lock().unwrap().merge(&obs);
+            shed(&engine, stream, "shed: accept backlog full");
         }
     }
 }
 
 /// Refuses a connection with an explicit shed frame (bounded write so a
-/// hostile peer cannot pin the acceptor) and counts it everywhere the
-/// operators look: `shed.count` (obs), `reactor.shed_connections`, and
-/// the model-agnostic `rejected_connections`.
-fn shed(engine: &Engine, obs: &mut MetricsRecorder, mut stream: TcpStream, reason: &str) {
-    obs.counter("shed.count", 1);
+/// hostile peer cannot pin the acceptor) and counts it in
+/// `reactor.shed_connections` and the model-agnostic
+/// `rejected_connections`.
+fn shed(engine: &Engine, mut stream: TcpStream, reason: &str) {
     let m = engine.metrics();
     m.rejected_connections.fetch_add(1, Ordering::Relaxed);
     m.reactor.shed_connections.fetch_add(1, Ordering::Relaxed);
@@ -945,13 +906,11 @@ pub(crate) fn serve_reactor(
             all_wakers: wakers.clone(),
             addr,
             reader: ReaderCache::new(),
-            obs: MetricsRecorder::new(),
         };
-        let shared_obs = config.obs.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("plt-serve-reactor-{}", reactor.id))
-                .spawn(move || reactor.run(shared_obs))?,
+                .spawn(move || reactor.run())?,
         );
     }
 
@@ -963,8 +922,7 @@ pub(crate) fn serve_reactor(
                 let stop = stop.clone();
                 let wakers = wakers.clone();
                 let config = config.clone();
-                let shared_obs = config.obs.clone();
-                move || acceptor_loop(listener, engine, stop, queues, wakers, config, shared_obs)
+                move || acceptor_loop(listener, engine, stop, queues, wakers, config)
             })?,
     );
 

@@ -20,7 +20,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,9 +99,6 @@ pub struct ServerConfig {
     /// Deterministic fault injection for the server's own I/O. `None` in
     /// production.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Shared plt-obs recorder; reactor threads merge their span/counter
-    /// batches into it (reactor model only).
-    pub obs: Option<Arc<Mutex<plt_obs::MetricsRecorder>>>,
 }
 
 impl Default for ServerConfig {
@@ -119,7 +116,6 @@ impl Default for ServerConfig {
             max_frame: MAX_FRAME_BYTES,
             max_connections: 1024,
             fault: None,
-            obs: None,
         }
     }
 }
@@ -213,12 +209,6 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    // Query executions emit `query.*` counters into the shared recorder
-    // under either server model (the reactor additionally merges its
-    // per-thread span batches into it).
-    if let Some(obs) = &config.obs {
-        engine.attach_obs(obs.clone());
-    }
     #[cfg(target_os = "linux")]
     if config.server_model == ServerModel::Reactor {
         return crate::reactor::serve_reactor(listener, engine, ingest, config, addr);

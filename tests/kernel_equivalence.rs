@@ -1,20 +1,20 @@
-//! Differential equivalence for the kernel layer: every `plt-simd`
-//! primitive must produce bit-identical results on the scalar and SIMD
-//! backends, over adversarial shapes — empty inputs, single elements,
-//! lengths straddling the vector lane width, misaligned slices, all-zero
-//! and all-max words — and the Eclat miners built on the kernels (bitset
-//! and tidset) must agree on full support maps with the arena engine,
-//! which dispatches no kernels and serves as the reference.
+//! Differential equivalence for the kernel layer: every dispatched
+//! `plt-simd` kernel must produce bit-identical results to the scalar
+//! oracle (`kernels::scalar`), over adversarial shapes — empty inputs,
+//! single elements, lengths straddling the vector lane width, misaligned
+//! slices, all-zero and all-max words — and the Eclat miners built on the
+//! kernels (bitset and tidset) must agree on full support maps with the
+//! arena engine, which dispatches no kernels and serves as the reference.
 //!
-//! On builds without the `simd` feature the Simd backend degrades to
-//! scalar and every check passes trivially; the CI matrix runs this suite
-//! in both configurations so the AVX2 path is exercised wherever the host
-//! supports it.
+//! Dispatch runs whatever backend the CPU resolves to. On builds without
+//! the `simd` feature that is the scalar code itself and every kernel
+//! check passes trivially; CI runs this suite with `--features simd` as
+//! well, so the AVX2 path is exercised wherever the host supports it.
 
 use std::collections::BTreeSet;
 
 use plt::baselines::{EclatMiner, TidRepr};
-use plt::core::kernels::{self, Backend};
+use plt::core::kernels::{self, scalar};
 use plt::core::miner::Miner;
 use plt::ConditionalMiner;
 use proptest::prelude::*;
@@ -22,21 +22,40 @@ use proptest::prelude::*;
 mod common;
 use common::{diff_support_maps, support_map};
 
-/// Runs `f` once per backend and returns the two results; callers assert
-/// equality. The thread pin is always cleared, even on panic unwind.
-fn on_both_backends<R>(mut f: impl FnMut() -> R) -> (R, R) {
-    struct Unpin;
-    impl Drop for Unpin {
-        fn drop(&mut self) {
-            kernels::set_thread_backend(None);
-        }
-    }
-    let _unpin = Unpin;
-    kernels::set_thread_backend(Some(Backend::Scalar));
-    let scalar = f();
-    kernels::set_thread_backend(Some(Backend::Simd));
-    let simd = f();
-    (scalar, simd)
+/// One implementation of the kernel set, as plain function pointers.
+struct Kernels {
+    prefix_sum_into: fn(&[u32], &mut Vec<u32>),
+    popcount: fn(&[u64]) -> u64,
+    and_popcount: fn(&[u64], &[u64]) -> u64,
+    and_into: fn(&[u64], &[u64], &mut Vec<u64>) -> u64,
+    and_assign_popcount: fn(&mut [u64], &[u64]) -> u64,
+    andnot_into: fn(&[u64], &[u64], &mut Vec<u64>) -> u64,
+}
+
+/// The public entry points, on the backend this build and CPU resolve to.
+const DISPATCH: Kernels = Kernels {
+    prefix_sum_into: kernels::prefix_sum_into,
+    popcount: kernels::popcount,
+    and_popcount: kernels::and_popcount,
+    and_into: kernels::and_into,
+    and_assign_popcount: kernels::and_assign_popcount,
+    andnot_into: kernels::andnot_into,
+};
+
+/// The always-compiled scalar module, called directly.
+const ORACLE: Kernels = Kernels {
+    prefix_sum_into: scalar::prefix_sum_into,
+    popcount: scalar::popcount,
+    and_popcount: scalar::and_popcount,
+    and_into: scalar::and_into,
+    and_assign_popcount: scalar::and_assign_popcount,
+    andnot_into: scalar::andnot_into,
+};
+
+/// Runs `f` through dispatch and through the oracle and returns both
+/// results; callers assert equality.
+fn dispatch_and_oracle<R>(f: impl Fn(&Kernels) -> R) -> (R, R) {
+    (f(&DISPATCH), f(&ORACLE))
 }
 
 /// Lengths around the AVX2 lane widths (8 × u32, 4 × u64) plus the empty,
@@ -63,50 +82,25 @@ fn pattern_u64(len: usize) -> Vec<u64> {
 fn scan_kernels_agree_across_adversarial_lengths() {
     for &len in ADVERSARIAL_LENS {
         let deltas = pattern_u32(len);
-        let (a, b) = on_both_backends(|| {
+        let (a, b) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            kernels::prefix_sum_into(&deltas, &mut out);
+            (k.prefix_sum_into)(&deltas, &mut out);
             out
         });
         assert_eq!(a, b, "prefix_sum_into at len {len}");
 
-        // Round trip: delta-encoding the recovered ranks must give the
-        // deltas back, on both backends (Lemma 4.1.1 both directions).
-        let ranks = a;
-        let (a, b) = on_both_backends(|| {
-            let mut out = Vec::new();
-            kernels::delta_encode_into(&ranks, &mut out);
-            out
-        });
-        assert_eq!(a, b, "delta_encode_into at len {len}");
-        assert_eq!(a, deltas, "delta/prefix round trip at len {len}");
-    }
-}
-
-#[test]
-fn gather_kernels_agree_across_adversarial_lengths() {
-    for &len in ADVERSARIAL_LENS {
-        let values: Vec<u64> = pattern_u32(len).into_iter().map(u64::from).collect();
-        // Gather through a permuted id order to exercise non-contiguous
-        // access on every lane position.
-        let ids: Vec<u32> = (0..len as u32).rev().collect();
-        let (a, b) = on_both_backends(|| kernels::sum_gather(&values, &ids));
-        assert_eq!(a, b, "sum_gather at len {len}");
-
-        let min = 50;
-        let (a, b) = on_both_backends(|| kernels::count_ge(&values, &ids, min));
-        assert_eq!(a, b, "count_ge at len {len}");
-
-        // `filter_ge_into` is scalar on every backend; its filtered set is
-        // exactly the ids whose value clears the bar, in order.
-        let mut kept = Vec::new();
-        kernels::filter_ge_into(&values, &ids, min, &mut kept);
-        let expect: Vec<u32> = ids
+        // Lemma 4.1.1 in reverse: differencing the recovered ranks gives
+        // the deltas back.
+        let mut prev = 0u32;
+        let back: Vec<u32> = a
             .iter()
-            .copied()
-            .filter(|&id| values[id as usize] >= min)
+            .map(|&r| {
+                let d = r - prev;
+                prev = r;
+                d
+            })
             .collect();
-        assert_eq!(kept, expect, "filter_ge_into semantics at len {len}");
+        assert_eq!(back, deltas, "delta/prefix round trip at len {len}");
     }
 }
 
@@ -115,30 +109,30 @@ fn bitset_kernels_agree_across_adversarial_lengths() {
     for &len in ADVERSARIAL_LENS {
         let a_words = pattern_u64(len);
         let b_words: Vec<u64> = pattern_u64(len).iter().map(|w| w.rotate_left(17)).collect();
-        let (s, v) = on_both_backends(|| kernels::popcount(&a_words));
+        let (s, v) = dispatch_and_oracle(|k| (k.popcount)(&a_words));
         assert_eq!(s, v, "popcount at len {len}");
 
-        let (s, v) = on_both_backends(|| kernels::and_popcount(&a_words, &b_words));
+        let (s, v) = dispatch_and_oracle(|k| (k.and_popcount)(&a_words, &b_words));
         assert_eq!(s, v, "and_popcount at len {len}");
 
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            let count = kernels::and_into(&a_words, &b_words, &mut out);
+            let count = (k.and_into)(&a_words, &b_words, &mut out);
             (count, out)
         });
         assert_eq!(s, v, "and_into at len {len}");
-        assert_eq!(s.0, kernels::popcount(&s.1), "and_into count at len {len}");
+        assert_eq!(s.0, scalar::popcount(&s.1), "and_into count at len {len}");
 
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut acc = a_words.clone();
-            let count = kernels::and_assign_popcount(&mut acc, &b_words);
+            let count = (k.and_assign_popcount)(&mut acc, &b_words);
             (count, acc)
         });
         assert_eq!(s, v, "and_assign_popcount at len {len}");
 
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            let count = kernels::andnot_into(&a_words, &b_words, &mut out);
+            let count = (k.andnot_into)(&a_words, &b_words, &mut out);
             (count, out)
         });
         assert_eq!(s, v, "andnot_into at len {len}");
@@ -157,12 +151,12 @@ fn bitset_kernels_handle_all_zero_and_all_max_words() {
     for &len in &[4usize, 5, 64, 1_000] {
         let zeros = vec![0u64; len];
         let maxed = vec![u64::MAX; len];
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             (
-                kernels::popcount(&zeros),
-                kernels::popcount(&maxed),
-                kernels::and_popcount(&zeros, &maxed),
-                kernels::and_popcount(&maxed, &maxed),
+                (k.popcount)(&zeros),
+                (k.popcount)(&maxed),
+                (k.and_popcount)(&zeros, &maxed),
+                (k.and_popcount)(&maxed, &maxed),
             )
         });
         assert_eq!(s, v, "all-zero/all-max at len {len}");
@@ -170,9 +164,9 @@ fn bitset_kernels_handle_all_zero_and_all_max_words() {
         assert_eq!(s.1, 64 * len as u64);
         assert_eq!(s.2, 0);
         assert_eq!(s.3, 64 * len as u64);
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            kernels::andnot_into(&maxed, &zeros, &mut out)
+            (k.andnot_into)(&maxed, &zeros, &mut out)
         });
         assert_eq!(s, v);
         assert_eq!(s, 64 * len as u64, "MAX AND NOT 0 keeps every bit");
@@ -189,57 +183,22 @@ fn kernels_agree_on_misaligned_slices() {
     let words_b: Vec<u64> = pattern_u64(1_027).iter().map(|w| !w).collect();
     for offset in 1..=7usize {
         let d = &deltas[offset..];
-        let (a, b) = on_both_backends(|| {
+        let (a, b) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            kernels::prefix_sum_into(d, &mut out);
+            (k.prefix_sum_into)(d, &mut out);
             out
         });
         assert_eq!(a, b, "prefix_sum_into at offset {offset}");
 
         let w = &words[offset..];
         let wb = &words_b[offset..];
-        let (s, v) = on_both_backends(|| kernels::and_popcount(w, wb));
+        let (s, v) = dispatch_and_oracle(|k| (k.and_popcount)(w, wb));
         assert_eq!(s, v, "and_popcount at offset {offset}");
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            kernels::andnot_into(w, wb, &mut out)
+            (k.andnot_into)(w, wb, &mut out)
         });
         assert_eq!(s, v, "andnot_into at offset {offset}");
-    }
-}
-
-#[test]
-fn dispatch_matches_the_scalar_oracle_directly() {
-    // The dispatch layer must route to code equivalent to the always-
-    // compiled scalar module — checked against the oracle itself, not
-    // just backend-vs-backend.
-    let deltas = pattern_u32(1_000);
-    let values: Vec<u64> = pattern_u32(1_000).into_iter().map(u64::from).collect();
-    let ids: Vec<u32> = (0..1_000u32).collect();
-    let words = pattern_u64(250);
-    let words_b = pattern_u64(250);
-
-    let mut expect_ranks = Vec::new();
-    kernels::scalar::prefix_sum_into(&deltas, &mut expect_ranks);
-    let expect_sum = kernels::scalar::sum_gather(&values, &ids);
-    let expect_pop = kernels::scalar::and_popcount(&words, &words_b);
-
-    for backend in [Backend::Scalar, Backend::Simd] {
-        kernels::set_thread_backend(Some(backend));
-        let mut ranks = Vec::new();
-        kernels::prefix_sum_into(&deltas, &mut ranks);
-        assert_eq!(ranks, expect_ranks, "{backend:?} vs scalar oracle");
-        assert_eq!(
-            kernels::sum_gather(&values, &ids),
-            expect_sum,
-            "{backend:?}"
-        );
-        assert_eq!(
-            kernels::and_popcount(&words, &words_b),
-            expect_pop,
-            "{backend:?}"
-        );
-        kernels::set_thread_backend(None);
     }
 }
 
@@ -300,7 +259,7 @@ fn bitmap_and_tidset_miners_agree_on_generated_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random u32 streams: the scan kernels agree between backends at
+    /// Random u32 streams: the scan kernel agrees with the oracle at
     /// arbitrary (not just lane-aligned) lengths.
     #[test]
     fn prop_scan_kernels_agree(
@@ -308,57 +267,37 @@ proptest! {
     ) {
         // Cap the deltas so prefix sums cannot overflow u32.
         let deltas: Vec<u32> = deltas.into_iter().map(|d| d % 1_000).collect();
-        let (a, b) = on_both_backends(|| {
+        let (a, b) = dispatch_and_oracle(|k| {
             let mut out = Vec::new();
-            kernels::prefix_sum_into(&deltas, &mut out);
+            (k.prefix_sum_into)(&deltas, &mut out);
             out
         });
         prop_assert_eq!(a, b);
     }
 
-    /// Random u64 words: every bitset kernel agrees between backends.
+    /// Random u64 words: every bitset kernel agrees with the oracle.
     #[test]
     fn prop_bitset_kernels_agree(
         a in proptest::collection::vec(any::<u64>(), 0..200),
         mask in any::<u64>(),
     ) {
         let b: Vec<u64> = a.iter().map(|w| w ^ mask).collect();
-        let (s, v) = on_both_backends(|| {
+        let (s, v) = dispatch_and_oracle(|k| {
             let mut and_out = Vec::new();
             let mut not_out = Vec::new();
+            let mut acc = a.clone();
             (
-                kernels::popcount(&a),
-                kernels::and_popcount(&a, &b),
-                kernels::and_into(&a, &b, &mut and_out),
-                kernels::andnot_into(&a, &b, &mut not_out),
+                (k.popcount)(&a),
+                (k.and_popcount)(&a, &b),
+                (k.and_into)(&a, &b, &mut and_out),
+                (k.andnot_into)(&a, &b, &mut not_out),
+                (k.and_assign_popcount)(&mut acc, &b),
                 and_out,
                 not_out,
+                acc,
             )
         });
         prop_assert_eq!(s, v);
-    }
-
-    /// Random support tables: gather/count agree between backends under
-    /// permuted id orders, and the filter keeps exactly the qualifying ids.
-    #[test]
-    fn prop_gather_kernels_agree(
-        values in proptest::collection::vec(any::<u64>(), 1..400),
-        min in any::<u64>(),
-    ) {
-        let values: Vec<u64> = values.into_iter().map(|v| v % 10_000).collect();
-        let min = min % 10_000;
-        let ids: Vec<u32> = (0..values.len() as u32).rev().collect();
-        let (a, b) = on_both_backends(|| {
-            (
-                kernels::sum_gather(&values, &ids),
-                kernels::count_ge(&values, &ids, min),
-            )
-        });
-        prop_assert_eq!(a, b);
-        let mut kept = Vec::new();
-        kernels::filter_ge_into(&values, &ids, min, &mut kept);
-        prop_assert_eq!(kept.len(), a.1);
-        prop_assert!(kept.iter().all(|&id| values[id as usize] >= min));
     }
 
     /// miners_agree-style sweep: on random skewed databases the bitmap

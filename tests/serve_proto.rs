@@ -9,11 +9,6 @@
 //! valid frames, junk header lines, oversized declarations, truncated
 //! frames, missing terminators, non-UTF-8 payloads, and partial headers
 //! at EOF.
-//!
-//! Junk lines are kept far below the decoder's 4 KiB header cap — the
-//! cap is the incremental codec's one documented divergence (the
-//! blocking reader will buffer an unbounded header line; the reactor
-//! refuses to).
 
 use std::io::BufRead;
 
@@ -186,13 +181,13 @@ proptest! {
     }
 }
 
-/// The incremental decoder's one intentional divergence: a header line
-/// that never terminates is cut off at 4 KiB instead of buffering
-/// without bound. The blocking reader would happily read it forever.
+/// A header line that never terminates is cut off at 4 KiB instead of
+/// buffering without bound, by both codecs and with the same error.
 #[test]
 fn runaway_headers_are_capped_not_buffered() {
+    let runaway = vec![b'9'; 8192]; // digits, but no newline ever
     let mut dec = FrameDecoder::with_default_limit();
-    dec.push(&vec![b'9'; 8192]); // digits, but no newline ever
+    dec.push(&runaway);
     let err = dec
         .next_frame()
         .expect_err("runaway header must be rejected");
@@ -201,6 +196,9 @@ fn runaway_headers_are_capped_not_buffered() {
         dec.buffered() <= 8192,
         "decoder kept buffering after rejecting the header"
     );
+    let (frames, terminal) = run_blocking(&runaway, 16 * 1024 * 1024);
+    assert!(frames.is_empty());
+    assert_eq!(terminal, Terminal::Error(err.to_string()));
 }
 
 /// Deterministic cross-model differential on the wire: the same
@@ -220,6 +218,10 @@ fn both_server_models_emit_identical_error_frames() {
         b"2\n{}X".to_vec(),
         b"7\nnotjson\n".to_vec(),
         b"13\n{\"op\":\"warp\"}\n".to_vec(),
+        // Runaway header: 8 KiB of digits, no newline.
+        vec![b'9'; 8192],
+        // Nesting far past the JSON depth bound, in one valid frame.
+        format!("100000\n{}\n", "[".repeat(100_000)).into_bytes(),
     ];
 
     let mut per_model = Vec::new();
