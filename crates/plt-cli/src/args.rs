@@ -260,9 +260,6 @@ pub enum Command {
         stats: bool,
         /// Ask the server to stop.
         shutdown: bool,
-        /// Response-envelope version to negotiate (1 = legacy flat
-        /// replies, 2 = versioned envelope).
-        protocol_version: u64,
     },
     /// `gen`: write a synthetic dataset.
     Gen {
@@ -318,7 +315,7 @@ usage:
   plt-mine store inspect --data-dir <dir>
   plt-mine query --addr <host:port> [--itemset \"1 2 3\" ...] [--top N]
                  [--recommend \"1 2\"] [--expr <query>] [--explain]
-                 [--stats] [--shutdown] [--protocol-version 1|2]";
+                 [--stats] [--shutdown]";
 
 fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
@@ -559,7 +556,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             let mut itemsets: Vec<Vec<u32>> = Vec::new();
             let (mut top, mut recommend, mut expr) = (None, None, None);
             let (mut explain, mut stats, mut shutdown) = (false, false, false);
-            let mut protocol_version = 1u64;
             while let Some(flag) = cur.next_flag() {
                 match flag {
                     "--index" => index = Some(cur.value(flag)?.to_string()),
@@ -576,18 +572,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "--explain" => explain = true,
                     "--stats" => stats = true,
                     "--shutdown" => shutdown = true,
-                    "--protocol-version" => {
-                        let v: u64 = cur.value(flag)?.parse().map_err(|e| {
-                            ParseError(format!("--protocol-version must be an integer: {e}"))
-                        })?;
-                        if !(1..=plt_serve::MAX_PROTOCOL_VERSION).contains(&v) {
-                            return err(format!(
-                                "--protocol-version must be between 1 and {}",
-                                plt_serve::MAX_PROTOCOL_VERSION
-                            ));
-                        }
-                        protocol_version = v;
-                    }
                     other => return err(format!("unknown flag {other:?} for query")),
                 }
             }
@@ -597,15 +581,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             match (index, addr) {
                 (Some(_), Some(_)) => err("query takes --index or --addr, not both"),
                 (Some(index), None) => {
-                    if top.is_some()
-                        || recommend.is_some()
-                        || expr.is_some()
-                        || stats
-                        || shutdown
-                        || protocol_version != 1
-                    {
+                    if top.is_some() || recommend.is_some() || expr.is_some() || stats || shutdown {
                         return err(
-                            "--top/--recommend/--expr/--stats/--shutdown/--protocol-version require --addr (server mode)",
+                            "--top/--recommend/--expr/--stats/--shutdown require --addr (server mode)",
                         );
                     }
                     if itemsets.is_empty() {
@@ -634,7 +612,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         explain,
                         stats,
                         shutdown,
-                        protocol_version,
                     })
                 }
                 (None, None) => err("query requires --index or --addr"),
@@ -867,6 +844,20 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("unknown flag \"--rebuild-mode\""), "{}", e.0);
+        let e = parse(&argv(&[
+            "query",
+            "--addr",
+            "127.0.0.1:7878",
+            "--stats",
+            "--protocol-version",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(
+            e.0.contains("unknown flag \"--protocol-version\""),
+            "{}",
+            e.0
+        );
     }
 
     #[test]
@@ -1167,55 +1158,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_query_protocol_version() {
-        let c = parse(&argv(&[
-            "query",
-            "--addr",
-            "127.0.0.1:7878",
-            "--stats",
-            "--protocol-version",
-            "2",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::QueryServer {
-                protocol_version: 2,
-                ..
-            }
-        ));
-        // Unsupported versions and index mode are rejected.
-        assert!(parse(&argv(&[
-            "query",
-            "--addr",
-            "y",
-            "--stats",
-            "--protocol-version",
-            "3"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "query",
-            "--addr",
-            "y",
-            "--stats",
-            "--protocol-version",
-            "0"
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "query",
-            "--index",
-            "x.pltc",
-            "--itemset",
-            "1",
-            "--protocol-version",
-            "2"
-        ]))
-        .is_err());
-    }
-
-    #[test]
     fn parses_store_inspect() {
         let c = parse(&argv(&["store", "inspect", "--data-dir", "/tmp/d"])).unwrap();
         assert_eq!(
@@ -1255,7 +1197,6 @@ mod tests {
                 explain: false,
                 stats: true,
                 shutdown: false,
-                protocol_version: 1,
             }
         );
         // A query-language expression with provenance.
@@ -1279,7 +1220,6 @@ mod tests {
                 explain: true,
                 stats: false,
                 shutdown: false,
-                protocol_version: 1,
             }
         );
         // --explain without --expr is meaningless.

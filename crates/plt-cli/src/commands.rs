@@ -111,18 +111,8 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             explain,
             stats,
             shutdown,
-            protocol_version,
         } => query_server(
-            &addr,
-            &itemsets,
-            top,
-            recommend,
-            expr,
-            explain,
-            stats,
-            shutdown,
-            protocol_version,
-            out,
+            &addr, &itemsets, top, recommend, expr, explain, stats, shutdown, out,
         ),
     }
 }
@@ -231,15 +221,10 @@ fn query_server(
     explain: bool,
     stats: bool,
     shutdown: bool,
-    protocol_version: u64,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let config = plt_serve::ClientConfig {
-        protocol_version,
-        ..plt_serve::ClientConfig::default()
-    };
-    let mut client = plt_serve::Client::with_config(addr, config)
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut client =
+        plt_serve::Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
     let io_err = |e: std::io::Error| e.to_string();
     for items in itemsets {
         let reply = client

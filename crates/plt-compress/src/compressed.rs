@@ -319,10 +319,6 @@ impl CompressedPlt {
     /// CRC32 and checksum, and rebuilding the restart tables and sum
     /// indexes.
     pub fn from_bytes(bytes: &[u8]) -> std::io::Result<CompressedPlt> {
-        use crate::varint::{get_u32, get_u64};
-        use std::io::{Error, ErrorKind};
-        let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
-
         if bytes.len() < crate::file::MAGIC.len() + 8 {
             return Err(bad("truncated PLTC file"));
         }
@@ -331,82 +327,97 @@ impl CompressedPlt {
         if crate::file::checksum(body) != stored {
             return Err(bad("PLTC checksum mismatch"));
         }
-        let mut buf = body;
-        if &buf[..crate::file::MAGIC.len()] != crate::file::MAGIC {
+        let (magic, rest) = body.split_at(crate::file::MAGIC.len());
+        if magic != crate::file::MAGIC {
             return Err(bad("not a PLTC file (bad magic)"));
         }
-        buf = &buf[crate::file::MAGIC.len()..];
-        let version = get_u32(&mut buf);
-        if version != crate::file::VERSION {
-            return Err(bad(&format!("unsupported PLTC version {version}")));
-        }
-        if buf.len() < 4 {
-            return Err(bad("truncated PLTC header"));
-        }
-        let stored_crc = u32::from_le_bytes(buf[..4].try_into().expect("4-byte crc"));
-        buf = &buf[4..];
-        if crate::crc::crc32(buf) != stored_crc {
-            return Err(bad("PLTC CRC32 mismatch"));
-        }
-        let min_support = get_u64(&mut buf);
-        let num_transactions = get_u64(&mut buf);
-        let policy = match buf.first() {
-            Some(0) => plt_core::ranking::RankPolicy::Lexicographic,
-            Some(1) => plt_core::ranking::RankPolicy::FrequencyDescending,
-            Some(2) => plt_core::ranking::RankPolicy::FrequencyAscending,
-            _ => return Err(bad("bad rank policy byte")),
-        };
-        buf = &buf[1..];
-        let n_items = get_u64(&mut buf) as usize;
-        let mut frequent = Vec::with_capacity(n_items);
-        for _ in 0..n_items {
-            let item = get_u32(&mut buf);
-            let support = get_u64(&mut buf);
-            frequent.push((item, support));
-        }
-        // `from_frequent_items` re-sorts by the policy (deterministic tie
-        // break), reproducing the original ranking exactly.
-        let ranking = plt_core::ranking::ItemRanking::from_frequent_items(frequent, policy);
-
-        let n_partitions = get_u64(&mut buf) as usize;
-        let mut partitions = Vec::with_capacity(n_partitions);
-        for _ in 0..n_partitions {
-            let k = get_u64(&mut buf) as usize;
-            let num_entries = get_u64(&mut buf) as usize;
-            let data_len = get_u64(&mut buf) as usize;
-            if k == 0 || buf.len() < data_len {
-                return Err(bad("corrupt partition header"));
-            }
-            let (data, rest) = buf.split_at(data_len);
-            buf = rest;
-            // Decode and rebuild: the payload is not trusted to carry
-            // valid indexes, so entries are re-front-coded from scratch.
-            let shell = Partition {
-                k,
-                data: Bytes::copy_from_slice(data),
-                restarts: (0..num_entries.div_ceil(BLOCK)).map(|_| 0).collect(),
-                num_entries,
-                sum_index: BTreeMap::new(),
-            };
-            // Streaming decode does not need restarts; collect entries.
-            // The decoder asserts on malformed varints, so a payload that
-            // passes the (non-cryptographic) checksum but is structurally
-            // inconsistent is converted from a panic into InvalidData.
-            let entries: Vec<(PositionVector, Support)> =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shell.iter().collect()))
-                    .map_err(|_| bad("corrupt partition payload"))?;
-            if entries.len() != num_entries {
-                return Err(bad("partition entry count mismatch"));
-            }
-            partitions.push(Partition::build(k, entries));
-        }
-        Ok(CompressedPlt {
-            partitions,
-            ranking,
-            min_support,
-            num_transactions,
-        })
+        // The varint decoder panics on malformed input, and the
+        // (non-cryptographic) checksums vouch for the bytes, not their
+        // structure: every read past the magic runs under one catch, so
+        // a file that passes both checks but is inconsistent becomes
+        // InvalidData, never a panic.
+        std::panic::catch_unwind(|| decode_body(rest))
+            .map_err(|_| bad("malformed PLTC structure"))?
     }
+}
+
+fn bad(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Decodes everything after the `PLTC` magic. Counts come from the file:
+/// each allocation they size is capped by the bytes left, so a count
+/// that no bytes back cannot exhaust memory before the reads fail.
+fn decode_body(mut buf: &[u8]) -> std::io::Result<CompressedPlt> {
+    use crate::varint::{get_u32, get_u64};
+
+    let version = get_u32(&mut buf);
+    if version != crate::file::VERSION {
+        return Err(bad(&format!("unsupported PLTC version {version}")));
+    }
+    if buf.len() < 4 {
+        return Err(bad("truncated PLTC header"));
+    }
+    let stored_crc = u32::from_le_bytes(buf[..4].try_into().expect("4-byte crc"));
+    buf = &buf[4..];
+    if crate::crc::crc32(buf) != stored_crc {
+        return Err(bad("PLTC CRC32 mismatch"));
+    }
+    let min_support = get_u64(&mut buf);
+    let num_transactions = get_u64(&mut buf);
+    let policy = match buf.first() {
+        Some(0) => plt_core::ranking::RankPolicy::Lexicographic,
+        Some(1) => plt_core::ranking::RankPolicy::FrequencyDescending,
+        Some(2) => plt_core::ranking::RankPolicy::FrequencyAscending,
+        _ => return Err(bad("bad rank policy byte")),
+    };
+    buf = &buf[1..];
+    let n_items = get_u64(&mut buf) as usize;
+    let mut frequent = Vec::with_capacity(n_items.min(buf.len()));
+    for _ in 0..n_items {
+        let item = get_u32(&mut buf);
+        let support = get_u64(&mut buf);
+        frequent.push((item, support));
+    }
+    // `from_frequent_items` re-sorts by the policy (deterministic tie
+    // break), reproducing the original ranking exactly.
+    let ranking = plt_core::ranking::ItemRanking::from_frequent_items(frequent, policy);
+
+    let n_partitions = get_u64(&mut buf) as usize;
+    let mut partitions = Vec::with_capacity(n_partitions.min(buf.len()));
+    for _ in 0..n_partitions {
+        let k = get_u64(&mut buf) as usize;
+        let num_entries = get_u64(&mut buf) as usize;
+        let data_len = get_u64(&mut buf) as usize;
+        // A stored partition is never empty, and its first entry alone
+        // takes k + 1 bytes.
+        if k == 0 || k >= data_len || buf.len() < data_len {
+            return Err(bad("corrupt partition header"));
+        }
+        let (data, rest) = buf.split_at(data_len);
+        buf = rest;
+        // Decode and rebuild: the payload is not trusted to carry valid
+        // indexes, so entries are re-front-coded from scratch. Streaming
+        // decode needs no restarts.
+        let shell = Partition {
+            k,
+            data: Bytes::copy_from_slice(data),
+            restarts: Vec::new(),
+            num_entries,
+            sum_index: BTreeMap::new(),
+        };
+        let entries: Vec<(PositionVector, Support)> = shell.iter().collect();
+        if entries.len() != num_entries {
+            return Err(bad("partition entry count mismatch"));
+        }
+        partitions.push(Partition::build(k, entries));
+    }
+    Ok(CompressedPlt {
+        partitions,
+        ranking,
+        min_support,
+        num_transactions,
+    })
 }
 
 /// Size accounting for experiment X6.

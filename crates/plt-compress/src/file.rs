@@ -192,6 +192,48 @@ mod tests {
         assert!(err.to_string().contains("version"), "{err}");
     }
 
+    /// Frames a crafted body the way `to_bytes` does: magic, version,
+    /// header CRC32 over `body`, `body`, trailing checksum.
+    fn seal(body: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        crate::varint::put_u32(&mut bytes, VERSION);
+        bytes.extend_from_slice(&crate::crc::crc32(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+        let sum = checksum(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn counts_no_bytes_back_are_invalid_data() {
+        // Both checksums hold, but a count claims 2^36 of something:
+        // rejected, not sized into an allocation.
+        let huge = |body: &mut Vec<u8>| crate::varint::put_u64(body, 1 << 36);
+        // min_support, num_transactions, policy, then 2^36 ranked items.
+        let mut items = vec![1, 1, 0];
+        huge(&mut items);
+        assert_eq!(seal(&items).len(), 26);
+        // No items, one partition of 2^36-position vectors, one entry,
+        // one payload byte.
+        let mut width = vec![1, 1, 0, 0, 1];
+        huge(&mut width);
+        width.extend_from_slice(&[1, 1, 0]);
+        for body in [items, width] {
+            let err = CompressedPlt::from_bytes(&seal(&body)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    #[test]
+    fn empty_body_is_invalid_data() {
+        // Both checksums hold over a body that ends right after the
+        // header CRC32: the header varints are missing.
+        let bytes = seal(&[]);
+        assert_eq!(bytes.len(), 17);
+        let err = CompressedPlt::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 

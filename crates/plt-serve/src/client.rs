@@ -1,5 +1,7 @@
 //! Blocking client for the framed protocol — used by the CLI's `query`
-//! subcommand and the end-to-end tests.
+//! subcommand and the end-to-end tests. Replies come in the server's one
+//! flat envelope (`{"ok":true,…}` or `{"ok":false,"error":…}`), so a
+//! connection needs no handshake before its first request.
 //!
 //! The client is resilient by default: transport failures on idempotent
 //! requests (every read endpoint plus `ping`/`stats`) are retried on a
@@ -17,7 +19,7 @@ use plt_core::item::{Item, Support};
 
 use crate::fault::{FaultPlan, FaultyStream, Site};
 use crate::json::Json;
-use crate::proto::{flatten_v2, negotiate_version, read_frame, write_frame_with, Request};
+use crate::proto::{read_frame, write_frame_with, Request};
 
 /// Retry policy for idempotent requests.
 #[derive(Debug, Clone, Copy)]
@@ -61,11 +63,6 @@ pub struct ClientConfig {
     /// Socket write deadline.
     pub write_timeout: Option<Duration>,
     pub retry: RetryPolicy,
-    /// Response-envelope version to negotiate. `1` (default) keeps the
-    /// original flat responses and sends no `hello`; `2` negotiates the
-    /// structured envelope on every dial and transparently flattens
-    /// responses, so the typed helpers work identically under both.
-    pub protocol_version: u64,
     /// Deterministic fault injection on the client's own I/O. `None` in
     /// production.
     pub fault: Option<std::sync::Arc<FaultPlan>>,
@@ -77,7 +74,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             retry: RetryPolicy::default(),
-            protocol_version: 1,
             fault: None,
         }
     }
@@ -198,11 +194,6 @@ impl Client {
         Ok(client)
     }
 
-    /// The envelope version this client expects on the wire.
-    fn version(&self) -> u64 {
-        negotiate_version(self.config.protocol_version)
-    }
-
     fn dial(&self) -> Result<Conn, ClientError> {
         let stream = TcpStream::connect(&self.addrs[..])?;
         stream.set_read_timeout(self.config.read_timeout)?;
@@ -220,40 +211,10 @@ impl Client {
                 ),
                 None => (Box::new(read_stream), Box::new(stream)),
             };
-        let mut conn = Conn {
+        Ok(Conn {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(write_half),
-        };
-        // Negotiate the envelope before the first real request; v1
-        // connections stay silent (the server defaults every connection
-        // to v1, so there is nothing to say).
-        if self.version() >= 2 {
-            let hello = Request::Hello {
-                version: self.config.protocol_version,
-            }
-            .to_json()
-            .to_string();
-            let frame_fault = self
-                .config
-                .fault
-                .as_deref()
-                .map(|plan| (plan, Site::ClientWrite));
-            write_frame_with(&mut conn.writer, &hello, frame_fault)?;
-            let reply = read_frame(&mut conn.reader)?.ok_or_else(|| {
-                ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed during hello",
-                ))
-            })?;
-            let v = decode_reply(&reply, self.version())?;
-            let negotiated = v.get("version").and_then(Json::as_u64).unwrap_or(1);
-            if negotiated != self.version() {
-                return Err(ClientError::Malformed(format!(
-                    "server negotiated unsupported envelope v{negotiated}"
-                )));
-            }
-        }
-        Ok(conn)
+        })
     }
 
     /// Deterministic equal-jitter backoff: `cap(base·2ⁿ)/2` plus a
@@ -310,7 +271,6 @@ impl Client {
     fn request_once(&mut self, payload: &str) -> Result<Json, ClientError> {
         let fault = self.config.fault.clone();
         let frame_fault = fault.as_deref().map(|plan| (plan, Site::ClientWrite));
-        let version = self.version();
         if self.conn.is_none() {
             self.conn = Some(self.dial()?);
         }
@@ -325,7 +285,7 @@ impl Client {
                     "connection closed mid-request",
                 ))
             })?;
-            decode_reply(&reply, version)
+            decode_reply(&reply)
         })();
         if matches!(result, Err(ClientError::Io(_))) {
             self.conn = None;
@@ -358,7 +318,6 @@ impl Client {
         let payloads: Vec<String> = requests.iter().map(|r| r.to_json().to_string()).collect();
         let fault = self.config.fault.clone();
         let frame_fault = fault.as_deref().map(|plan| (plan, Site::ClientWrite));
-        let version = self.version();
         if self.conn.is_none() {
             self.conn = Some(self.dial()?);
         }
@@ -381,7 +340,7 @@ impl Client {
                     ))
                 })?;
                 received += 1;
-                match decode_reply(&reply, version) {
+                match decode_reply(&reply) {
                     Ok(v) => replies.push(Ok(v)),
                     // A per-request server error does not abort the batch.
                     Err(ClientError::Server(m)) => replies.push(Err(m)),
@@ -519,27 +478,9 @@ impl Client {
     }
 }
 
-/// Parses one reply in the connection's negotiated envelope and applies
-/// the `ok`/`error` convention. v2 envelopes are flattened back to the
-/// v1 shape first, so every typed helper reads one format. A v1-shaped
-/// frame on a v2 connection is tolerated when it carries `ok` — the
-/// server sheds at admission *before* negotiation, and those refusals
-/// must stay recognizable (`is_shed`) to the retry loop.
-fn decode_reply(reply: &str, version: u64) -> Result<Json, ClientError> {
+/// Parses one reply and applies the `ok`/`error` convention.
+fn decode_reply(reply: &str) -> Result<Json, ClientError> {
     let v = Json::parse(reply).map_err(|e| ClientError::Malformed(e.to_string()))?;
-    let v = if version >= 2 {
-        match flatten_v2(&v) {
-            Some(flat) => flat,
-            None if v.get("ok").is_some() => v,
-            None => {
-                return Err(ClientError::Malformed(
-                    "expected a v2 response envelope".into(),
-                ))
-            }
-        }
-    } else {
-        v
-    };
     match v.get("ok").and_then(Json::as_bool) {
         Some(true) => Ok(v),
         Some(false) => Err(ClientError::Server(

@@ -18,7 +18,7 @@ use plt_query::Snapshot;
 use crate::cache::ShardedCache;
 use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
-use crate::proto::{err_response, negotiate_version, ok_response, Request};
+use crate::proto::{err_response, ok_response, Request};
 use crate::reader_pool::{ReadGuard, ReaderCache, ReaderPool};
 
 /// Degradation state of the serving snapshot. The builder drives the
@@ -558,8 +558,8 @@ impl Engine {
                     }),
                 ])
             }
-            Request::Hello { version } => ok_response(vec![
-                ("version", Json::from(negotiate_version(*version))),
+            Request::Hello { .. } => ok_response(vec![
+                ("version", Json::from(1u64)),
                 ("generation", Json::from(snap.generation())),
                 ("stale", Json::Bool(stale)),
             ]),

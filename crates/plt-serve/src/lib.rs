@@ -24,11 +24,13 @@
 //!   shards a batch touches are re-mined before a fresh snapshot is
 //!   published (one pointer swap; cache cleared).
 //! * [`server`]/[`client`] — a TCP wire: length-prefixed JSON frames
-//!   ([`proto`]) served by one of two [`ServerModel`]s: N acceptor
-//!   threads with a thread per connection, or (Linux) an epoll reactor
-//!   with reader pools. `std::net` only; no async runtime. Connections
-//!   carry read/write deadlines, a max-frame bound, and a capacity cap;
-//!   the client retries idempotent requests with capped backoff.
+//!   ([`proto`]) carrying one flat reply envelope (`{"ok":…}`, the
+//!   engine's rendered string as is), served by one of two
+//!   [`ServerModel`]s: N acceptor threads with a thread per connection,
+//!   or (Linux) an epoll reactor with reader pools. `std::net` only; no
+//!   async runtime. Connections carry read/write deadlines, a max-frame
+//!   bound, and a capacity cap; the client retries idempotent requests
+//!   with capped backoff.
 //! * [`fault`] — seed-deterministic fault injection (torn/oversized
 //!   frames, short I/O, stalls, builder panics) threaded through all of
 //!   the above for reproducible chaos testing. A failed rebuild degrades
@@ -76,6 +78,6 @@ pub use engine::{Engine, ServingState};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, Site};
 pub use plt_approx::SketchConfig;
 pub use plt_query::{Recommendation, Snapshot, SupportAnswer, SupportSource};
-pub use proto::{negotiate_version, Request, MAX_PROTOCOL_VERSION};
+pub use proto::Request;
 pub use reader_pool::{ReadGuard, ReaderCache, ReaderPool};
 pub use server::{serve, ServerConfig, ServerHandle, ServerModel};

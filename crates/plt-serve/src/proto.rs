@@ -26,19 +26,6 @@ use crate::json::Json;
 /// protocol traffic (an ingest batch of thousands of transactions fits).
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Highest response-envelope version this server speaks. Version 1 is
-/// the original flat object (`{"ok":true, ...fields}`); version 2 wraps
-/// the same fields in the structured envelope
-/// `{"v":2,"status","stale","approx","error_bound","generation","data"}`.
-pub const MAX_PROTOCOL_VERSION: u64 = 2;
-
-/// Clamps a client's requested envelope version to what we speak.
-/// Unknown future versions negotiate down to the newest we have;
-/// anything at or below 1 stays on the v1 flat envelope.
-pub fn negotiate_version(requested: u64) -> u64 {
-    requested.clamp(1, MAX_PROTOCOL_VERSION)
-}
-
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -62,9 +49,8 @@ pub enum Request {
         transactions: Vec<Vec<Item>>,
         wait: bool,
     },
-    /// Envelope-version negotiation. The connection answers in the
-    /// negotiated envelope from this response onward; connections that
-    /// never send `hello` stay on v1.
+    /// Protocol handshake. The server speaks one envelope, so the ack
+    /// always names version 1, whatever the client asked for.
     Hello { version: u64 },
     /// Liveness probe; echoes the current generation.
     Ping,
@@ -229,86 +215,6 @@ pub fn err_response(message: impl Into<String>) -> Json {
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message.into())),
     ])
-}
-
-/// Lifts a flat v1 response into the v2 envelope. The serving-state
-/// fields (`stale`, `approx`, `error_bound`, `generation`) are hoisted
-/// to the envelope with defaults for responses that never set them;
-/// every other payload field lands under `data` unchanged.
-pub fn to_v2(v1: &Json) -> Json {
-    let pairs = match v1 {
-        Json::Obj(pairs) => pairs.as_slice(),
-        _ => &[],
-    };
-    let ok = v1.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    let mut stale = Json::Bool(false);
-    let mut approx = Json::Bool(false);
-    let mut error_bound = Json::Null;
-    let mut generation = Json::Null;
-    let mut data = Vec::new();
-    for (key, value) in pairs {
-        match key.as_str() {
-            "ok" => {}
-            "stale" => stale = value.clone(),
-            "approx" => approx = value.clone(),
-            "error_bound" => error_bound = value.clone(),
-            "generation" => generation = value.clone(),
-            _ => data.push((key.clone(), value.clone())),
-        }
-    }
-    Json::obj(vec![
-        ("v", Json::from(2u64)),
-        ("status", Json::str(if ok { "ok" } else { "error" })),
-        ("stale", stale),
-        ("approx", approx),
-        ("error_bound", error_bound),
-        ("generation", generation),
-        ("data", Json::Obj(data)),
-    ])
-}
-
-/// Flattens a v2 envelope back to the v1 shape (client side). Returns
-/// `None` when the value is not a v2 envelope.
-pub fn flatten_v2(v: &Json) -> Option<Json> {
-    if v.get("v").and_then(Json::as_u64) != Some(2) {
-        return None;
-    }
-    let status = v.get("status").and_then(Json::as_str)?;
-    let mut pairs = vec![("ok".to_string(), Json::Bool(status == "ok"))];
-    if let Some(Json::Obj(data)) = v.get("data") {
-        pairs.extend(data.iter().cloned());
-    }
-    for key in ["stale", "approx", "error_bound", "generation"] {
-        match v.get(key) {
-            None | Some(Json::Null) => {}
-            Some(value) => pairs.push((key.to_string(), value.clone())),
-        }
-    }
-    Some(Json::Obj(pairs))
-}
-
-/// Renders a v1-shaped response in the connection's negotiated envelope.
-pub fn render_response(v1: &Json, version: u64) -> String {
-    if version >= 2 {
-        to_v2(v1).to_string()
-    } else {
-        v1.to_string()
-    }
-}
-
-/// Re-renders an already-serialized v1 payload for the negotiated
-/// envelope. The engine (and its response cache) always speaks v1; the
-/// dispatch layer wraps at the connection boundary so one cached string
-/// serves both versions.
-pub fn render_payload(payload: &str, version: u64) -> String {
-    if version < 2 {
-        return payload.to_string();
-    }
-    match Json::parse(payload) {
-        Ok(v1) => to_v2(&v1).to_string(),
-        // Engine payloads are always valid JSON; pass through defensively.
-        Err(_) => payload.to_string(),
-    }
 }
 
 /// Writes one frame: `<len>\n<payload>\n`.
@@ -572,75 +478,6 @@ mod tests {
         assert!(Request::from_json(&v).unwrap_err().contains("expr"));
         let v = Json::parse(r#"{"op":"query"}"#).unwrap();
         assert!(Request::from_json(&v).unwrap_err().contains("expr"));
-    }
-
-    #[test]
-    fn version_negotiation_clamps_to_what_we_speak() {
-        assert_eq!(negotiate_version(0), 1);
-        assert_eq!(negotiate_version(1), 1);
-        assert_eq!(negotiate_version(2), 2);
-        assert_eq!(negotiate_version(99), MAX_PROTOCOL_VERSION);
-    }
-
-    #[test]
-    fn v2_envelope_hoists_serving_fields_and_nests_the_rest() {
-        let v1 = ok_response(vec![
-            ("support", Json::from(7u64)),
-            ("generation", Json::from(3u64)),
-            ("stale", Json::Bool(true)),
-        ]);
-        let v2 = to_v2(&v1);
-        assert_eq!(v2.get("v").and_then(Json::as_u64), Some(2));
-        assert_eq!(v2.get("status").and_then(Json::as_str), Some("ok"));
-        assert_eq!(v2.get("stale").and_then(Json::as_bool), Some(true));
-        assert_eq!(v2.get("approx").and_then(Json::as_bool), Some(false));
-        assert_eq!(v2.get("error_bound"), Some(&Json::Null));
-        assert_eq!(v2.get("generation").and_then(Json::as_u64), Some(3));
-        let data = v2.get("data").expect("data");
-        assert_eq!(data.get("support").and_then(Json::as_u64), Some(7));
-        assert!(data.get("generation").is_none(), "hoisted, not duplicated");
-
-        let err = to_v2(&err_response("boom"));
-        assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
-        assert_eq!(
-            err.get("data")
-                .and_then(|d| d.get("error"))
-                .and_then(Json::as_str),
-            Some("boom")
-        );
-    }
-
-    #[test]
-    fn flatten_v2_inverts_the_envelope() {
-        let v1 = ok_response(vec![
-            ("support", Json::from(7u64)),
-            ("approx", Json::Bool(true)),
-            ("error_bound", Json::from(12u64)),
-            ("generation", Json::from(3u64)),
-        ]);
-        let flat = flatten_v2(&to_v2(&v1)).expect("v2 envelope");
-        assert_eq!(flat.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(flat.get("support").and_then(Json::as_u64), Some(7));
-        assert_eq!(flat.get("approx").and_then(Json::as_bool), Some(true));
-        assert_eq!(flat.get("error_bound").and_then(Json::as_u64), Some(12));
-        assert_eq!(flat.get("generation").and_then(Json::as_u64), Some(3));
-        // Not an envelope: a flat v1 object flattens to None.
-        assert!(flatten_v2(&v1).is_none());
-    }
-
-    #[test]
-    fn render_payload_wraps_only_v2_connections() {
-        let payload = ok_response(vec![("pong", Json::Bool(true))]).to_string();
-        assert_eq!(render_payload(&payload, 1), payload);
-        let wrapped = render_payload(&payload, 2);
-        let v = Json::parse(&wrapped).unwrap();
-        assert_eq!(v.get("v").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            v.get("data")
-                .and_then(|d| d.get("pong"))
-                .and_then(Json::as_bool),
-            Some(true)
-        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::builder::IngestQueue;
 use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
 use crate::engine::Engine;
 use crate::fault::{IoFault, Site};
-use crate::proto::{err_response, render_response};
+use crate::proto::err_response;
 use crate::reader_pool::ReaderCache;
 use crate::server::{
     dispatch_request, ingest_ack_response, wake_acceptors, Dispatch, ServerConfig, ServerHandle,
@@ -204,8 +204,6 @@ struct Conn {
     close_after_flush: bool,
     /// Currently registered epoll interest mask.
     interest: u32,
-    /// Envelope version negotiated by `hello` (1 until then).
-    version: u64,
 }
 
 /// Job for the waiter thread: wait for a connection's ingest ack.
@@ -215,8 +213,6 @@ struct FlushJob {
     accepted: u64,
     /// Yields the generation that covers the batch.
     ack: Receiver<u64>,
-    /// Envelope version of the submitting connection at dispatch time.
-    version: u64,
 }
 
 /// Completion from the waiter thread.
@@ -291,7 +287,6 @@ impl Reactor {
             read_closed: false,
             close_after_flush: false,
             interest,
-            version: 1,
         };
         if self
             .epoll
@@ -477,8 +472,7 @@ impl Reactor {
             .fetch_add(1, Ordering::Relaxed);
         let conn = self.conn(idx);
         if conn.pending_error.is_none() {
-            let version = conn.version;
-            conn.pending_error = Some(render_response(&err_response(message), version));
+            conn.pending_error = Some(err_response(message).to_string());
         }
     }
 
@@ -521,19 +515,12 @@ impl Reactor {
 
     fn dispatch_one(&mut self, idx: usize, payload: &str) {
         let ingest = self.ingest.clone();
-        // Copy the connection's negotiated version out, dispatch (a
-        // `hello` may update it), then write it back — the Conn borrow
-        // cannot be held across the dispatch call.
-        let mut version = self.conn(idx).version;
-        let dispatch = dispatch_request(
+        match dispatch_request(
             payload,
             &self.engine,
             ingest.as_ref(),
             Some(&mut self.reader),
-            &mut version,
-        );
-        self.conn(idx).version = version;
-        match dispatch {
+        ) {
             Dispatch::Respond(response) => self.queue_response(idx, &response),
             Dispatch::ShutdownRequested(response) => {
                 self.stop.store(true, Ordering::SeqCst);
@@ -554,14 +541,13 @@ impl Reactor {
                         epoch,
                         accepted,
                         ack,
-                        version,
                     })
                     .is_err()
                 {
                     self.transition(idx, ConnState::Writing);
                     self.queue_response(
                         idx,
-                        &render_response(&err_response("snapshot builder has exited"), version),
+                        &err_response("snapshot builder has exited").to_string(),
                     );
                 }
             }
@@ -762,7 +748,7 @@ fn waiter_loop(
     waker: Arc<Waker>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let response = ingest_ack_response(&engine, job.accepted, job.ack.recv().ok(), job.version);
+        let response = ingest_ack_response(&engine, job.accepted, job.ack.recv().ok());
         if done
             .send(FlushDone {
                 token: job.token,

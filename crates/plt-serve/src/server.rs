@@ -31,8 +31,8 @@ use crate::engine::Engine;
 use crate::fault::{FaultPlan, FaultyStream, Site};
 use crate::json::Json;
 use crate::proto::{
-    err_response, negotiate_version, ok_response, read_frame_limited, render_payload,
-    render_response, write_frame, write_frame_with, Request, MAX_FRAME_BYTES,
+    err_response, ok_response, read_frame_limited, write_frame, write_frame_with, Request,
+    MAX_FRAME_BYTES,
 };
 use crate::reader_pool::ReaderCache;
 
@@ -322,17 +322,12 @@ pub(crate) enum Dispatch {
 /// Parses and dispatches one request payload. Everything except the
 /// flush wait and the stop-flag plumbing happens here, identically for
 /// both server models. `reader`, when given, pins snapshots through a
-/// per-worker cache (the reactor's lock-free path). `version` is the
-/// connection's negotiated envelope version: a `hello` updates it, and
-/// every response is rendered through it — the engine (and its response
-/// cache) always produces the flat v1 shape, so one cached payload
-/// serves both versions.
+/// per-worker cache (the reactor's lock-free path).
 pub(crate) fn dispatch_request(
     payload: &str,
     engine: &Engine,
     ingest: Option<&IngestQueue>,
     reader: Option<&mut ReaderCache<Snapshot>>,
-    version: &mut u64,
 ) -> Dispatch {
     let request = match Json::parse(payload) {
         Err(e) => {
@@ -340,7 +335,7 @@ pub(crate) fn dispatch_request(
                 .metrics()
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            return Dispatch::Respond(render_response(&err_response(e.to_string()), *version));
+            return Dispatch::Respond(err_response(e.to_string()).to_string());
         }
         Ok(v) => match Request::from_json(&v) {
             Err(e) => {
@@ -348,60 +343,39 @@ pub(crate) fn dispatch_request(
                     .metrics()
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
-                return Dispatch::Respond(render_response(&err_response(e), *version));
+                return Dispatch::Respond(err_response(e).to_string());
             }
             Ok(r) => r,
         },
     };
     match request {
-        Request::Shutdown => Dispatch::ShutdownRequested(render_payload(
-            &engine.handle(&Request::Shutdown),
-            *version,
-        )),
-        Request::Hello { version: requested } => {
-            // Negotiate first: the acknowledgement already arrives in
-            // the newly agreed envelope.
-            *version = negotiate_version(requested);
-            Dispatch::Respond(render_payload(
-                &engine.handle(&Request::Hello { version: requested }),
-                *version,
-            ))
-        }
+        Request::Shutdown => Dispatch::ShutdownRequested(engine.handle(&Request::Shutdown)),
         Request::Ingest { transactions, wait } => match ingest {
-            None => Dispatch::Respond(render_response(
-                &err_response("this server has no ingest pipeline"),
-                *version,
-            )),
+            None => {
+                Dispatch::Respond(err_response("this server has no ingest pipeline").to_string())
+            }
             Some(queue) => {
                 let accepted = transactions.len() as u64;
-                let exited = || {
-                    Dispatch::Respond(render_response(
-                        &err_response("snapshot builder has exited"),
-                        *version,
-                    ))
-                };
+                let exited =
+                    || Dispatch::Respond(err_response("snapshot builder has exited").to_string());
                 if wait {
                     match queue.ingest_acked(transactions) {
                         Some(ack) => Dispatch::AwaitFlush { accepted, ack },
                         None => exited(),
                     }
                 } else if queue.ingest(transactions) {
-                    Dispatch::Respond(render_response(
-                        &ok_response(vec![("accepted", Json::from(accepted))]),
-                        *version,
-                    ))
+                    Dispatch::Respond(
+                        ok_response(vec![("accepted", Json::from(accepted))]).to_string(),
+                    )
                 } else {
                     exited()
                 }
             }
         },
-        request => Dispatch::Respond(render_payload(
-            &match reader {
-                Some(cache) => engine.handle_cached(&request, cache),
-                None => engine.handle(&request),
-            },
-            *version,
-        )),
+        request => Dispatch::Respond(match reader {
+            Some(cache) => engine.handle_cached(&request, cache),
+            None => engine.handle(&request),
+        }),
     }
 }
 
@@ -411,18 +385,15 @@ pub(crate) fn ingest_ack_response(
     engine: &Engine,
     accepted: u64,
     generation: Option<u64>,
-    version: u64,
 ) -> String {
     match generation {
-        Some(generation) => render_response(
-            &ok_response(vec![
-                ("accepted", Json::from(accepted)),
-                ("generation", Json::from(generation)),
-                ("stale", Json::Bool(engine.is_stale())),
-            ]),
-            version,
-        ),
-        None => render_response(&err_response("snapshot builder has exited"), version),
+        Some(generation) => ok_response(vec![
+            ("accepted", Json::from(accepted)),
+            ("generation", Json::from(generation)),
+            ("stale", Json::Bool(engine.is_stale())),
+        ])
+        .to_string(),
+        None => err_response("snapshot builder has exited").to_string(),
     }
 }
 
@@ -471,9 +442,6 @@ fn handle_connection(
         .fault
         .as_deref()
         .map(|plan| (plan, Site::ServerWrite));
-    // Envelope version negotiated by `hello`; connections that never
-    // send one stay on the original flat v1 responses.
-    let mut version = 1u64;
     loop {
         let payload = match read_frame_limited(&mut reader, config.max_frame) {
             Ok(Some(p)) => p,
@@ -487,7 +455,7 @@ fn handle_connection(
                     .fetch_add(1, Ordering::Relaxed);
                 let _ = write_frame_with(
                     &mut writer,
-                    &render_response(&err_response(e.to_string()), version),
+                    &err_response(e.to_string()).to_string(),
                     frame_fault,
                 );
                 return ConnectionOutcome::Closed;
@@ -499,7 +467,7 @@ fn handle_connection(
                 return ConnectionOutcome::Closed;
             }
         };
-        let response = match dispatch_request(&payload, engine, ingest, None, &mut version) {
+        let response = match dispatch_request(&payload, engine, ingest, None) {
             Dispatch::Respond(response) => response,
             Dispatch::ShutdownRequested(response) => {
                 stop.store(true, Ordering::SeqCst);
@@ -507,7 +475,7 @@ fn handle_connection(
                 return ConnectionOutcome::ShutdownRequested;
             }
             Dispatch::AwaitFlush { accepted, ack } => {
-                ingest_ack_response(engine, accepted, ack.recv().ok(), version)
+                ingest_ack_response(engine, accepted, ack.recv().ok())
             }
         };
         match write_frame_with(&mut writer, &response, frame_fault) {

@@ -179,8 +179,11 @@ impl Manifest {
             let shard_count = varint::get_u64(&mut buf) as usize;
             let policy = policy_from(*buf.first().ok_or_else(|| bad("truncated manifest"))?)?;
             buf = &buf[1..];
+            // Counts come from the file: each allocation they size is
+            // capped by the bytes left, so a count that no bytes back
+            // cannot exhaust memory before the reads below fail.
             let n_items = varint::get_u64(&mut buf) as usize;
-            let mut items = Vec::with_capacity(n_items);
+            let mut items = Vec::with_capacity(n_items.min(buf.len()));
             for _ in 0..n_items {
                 let item = varint::get_u32(&mut buf);
                 let support = varint::get_u64(&mut buf);
@@ -189,11 +192,11 @@ impl Manifest {
             let wal = get_name(&mut buf)?;
             let window = get_name(&mut buf)?;
             let n_segments = varint::get_u64(&mut buf) as usize;
-            let mut segments = Vec::with_capacity(n_segments);
+            let mut segments = Vec::with_capacity(n_segments.min(buf.len()));
             for _ in 0..n_segments {
                 segments.push(get_name(&mut buf)?);
             }
-            let mut shard_map = Vec::with_capacity(shard_count);
+            let mut shard_map = Vec::with_capacity(shard_count.min(buf.len()));
             for _ in 0..shard_count {
                 let v = varint::get_u64(&mut buf);
                 if v as usize > n_segments {
@@ -372,6 +375,25 @@ mod tests {
         }
         assert!(Manifest::decode(&bytes[..bytes.len() - 2]).is_err());
         assert!(Manifest::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn item_count_no_bytes_back_is_invalid_data() {
+        // A 23-byte manifest with a valid CRC32 whose item count claims
+        // 2^36 entries: rejected, not sized into an allocation.
+        let mut body = Vec::new();
+        for v in [1, 0, 2, 0] {
+            varint::put_u64(&mut body, v); // epoch, last_seq, min_support, shard_count
+        }
+        body.push(policy_byte(RankPolicy::Lexicographic));
+        varint::put_u64(&mut body, 1 << 36);
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        assert_eq!(bytes.len(), 23);
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -210,22 +210,25 @@ impl SegmentReader {
             let data = &bytes[12..];
             let mut buf = data;
             let num_transactions = varint::get_u64(&mut buf);
+            // Counts come from the file: each allocation they size is
+            // capped by the bytes left, so a count that no bytes back
+            // cannot exhaust memory before the reads below fail.
             let n_shards = varint::get_u64(&mut buf) as usize;
-            let mut shards = Vec::with_capacity(n_shards);
+            let mut shards = Vec::with_capacity(n_shards.min(buf.len()));
             for _ in 0..n_shards {
                 let shard = varint::get_u32(&mut buf);
                 let n_entries = varint::get_u64(&mut buf) as usize;
                 let n_blocks = varint::get_u64(&mut buf) as usize;
-                let mut offsets = Vec::with_capacity(n_blocks);
+                let mut offsets = Vec::with_capacity(n_blocks.min(buf.len()));
                 let mut acc = 0u64;
                 for _ in 0..n_blocks {
                     acc += varint::get_u64(&mut buf);
                     offsets.push(acc);
                 }
-                let mut first_keys = Vec::with_capacity(n_blocks);
+                let mut first_keys = Vec::with_capacity(n_blocks.min(buf.len()));
                 for _ in 0..n_blocks {
                     let klen = varint::get_u64(&mut buf) as usize;
-                    let mut key = Vec::with_capacity(klen);
+                    let mut key = Vec::with_capacity(klen.min(buf.len()));
                     for _ in 0..klen {
                         key.push(varint::get_u32(&mut buf));
                     }
@@ -458,6 +461,25 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = SegmentReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("CRC32"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn shard_count_no_bytes_back_is_invalid_data() {
+        // A 19-byte segment with a valid CRC32 whose shard count claims
+        // 2^36 shards: rejected, not sized into an allocation.
+        let path = tmp("shard-count");
+        let mut body = Vec::new();
+        varint::put_u64(&mut body, 0); // num_transactions
+        varint::put_u64(&mut body, 1 << 36);
+        let mut bytes = SEGMENT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        assert_eq!(bytes.len(), 19);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = SegmentReader::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
     }
 

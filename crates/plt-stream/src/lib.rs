@@ -1,24 +1,18 @@
-//! # plt-stream — streaming frequent-itemset substrate
+//! # plt-stream — streaming frequency sketch
 //!
 //! The paper pitches PLT as "a solution when large databases are being
 //! mined"; the modern form of that problem is data that never stops
-//! arriving. Two complementary tools:
+//! arriving. [`lossy::LossyCounter`] is an **approximate** frequency
+//! sketch over the unbounded stream (Manku & Motwani's Lossy Counting,
+//! VLDB'02) with its deterministic guarantees: no false negatives at
+//! support `s`, undercounts bounded by `εN`, memory `O((1/ε)·log(εN))`.
+//! `plt-approx` answers singleton supports from it.
 //!
-//! * [`window::SlidingWindow`] — an **exact** miner over the last `W`
-//!   transactions, maintained incrementally through the PLT's
-//!   insert/remove operations (no rebuild per slide). Mining the window
-//!   at any instant equals batch-mining its contents.
-//! * [`lossy::LossyCounter`] — an **approximate** frequency sketch over
-//!   the unbounded stream (Manku & Motwani's Lossy Counting, VLDB'02)
-//!   with its deterministic guarantees: no false negatives at support
-//!   `s`, undercounts bounded by `εN`, memory `O((1/ε)·log(εN))`.
-//!
-//! The intended composition: the lossy counter watches the whole stream
-//! and flags *which items* are worth exact treatment; the window gives
-//! exact itemset supports over the recent past.
+//! The sketch flags *which items* are worth exact treatment. Exact
+//! itemset supports over the recent past come from `plt-shard`'s
+//! `ShardedPipeline` with a window capacity — the window the serving
+//! builder maintains.
 
 pub mod lossy;
-pub mod window;
 
 pub use lossy::LossyCounter;
-pub use window::SlidingWindow;

@@ -1,18 +1,20 @@
 //! Streaming monitor: Lossy Counting over the whole stream + an exact
-//! sliding-window PLT over the recent past.
+//! sliding window over the recent past.
 //!
 //! Simulates a transaction stream whose item popularity *drifts* halfway
 //! through: the sketch tracks global heavy hitters with deterministic
-//! error bounds, while the window (after a rerank) reflects the new
-//! regime exactly.
+//! error bounds, while the window — a [`ShardedPipeline`] with a
+//! capacity, the one the serving builder runs — re-ranks on drift by
+//! itself and reflects the new regime exactly.
 //!
 //! ```text
 //! cargo run --release --example stream_monitor
 //! ```
 
-use plt::core::ranking::RankPolicy;
 use plt::data::{ZipfConfig, ZipfGenerator};
-use plt::stream::{LossyCounter, SlidingWindow};
+use plt::shard::{Delta, ShardConfig};
+use plt::stream::LossyCounter;
+use plt::ShardedPipeline;
 
 fn main() {
     // Two regimes: the second shifts every item id up by 50, changing the
@@ -39,20 +41,29 @@ fn main() {
 
     let mut sketch = LossyCounter::new(0.001);
     let window_capacity = 1_000;
-    let mut window = SlidingWindow::new(
-        window_capacity,
-        20,
-        RankPolicy::Lexicographic,
+    let mut window = ShardedPipeline::new(
         &regime_a[..window_capacity],
+        ShardConfig {
+            min_support: 20,
+            capacity: Some(window_capacity),
+            ..ShardConfig::default()
+        },
     )
     .expect("well-formed stream");
     for t in &regime_a[..window_capacity] {
         sketch.observe_transaction(t);
     }
 
-    for t in regime_a[window_capacity..].iter().chain(&regime_b) {
-        sketch.observe_transaction(t);
-        window.push(t.clone()).expect("well-formed stream");
+    // Arrivals in batches of 500: each batch slides the window, and a
+    // batch that moves an item across min_support re-ranks it.
+    let arrivals = regime_a[window_capacity..].chunks(500);
+    for batch in arrivals.chain(regime_b.chunks(500)) {
+        for t in batch {
+            sketch.observe_transaction(t);
+        }
+        window
+            .apply(Delta::add(batch.to_vec()))
+            .expect("well-formed stream");
     }
 
     println!(
@@ -69,10 +80,7 @@ fn main() {
         );
     }
 
-    // The window still ranks items from the warm-up (regime A); rerank to
-    // see the drifted vocabulary.
-    window.rerank().expect("well-formed window");
-    let recent = window.mine();
+    let recent = window.result();
     println!(
         "\nexact over the last {} transactions: {} frequent itemsets",
         window.len(),

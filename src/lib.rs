@@ -4,7 +4,7 @@
 //! and miners ([`core`]), data substrates ([`data`]), baseline miners
 //! ([`baselines`]), parallel mining ([`parallel`]), compressed storage
 //! ([`compress`]), association-rule generation ([`rules`]),
-//! closed/maximal mining ([`closed`]), streaming maintenance
+//! closed/maximal mining ([`closed`]), a Lossy Counting stream sketch
 //! ([`stream`]), sharded incremental mining ([`shard`]), durable
 //! segmented storage ([`store`]), the online query service ([`serve`]),
 //! the query language and planner ([`query`]), the approximate

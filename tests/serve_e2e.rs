@@ -9,8 +9,7 @@ use plt::core::miner::Miner;
 use plt::data::{BasketConfig, BasketGenerator};
 use plt::serve::json::Json;
 use plt::serve::{
-    bootstrap, serve, BuilderConfig, Client, ClientConfig, Request, ServerConfig, ServerModel,
-    SketchConfig,
+    bootstrap, serve, BuilderConfig, Client, Request, ServerConfig, ServerModel, SketchConfig,
 };
 use plt::ConditionalMiner;
 
@@ -23,32 +22,6 @@ fn server_models() -> Vec<ServerModel> {
     } else {
         vec![ServerModel::Threads]
     }
-}
-
-/// Cross-product of serving models and response-envelope versions: the
-/// whole file runs once per cell, so a v1 client and a v2 client see
-/// identical answers from every model.
-fn cases() -> Vec<(ServerModel, u64)> {
-    let mut v = Vec::new();
-    for model in server_models() {
-        for version in [1u64, 2] {
-            v.push((model, version));
-        }
-    }
-    v
-}
-
-/// Connect a client speaking the requested envelope version (v2 clients
-/// negotiate via `hello` before the first request).
-fn connect(addr: std::net::SocketAddr, version: u64) -> Client {
-    Client::with_config(
-        addr,
-        ClientConfig {
-            protocol_version: version,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect")
 }
 
 /// Start a server over `warmup` and return (handle, builder).
@@ -89,9 +62,9 @@ fn wire_answers_match_the_miner() {
     let truth = ConditionalMiner::default().mine(db.transactions(), min_support);
     assert!(!truth.is_empty(), "dataset must have frequent itemsets");
 
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(db.transactions(), min_support, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         // Every mined itemset's support is served exactly, from the index.
         for (itemset, support) in truth.iter() {
@@ -137,9 +110,9 @@ fn cache_hits_show_up_in_stats() {
         vec![2, 3],
         vec![1, 3],
     ];
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&warmup, 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         // Same query three times: one miss, then hits.
         for _ in 0..3 {
@@ -190,9 +163,9 @@ fn cache_hits_show_up_in_stats() {
 #[test]
 fn ingest_republishes_and_answers_reflect_the_new_window() {
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&warmup, 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         let g0 = client.ping().expect("ping");
         assert_eq!(g0, 1);
@@ -230,14 +203,14 @@ fn ingest_republishes_and_answers_reflect_the_new_window() {
 #[test]
 fn concurrent_clients_get_consistent_answers() {
     let warmup: Vec<Vec<u32>> = (0..50).map(|i| vec![1, 2, 3 + (i % 3) as u32]).collect();
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&warmup, 2, model);
         let addr = handle.addr();
 
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let mut client = connect(addr, version);
+                    let mut client = Client::connect(addr).expect("connect");
                     for _ in 0..25 {
                         let reply = client.support(&[1, 2]).expect("support");
                         assert_eq!(reply.support, 50);
@@ -249,7 +222,7 @@ fn concurrent_clients_get_consistent_answers() {
             t.join().expect("client thread");
         }
 
-        let mut client = connect(addr, version);
+        let mut client = Client::connect(addr).expect("connect");
         client.shutdown().expect("shutdown");
         handle.join();
         builder.stop();
@@ -266,9 +239,9 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
     })
     .generate();
     let min_support = db.absolute_support(0.05);
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(db.transactions(), min_support, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
         let top = client.top_k(1, 1).expect("top_k");
         let probe = top[0].0.clone();
         let probe_expr = probe
@@ -332,9 +305,9 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
 #[test]
 fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3], vec![2, 3]];
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&warmup, 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         // First spelling plans fresh; a *different* spelling with the
         // same normal form must hit the plan cache (distinct response
@@ -381,9 +354,9 @@ fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
 
 #[test]
 fn malformed_queries_are_typed_errors_and_leave_the_connection_usable() {
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&[vec![1, 2], vec![1, 2], vec![2, 3]], 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         for bad in [
             "TOP",
@@ -417,7 +390,7 @@ fn approx_tier_serves_bounded_answers() {
     })
     .generate();
     let min_support = db.absolute_support(0.05);
-    for (model, version) in cases() {
+    for model in server_models() {
         let config = BuilderConfig {
             window_capacity: db.transactions().len() * 4,
             min_support,
@@ -441,7 +414,7 @@ fn approx_tier_serves_bounded_answers() {
             },
         )
         .expect("bind ephemeral port");
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         // Every APPROX answer honors its stated contract: when a sketch
         // answers, the estimate is within the advertised error bound of
@@ -470,10 +443,10 @@ fn approx_tier_serves_bounded_answers() {
                     .expect("approx answers state their bound");
                 assert!(
                     est.abs_diff(*exact) <= bound,
-                    "{model:?} v{version}: |{est} - {exact}| > {bound} for {items:?}"
+                    "{model:?}: |{est} - {exact}| > {bound} for {items:?}"
                 );
             } else {
-                assert_eq!(est, *exact, "{model:?} v{version}: exact fallback");
+                assert_eq!(est, *exact, "{model:?}: exact fallback");
             }
         }
 
@@ -509,7 +482,7 @@ fn approx_tier_serves_bounded_answers() {
             let reply = client.support(itemset.items()).expect("support");
             assert_eq!(
                 reply.support, support,
-                "{model:?} v{version}: rebuild must stay exact for {itemset}"
+                "{model:?}: rebuild must stay exact for {itemset}"
             );
         }
 
@@ -529,7 +502,7 @@ fn approx_tier_serves_bounded_answers() {
                 .and_then(|x| x.as_u64())
                 .unwrap()
                 >= top.len() as u64,
-            "{model:?} v{version}: APPROX requests counted"
+            "{model:?}: APPROX requests counted"
         );
 
         client.shutdown().expect("shutdown");
@@ -551,16 +524,16 @@ fn keys(v: &Json) -> Vec<&str> {
 #[test]
 fn stats_reply_fields_are_pinned() {
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&warmup, 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
         client
             .ingest(vec![vec![1, 3]], true)
             .expect("ingest")
             .expect("generation");
         let stats = client.stats().expect("stats");
 
-        let mut expect = vec![
+        let expect = [
             "builder_failures",
             "cache_entries",
             "endpoints",
@@ -583,13 +556,7 @@ fn stats_reply_fields_are_pinned() {
             "storage",
             "timeouts",
         ];
-        if version >= 2 {
-            // The client flattens the v2 envelope, which always carries
-            // the `approx` flag.
-            expect.push("approx");
-            expect.sort_unstable();
-        }
-        assert_eq!(keys(&stats), expect, "{model:?} v{version}");
+        assert_eq!(keys(&stats), expect, "{model:?}");
         let rebuild = stats.get("rebuild").expect("rebuild block");
         assert_eq!(
             keys(rebuild),
@@ -602,7 +569,7 @@ fn stats_reply_fields_are_pinned() {
                 "snapshot_us",
                 "total_us",
             ],
-            "{model:?} v{version}"
+            "{model:?}"
         );
         assert_eq!(
             keys(stats.get("reader_pool").unwrap()),
@@ -647,7 +614,7 @@ fn each_wait_ingest_publishes_exactly_once() {
             },
         )
         .expect("bind ephemeral port");
-        let mut client = connect(handle.addr(), 1);
+        let mut client = Client::connect(handle.addr()).expect("connect");
         for round in 0..50u32 {
             let before = engine.metrics().publishes.load(Ordering::Relaxed);
             let generation = client
@@ -667,9 +634,9 @@ fn each_wait_ingest_publishes_exactly_once() {
 
 #[test]
 fn malformed_requests_get_protocol_errors() {
-    for (model, version) in cases() {
+    for model in server_models() {
         let (handle, builder) = start(&[vec![1, 2], vec![1, 2]], 2, model);
-        let mut client = connect(handle.addr(), version);
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
         // Unknown op is a server-reported error, not a dropped connection;
         // the same connection keeps working afterwards.

@@ -1,29 +1,13 @@
-//! Cross-crate streaming + storage pipelines: sliding-window maintenance
-//! against batch rebuilds, sketch guarantees against exact counts, and
-//! the on-disk index round trip driving the query oracle.
+//! Cross-crate streaming + storage pipelines: sketch guarantees against
+//! exact counts, and the on-disk index round trip driving the query
+//! oracle. The exact sliding window is `ShardedPipeline`'s, proven
+//! against full re-mines in `shard_incremental.rs`.
 
 use plt::core::miner::Miner;
-use plt::core::ranking::RankPolicy;
 use plt::core::SupportOracle;
 use plt::data::{QuestConfig, QuestGenerator, ZipfConfig, ZipfGenerator};
-use plt::stream::{LossyCounter, SlidingWindow};
+use plt::stream::LossyCounter;
 use plt::ConditionalMiner;
-
-#[test]
-fn window_over_quest_stream_matches_batch_after_rerank() {
-    let stream = QuestGenerator::new(QuestConfig::t5i2(900))
-        .generate()
-        .into_transactions();
-    let cap = 300;
-    let mut w = SlidingWindow::new(cap, 6, RankPolicy::Lexicographic, &stream[..cap]).unwrap();
-    for t in &stream[cap..] {
-        w.push(t.clone()).unwrap();
-    }
-    w.rerank().unwrap();
-    let tail = &stream[stream.len() - cap..];
-    let expect = ConditionalMiner::default().mine(tail, 6);
-    assert_eq!(w.mine().sorted(), expect.sorted());
-}
 
 #[test]
 fn sketch_bounds_hold_on_zipf_traffic() {
