@@ -7,7 +7,8 @@
 //!   ids: t1 f1 f2 f3 f4 f5 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x13 x14 x15 x16 x17 x18 paper all
 //!        (default: paper — the exhibits that come straight from the text)
 //!   --full: evaluation-scale workloads instead of the quick ones
-//!   --json-out: also write x13..x18's machine-readable record to this path
+//!   --json-out: also write the machine-readable record of the one
+//!               x13..x18 experiment selected to this path
 //! ```
 
 use std::fmt::Display;
@@ -15,6 +16,9 @@ use std::io::Write;
 
 use plt_bench::experiments::{self, Scale};
 use plt_bench::figures;
+
+/// The experiments that write a machine-readable record with `--json-out`.
+const RECORDS: [&str; 6] = ["x13", "x14", "x15", "x16", "x17", "x18"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,6 +78,13 @@ fn main() {
             ),
             _ => expanded.push(id),
         }
+    }
+
+    // Every record goes to the one `--json-out` path, so a second record
+    // would silently overwrite the first.
+    let records = expanded.iter().filter(|id| RECORDS.contains(&id.as_str()));
+    if json_out.is_some() && records.count() > 1 {
+        usage("--json-out writes one record: select at most one of x13..x18");
     }
 
     for id in expanded {

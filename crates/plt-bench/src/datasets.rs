@@ -1,4 +1,4 @@
-//! The seeded workloads behind experiments X1..X8.
+//! The seeded workloads behind the X-experiments.
 //!
 //! Each function is deterministic; the returned `Vec<Vec<Item>>` is the
 //! concrete type the `Miner` trait consumes. Sizes are chosen so the full

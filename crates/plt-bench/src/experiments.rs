@@ -1,10 +1,13 @@
-//! The extended quantitative experiments X1..X8 (see `DESIGN.md` §3).
+//! The extended quantitative experiments X1–X10 and X13–X18 (see
+//! `DESIGN.md` §3).
 //!
-//! Each experiment is a pure function from a [`Scale`] to a [`Table`];
-//! the `experiments` binary prints them and `EXPERIMENTS.md` records a
-//! run. The Criterion benches in `benches/` measure the same code paths
-//! with statistical rigour; these functions exist to produce the
-//! evaluation-section-style tables in one shot.
+//! X1–X10 are each a function from a [`Scale`] to a [`Table`]. X13–X18
+//! split in three: `xN_*_cells` measures and returns raw cells,
+//! `xN_table` renders them, and `xN_json` writes the machine-readable
+//! record (a committed `BENCH_*.json`) through `record::Record`. The
+//! `experiments` binary prints the tables and `EXPERIMENTS.md` records a
+//! run. Every experiment asserts its answers agree before it reports a
+//! number.
 
 use std::time::Duration;
 
@@ -25,6 +28,7 @@ use plt_data::TransactionDb;
 use plt_parallel::{par_construct, run_with_threads, ParallelEclatMiner, ParallelPltMiner};
 use plt_shard::{Delta, ShardConfig, ShardedPipeline};
 
+use crate::record::{Object, Record};
 use crate::{datasets, fmt_duration, time_best, Table};
 
 /// Workload scale: `Quick` finishes in seconds (CI / laptops); `Full`
@@ -578,6 +582,20 @@ impl IncrementalCell {
     pub fn speedup(&self) -> f64 {
         self.full_secs / self.incremental_secs
     }
+
+    fn json(&self) -> Object {
+        Object::new()
+            .str("dataset", &self.dataset)
+            .str("mode", self.mode)
+            .int("transactions", self.transactions)
+            .int("delta_size", self.delta_size)
+            .int("shards", self.shards)
+            .int("dirty_shards", self.dirty_shards)
+            .int("itemsets", self.itemsets)
+            .num("incremental_secs", self.incremental_secs, 6)
+            .num("full_secs", self.full_secs, 6)
+            .num("speedup", self.speedup(), 3)
+    }
 }
 
 /// A deterministic synthetic delta transaction: `width` items taken from
@@ -723,50 +741,12 @@ pub fn x13_table(cells: &[IncrementalCell]) -> Table {
     table
 }
 
-/// X13 — incremental rebuild comparison (table form, for the binary).
-pub fn x13_incremental(scale: Scale) -> Table {
-    x13_table(&x13_incremental_cells(scale))
-}
-
 /// Machine-readable record of an X13 run (the committed
-/// `BENCH_incremental.json`). Hand-rolled JSON — the workspace is
-/// dependency-free by design.
+/// `BENCH_incremental.json`).
 pub fn x13_json(cells: &[IncrementalCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x13_incremental\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"mode\": \"{}\", \"transactions\": {}, \
-             \"delta_size\": {}, \"shards\": {}, \"dirty_shards\": {}, \
-             \"itemsets\": {}, \"incremental_secs\": {:.6}, \"full_secs\": {:.6}, \
-             \"speedup\": {:.3}}}{}\n",
-            c.dataset,
-            c.mode,
-            c.transactions,
-            c.delta_size,
-            c.shards,
-            c.dirty_shards,
-            c.itemsets,
-            c.incremental_secs,
-            c.full_secs,
-            c.speedup(),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x13_incremental", scale)
+        .array("cells", cells.iter().map(IncrementalCell::json))
+        .finish()
 }
 
 /// One row of X15: durable-store recovery and cold-read costs for one
@@ -797,6 +777,23 @@ pub struct StorageCell {
     pub segment_bytes: u64,
     /// WAL bytes before the checkpoint (the replayed volume).
     pub wal_bytes: u64,
+}
+
+impl StorageCell {
+    fn json(&self) -> Object {
+        Object::new()
+            .str("dataset", &self.dataset)
+            .int("transactions", self.transactions)
+            .int("wal_deltas", self.wal_deltas)
+            .int("wal_bytes", self.wal_bytes)
+            .num("recovery_wal_secs", self.recovery_wal_secs, 6)
+            .num("recovery_ckpt_secs", self.recovery_ckpt_secs, 6)
+            .int("cold_lookups", self.cold_lookups)
+            .num("cold_lookup_us", self.cold_lookup_us, 3)
+            .int("segment_lookups", self.segment_lookups)
+            .int("segments", self.segments)
+            .int("segment_bytes", self.segment_bytes)
+    }
 }
 
 /// X15 — durable storage: recovery time vs WAL length, and cold-read
@@ -956,51 +953,12 @@ pub fn x15_table(cells: &[StorageCell]) -> Table {
     table
 }
 
-/// X15 — durable-storage costs (table form, for the binary).
-pub fn x15_storage(scale: Scale) -> Table {
-    x15_table(&x15_storage_cells(scale))
-}
-
 /// Machine-readable record of an X15 run (the committed
-/// `BENCH_storage.json`). Hand-rolled JSON, same as [`x13_json`].
+/// `BENCH_storage.json`).
 pub fn x15_json(cells: &[StorageCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x15_storage\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"transactions\": {}, \"wal_deltas\": {}, \
-             \"wal_bytes\": {}, \"recovery_wal_secs\": {:.6}, \
-             \"recovery_ckpt_secs\": {:.6}, \"cold_lookups\": {}, \
-             \"cold_lookup_us\": {:.3}, \"segment_lookups\": {}, \
-             \"segments\": {}, \"segment_bytes\": {}}}{}\n",
-            c.dataset,
-            c.transactions,
-            c.wal_deltas,
-            c.wal_bytes,
-            c.recovery_wal_secs,
-            c.recovery_ckpt_secs,
-            c.cold_lookups,
-            c.cold_lookup_us,
-            c.segment_lookups,
-            c.segments,
-            c.segment_bytes,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x15_storage", scale)
+        .array("cells", cells.iter().map(StorageCell::json))
+        .finish()
 }
 
 /// One X14 end-to-end measurement: Eclat over sorted tidsets vs packed
@@ -1034,6 +992,22 @@ impl SimdCell {
     pub fn eclat_speedup(&self) -> f64 {
         self.eclat_tidset_secs / self.eclat_bitset_secs
     }
+
+    fn json(&self) -> Object {
+        let kernel = Object::new()
+            .int("simd_calls", self.simd_calls)
+            .int("scalar_calls", self.scalar_calls)
+            .int("bitmap_intersections", self.bitmap_intersections);
+        Object::new()
+            .str("dataset", &self.dataset)
+            .int("min_sup", self.min_sup)
+            .int("itemsets", self.itemsets)
+            .num("eclat_tidset_secs", self.eclat_tidset_secs, 6)
+            .num("eclat_bitset_secs", self.eclat_bitset_secs, 6)
+            .num("eclat_speedup", self.eclat_speedup(), 3)
+            .num("speedup", self.eclat_speedup(), 3)
+            .obj("kernel", kernel)
+    }
 }
 
 /// One X14 microbenchmark: a single `plt_core::kernels` primitive timed
@@ -1057,6 +1031,15 @@ impl KernelCell {
     /// Scalar-over-SIMD speedup (1.0 when the build has no SIMD).
     pub fn speedup(&self) -> f64 {
         self.scalar_secs / self.simd_secs
+    }
+
+    fn json(&self) -> Object {
+        Object::new()
+            .str("kernel", &self.kernel)
+            .int("len", self.len)
+            .num("scalar_secs", self.scalar_secs, 6)
+            .num("simd_secs", self.simd_secs, 6)
+            .num("speedup", self.speedup(), 3)
     }
 }
 
@@ -1258,65 +1241,13 @@ pub fn x14_table(cells: &[SimdCell], kernels: &[KernelCell]) -> Table {
     table
 }
 
-/// X14 — SIMD kernel comparison (table form, for the binary).
-pub fn x14_simd_kernels(scale: Scale) -> Table {
-    x14_table(&x14_simd_cells(scale), &x14_kernel_cells(scale))
-}
-
 /// Machine-readable record of an X14 run (the committed
-/// `BENCH_simd.json`). Hand-rolled JSON — the workspace is
-/// dependency-free by design.
+/// `BENCH_simd.json`).
 pub fn x14_json(cells: &[SimdCell], kernels: &[KernelCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x14_simd_kernels\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"min_sup\": {}, \"itemsets\": {}, \
-             \"eclat_tidset_secs\": {:.6}, \"eclat_bitset_secs\": {:.6}, \
-             \"eclat_speedup\": {:.3}, \"speedup\": {:.3}, \
-             \"kernel\": {{\"simd_calls\": {}, \"scalar_calls\": {}, \
-             \"bitmap_intersections\": {}}}}}{}\n",
-            c.dataset,
-            c.min_sup,
-            c.itemsets,
-            c.eclat_tidset_secs,
-            c.eclat_bitset_secs,
-            c.eclat_speedup(),
-            c.eclat_speedup(),
-            c.simd_calls,
-            c.scalar_calls,
-            c.bitmap_intersections,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"len\": {}, \"scalar_secs\": {:.6}, \
-             \"simd_secs\": {:.6}, \"speedup\": {:.3}}}{}\n",
-            k.kernel,
-            k.len,
-            k.scalar_secs,
-            k.simd_secs,
-            k.speedup(),
-            if i + 1 < kernels.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x14_simd_kernels", scale)
+        .array("cells", cells.iter().map(SimdCell::json))
+        .array("kernels", kernels.iter().map(KernelCell::json))
+        .finish()
 }
 
 /// One X16 load measurement: `clients` concurrent connections driving
@@ -1340,6 +1271,19 @@ pub struct ServeLoadCell {
     pub p99_us: f64,
 }
 
+impl ServeLoadCell {
+    fn json(&self) -> Object {
+        Object::new()
+            .str("model", &self.model)
+            .int("clients", self.clients)
+            .int("ops", self.ops)
+            .num("elapsed_secs", self.elapsed_secs, 6)
+            .num("throughput_ops_s", self.throughput, 1)
+            .num("p50_us", self.p50_us, 3)
+            .num("p99_us", self.p99_us, 3)
+    }
+}
+
 /// The X16 idle-connection ceiling probe: how many open-but-silent
 /// connections one reactor holds while still answering an active client.
 #[derive(Debug, Clone)]
@@ -1359,6 +1303,19 @@ pub struct IdleCell {
     pub probe_p50_us: f64,
     /// 99th-percentile latency of those same queries.
     pub probe_p99_us: f64,
+}
+
+impl IdleCell {
+    fn json(&self) -> Object {
+        Object::new()
+            .int("target", self.target)
+            .int("opened", self.opened)
+            .int("active_connections", self.active_connections)
+            .int("reactors", self.reactors)
+            .int("nofile", self.nofile)
+            .num("probe_p50_us", self.probe_p50_us, 3)
+            .num("probe_p99_us", self.probe_p99_us, 3)
+    }
 }
 
 /// Everything X16 measures. `idle` is `None` off Linux, where the
@@ -1785,60 +1742,13 @@ pub fn x16_table(cells: &ServeCells) -> Table {
     table
 }
 
-/// X16 — async serving (table form, for the binary).
-pub fn x16_async_serve(scale: Scale) -> Table {
-    x16_table(&x16_serve_cells(scale))
-}
-
 /// Machine-readable record of an X16 run (the committed
-/// `BENCH_serve.json`). Hand-rolled JSON, same as [`x13_json`].
+/// `BENCH_serve.json`).
 pub fn x16_json(cells: &ServeCells, scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x16_async_serve\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    match &cells.idle {
-        Some(i) => s.push_str(&format!(
-            "  \"idle\": {{\"target\": {}, \"opened\": {}, \
-             \"active_connections\": {}, \"reactors\": {}, \"nofile\": {}, \
-             \"probe_p50_us\": {:.3}, \"probe_p99_us\": {:.3}}},\n",
-            i.target,
-            i.opened,
-            i.active_connections,
-            i.reactors,
-            i.nofile,
-            i.probe_p50_us,
-            i.probe_p99_us,
-        )),
-        None => s.push_str("  \"idle\": null,\n"),
-    }
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.load.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"model\": \"{}\", \"clients\": {}, \"ops\": {}, \
-             \"elapsed_secs\": {:.6}, \"throughput_ops_s\": {:.1}, \
-             \"p50_us\": {:.3}, \"p99_us\": {:.3}}}{}\n",
-            c.model,
-            c.clients,
-            c.ops,
-            c.elapsed_secs,
-            c.throughput,
-            c.p50_us,
-            c.p99_us,
-            if i + 1 < cells.load.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x16_async_serve", scale)
+        .object("idle", cells.idle.as_ref().map(IdleCell::json))
+        .array("cells", cells.load.iter().map(ServeLoadCell::json))
+        .finish()
 }
 
 /// One X17 cell: one query expression over one dataset, the planner's
@@ -1870,6 +1780,26 @@ pub struct QueryCell {
     /// query (`full_scan` included), microseconds — the per-plan
     /// comparison behind the headline speedup.
     pub ops: Vec<(String, f64)>,
+}
+
+impl QueryCell {
+    fn json(&self) -> Object {
+        let ops = self
+            .ops
+            .iter()
+            .fold(Object::new(), |o, (op, us)| o.num(op, *us, 3));
+        Object::new()
+            .str("dataset", &self.dataset)
+            .str("query", &self.query)
+            .str("plan", &self.plan)
+            .num("cost", self.cost, 3)
+            .int("rows", self.rows)
+            .int("num_itemsets", self.num_itemsets)
+            .num("plan_us", self.plan_us, 3)
+            .num("naive_us", self.naive_us, 3)
+            .num("speedup", self.speedup, 3)
+            .obj("ops", ops)
+    }
 }
 
 /// X17 — query planner vs naive scan: parses each expression, lets the
@@ -2001,54 +1931,12 @@ pub fn x17_table(cells: &[QueryCell]) -> Table {
     table
 }
 
-/// X17 — planner vs naive (table form, for the binary).
-pub fn x17_query(scale: Scale) -> Table {
-    x17_table(&x17_query_cells(scale))
-}
-
 /// Machine-readable record of an X17 run (the committed
-/// `BENCH_query.json`). Hand-rolled JSON, same as [`x15_json`].
+/// `BENCH_query.json`).
 pub fn x17_json(cells: &[QueryCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x17_query\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let ops: Vec<String> = c
-            .ops
-            .iter()
-            .map(|(op, us)| format!("\"{op}\": {us:.3}"))
-            .collect();
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"query\": \"{}\", \"plan\": \"{}\", \
-             \"cost\": {:.3}, \"rows\": {}, \"num_itemsets\": {}, \
-             \"plan_us\": {:.3}, \"naive_us\": {:.3}, \"speedup\": {:.3}, \
-             \"ops\": {{{}}}}}{}\n",
-            c.dataset,
-            c.query,
-            c.plan,
-            c.cost,
-            c.rows,
-            c.num_itemsets,
-            c.plan_us,
-            c.naive_us,
-            c.speedup,
-            ops.join(", "),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x17_query", scale)
+        .array("cells", cells.iter().map(QueryCell::json))
+        .finish()
 }
 
 /// One X18 measurement: the approximate answering tier on one dataset
@@ -2097,6 +1985,28 @@ pub struct ApproxCell {
     pub oracle_us: f64,
     /// `exact_us / sketch_us`.
     pub speedup: f64,
+}
+
+impl ApproxCell {
+    fn json(&self) -> Object {
+        Object::new()
+            .str("dataset", &self.dataset)
+            .int("transactions", self.transactions)
+            .int("min_sup", self.min_sup)
+            .num("epsilon", self.epsilon, 3)
+            .num("delta", self.delta, 3)
+            .int("kept_samples", self.kept_samples)
+            .int("sketch_bytes", self.sketch_bytes)
+            .int("window_bytes", self.window_bytes)
+            .num("memory_fraction", self.memory_fraction, 4)
+            .int("probes", self.probes)
+            .int("max_abs_error", self.max_abs_error)
+            .int("max_bound", self.max_bound)
+            .num("sketch_us", self.sketch_us, 3)
+            .num("exact_us", self.exact_us, 3)
+            .num("oracle_us", self.oracle_us, 3)
+            .num("speedup", self.speedup, 3)
+    }
 }
 
 /// X18 — the approximate tier: sketch memory and probe latency vs the
@@ -2343,57 +2253,12 @@ pub fn x18_table(cells: &[ApproxCell]) -> Table {
     table
 }
 
-/// X18 — approximate tier (table form, for the binary).
-pub fn x18_approx(scale: Scale) -> Table {
-    x18_table(&x18_approx_cells(scale))
-}
-
 /// Machine-readable record of an X18 run (the committed
-/// `BENCH_approx.json`). Hand-rolled JSON, same as [`x17_json`].
+/// `BENCH_approx.json`).
 pub fn x18_json(cells: &[ApproxCell], scale: Scale) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"experiment\": \"x18_approx\",\n");
-    s.push_str(&format!(
-        "  \"bench_meta\": {},\n",
-        crate::bench_meta_json()
-    ));
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    ));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"transactions\": {}, \"min_sup\": {}, \
-             \"epsilon\": {:.3}, \"delta\": {:.3}, \"kept_samples\": {}, \
-             \"sketch_bytes\": {}, \"window_bytes\": {}, \"memory_fraction\": {:.4}, \
-             \"probes\": {}, \"max_abs_error\": {}, \"max_bound\": {}, \
-             \"sketch_us\": {:.3}, \"exact_us\": {:.3}, \"oracle_us\": {:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            c.dataset,
-            c.transactions,
-            c.min_sup,
-            c.epsilon,
-            c.delta,
-            c.kept_samples,
-            c.sketch_bytes,
-            c.window_bytes,
-            c.memory_fraction,
-            c.probes,
-            c.max_abs_error,
-            c.max_bound,
-            c.sketch_us,
-            c.exact_us,
-            c.oracle_us,
-            c.speedup,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Record::new("x18_approx", scale)
+        .array("cells", cells.iter().map(ApproxCell::json))
+        .finish()
 }
 
 #[cfg(test)]

@@ -1,32 +1,27 @@
 //! # plt-bench — experiment harness
 //!
 //! Everything needed to regenerate the paper's exhibits and the extended
-//! evaluation of `DESIGN.md`:
+//! evaluation of `DESIGN.md`, driven by the `experiments` binary:
 //!
 //! * [`figures`] — exact reproductions of the paper's Table 1 and
 //!   Figures 1–5 (experiments E-T1, E-F1…E-F5), as renderable strings
 //!   that the `experiments` binary prints and the integration tests
 //!   assert on;
-//! * [`datasets`] — the seeded workloads of X1..X8 (Quest sparse, dense,
-//!   market baskets);
-//! * [`experiments`] — each X-experiment as a function producing a
-//!   [`Table`], shared between the `experiments` binary and the Criterion
-//!   benches;
+//! * [`datasets`] — the seeded workloads of the X-experiments (Quest
+//!   sparse, dense, market baskets, Zipf);
+//! * [`experiments`] — each of X1–X10 and X13–X18 as a function
+//!   producing a [`Table`]; X13–X18 also expose their raw cells;
 //! * [`Table`] — a tiny fixed-width table printer so every experiment
-//!   reports "the same rows the paper would".
+//!   reports "the same rows the paper would";
+//! * `record` — the one writer of the machine-readable `BENCH_*.json`
+//!   records, stamped with [`bench_meta_json`].
 
 pub mod datasets;
 pub mod experiments;
 pub mod figures;
+mod record;
 
 use std::time::{Duration, Instant};
-
-/// Times a closure once, returning its result and the wall time.
-pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed())
-}
 
 /// Times a closure over `runs` runs (after one warm-up), reporting the
 /// minimum — the stablest point estimate for short CPU-bound workloads.
@@ -71,11 +66,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// The caption.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Number of data rows.
@@ -129,24 +119,38 @@ impl std::fmt::Display for Table {
 /// (`BENCH_*.json`): the commit and toolchain that produced the numbers,
 /// the host CPU, and whether the SIMD backend was compiled in and live at
 /// run time. Returned as one hand-rolled JSON object (the workspace is
-/// dependency-free by design) for the `xNN_json` emitters to splice in
-/// under a `"bench_meta"` key.
+/// dependency-free by design) for `record::Record` to splice in under
+/// a `"bench_meta"` key.
 pub fn bench_meta_json() -> String {
     format!(
         "{{\"git_commit\": \"{}\", \"rustc\": \"{}\", \"cpu\": \"{}\", \
          \"simd_compiled\": {}, \"simd_available\": {}}}",
-        json_escape(&command_line("git", &["rev-parse", "--short=12", "HEAD"])),
-        json_escape(&command_line("rustc", &["--version"])),
+        json_escape(&git_commit(".")),
+        json_escape(&command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into())),
         json_escape(&cpu_model()),
         plt_core::kernels::simd_compiled(),
         plt_core::kernels::simd_available(),
     )
 }
 
-/// One line of a subprocess's stdout, or `"unknown"` if the tool is
-/// missing, fails, or prints nothing (benchmarks may run from an
-/// exported tarball with no `.git`).
-fn command_line(cmd: &str, args: &[&str]) -> String {
+/// The checkout's `HEAD` commit, suffixed `-dirty` when tracked files
+/// differ from it (numbers from an uncommitted tree must not name the
+/// parent commit as their source), or `"unknown"` outside a git
+/// checkout (benchmarks may run from an exported tarball).
+fn git_commit(repo: &str) -> String {
+    let git = |args: &[&str]| command_line("git", &[&["-C", repo][..], args].concat());
+    match git(&["rev-parse", "--short=12", "HEAD"]) {
+        None => "unknown".into(),
+        Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(_) => format!("{head}-dirty"),
+            None => head,
+        },
+    }
+}
+
+/// A subprocess's trimmed stdout, or `None` if the tool is missing,
+/// fails, or prints nothing.
+fn command_line(cmd: &str, args: &[&str]) -> Option<String> {
     std::process::Command::new(cmd)
         .args(args)
         .output()
@@ -155,7 +159,6 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// The host CPU model from `/proc/cpuinfo`, or `"unknown"` off Linux.
@@ -172,7 +175,8 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Minimal JSON string escaping for the metadata fields.
+/// Minimal JSON string escaping (quotes and backslashes) for the
+/// strings in `bench_meta` and in records.
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -350,17 +354,38 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_quotes_and_backslashes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("plain"), "plain");
+    fn git_commit_marks_uncommitted_tracked_changes_dirty() {
+        let dir = std::env::temp_dir().join(format!("plt-bench-git-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let repo = dir.to_str().unwrap();
+        let git = |args: &[&str]| {
+            let status = std::process::Command::new("git")
+                .args(["-C", repo, "-c", "commit.gpgsign=false"])
+                .args(["-c", "user.name=plt", "-c", "user.email=plt@localhost"])
+                .args(args)
+                .status()
+                .expect("git runs");
+            assert!(status.success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("tracked"), "a").unwrap();
+        git(&["add", "tracked"]);
+        git(&["commit", "-q", "-m", "base"]);
+
+        let clean = git_commit(repo);
+        assert_eq!(clean.len(), 12, "{clean}");
+        // Untracked files do not change what the numbers came from.
+        std::fs::write(dir.join("untracked"), "x").unwrap();
+        assert_eq!(git_commit(repo), clean);
+        std::fs::write(dir.join("tracked"), "b").unwrap();
+        assert_eq!(git_commit(repo), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn timing_helpers_run_the_closure() {
-        let (v, d) = time_once(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(d.as_nanos() > 0);
-        let (v, _) = time_best(3, || 7);
-        assert_eq!(v, 7);
+    fn json_escape_handles_quotes_and_backslashes() {
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("plain"), "plain");
     }
 }
