@@ -293,7 +293,7 @@ mod tests {
 
     fn txn(i: u64) -> Vec<Item> {
         let mut t = vec![(i % 5) as Item, 5 + (i % 3) as Item];
-        if i.is_multiple_of(2) {
+        if i % 2 == 0 {
             t.push(8);
         }
         t.sort_unstable();

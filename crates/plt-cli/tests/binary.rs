@@ -162,6 +162,7 @@ fn mine_metrics_json_emits_schema_v1_and_creates_parent_dirs() {
         "mine/conditional",
         "\"counters\"",
         "arena.vectors_folded",
+        "arena.mask_levels",
         "\"gauges\"",
         "arena.bytes_peak",
     ] {

@@ -135,7 +135,7 @@ impl Iterator for PartitionIter<'_> {
         if self.ordinal >= self.partition.num_entries {
             return None;
         }
-        let lcp = if self.ordinal.is_multiple_of(BLOCK) {
+        let lcp = if self.ordinal % BLOCK == 0 {
             0
         } else {
             varint::get_u32(&mut self.buf) as usize

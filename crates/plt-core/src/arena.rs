@@ -28,12 +28,21 @@
 //!   one mixed word per live rank) loses exactly `mix(j)` — the drain's
 //!   dedup probe is O(1) too. A map layout pays an allocation plus an
 //!   O(len) hash insert for the same step;
+//! * a conditional database with **at most 64 locally frequent ranks** is
+//!   a [`MaskLevel`] instead: one `u64` per vector, where bit `b` stands
+//!   for the `b`-th smallest kept rank. Bits follow rank order, so the top
+//!   set bit is the vector's sum (its bucket), a fold clears that bit, two
+//!   vectors are duplicates exactly when their words are equal, and a
+//!   child is built from per-bit counts and one AND. A child keeps a
+//!   subset of its parent's bits, so a mask subtree never returns to
+//!   positions and one bit→rank table in the pool serves all of it;
 //! * the two local scans of `Conditional_Construct` are **one fused
 //!   routine** over the positions: scan 1 recovers ranks and counts them
-//!   in one loop, scan 2 filters, re-deltas and hashes straight into the
-//!   child's position buffer. Both run over per-depth levels and one
-//!   rank-count table held in a reusable [`ArenaPool`], so steady-state
-//!   mining performs zero allocations.
+//!   in one loop, and its counts pick the child's representation; scan 2
+//!   then filters, re-deltas and hashes into a position buffer, or ORs
+//!   the kept ranks' bits into one word per vector. Both run over
+//!   per-depth levels and one rank-count table held in a reusable
+//!   [`ArenaPool`], so steady-state mining performs zero allocations.
 //!
 //! Correctness (same itemsets, same supports as brute force, the hybrid
 //! and top-down PLT miners, FP-growth and Eclat) is enforced by the
@@ -46,8 +55,12 @@ use crate::plt::Plt;
 use crate::posvec::PositionVector;
 use plt_obs::Obs;
 
-/// Index of an entry within its [`Level`].
+/// Index of an entry within its [`Level`] or [`MaskLevel`].
 type EntryId = u32;
+
+/// Most locally frequent ranks a conditional database may keep and still
+/// be mined as a [`MaskLevel`]: the bits of one word.
+const MASK_BITS: usize = 64;
 
 /// Engine counters accumulated by every arena mining call. Kept always-on
 /// (plain `u64` adds are far below measurement noise) so the numbers exist
@@ -59,13 +72,14 @@ pub struct MineStats {
     pub vectors_folded: u64,
     /// Fold-backs absorbed by an existing identical vector (frequency merge).
     pub dedup_hits: u64,
-    /// Entries copied through verbatim because every local rank stayed
-    /// frequent (the fast path of `Conditional_Construct`'s scan 2).
-    pub copy_throughs: u64,
     /// Single-entry databases emitted via the subset shortcut.
     pub single_path_shortcuts: u64,
-    /// Peak bytes held across the pool's storage (positions, entry
-    /// columns, rank counts, dedup table; excludes per-bucket spine
+    /// Databases mined as rank masks (one `u64` per vector): conditional
+    /// databases with at most 64 locally frequent ranks, and the root when
+    /// the ranking has at most 64 ranks.
+    pub mask_levels: u64,
+    /// Peak bytes held across the pool's storage (positions, words, entry
+    /// columns, rank counts, dedup tables; excludes per-bucket spine
     /// capacity).
     pub bytes_peak: u64,
 }
@@ -76,8 +90,8 @@ impl MineStats {
     pub fn merge(&mut self, other: &MineStats) {
         self.vectors_folded += other.vectors_folded;
         self.dedup_hits += other.dedup_hits;
-        self.copy_throughs += other.copy_throughs;
         self.single_path_shortcuts += other.single_path_shortcuts;
+        self.mask_levels += other.mask_levels;
         self.bytes_peak = self.bytes_peak.max(other.bytes_peak);
     }
 
@@ -86,15 +100,15 @@ impl MineStats {
     pub fn record(&self, obs: &mut Obs) {
         obs.counter("arena.vectors_folded", self.vectors_folded);
         obs.counter("arena.dedup_hits", self.dedup_hits);
-        obs.counter("arena.copy_throughs", self.copy_throughs);
         obs.counter("arena.single_path_shortcuts", self.single_path_shortcuts);
+        obs.counter("arena.mask_levels", self.mask_levels);
         obs.gauge("arena.bytes_peak", self.bytes_peak);
     }
 }
 
 /// One rank's word in an entry hash: the splitmix64 finalizer, so the
-/// wrapping sum over an entry's ranks spreads into the low bits the
-/// dedup table indexes by.
+/// wrapping sum over an entry's ranks spreads into the bits the dedup
+/// table indexes by.
 #[inline]
 fn mix(rank: Rank) -> u64 {
     let mut z = u64::from(rank).wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -115,10 +129,75 @@ fn window_hash(window: &[Rank]) -> u64 {
     })
 }
 
-/// One window of a database being constructed into a level: its
-/// delta-encoded positions, its frequency and, for a live arena entry,
-/// its cached hash, which a copy-through reuses.
-type Window<'a> = (&'a [Rank], Support, Option<u64>);
+/// The dedup hash of a mask word: Fibonacci hashing, whose top bits —
+/// the ones [`DedupTable`] indexes by — depend on every bit of the word.
+#[inline]
+fn word_hash(word: u64) -> u64 {
+    word.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The bit a mask word's bucket is named by: its top set bit, which
+/// stands for the highest rank, the vector's sum (Lemma 4.1.1).
+#[inline]
+fn top_bit(word: u64) -> usize {
+    debug_assert_ne!(word, 0);
+    63 - word.leading_zeros() as usize
+}
+
+/// Drain-scoped dedup table: open-addressed `(version, id)` slots,
+/// picked by the top bits of an entry hash. Bumping `version`
+/// invalidates every slot, so the per-drain reset is O(1).
+#[derive(Debug, Default)]
+struct DedupTable {
+    slots: Vec<(u32, EntryId)>,
+    /// Version stamp marking which slots are live.
+    version: u32,
+    /// Probe window of the current drain, `slots[..=mask]`: a small
+    /// bucket probes only a prefix of the table, which stays in cache.
+    mask: usize,
+    /// `64 − log2(mask + 1)`: shifts a hash down to its first slot.
+    shift: u32,
+}
+
+impl DedupTable {
+    /// Opens a drain of at most `n` inserts: invalidates every slot in
+    /// O(1) and sizes the probe window to keep the load below 75%,
+    /// growing the table when it is too small.
+    fn begin(&mut self, n: usize) {
+        let slots = (n * 4 / 3 + 1).next_power_of_two().max(16);
+        if self.slots.len() < slots {
+            self.slots = vec![(0, 0); slots];
+        }
+        self.mask = slots - 1;
+        self.shift = 64 - slots.trailing_zeros();
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            // u32 wraparound: scrub once so stale stamps cannot alias.
+            self.slots.fill((0, 0));
+            self.version = 1;
+        }
+    }
+
+    /// Looks along `hash`'s probe sequence for an entry `same` accepts,
+    /// recording `id` there if there is none. Returns the already-present
+    /// duplicate on a hit. The hash only picks the probe sequence; `same`
+    /// alone decides a hit.
+    #[inline]
+    fn probe(&mut self, hash: u64, id: EntryId, same: impl Fn(EntryId) -> bool) -> Option<EntryId> {
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            let (v, other) = self.slots[i];
+            if v != self.version {
+                self.slots[i] = (self.version, id);
+                return None;
+            }
+            if same(other) {
+                return Some(other);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+}
 
 /// Scan-1 scratch of `Conditional_Construct`: local rank frequencies,
 /// indexed by rank. One table serves every depth, because each
@@ -128,9 +207,20 @@ struct RankCounts {
     counts: Vec<Support>,
     /// Ranks with a non-zero `counts` cell.
     touched: Vec<Rank>,
+    /// A mask construction's word bit for each touched rank: `1 << b` for
+    /// the `b`-th smallest kept rank, 0 for a pruned one.
+    bits: Vec<u64>,
 }
 
 impl RankCounts {
+    /// Sizes the tables for ranks `1..=max_rank`.
+    fn ensure_rank_capacity(&mut self, max_rank: usize) {
+        if self.counts.len() < max_rank + 1 {
+            self.counts.resize(max_rank + 1, 0);
+            self.bits.resize(max_rank + 1, 0);
+        }
+    }
+
     /// Adds `freq` to every rank of the delta window, recovering the
     /// ranks (Lemma 4.1.1) in the same loop.
     fn add(&mut self, window: &[Rank], freq: Support) {
@@ -145,11 +235,28 @@ impl RankCounts {
         }
     }
 
-    /// True when every counted rank reaches `min_support`.
-    fn all_frequent(&self, min_support: Support) -> bool {
+    /// Number of counted ranks that reach `min_support`.
+    fn kept(&self, min_support: Support) -> usize {
         self.touched
             .iter()
-            .all(|&r| self.counts[r as usize] >= min_support)
+            .filter(|&&r| self.counts[r as usize] >= min_support)
+            .count()
+    }
+
+    /// Lists the kept ranks (at most [`MASK_BITS`]) in rank order as
+    /// `bit_ranks`, and gives every touched rank its word bit.
+    fn number_kept(&mut self, bit_ranks: &mut Vec<Rank>, min_support: Support) {
+        bit_ranks.clear();
+        for &r in &self.touched {
+            self.bits[r as usize] = 0;
+            if self.counts[r as usize] >= min_support {
+                bit_ranks.push(r);
+            }
+        }
+        bit_ranks.sort_unstable();
+        for (b, &r) in bit_ranks.iter().enumerate() {
+            self.bits[r as usize] = 1 << b;
+        }
     }
 
     /// Zeroes the touched cells for the next construction.
@@ -161,9 +268,10 @@ impl RankCounts {
     }
 }
 
-/// One recursion depth's working storage. A level is built by its parent
-/// (or from the PLT at depth 0), mined to exhaustion, and then reused by
-/// the next sibling conditional database at the same depth.
+/// One recursion depth's working storage for a database with more than
+/// 64 frequent ranks. A level is built by its parent (or from the PLT at
+/// depth 0), mined to exhaustion, and then reused by the next sibling
+/// conditional database at the same depth.
 ///
 /// Entry storage is SoA: the `(offset, len, freq, hash)` of each entry
 /// lives in four parallel columns indexed by [`EntryId`]. An entry's sum
@@ -182,37 +290,28 @@ struct Level {
     /// kept in step with `lens` by the fold's O(1) update.
     hashes: Vec<u64>,
     /// `buckets[s]` holds the ids of entries whose *current* sum — the
-    /// rank of their last live item — is `s` (index 0 unused). Entries move strictly downwards as they shrink,
-    /// so a bucket is complete by the time the descending cursor reaches
-    /// it and never needs tombstones.
+    /// rank of their last live item — is `s` (index 0 unused). Entries
+    /// move strictly downwards as they shrink, so a bucket is complete by
+    /// the time the descending cursor reaches it and never needs
+    /// tombstones.
     buckets: Vec<Vec<EntryId>>,
     /// Highest sum that may own a non-empty bucket.
     max_sum: Rank,
     /// Scratch: ids of the entries forming the conditional database of
     /// the bucket currently being peeled.
     cond: Vec<EntryId>,
-    /// Drain-scoped dedup table: open-addressed `(version, id)` slots
-    /// keyed by the `hashes` column. Bumping `dedup_version` invalidates
-    /// every slot, so the per-drain reset is O(1).
-    dedup: Vec<(u32, EntryId)>,
-    /// Version stamp marking which slots are live.
-    dedup_version: u32,
-    /// Probe mask of the current drain: a small bucket probes only a
-    /// prefix of the table, which stays in cache.
-    dedup_mask: usize,
+    /// Drain-scoped dedup table keyed by the `hashes` column.
+    dedup: DedupTable,
 }
 
 impl Level {
-    /// Grows the dense bucket array to cover sums `1..=max_rank`.
-    fn ensure_rank_capacity(&mut self, max_rank: usize) {
+    /// Clears entry storage for a fresh database over ranks
+    /// `1..=max_rank`. Buckets are already empty: mining drains every
+    /// bucket it fills.
+    fn reset(&mut self, max_rank: usize) {
         if self.buckets.len() < max_rank + 1 {
             self.buckets.resize_with(max_rank + 1, Vec::new);
         }
-    }
-
-    /// Clears entry storage for a fresh conditional database. Buckets are
-    /// already empty: mining drains every bucket it fills.
-    fn reset(&mut self) {
         self.positions.clear();
         self.offsets.clear();
         self.lens.clear();
@@ -306,84 +405,198 @@ impl Level {
         self.tag(offset, freq, last, hash);
     }
 
-    /// Opens a drain of at most `n` inserts: invalidates every slot in
-    /// O(1) and sizes the probe window to keep the load below 75%,
-    /// growing the table when it is too small.
-    fn dedup_begin(&mut self, n: usize) {
-        let slots = (n * 4 / 3 + 1).next_power_of_two().max(16);
-        if self.dedup.len() < slots {
-            self.dedup = vec![(0, 0); slots];
-        }
-        self.dedup_mask = slots - 1;
-        self.dedup_version = self.dedup_version.wrapping_add(1);
-        if self.dedup_version == 0 {
-            // u32 wraparound: scrub once so stale stamps cannot alias.
-            self.dedup.fill((0, 0));
-            self.dedup_version = 1;
-        }
-    }
-
     /// Looks up a live entry with the same content as entry `id`,
-    /// recording `id` in the table if there is none. Returns the
+    /// recording `id` in the dedup table if there is none. Returns the
     /// already-present duplicate on a hit. The cached hash only picks the
     /// probe sequence; a hit needs the full windows to compare equal.
     fn dedup_entry(&mut self, id: EntryId) -> Option<EntryId> {
-        let mask = self.dedup_mask;
+        let Level {
+            positions,
+            offsets,
+            lens,
+            hashes,
+            dedup,
+            ..
+        } = self;
+        let window = |e: usize| {
+            let o = offsets[e] as usize;
+            &positions[o..o + lens[e] as usize]
+        };
         let idu = id as usize;
-        let h = self.hashes[idu];
-        let mut i = h as usize & mask;
-        loop {
-            let (v, other) = self.dedup[i];
-            if v != self.dedup_version {
-                self.dedup[i] = (self.dedup_version, id);
-                return None;
-            }
+        let h = hashes[idu];
+        dedup.probe(h, id, |other| {
             let ou = other as usize;
-            if self.hashes[ou] == h
-                && self.lens[ou] == self.lens[idu]
-                && self.window(ou) == self.window(idu)
-            {
-                return Some(other);
-            }
-            i = (i + 1) & mask;
+            hashes[ou] == h && lens[ou] == lens[idu] && window(ou) == window(idu)
+        })
+    }
+}
+
+/// One recursion depth's working storage for a database with at most 64
+/// locally frequent ranks: one word and one frequency per vector. Bit `b`
+/// of a word stands for the pool's `bit_ranks[b]`. The entries are
+/// distinct words before the first drain: a construction merges the words
+/// its AND made equal.
+#[derive(Debug, Default)]
+struct MaskLevel {
+    /// Column: each vector's live ranks as bits.
+    words: Vec<u64>,
+    /// Column: transactions supporting each vector.
+    freqs: Vec<Support>,
+    /// `buckets[b]` holds the ids of entries whose top set bit is `b`.
+    /// A fold clears that bit, so entries move strictly downwards.
+    buckets: Vec<Vec<EntryId>>,
+    /// OR of every word pushed: the bits that may own a non-empty bucket.
+    span: u64,
+    /// Scratch: ids of the entries forming the conditional database of
+    /// the bucket currently being peeled.
+    cond: Vec<EntryId>,
+    /// Dedup table keyed by [`word_hash`]: drain-scoped while mining,
+    /// construction-scoped while the level is built.
+    dedup: DedupTable,
+}
+
+impl MaskLevel {
+    /// Clears entry storage for a fresh database. Buckets are already
+    /// empty: mining drains every bucket it fills.
+    fn reset(&mut self) {
+        if self.buckets.len() < MASK_BITS {
+            self.buckets.resize_with(MASK_BITS, Vec::new);
+        }
+        self.words.clear();
+        self.freqs.clear();
+        self.span = 0;
+        debug_assert!(self.buckets.iter().all(Vec::is_empty));
+    }
+
+    /// Number of live entries.
+    fn num_entries(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Appends a non-zero word that no entry of the level holds yet.
+    fn push(&mut self, word: u64, freq: Support) {
+        let id = self.num_entries() as EntryId;
+        self.words.push(word);
+        self.freqs.push(freq);
+        self.buckets[top_bit(word)].push(id);
+        self.span |= word;
+    }
+
+    /// Looks up an entry holding `word` since the last `dedup.begin`,
+    /// recording entry `id` as its holder if there is none.
+    fn dedup_word(&mut self, id: EntryId, word: u64) -> Option<EntryId> {
+        let words = &self.words;
+        self.dedup
+            .probe(word_hash(word), id, |other| words[other as usize] == word)
+    }
+
+    /// Appends a non-zero word, or merges its frequency into the entry
+    /// holding the same word since the last `dedup.begin`.
+    fn push_merged(&mut self, word: u64, freq: Support) {
+        match self.dedup_word(self.num_entries() as EntryId, word) {
+            Some(other) => self.freqs[other as usize] += freq,
+            None => self.push(word, freq),
         }
     }
 }
 
-/// `Conditional_Construct`'s two local scans, fused into one pass each
-/// over the positions of `db`, writing `child`. Scan 1 recovers every
-/// rank and counts it; scan 2 keeps the locally frequent ranks. When all
-/// of them stay frequent — the common case on dense data — scan 2 is the
-/// identity, and an entry carrying its cached hash copies through as a
-/// raw slice (no merge check: a drain's survivors are already
-/// distinct). Returns whether `child` holds any entries.
+/// Which representation a construction filled.
+enum Built {
+    /// No rank stayed frequent: there is nothing to mine.
+    Empty,
+    /// More than 64 ranks stayed frequent: a position [`Level`].
+    Positions,
+    /// At most 64 ranks stayed frequent: a [`MaskLevel`].
+    Masks,
+}
+
+/// `Conditional_Construct`'s two local scans over the delta windows of
+/// `db`. Scan 1 recovers every rank and counts it, and the count of
+/// locally frequent ranks picks the child: at most 64 fill `narrow`,
+/// numbered in rank order into `bit_ranks`, and more fill `wide`. Scan 2
+/// reuses scan 1's counts either way.
 fn construct<'a, I>(
     db: I,
     counts: &mut RankCounts,
-    child: &mut Level,
+    bit_ranks: &mut Vec<Rank>,
+    wide: &mut Level,
+    narrow: &mut MaskLevel,
     min_support: Support,
-    stats: &mut MineStats,
-) -> bool
+) -> Built
 where
-    I: Iterator<Item = Window<'a>> + Clone,
+    I: Iterator<Item = (&'a [Rank], Support)> + Clone,
 {
-    child.reset();
     debug_assert!(counts.touched.is_empty());
-    for (window, freq, _) in db.clone() {
+    let mut windows = 0;
+    for (window, freq) in db.clone() {
         counts.add(window, freq);
+        windows += 1;
     }
-    let all_frequent = counts.all_frequent(min_support);
-    for (window, freq, cached) in db {
-        match cached {
-            Some(hash) if all_frequent => {
-                stats.copy_throughs += 1;
-                child.push_window(window, freq, window.iter().sum(), hash);
+    let kept = counts.kept(min_support);
+    let built = if kept == 0 {
+        Built::Empty
+    } else if kept <= MASK_BITS {
+        counts.number_kept(bit_ranks, min_support);
+        narrow.reset();
+        narrow.dedup.begin(windows);
+        for (window, freq) in db {
+            let mut rank: Rank = 0;
+            let word = window.iter().fold(0u64, |word, &p| {
+                rank += p;
+                word | counts.bits[rank as usize]
+            });
+            if word != 0 {
+                narrow.push_merged(word, freq);
             }
-            _ => child.push_filtered(window, freq, &counts.counts, min_support),
+        }
+        Built::Masks
+    } else {
+        wide.reset(counts.counts.len() - 1);
+        for (window, freq) in db {
+            wide.push_filtered(window, freq, &counts.counts, min_support);
+        }
+        Built::Positions
+    };
+    counts.clear();
+    built
+}
+
+/// `Conditional_Construct` inside a mask subtree: per-bit counts over the
+/// parent's CD (scan 1), then one AND with the kept bits per word (scan
+/// 2). The AND can make distinct words equal, and those merge. Returns
+/// whether `child` holds any entries.
+fn construct_masks(parent: &MaskLevel, child: &mut MaskLevel, min_support: Support) -> bool {
+    let mut counts = [0 as Support; MASK_BITS];
+    let mut seen = 0u64;
+    for &id in &parent.cond {
+        let (mut word, freq) = (parent.words[id as usize], parent.freqs[id as usize]);
+        seen |= word;
+        while word != 0 {
+            counts[word.trailing_zeros() as usize] += freq;
+            word &= word - 1;
         }
     }
-    counts.clear();
-    child.num_entries() > 0
+    let mut keep = 0u64;
+    let mut bits = seen;
+    while bits != 0 {
+        let b = bits.trailing_zeros();
+        if counts[b as usize] >= min_support {
+            keep |= 1 << b;
+        }
+        bits &= bits - 1;
+    }
+    child.reset();
+    if keep == 0 {
+        return false;
+    }
+    child.dedup.begin(parent.cond.len());
+    for &id in &parent.cond {
+        let word = parent.words[id as usize] & keep;
+        if word != 0 {
+            child.push_merged(word, parent.freqs[id as usize]);
+        }
+    }
+    true
 }
 
 /// Reusable per-depth arena storage for the conditional miner.
@@ -408,11 +621,15 @@ where
 /// ```
 #[derive(Debug, Default)]
 pub struct ArenaPool {
+    /// Position storage per depth.
     levels: Vec<Level>,
+    /// Mask storage per depth.
+    masks: Vec<MaskLevel>,
     /// The rank-count table every construction shares.
     counts: RankCounts,
-    /// Rank capacity the levels are currently sized for.
-    max_rank: usize,
+    /// The global rank each mask bit stands for, in the active mask
+    /// subtree.
+    bit_ranks: Vec<Rank>,
     /// Engine counters accumulated across mining calls on this pool.
     stats: MineStats,
 }
@@ -423,40 +640,58 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
-    /// Sizes the pool for ranks `1..=max_rank` and resets the depth-0
-    /// level, ready to be filled.
+    /// Sizes the rank-count table for ranks `1..=max_rank` and makes
+    /// sure depth 0 exists, ready to be filled.
     fn prepare(&mut self, max_rank: usize) {
-        self.max_rank = max_rank;
-        if self.counts.counts.len() < max_rank + 1 {
-            self.counts.counts.resize(max_rank + 1, 0);
-        }
-        self.ensure_level(0);
-        self.levels[0].reset();
+        self.counts.ensure_rank_capacity(max_rank);
+        self.ensure_depth(0);
     }
 
-    /// Makes sure `levels[depth]` exists and covers the pool's rank range.
-    fn ensure_level(&mut self, depth: usize) {
+    /// Makes sure `levels[depth]` and `masks[depth]` exist. Storage is
+    /// sized by the representation that fills them.
+    fn ensure_depth(&mut self, depth: usize) {
         while self.levels.len() <= depth {
             self.levels.push(Level::default());
+            self.masks.push(MaskLevel::default());
         }
-        self.levels[depth].ensure_rank_capacity(self.max_rank);
     }
 
     /// Mines an already-constructed PLT (built without prefix insertion),
     /// feeding the arena straight from the partition storage — no
-    /// per-vector clone, no intermediate map.
+    /// per-vector clone, no intermediate map. A ranking of at most 64
+    /// ranks starts masked, with bit `b` standing for rank `b + 1`.
     pub fn mine_plt(&mut self, plt: &Plt) -> MiningResult {
         let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
-        self.prepare(plt.ranking().len());
-        let level = &mut self.levels[0];
-        let positions = (1..=plt.max_len()).map(|k| k * plt.partition_len(k));
-        level.reserve_exact(plt.num_vectors(), positions.sum());
-        for (v, e) in plt.iter() {
-            let window = v.positions();
-            level.push_window(window, e.freq, e.sum, window_hash(window));
-        }
+        let max_rank = plt.ranking().len();
+        self.prepare(max_rank);
         let mut suffix = Vec::new();
-        mine_or_shortcut(self, 0, plt, &mut suffix, &mut result);
+        if max_rank <= MASK_BITS {
+            self.bit_ranks.clear();
+            self.bit_ranks.extend(1..=max_rank as Rank);
+            let level = &mut self.masks[0];
+            level.reset();
+            level.words.reserve_exact(plt.num_vectors());
+            level.freqs.reserve_exact(plt.num_vectors());
+            // Every ranked item is frequent and the PLT's vectors are
+            // distinct, so the words go in unfiltered and unmerged.
+            for (v, e) in plt.iter() {
+                let word = v.ranks_iter().fold(0u64, |w, r| w | 1 << (r - 1));
+                level.push(word, e.freq);
+            }
+            if level.num_entries() > 0 {
+                mine_masks(self, 0, plt, &mut suffix, &mut result);
+            }
+        } else {
+            let level = &mut self.levels[0];
+            level.reset(max_rank);
+            let positions = (1..=plt.max_len()).map(|k| k * plt.partition_len(k));
+            level.reserve_exact(plt.num_vectors(), positions.sum());
+            for (v, e) in plt.iter() {
+                let window = v.positions();
+                level.push_window(window, e.freq, e.sum, window_hash(window));
+            }
+            mine_level(self, 0, plt, &mut suffix, &mut result);
+        }
         self.note_bytes_peak();
         result
     }
@@ -476,21 +711,30 @@ impl ArenaPool {
     /// O(levels) with constant work per level, so it runs once per mining
     /// call; the per-bucket spine vectors are deliberately excluded.
     fn note_bytes_peak(&mut self) {
-        let mut bytes = (self.counts.counts.capacity() * std::mem::size_of::<Support>()
-            + self.counts.touched.capacity() * std::mem::size_of::<Rank>())
-            as u64;
+        use std::mem::size_of;
+        let table = |d: &DedupTable| d.slots.capacity() * size_of::<(u32, EntryId)>();
+        let mut bytes = self.counts.counts.capacity() * size_of::<Support>()
+            + self.counts.touched.capacity() * size_of::<Rank>()
+            + self.counts.bits.capacity() * size_of::<u64>()
+            + self.bit_ranks.capacity() * size_of::<Rank>();
         for level in &self.levels {
-            bytes += (level.positions.capacity() * std::mem::size_of::<Rank>()
-                + level.offsets.capacity() * std::mem::size_of::<u32>()
-                + level.lens.capacity() * std::mem::size_of::<u32>()
-                + level.freqs.capacity() * std::mem::size_of::<Support>()
-                + level.hashes.capacity() * std::mem::size_of::<u64>()
-                + level.buckets.capacity() * std::mem::size_of::<Vec<EntryId>>()
-                + level.cond.capacity() * std::mem::size_of::<EntryId>()
-                + level.dedup.capacity() * std::mem::size_of::<(u32, EntryId)>())
-                as u64;
+            bytes += level.positions.capacity() * size_of::<Rank>()
+                + level.offsets.capacity() * size_of::<u32>()
+                + level.lens.capacity() * size_of::<u32>()
+                + level.freqs.capacity() * size_of::<Support>()
+                + level.hashes.capacity() * size_of::<u64>()
+                + level.buckets.capacity() * size_of::<Vec<EntryId>>()
+                + level.cond.capacity() * size_of::<EntryId>()
+                + table(&level.dedup);
         }
-        self.stats.bytes_peak = self.stats.bytes_peak.max(bytes);
+        for level in &self.masks {
+            bytes += level.words.capacity() * size_of::<u64>()
+                + level.freqs.capacity() * size_of::<Support>()
+                + level.buckets.capacity() * size_of::<Vec<EntryId>>()
+                + level.cond.capacity() * size_of::<EntryId>()
+                + table(&level.dedup);
+        }
+        self.stats.bytes_peak = self.stats.bytes_peak.max(bytes as u64);
     }
 
     /// Mines a conditional database under a fixed suffix of global ranks.
@@ -515,81 +759,64 @@ impl ArenaPool {
     {
         let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
         self.prepare(plt.ranking().len());
-        // Projected windows carry no cached hash and may repeat, so every
-        // one takes the filtering scan, which merges runs of duplicates.
-        construct(
-            conditional.map(|(window, freq)| (window, freq, None)),
+        let built = construct(
+            conditional,
             &mut self.counts,
+            &mut self.bit_ranks,
             &mut self.levels[0],
+            &mut self.masks[0],
             plt.min_support(),
-            &mut self.stats,
         );
         let mut sfx = suffix.to_vec();
-        mine_or_shortcut(self, 0, plt, &mut sfx, &mut result);
+        mine_built(self, 0, built, plt, &mut sfx, &mut result);
         self.note_bytes_peak();
         result
     }
 }
 
-/// Dispatches `levels[depth]` to the single-path shortcut when it holds
-/// exactly one entry, and to the full recursive peel otherwise.
-fn mine_or_shortcut(
+/// Mines the database a construction just built at `depth`.
+fn mine_built(
     pool: &mut ArenaPool,
     depth: usize,
+    built: Built,
     plt: &Plt,
     suffix: &mut Vec<Rank>,
     result: &mut MiningResult,
 ) {
-    let level = &pool.levels[depth];
-    if level.num_entries() == 1 && level.lens[0] <= MAX_SINGLE_PATH {
-        pool.stats.single_path_shortcuts += 1;
-        emit_single_path(&mut pool.levels[depth], plt, suffix, result);
-    } else {
-        mine_level(pool, depth, plt, suffix, result);
+    match built {
+        Built::Empty => {}
+        Built::Positions => mine_level(pool, depth, plt, suffix, result),
+        Built::Masks => mine_masks(pool, depth, plt, suffix, result),
     }
 }
 
-/// Longest vector the single-path shortcut enumerates directly (2^len
-/// itemsets); longer chains fall back to the recursive peel, which visits
-/// the same family without materialising a mask loop.
-const MAX_SINGLE_PATH: u32 = 30;
-
-/// The single-path shortcut: a one-entry database supports every
-/// non-empty subset of its vector with the entry's own frequency, so the
-/// whole subtree is emitted with direct inserts — no drains, no child
-/// construction. The counterpart of FP-growth's single-path optimisation,
-/// justified here by Lemma 4.1.3 (every subset arises from the one
-/// vector).
-fn emit_single_path(
-    level: &mut Level,
+/// Emits `suffix ∪ S` with support `freq` for every non-empty subset `S`
+/// of the mask word's ranks: the single-path shortcut. A one-entry
+/// database supports every non-empty subset of its vector with the
+/// entry's own frequency, so the whole subtree is emitted with direct
+/// inserts — no drains, no child construction. The counterpart of
+/// FP-growth's single-path optimisation, justified here by Lemma 4.1.3
+/// (every subset arises from the one vector).
+fn emit_subsets(
+    word: u64,
+    freq: Support,
+    bit_ranks: &[Rank],
     plt: &Plt,
     suffix: &mut Vec<Rank>,
     result: &mut MiningResult,
 ) {
-    debug_assert_eq!(level.num_entries(), 1);
-    let freq = level.freqs[0];
-    let mut ranks = [0 as Rank; MAX_SINGLE_PATH as usize];
-    let window = level.window(0);
-    let len = window.len();
-    let mut rank = 0;
-    for (slot, &p) in ranks.iter_mut().zip(window) {
-        rank += p;
-        *slot = rank;
-    }
-    // The entry is parked in the bucket of its last rank; consume it so
-    // the level resets clean for the next sibling.
-    level.buckets[rank as usize].clear();
-    let ranks = &ranks[..len];
     let base = suffix.len();
-    for mask in 1u64..(1u64 << ranks.len()) {
-        for (i, &r) in ranks.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                suffix.push(r);
-            }
+    let mut subset = word;
+    while subset != 0 {
+        let mut bits = subset;
+        while bits != 0 {
+            suffix.push(bit_ranks[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
         }
         let items = plt.ranking().items_for_ranks(suffix);
         result.insert(Itemset::from_sorted(items), freq);
         suffix.truncate(base);
+        subset = (subset - 1) & word;
     }
 }
 
@@ -634,7 +861,7 @@ fn mine_level(
         let mix_j = mix(j);
         let mut folded: u64 = 0;
         let mut dedup_hits: u64 = 0;
-        level.dedup_begin(ids.len());
+        level.dedup.begin(ids.len());
         level.cond.clear();
         for &id in &ids {
             let idu = id as usize;
@@ -674,23 +901,100 @@ fn mine_level(
 
         // CPLT = PLT_Construction(CD_j, min_sup): the fused two-scan
         // local construction, writing into the next depth's reusable
-        // level. Each CD_j entry's prefix is its *current* (already
-        // shrunk) window, with the hash the fold left behind.
-        pool.ensure_level(depth + 1);
+        // storage. Each CD_j entry's prefix is its *current* (already
+        // shrunk) window.
+        pool.ensure_depth(depth + 1);
         let (parents, children) = pool.levels.split_at_mut(depth + 1);
         let parent = &parents[depth];
         let cd = parent.cond.iter().map(|&id| {
             let i = id as usize;
-            (parent.window(i), parent.freqs[i], Some(parent.hashes[i]))
+            (parent.window(i), parent.freqs[i])
         });
-        if construct(
+        let built = construct(
             cd,
             &mut pool.counts,
+            &mut pool.bit_ranks,
             &mut children[0],
+            &mut pool.masks[depth + 1],
             min_support,
-            &mut pool.stats,
-        ) {
-            mine_or_shortcut(pool, depth + 1, plt, suffix, result);
+        );
+        mine_built(pool, depth + 1, built, plt, suffix, result);
+        suffix.pop();
+    }
+}
+
+/// [`mine_level`] on a [`MaskLevel`]: the same peel, fold, dedup and
+/// construction as word operations. Bucket `b` holds the words whose top
+/// bit is `b`; a fold clears that bit; a dedup probe compares words.
+fn mine_masks(
+    pool: &mut ArenaPool,
+    depth: usize,
+    plt: &Plt,
+    suffix: &mut Vec<Rank>,
+    result: &mut MiningResult,
+) {
+    pool.stats.mask_levels += 1;
+    let level = &mut pool.masks[depth];
+    if level.num_entries() == 1 {
+        pool.stats.single_path_shortcuts += 1;
+        let (word, freq) = (level.words[0], level.freqs[0]);
+        // Consume the entry's bucket so the level resets clean for the
+        // next sibling.
+        level.buckets[top_bit(word)].clear();
+        emit_subsets(word, freq, &pool.bit_ranks, plt, suffix, result);
+        return;
+    }
+    let min_support = plt.min_support();
+    let mut pending = level.span;
+    while pending != 0 {
+        let b = top_bit(pending);
+        pending ^= 1 << b;
+        let level = &mut pool.masks[depth];
+        if level.buckets[b].is_empty() {
+            continue;
+        }
+        let mut ids = std::mem::take(&mut level.buckets[b]);
+        let support: Support = ids.iter().map(|&id| level.freqs[id as usize]).sum();
+        let mut folded: u64 = 0;
+        let mut dedup_hits: u64 = 0;
+        level.dedup.begin(ids.len());
+        level.cond.clear();
+        for &id in &ids {
+            let idu = id as usize;
+            let word = level.words[idu] ^ (1 << b);
+            if word == 0 {
+                continue;
+            }
+            level.words[idu] = word;
+            folded += 1;
+            match level.dedup_word(id, word) {
+                Some(other) => {
+                    dedup_hits += 1;
+                    level.freqs[other as usize] += level.freqs[idu];
+                }
+                None => {
+                    level.buckets[top_bit(word)].push(id);
+                    level.cond.push(id);
+                }
+            }
+        }
+        ids.clear();
+        level.buckets[b] = ids; // hand the capacity back
+        pool.stats.vectors_folded += folded;
+        pool.stats.dedup_hits += dedup_hits;
+
+        if support < min_support {
+            continue;
+        }
+
+        suffix.push(pool.bit_ranks[b]);
+        let items = plt.ranking().items_for_ranks(suffix);
+        result.insert(Itemset::from_sorted(items), support);
+
+        pool.ensure_depth(depth + 1);
+        let (parents, children) = pool.masks.split_at_mut(depth + 1);
+        if construct_masks(&parents[depth], &mut children[0], min_support) {
+            mine_masks(pool, depth + 1, plt, suffix, result);
         }
         suffix.pop();
     }
@@ -822,6 +1126,8 @@ mod tests {
         let stats = *pool.stats();
         assert!(stats.vectors_folded > 0, "{stats:?}");
         assert!(stats.bytes_peak > 0, "{stats:?}");
+        // Six ranks: the root and every conditional database are masks.
+        assert!(stats.mask_levels > 1, "{stats:?}");
         // Taking hands the counters over and resets the pool's block.
         let taken = pool.take_stats();
         assert_eq!(taken, stats);
@@ -831,6 +1137,7 @@ mod tests {
         merged.merge(&taken);
         assert_eq!(merged.vectors_folded, 2 * taken.vectors_folded);
         assert_eq!(merged.dedup_hits, 2 * taken.dedup_hits);
+        assert_eq!(merged.mask_levels, 2 * taken.mask_levels);
         assert_eq!(merged.bytes_peak, taken.bytes_peak);
         // Recording flushes under the arena.* names only: the arena
         // dispatches no kernels.
@@ -840,6 +1147,7 @@ mod tests {
             rec.counter_value("arena.vectors_folded"),
             taken.vectors_folded
         );
+        assert_eq!(rec.counter_value("arena.mask_levels"), taken.mask_levels);
         assert_eq!(rec.gauge_value("arena.bytes_peak"), taken.bytes_peak);
         assert_eq!(rec.counter_value("kernel.scalar_calls"), 0);
         assert_eq!(rec.counter_value("kernel.simd_calls"), 0);
@@ -871,16 +1179,32 @@ mod tests {
         // windows. Forge equal hashes so the second probes into the
         // first's slot; only the full window compare may decide a hit.
         let mut level = Level::default();
-        level.ensure_rank_capacity(3);
+        level.reset(3);
         for window in [[1, 2], [2, 1], [1, 2]] {
             level.push_window(&window, 1, 3, window_hash(&window));
         }
         level.hashes[1] = level.hashes[0];
-        level.dedup_begin(3);
+        level.dedup.begin(3);
         assert_eq!(level.dedup_entry(0), None);
         assert_eq!(level.dedup_entry(1), None, "a forged collision merged");
         // A genuine duplicate still hits.
         assert_eq!(level.dedup_entry(2), Some(0));
+    }
+
+    #[test]
+    fn masks_merge_the_words_an_and_makes_equal() {
+        // CD = {r0, r1, r2} and {r0, r1, r3}: r2 and r3 fall below
+        // min_support 2, so both words AND to {r0, r1} and merge.
+        let mut parent = MaskLevel::default();
+        parent.reset();
+        parent.push(0b0111, 1);
+        parent.push(0b1011, 1);
+        parent.cond = vec![0, 1];
+        let mut child = MaskLevel::default();
+        assert!(construct_masks(&parent, &mut child, 2));
+        assert_eq!(child.words, [0b0011]);
+        assert_eq!(child.freqs, [2]);
+        assert!(!construct_masks(&parent, &mut MaskLevel::default(), 3));
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl LossyCounter {
                 count: 1,
                 delta: self.bucket - 1,
             });
-        if self.observed.is_multiple_of(self.bucket_width) {
+        if self.observed % self.bucket_width == 0 {
             self.prune();
             self.bucket += 1;
         }

@@ -3,7 +3,9 @@
 //! family (itemsets and supports) of the hybrid miner (an independent
 //! map-layout PLT recursion), the top-down miner, FP-growth, Eclat and —
 //! where the database is small enough — brute force, sequentially, in
-//! parallel, per item projection, and under pool reuse.
+//! parallel, per item projection, and under pool reuse. Both level
+//! representations run: rank masks for databases with at most 64
+//! frequent ranks, positions above that.
 
 use std::collections::BTreeSet;
 
@@ -111,15 +113,79 @@ fn arena_agrees_under_every_rank_policy() {
     }
 }
 
+/// Most frequent ranks a database may keep and still be mined as masks.
+const MASK_BITS: u32 = 64;
+
+/// Mines `db` on a fresh pool, checks it against every reference, and
+/// returns how many databases the pool mined as masks.
+fn mask_levels_of(db: &[Vec<u32>], min_support: u64, label: &str) -> u64 {
+    assert_arena_agrees(db, min_support, label);
+    let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
+    let mut pool = ArenaPool::new();
+    assert_eq!(
+        pool.mine_plt(&plt).sorted(),
+        FpGrowthMiner.mine(db, min_support).sorted(),
+        "{label}"
+    );
+    pool.stats().mask_levels
+}
+
+#[test]
+fn root_with_64_frequent_items_is_masked_and_with_65_is_not() {
+    // `n` items, each frequent on its own (twice at min_support 2), plus
+    // {0, 1, n-1} twice. Below the root two conditional databases are
+    // non-empty, and both are masks at either width: the one of item n-1
+    // ({0, 1}) and the one of item 1 ({0}). So the root is the
+    // difference.
+    for n in [MASK_BITS, MASK_BITS + 1] {
+        let mut db: Vec<Vec<u32>> = (0..n).flat_map(|i| [vec![i], vec![i]]).collect();
+        db.extend([vec![0, 1, n - 1], vec![0, 1, n - 1]]);
+        let root_masked = u64::from(n <= MASK_BITS);
+        assert_eq!(
+            mask_levels_of(&db, 2, &format!("root of {n}")),
+            2 + root_masked,
+            "{n} frequent items"
+        );
+    }
+}
+
+#[test]
+fn conditional_database_with_64_frequent_ranks_is_masked_and_with_65_is_not() {
+    // Item T co-occurs twice with each of `m` items and twice with
+    // {0, 1}: the root keeps m + 1 > 64 ranks (positions), and T's
+    // conditional database keeps exactly m. Two more conditional
+    // databases are non-empty, and both are one-rank masks: {0} under
+    // {1, T}, and {0} under {1}.
+    const T: u32 = 1_000;
+    for m in [MASK_BITS, MASK_BITS + 1] {
+        let mut db: Vec<Vec<u32>> = (0..m).flat_map(|i| [vec![i, T], vec![i, T]]).collect();
+        db.extend([vec![0, 1, T], vec![0, 1, T]]);
+        let cd_masked = u64::from(m <= MASK_BITS);
+        assert_eq!(
+            mask_levels_of(&db, 2, &format!("CD of {m}")),
+            2 + cd_masked,
+            "{m} locally frequent ranks"
+        );
+    }
+}
+
 #[test]
 fn one_pool_across_heterogeneous_databases() {
     // The parallel workers reuse one pool across many conditional
     // databases; mimic that lifecycle across whole PLTs of very different
-    // shapes and make sure no state leaks between runs.
+    // shapes, masked roots alternating with position roots, and make sure
+    // no state leaks between runs.
     let mut pool = ArenaPool::new();
     let sparse = QuestGenerator::new(QuestConfig::t5i2(300))
         .generate()
         .into_transactions();
+    let wide = QuestGenerator::new(QuestConfig {
+        num_items: 300,
+        num_patterns: 300,
+        ..QuestConfig::t5i2(400)
+    })
+    .generate()
+    .into_transactions();
     let dense = DenseGenerator::new(DenseConfig {
         num_transactions: 200,
         num_items: 10,
@@ -129,9 +195,12 @@ fn one_pool_across_heterogeneous_databases() {
     })
     .generate()
     .into_transactions();
-    for db in [&sparse, &dense, &sparse, &dense] {
+    // [masked roots, position roots]
+    let mut roots = [0; 2];
+    for db in [&sparse, &wide, &dense, &wide, &sparse, &dense] {
         for min_support in [3u64, 20, 60] {
             let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
+            roots[usize::from(plt.ranking().len() > MASK_BITS as usize)] += 1;
             let reused = pool.mine_plt(&plt).sorted();
             let fresh = ArenaPool::new().mine_plt(&plt).sorted();
             assert_eq!(reused, fresh, "min_support {min_support}");
@@ -139,6 +208,7 @@ fn one_pool_across_heterogeneous_databases() {
             assert_eq!(reused, fp, "min_support {min_support}");
         }
     }
+    assert!(roots[0] > 0 && roots[1] > 0, "{roots:?}");
 }
 
 proptest! {
@@ -168,6 +238,20 @@ proptest! {
     ) {
         let db: Vec<Vec<u32>> = db.into_iter().map(|t| t.into_iter().collect()).collect();
         assert_arena_agrees(&db, min_support, "prop dense");
+    }
+
+    /// A universe straddling 64 at low support: roots and conditional
+    /// databases fall on both sides of the mask/position choice.
+    #[test]
+    fn prop_arena_matches_references_across_64_ranks(
+        db in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..96, 1..10),
+            1..60,
+        ),
+        min_support in 1u64..3,
+    ) {
+        let db: Vec<Vec<u32>> = db.into_iter().map(|t| t.into_iter().collect()).collect();
+        assert_arena_agrees(&db, min_support, "prop across 64");
     }
 
     /// Per-item projections: `ArenaPool::mine_conditional` on item `j`'s
