@@ -12,7 +12,7 @@
 //! and benchmarks should show).
 
 use plt_core::hash::{FxHashMap, FxHashSet};
-use plt_core::item::{sorted_subset, Item, Itemset, Support};
+use plt_core::item::{sorted_subset, Item, Support};
 use plt_core::miner::{Miner, MiningResult};
 
 /// The AIS miner.
@@ -26,7 +26,7 @@ impl Miner for AisMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
 
         // Pass 1: frequent items.
         let mut counts: FxHashMap<Item, Support> = FxHashMap::default();
@@ -43,7 +43,7 @@ impl Miner for AisMiner {
         let mut frontier: Vec<Vec<Item>> = Vec::new();
         for (&item, &support) in &counts {
             if support >= min_support {
-                result.insert(Itemset::from_sorted(vec![item]), support);
+                result.push([item], support);
                 frontier.push(vec![item]);
             }
         }
@@ -73,14 +73,14 @@ impl Miner for AisMiner {
             let mut next: Vec<Vec<Item>> = Vec::new();
             for (cand, support) in candidates {
                 if support >= min_support {
-                    result.insert(Itemset::from_sorted(cand.clone()), support);
+                    result.push(cand.iter().copied(), support);
                     next.push(cand);
                 }
             }
             next.sort();
             frontier = next;
         }
-        result
+        result.finish()
     }
 }
 

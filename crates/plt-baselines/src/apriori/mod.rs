@@ -90,7 +90,7 @@ impl Miner for AprioriMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
 
         // Pass 1: L_1.
         let mut counts: FxHashMap<Item, Support> = FxHashMap::default();
@@ -109,7 +109,7 @@ impl Miner for AprioriMiner {
             .collect();
         frequent.sort_unstable();
         if frequent.is_empty() {
-            return result;
+            return result.finish();
         }
         // Ranking for the PLT prune variant (item order = item id order, as
         // in the paper).
@@ -117,7 +117,7 @@ impl Miner for AprioriMiner {
 
         let frequent_items: FxHashSet<Item> = frequent.iter().map(|&(i, _)| i).collect();
         for &(item, support) in &frequent {
-            result.insert(Itemset::from_sorted(vec![item]), support);
+            result.push([item], support);
         }
 
         // Filter transactions to frequent items once (every later pass
@@ -164,7 +164,7 @@ impl Miner for AprioriMiner {
             let mut level: Vec<Vec<Item>> = Vec::new();
             for (cand, support) in counted {
                 if support >= min_support {
-                    result.insert(Itemset::from_sorted(cand.clone()), support);
+                    result.push(cand.iter().copied(), support);
                     level.push(cand);
                 }
             }
@@ -174,7 +174,7 @@ impl Miner for AprioriMiner {
             level.sort();
             prev_level = level;
         }
-        result
+        result.finish()
     }
 }
 

@@ -20,7 +20,7 @@
 //! threshold.
 
 use plt_core::hash::{FxHashMap, FxHashSet};
-use plt_core::item::{sorted_subset, Item, Itemset, Support};
+use plt_core::item::{sorted_subset, Item, Support};
 use plt_core::miner::{Miner, MiningResult};
 
 /// The DIC miner.
@@ -54,9 +54,9 @@ impl Miner for DicMiner {
         assert!(min_support >= 1, "minimum support must be at least 1");
         assert!(self.block_size >= 1);
         let n = transactions.len();
-        let mut result = MiningResult::new(min_support, n as u64);
+        let mut result = MiningResult::builder(min_support, n as u64);
         if n == 0 {
-            return result;
+            return result.finish();
         }
 
         // Counters start with every 1-itemset, dashed.
@@ -154,10 +154,10 @@ impl Miner for DicMiner {
         for (items, c) in counters {
             debug_assert_eq!(c.remaining, 0);
             if c.count >= min_support {
-                result.insert(Itemset::from_sorted(items), c.count);
+                result.push(items, c.count);
             }
         }
-        result
+        result.finish()
     }
 }
 

@@ -26,8 +26,8 @@
 //! Either way the recursion recycles its intermediate buffers through a
 //! free-list pool, so steady-state mining allocates nothing per candidate.
 
-use plt_core::item::{Item, Itemset, Support};
-use plt_core::miner::{Miner, MiningResult};
+use plt_core::item::{Item, Support};
+use plt_core::miner::{Miner, MiningResult, ResultBuilder};
 use plt_data::bitset::BitsetTidDb;
 use plt_data::transaction::TransactionDb;
 use plt_data::vertical::{Tid, VerticalDb};
@@ -121,7 +121,7 @@ impl Miner for EclatMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
         let db = TransactionDb::from_sorted(transactions.to_vec());
         let vertical = VerticalDb::from_horizontal(&db);
 
@@ -134,7 +134,7 @@ impl Miner for EclatMiner {
             .collect();
         frequent.sort_by_key(|&(item, tids)| (tids.len(), item));
         for &(item, tids) in &frequent {
-            result.insert(Itemset::from_sorted(vec![item]), tids.len() as Support);
+            result.push([item], tids.len() as Support);
         }
 
         let total_tids: usize = frequent.iter().map(|&(_, t)| t.len()).sum();
@@ -191,7 +191,7 @@ impl Miner for EclatMiner {
                 &mut result,
             );
         }
-        result
+        result.finish()
     }
 }
 
@@ -206,7 +206,7 @@ impl EclatMiner {
         min_support: Support,
         prefix: &mut Vec<Item>,
         pool: &mut FreeList<Tid>,
-        result: &mut MiningResult,
+        result: &mut ResultBuilder,
     ) {
         for i in 0..class.len() {
             let a = &class[i];
@@ -229,9 +229,7 @@ impl EclatMiner {
                     tids.len() as Support
                 };
                 if support >= min_support {
-                    let mut items = prefix.clone();
-                    items.push(b.item);
-                    result.insert(Itemset::new(items), support);
+                    result.push(prefix.iter().copied().chain([b.item]), support);
                     child.push(Member {
                         item: b.item,
                         tids,
@@ -268,7 +266,7 @@ impl EclatMiner {
         min_support: Support,
         prefix: &mut Vec<Item>,
         pool: &mut FreeList<u64>,
-        result: &mut MiningResult,
+        result: &mut ResultBuilder,
     ) {
         for i in 0..class.len() {
             let a = &class[i];
@@ -289,9 +287,7 @@ impl EclatMiner {
                     plt_simd::and_into(&a.words, &b.words, &mut words)
                 };
                 if support >= min_support {
-                    let mut items = prefix.clone();
-                    items.push(b.item);
-                    result.insert(Itemset::new(items), support);
+                    result.push(prefix.iter().copied().chain([b.item]), support);
                     child.push(BitMember {
                         item: b.item,
                         words,

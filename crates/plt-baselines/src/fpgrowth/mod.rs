@@ -15,8 +15,8 @@ mod tree;
 pub use tree::{FpTree, Header, NIL, NIL_ITEM};
 
 use plt_core::hash::FxHashMap;
-use plt_core::item::{Item, Itemset, Support};
-use plt_core::miner::{Miner, MiningResult};
+use plt_core::item::{Item, Support};
+use plt_core::miner::{Miner, MiningResult, ResultBuilder};
 
 /// The FP-growth miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,15 +63,15 @@ impl Miner for FpGrowthMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
         // Scan 1 (frequency order) + scan 2 (tree build).
         let (fp, order_to_item) = build_fp_tree(transactions, min_support);
         if order_to_item.is_empty() {
-            return result;
+            return result.finish();
         }
         let mut suffix: Vec<u32> = Vec::new();
         fp_growth(&fp, min_support, &order_to_item, &mut suffix, &mut result);
-        result
+        result.finish()
     }
 }
 
@@ -81,14 +81,13 @@ fn emit(
     suffix: &[u32],
     extra: &[u32],
     support: Support,
-    result: &mut MiningResult,
+    result: &mut ResultBuilder,
 ) {
-    let items: Vec<Item> = suffix
+    let items = suffix
         .iter()
         .chain(extra)
-        .map(|&o| order_to_item[o as usize])
-        .collect();
-    result.insert(Itemset::new(items), support);
+        .map(|&o| order_to_item[o as usize]);
+    result.push(items, support);
 }
 
 /// The recursive FP-growth procedure.
@@ -97,7 +96,7 @@ fn fp_growth(
     min_support: Support,
     order_to_item: &[Item],
     suffix: &mut Vec<u32>,
-    result: &mut MiningResult,
+    result: &mut ResultBuilder,
 ) {
     // Single-path shortcut: every combination of the path's nodes is
     // frequent with the count of its deepest node.
@@ -164,7 +163,7 @@ fn enumerate_path_combinations(
     min_support: Support,
     order_to_item: &[Item],
     suffix: &[u32],
-    result: &mut MiningResult,
+    result: &mut ResultBuilder,
 ) {
     // Counts along a single path are non-increasing, so the deepest node
     // determines the combination's support. Path lengths are bounded by

@@ -14,8 +14,8 @@
 //! benefit at these scales).
 
 use plt_core::hash::FxHashMap;
-use plt_core::item::{Item, Itemset, Support};
-use plt_core::miner::{Miner, MiningResult};
+use plt_core::item::{Item, Support};
+use plt_core::miner::{Miner, MiningResult, ResultBuilder};
 
 /// The H-Mine miner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,7 +36,7 @@ impl Miner for HMineMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
 
         // Frequent items; the hyper-structure stores each transaction's
         // frequent items sorted ascending by item id.
@@ -51,7 +51,7 @@ impl Miner for HMineMiner {
             .filter(|&(_, s)| s >= min_support)
             .collect();
         if frequent.is_empty() {
-            return result;
+            return result.finish();
         }
 
         let hyper: Vec<Vec<Item>> = transactions
@@ -77,7 +77,7 @@ impl Miner for HMineMiner {
 
         let mut prefix: Vec<Item> = Vec::new();
         mine_projection(&hyper, &root, min_support, &mut prefix, &mut result);
-        result
+        result.finish()
     }
 }
 
@@ -87,7 +87,7 @@ fn mine_projection(
     cursors: &[Cursor],
     min_support: Support,
     prefix: &mut Vec<Item>,
-    result: &mut MiningResult,
+    result: &mut ResultBuilder,
 ) {
     // Local header table: support of each item in the projected suffixes.
     let mut local: FxHashMap<Item, Support> = FxHashMap::default();
@@ -104,7 +104,7 @@ fn mine_projection(
 
     for (item, support) in items {
         prefix.push(item);
-        result.insert(Itemset::from_sorted(prefix.clone()), support);
+        result.push(prefix.iter().copied(), support);
 
         // Project: advance each cursor past `item` where present.
         let mut projected: Vec<Cursor> = Vec::new();

@@ -44,9 +44,9 @@ impl Miner for PartitionMiner {
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
         assert!(self.num_partitions >= 1);
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
         if transactions.is_empty() {
-            return result;
+            return result.finish();
         }
         let n = transactions.len();
         let s_rel = min_support as f64 / n as f64;
@@ -60,7 +60,7 @@ impl Miner for PartitionMiner {
             // must imply local frequency.
             let local_min = ((s_rel * part.len() as f64).ceil() as Support).max(1);
             let local = EclatMiner::default().mine(part, local_min);
-            candidates.extend(local.iter().map(|(s, _)| s.clone()));
+            candidates.extend(local.iter().map(|(s, _)| s.to_itemset()));
         }
 
         // Phase 2: exact global counting via tidlist intersections.
@@ -78,10 +78,10 @@ impl Miner for PartitionMiner {
             }
             let support = tids.len() as Support;
             if support >= min_support {
-                result.insert(candidate, support);
+                result.push(candidate, support);
             }
         }
-        result
+        result.finish()
     }
 }
 

@@ -113,7 +113,7 @@ impl SamplingMiner {
             );
             let lowered = (((rel * (1.0 - slack)) * sample.len() as f64).floor() as Support).max(1);
             let local = EclatMiner::default().mine(&sample, lowered);
-            let candidates: Vec<Itemset> = local.iter().map(|(s, _)| s.clone()).collect();
+            let candidates: Vec<Itemset> = local.iter().map(|(s, _)| s.to_itemset()).collect();
             if let Some(result) =
                 self.verify(&db, &vertical, transactions.len(), min_support, &candidates)
             {
@@ -166,14 +166,14 @@ impl SamplingMiner {
                 return None;
             }
         }
-        let mut result = MiningResult::new(min_support, num_transactions as u64);
+        let mut result = MiningResult::builder(min_support, num_transactions as u64);
         for c in candidates {
             let support = count(c);
             if support >= min_support {
-                result.insert(c.clone(), support);
+                result.push(c.items().iter().copied(), support);
             }
         }
-        Some(result)
+        Some(result.finish())
     }
 }
 

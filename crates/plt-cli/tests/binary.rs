@@ -160,6 +160,7 @@ fn mine_metrics_json_emits_schema_v1_and_creates_parent_dirs() {
         "construct/rank",
         "construct/encode",
         "mine/conditional",
+        "mine/finish",
         "\"counters\"",
         "arena.vectors_folded",
         "arena.mask_levels",

@@ -14,16 +14,17 @@
 //! the standard post-processing formulation: filter a complete
 //! [`MiningResult`] by superset inspection, one level up at a time.
 //!
-//! Both filters run in `O(Σ_k k · |F_k|)` hash probes: an itemset only
-//! needs its `(k+1)`-supersets checked, and each `(k+1)`-itemset names its
-//! `k+1` subsets directly.
+//! Both filters run in `O(Σ_k k · |F_k|)` probes: an itemset only needs
+//! its `(k+1)`-supersets checked, each `(k+1)`-itemset names its `k+1`
+//! subsets directly, and a result's size groups are contiguous slices
+//! ([`MiningResult::of_size`]).
 
 pub mod native;
 
 pub use native::ClosedMiner;
 
-use plt_core::hash::FxHashMap;
-use plt_core::item::Itemset;
+use plt_core::hash::FxHashSet;
+use plt_core::item::Item;
 use plt_core::miner::MiningResult;
 
 /// Keeps the closed itemsets of a (complete) mining result.
@@ -48,24 +49,19 @@ pub fn maximal_itemsets(result: &MiningResult) -> MiningResult {
 /// itemset properly contains it (every frequent superset extends to a
 /// closed one).
 pub fn maximal_from_closed(closed: &MiningResult) -> MiningResult {
-    // Group by size; an itemset only needs checking against larger sets.
-    let mut by_size: Vec<Vec<&Itemset>> = Vec::new();
-    for (itemset, _) in closed.iter() {
-        let k = itemset.len();
-        if by_size.len() < k {
-            by_size.resize_with(k, Vec::new);
-        }
-        by_size[k - 1].push(itemset);
-    }
-    let mut out = MiningResult::new(closed.min_support(), closed.num_transactions());
+    let mut out = MiningResult::builder(closed.min_support(), closed.num_transactions());
     for (itemset, support) in closed.iter() {
-        let dominated = (itemset.len()..by_size.len())
-            .any(|k| by_size[k].iter().any(|bigger| itemset.is_subset_of(bigger)));
+        // An itemset only needs checking against the larger size groups.
+        let dominated = (itemset.len() + 1..=closed.max_size()).any(|k| {
+            closed
+                .of_size(k)
+                .any(|(bigger, _)| itemset.is_subset_of(bigger))
+        });
         if !dominated {
-            out.insert(itemset.clone(), support);
+            out.push(itemset.items().iter().copied(), support);
         }
     }
-    out
+    out.finish()
 }
 
 /// Shared machinery: drop an itemset when some frequent `(k+1)`-superset
@@ -76,57 +72,40 @@ pub fn maximal_from_closed(closed: &MiningResult) -> MiningResult {
 /// extensions (if a (k+2)-superset kills you, the (k+1)-itemset between
 /// you and it does too — supports are monotone along the chain).
 fn filter_by_supersets(result: &MiningResult, kill: impl Fn(u64, u64) -> bool) -> MiningResult {
-    // Group supports by size for the level-up probes.
-    let mut by_size: Vec<Vec<(&Itemset, u64)>> = Vec::new();
-    for (itemset, support) in result.iter() {
-        let k = itemset.len();
-        if by_size.len() < k {
-            by_size.resize_with(k, Vec::new);
-        }
-        by_size[k - 1].push((itemset, support));
-    }
-
-    // killed[k-1]: the k-itemsets dominated by some (k+1)-superset.
-    let mut out = MiningResult::new(result.min_support(), result.num_transactions());
-    for k in 0..by_size.len() {
-        let uppers: FxHashMap<&Itemset, u64> = if k + 1 < by_size.len() {
-            by_size[k + 1].iter().copied().collect()
-        } else {
-            FxHashMap::default()
-        };
-        // Build the kill set for this level by enumerating each upper
-        // itemset's immediate subsets.
-        let mut killed: FxHashMap<Itemset, ()> = FxHashMap::default();
-        for (&upper, upper_support) in uppers.iter() {
+    let mut out = MiningResult::builder(result.min_support(), result.num_transactions());
+    for k in 1..=result.max_size() {
+        // The k-itemsets dominated by some (k+1)-superset: enumerate each
+        // upper itemset's immediate subsets.
+        let mut killed: FxHashSet<Vec<Item>> = FxHashSet::default();
+        for (upper, upper_support) in result.of_size(k + 1) {
             for drop in 0..upper.len() {
-                let sub: Vec<_> = upper
+                let sub: Vec<Item> = upper
                     .items()
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| i != drop)
                     .map(|(_, &x)| x)
                     .collect();
-                let sub = Itemset::from_sorted(sub);
-                if let Some(own) = result.support(sub.items()) {
-                    if kill(own, *upper_support) {
-                        killed.insert(sub, ());
+                if let Some(own) = result.support(&sub) {
+                    if kill(own, upper_support) {
+                        killed.insert(sub);
                     }
                 }
             }
         }
-        for &(itemset, support) in &by_size[k] {
-            if !killed.contains_key(itemset) {
-                out.insert(itemset.clone(), support);
+        for (itemset, support) in result.of_size(k) {
+            if !killed.contains(itemset.items()) {
+                out.push(itemset.items().iter().copied(), support);
             }
         }
     }
-    out
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plt_core::item::Item;
+    use plt_core::item::{Item, Itemset};
     use plt_core::miner::{BruteForceMiner, Miner};
     use proptest::prelude::*;
 
@@ -203,7 +182,7 @@ mod tests {
                 !all.iter()
                     .any(|(t, tsup)| t.len() > s.len() && s.is_subset_of(t) && tsup == *sup)
             })
-            .map(|(s, _)| s.clone())
+            .map(|(s, _)| s.to_itemset())
             .collect()
     }
 
@@ -213,7 +192,7 @@ mod tests {
                 !all.iter()
                     .any(|(t, _)| t.len() > s.len() && s.is_subset_of(t))
             })
-            .map(|(s, _)| s.clone())
+            .map(|(s, _)| s.to_itemset())
             .collect()
     }
 
@@ -222,7 +201,7 @@ mod tests {
         let all = BruteForceMiner.mine(&table1(), 2);
         let mut fast: Vec<Itemset> = closed_itemsets(&all)
             .iter()
-            .map(|(s, _)| s.clone())
+            .map(|(s, _)| s.to_itemset())
             .collect();
         let mut slow = reference_closed(&all);
         fast.sort();
@@ -231,7 +210,7 @@ mod tests {
 
         let mut fast: Vec<Itemset> = maximal_itemsets(&all)
             .iter()
-            .map(|(s, _)| s.clone())
+            .map(|(s, _)| s.to_itemset())
             .collect();
         let mut slow = reference_maximal(&all);
         fast.sort();
@@ -294,14 +273,14 @@ mod tests {
                 .collect();
             let all = BruteForceMiner.mine(&db, min_support);
             let mut fast: Vec<Itemset> =
-                closed_itemsets(&all).iter().map(|(s, _)| s.clone()).collect();
+                closed_itemsets(&all).iter().map(|(s, _)| s.to_itemset()).collect();
             let mut slow = reference_closed(&all);
             fast.sort();
             slow.sort();
             prop_assert_eq!(fast, slow);
 
             let mut fast: Vec<Itemset> =
-                maximal_itemsets(&all).iter().map(|(s, _)| s.clone()).collect();
+                maximal_itemsets(&all).iter().map(|(s, _)| s.to_itemset()).collect();
             let mut slow = reference_maximal(&all);
             fast.sort();
             slow.sort();

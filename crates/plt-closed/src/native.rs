@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 
 use plt_core::construct::{construct, ConstructOptions};
 use plt_core::hash::FxHashMap;
-use plt_core::item::{Item, Itemset, Rank, Support};
-use plt_core::miner::MiningResult;
+use plt_core::item::{Item, Rank, Support};
+use plt_core::miner::{MiningResult, ResultBuilder};
 use plt_core::plt::Plt;
 use plt_core::posvec::PositionVector;
 use plt_core::ranking::RankPolicy;
@@ -79,11 +79,11 @@ impl ClosedMiner {
         let mut state = State {
             plt,
             found: FxHashMap::default(),
-            result: MiningResult::new(plt.min_support(), plt.num_transactions()),
+            result: MiningResult::builder(plt.min_support(), plt.num_transactions()),
         };
         let mut suffix = Vec::new();
         mine_closed(groups, &mut suffix, &mut state);
-        state.result
+        state.result.finish()
     }
 }
 
@@ -92,7 +92,7 @@ struct State<'a> {
     /// Closed itemsets found so far, grouped by support for the
     /// subsumption check (rank-space, sorted ascending).
     found: FxHashMap<Support, Vec<Vec<Rank>>>,
-    result: MiningResult,
+    result: ResultBuilder,
 }
 
 impl State<'_> {
@@ -106,8 +106,9 @@ impl State<'_> {
             }
         }
         self.found.entry(support).or_default().push(ranks.to_vec());
-        let items = self.plt.ranking().items_for_ranks(ranks);
-        self.result.insert(Itemset::from_sorted(items), support);
+        let ranking = self.plt.ranking();
+        self.result
+            .push(ranks.iter().map(|&r| ranking.item(r)), support);
     }
 }
 

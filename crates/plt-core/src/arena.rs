@@ -49,8 +49,8 @@
 //! property suites here, in `tests/arena_equivalence.rs`,
 //! `tests/miners_agree.rs` and `tests/kernel_equivalence.rs`.
 
-use crate::item::{Itemset, Rank, Support};
-use crate::miner::MiningResult;
+use crate::item::{Rank, Support};
+use crate::miner::{MiningResult, ResultBuilder};
 use crate::plt::Plt;
 use crate::posvec::PositionVector;
 use plt_obs::Obs;
@@ -611,11 +611,14 @@ fn construct_masks(parent: &MaskLevel, child: &mut MaskLevel, min_support: Suppo
 /// ```
 /// use plt_core::arena::ArenaPool;
 /// use plt_core::construct::{construct, ConstructOptions};
+/// use plt_core::MiningResult;
 ///
 /// let db = vec![vec![1, 2], vec![1, 2], vec![2, 3]];
 /// let plt = construct(&db, 2, ConstructOptions::conditional()).unwrap();
 /// let mut pool = ArenaPool::new();
-/// let result = pool.mine_plt(&plt);
+/// let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+/// pool.mine_plt(&plt, &mut out);
+/// let result = out.finish();
 /// assert_eq!(result.support(&[1, 2]), Some(2));
 /// assert_eq!(result.support(&[2]), Some(3));
 /// ```
@@ -658,10 +661,10 @@ impl ArenaPool {
 
     /// Mines an already-constructed PLT (built without prefix insertion),
     /// feeding the arena straight from the partition storage — no
-    /// per-vector clone, no intermediate map. A ranking of at most 64
-    /// ranks starts masked, with bit `b` standing for rank `b + 1`.
-    pub fn mine_plt(&mut self, plt: &Plt) -> MiningResult {
-        let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
+    /// per-vector clone, no intermediate map — and pushing every frequent
+    /// itemset into `out`. A ranking of at most 64 ranks starts masked,
+    /// with bit `b` standing for rank `b + 1`.
+    pub fn mine_plt(&mut self, plt: &Plt, out: &mut ResultBuilder) {
         let max_rank = plt.ranking().len();
         self.prepare(max_rank);
         let mut suffix = Vec::new();
@@ -679,7 +682,7 @@ impl ArenaPool {
                 level.push(word, e.freq);
             }
             if level.num_entries() > 0 {
-                mine_masks(self, 0, plt, &mut suffix, &mut result);
+                mine_masks(self, 0, plt, &mut suffix, out);
             }
         } else {
             let level = &mut self.levels[0];
@@ -690,10 +693,9 @@ impl ArenaPool {
                 let window = v.positions();
                 level.push_window(window, e.freq, e.sum, window_hash(window));
             }
-            mine_level(self, 0, plt, &mut suffix, &mut result);
+            mine_level(self, 0, plt, &mut suffix, out);
         }
         self.note_bytes_peak();
-        result
     }
 
     /// Engine counters accumulated so far on this pool.
@@ -741,8 +743,8 @@ impl ArenaPool {
     /// The database is given as `(positions, frequency)` windows so callers
     /// holding flat storage (the parallel projections) feed it without
     /// materialising vectors; it is locally re-filtered against the
-    /// minimum support before mining. The suffix's own support is *not*
-    /// emitted.
+    /// minimum support before mining. Every itemset found is pushed into
+    /// `out`; the suffix's own support is *not* emitted.
     ///
     /// This is the unit of work of the paper's partitioning claim ("PLT
     /// provides partition criteria that makes it easy to partition the
@@ -753,11 +755,10 @@ impl ArenaPool {
         conditional: I,
         plt: &Plt,
         suffix: &[Rank],
-    ) -> MiningResult
-    where
+        out: &mut ResultBuilder,
+    ) where
         I: Iterator<Item = (&'a [Rank], Support)> + Clone,
     {
-        let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
         self.prepare(plt.ranking().len());
         let built = construct(
             conditional,
@@ -768,9 +769,8 @@ impl ArenaPool {
             plt.min_support(),
         );
         let mut sfx = suffix.to_vec();
-        mine_built(self, 0, built, plt, &mut sfx, &mut result);
+        mine_built(self, 0, built, plt, &mut sfx, out);
         self.note_bytes_peak();
-        result
     }
 }
 
@@ -781,20 +781,30 @@ fn mine_built(
     built: Built,
     plt: &Plt,
     suffix: &mut Vec<Rank>,
-    result: &mut MiningResult,
+    out: &mut ResultBuilder,
 ) {
     match built {
         Built::Empty => {}
-        Built::Positions => mine_level(pool, depth, plt, suffix, result),
-        Built::Masks => mine_masks(pool, depth, plt, suffix, result),
+        Built::Positions => mine_level(pool, depth, plt, suffix, out),
+        Built::Masks => mine_masks(pool, depth, plt, suffix, out),
     }
+}
+
+/// Pushes the itemset of `suffix` with `support`. The suffix holds global
+/// ranks in descending order, so its reverse maps through the ranking to
+/// items in ascending order under the default lexicographic ranking (the
+/// builder sorts any other order).
+#[inline]
+fn emit(out: &mut ResultBuilder, plt: &Plt, suffix: &[Rank], support: Support) {
+    let ranking = plt.ranking();
+    out.push(suffix.iter().rev().map(|&r| ranking.item(r)), support);
 }
 
 /// Emits `suffix ∪ S` with support `freq` for every non-empty subset `S`
 /// of the mask word's ranks: the single-path shortcut. A one-entry
 /// database supports every non-empty subset of its vector with the
 /// entry's own frequency, so the whole subtree is emitted with direct
-/// inserts — no drains, no child construction. The counterpart of
+/// pushes — no drains, no child construction. The counterpart of
 /// FP-growth's single-path optimisation, justified here by Lemma 4.1.3
 /// (every subset arises from the one vector).
 fn emit_subsets(
@@ -803,18 +813,19 @@ fn emit_subsets(
     bit_ranks: &[Rank],
     plt: &Plt,
     suffix: &mut Vec<Rank>,
-    result: &mut MiningResult,
+    out: &mut ResultBuilder,
 ) {
     let base = suffix.len();
     let mut subset = word;
     while subset != 0 {
+        // Top bit first, keeping the suffix descending.
         let mut bits = subset;
         while bits != 0 {
-            suffix.push(bit_ranks[bits.trailing_zeros() as usize]);
-            bits &= bits - 1;
+            let b = top_bit(bits);
+            suffix.push(bit_ranks[b]);
+            bits ^= 1 << b;
         }
-        let items = plt.ranking().items_for_ranks(suffix);
-        result.insert(Itemset::from_sorted(items), freq);
+        emit(out, plt, suffix, freq);
         suffix.truncate(base);
         subset = (subset - 1) & word;
     }
@@ -829,7 +840,7 @@ fn mine_level(
     depth: usize,
     plt: &Plt,
     suffix: &mut Vec<Rank>,
-    result: &mut MiningResult,
+    out: &mut ResultBuilder,
 ) {
     let min_support = plt.min_support();
     // "For j = Max down to 1": walk the dense buckets with a cursor.
@@ -896,8 +907,7 @@ fn mine_level(
         }
 
         suffix.push(j);
-        let items = plt.ranking().items_for_ranks(suffix);
-        result.insert(Itemset::from_sorted(items), support);
+        emit(out, plt, suffix, support);
 
         // CPLT = PLT_Construction(CD_j, min_sup): the fused two-scan
         // local construction, writing into the next depth's reusable
@@ -918,7 +928,7 @@ fn mine_level(
             &mut pool.masks[depth + 1],
             min_support,
         );
-        mine_built(pool, depth + 1, built, plt, suffix, result);
+        mine_built(pool, depth + 1, built, plt, suffix, out);
         suffix.pop();
     }
 }
@@ -931,7 +941,7 @@ fn mine_masks(
     depth: usize,
     plt: &Plt,
     suffix: &mut Vec<Rank>,
-    result: &mut MiningResult,
+    out: &mut ResultBuilder,
 ) {
     pool.stats.mask_levels += 1;
     let level = &mut pool.masks[depth];
@@ -941,7 +951,7 @@ fn mine_masks(
         // Consume the entry's bucket so the level resets clean for the
         // next sibling.
         level.buckets[top_bit(word)].clear();
-        emit_subsets(word, freq, &pool.bit_ranks, plt, suffix, result);
+        emit_subsets(word, freq, &pool.bit_ranks, plt, suffix, out);
         return;
     }
     let min_support = plt.min_support();
@@ -988,13 +998,12 @@ fn mine_masks(
         }
 
         suffix.push(pool.bit_ranks[b]);
-        let items = plt.ranking().items_for_ranks(suffix);
-        result.insert(Itemset::from_sorted(items), support);
+        emit(out, plt, suffix, support);
 
         pool.ensure_depth(depth + 1);
         let (parents, children) = pool.masks.split_at_mut(depth + 1);
         if construct_masks(&parents[depth], &mut children[0], min_support) {
-            mine_masks(pool, depth + 1, plt, suffix, result);
+            mine_masks(pool, depth + 1, plt, suffix, out);
         }
         suffix.pop();
     }
@@ -1004,7 +1013,9 @@ fn mine_masks(
 /// repeatedly (servers, the parallel workers) should hold an
 /// [`ArenaPool`] instead to amortise the storage.
 pub fn mine_plt_arena(plt: &Plt) -> MiningResult {
-    ArenaPool::new().mine_plt(plt)
+    let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+    ArenaPool::new().mine_plt(plt, &mut out);
+    out.finish()
 }
 
 /// One-shot arena mining of a materialised conditional database (see
@@ -1014,18 +1025,21 @@ pub fn mine_conditional_arena(
     plt: &Plt,
     suffix: &[Rank],
 ) -> MiningResult {
+    let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
     ArenaPool::new().mine_conditional(
         conditional.iter().map(|(v, f)| (v.positions(), *f)),
         plt,
         suffix,
-    )
+        &mut out,
+    );
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::construct::{construct, ConstructOptions};
-    use crate::item::Item;
+    use crate::item::{Item, Itemset};
     use crate::miner::{BruteForceMiner, Miner};
     use crate::ranking::RankPolicy;
     use proptest::prelude::*;
@@ -1043,6 +1057,13 @@ mod tests {
 
     fn build(db: &[Vec<Item>], min_sup: Support) -> Plt {
         construct(db, min_sup, ConstructOptions::conditional()).unwrap()
+    }
+
+    /// One `mine_plt` call on `pool`, finished.
+    fn mine(pool: &mut ArenaPool, plt: &Plt) -> MiningResult {
+        let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+        pool.mine_plt(plt, &mut out);
+        out.finish()
     }
 
     /// Item `j`'s full conditional database: the sub-`j` prefix of every
@@ -1087,15 +1108,15 @@ mod tests {
     fn pool_is_reusable_across_runs() {
         let mut pool = ArenaPool::new();
         let plt1 = build(&table1(), 2);
-        let first = pool.mine_plt(&plt1);
+        let first = mine(&mut pool, &plt1);
         // A different database and threshold on the same warmed pool.
         let db2: Vec<Vec<Item>> = vec![vec![1, 2, 3]; 5];
         let plt2 = build(&db2, 3);
-        let second = pool.mine_plt(&plt2);
+        let second = mine(&mut pool, &plt2);
         assert_eq!(second.support(&[1, 2, 3]), Some(5));
         assert_eq!(second.len(), 7);
         // And the original answer again, unchanged.
-        assert_eq!(pool.mine_plt(&plt1).sorted(), first.sorted());
+        assert_eq!(mine(&mut pool, &plt1), first);
     }
 
     #[test]
@@ -1122,7 +1143,7 @@ mod tests {
     fn stats_accumulate_and_take_resets() {
         let mut pool = ArenaPool::new();
         let plt = build(&table1(), 2);
-        pool.mine_plt(&plt);
+        mine(&mut pool, &plt);
         let stats = *pool.stats();
         assert!(stats.vectors_folded > 0, "{stats:?}");
         assert!(stats.bytes_peak > 0, "{stats:?}");
@@ -1158,7 +1179,7 @@ mod tests {
         let db = vec![vec![1, 2, 3]; 5];
         let plt = build(&db, 3);
         let mut pool = ArenaPool::new();
-        pool.mine_plt(&plt);
+        mine(&mut pool, &plt);
         assert!(pool.stats().single_path_shortcuts >= 1);
     }
 
@@ -1255,7 +1276,7 @@ mod tests {
                     .map(|t| t.into_iter().collect())
                     .collect();
                 let plt = build(&db, 2);
-                let reused = pool.mine_plt(&plt);
+                let reused = mine(&mut pool, &plt);
                 let fresh = mine_plt_arena(&plt);
                 prop_assert_eq!(reused.sorted(), fresh.sorted());
             }

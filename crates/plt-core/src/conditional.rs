@@ -61,17 +61,19 @@ impl ConditionalMiner {
 }
 
 /// The PLT-level entry point: the recursion is reported as a
-/// `mine/conditional` span, and the arena flushes its `arena.*` counters
-/// into the recorder. (Implemented with a qualified path so the two
-/// `mine` methods never collide inside this module.)
+/// `mine/conditional` span and the result's ordering as `mine/finish`,
+/// and the arena flushes its `arena.*` counters into the recorder.
+/// (Implemented with a qualified path so the two `mine` methods never
+/// collide inside this module.)
 impl crate::miner::Mine for ConditionalMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let t0 = obs.start();
         let mut pool = crate::arena::ArenaPool::new();
-        let result = pool.mine_plt(plt);
+        let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+        pool.mine_plt(plt, &mut out);
         pool.take_stats().record(obs);
         obs.stop("mine/conditional", t0);
-        result
+        obs.time("mine/finish", || out.finish())
     }
 }
 
@@ -210,11 +212,11 @@ mod tests {
 
     #[test]
     fn results_merge() {
-        let mut a = ConditionalMiner::default().mine(&table1(), 2);
-        let n = a.len();
-        let b = a.clone();
-        a.merge(b); // identical supports merge losslessly
-        assert_eq!(a.len(), n);
+        let a = ConditionalMiner::default().mine(&table1(), 2);
+        let mut merged = MiningResult::builder(a.min_support(), a.num_transactions());
+        merged.extend_from(&a);
+        merged.extend_from(&a); // identical supports merge losslessly
+        assert_eq!(merged.finish(), a);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 
 use crate::construct::{construct, ConstructOptions};
 use crate::hash::FxHashMap;
-use crate::item::{Item, Itemset, Rank, Support};
-use crate::miner::{Miner, MiningResult};
+use crate::item::{Item, Rank, Support};
+use crate::miner::{Miner, MiningResult, ResultBuilder};
 use crate::plt::Plt;
 use crate::posvec::PositionVector;
 use crate::ranking::RankPolicy;
@@ -70,8 +70,8 @@ impl Default for HybridMiner {
 }
 
 /// The PLT-level entry point: the whole run (conditional recursion plus any
-/// top-down finishes) is reported as one `mine/hybrid` span, with the
-/// budget surfaced as a gauge.
+/// top-down finishes) is reported as one `mine/hybrid` span and the
+/// result's ordering as `mine/finish`, with the budget surfaced as a gauge.
 impl crate::miner::Mine for HybridMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let t0 = obs.start();
@@ -83,12 +83,12 @@ impl crate::miner::Mine for HybridMiner {
                 .entry(v.clone())
                 .or_insert(0) += e.freq;
         }
-        let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
+        let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
         let mut suffix = Vec::new();
-        self.mine_groups(groups, plt, &mut suffix, &mut result);
+        self.mine_groups(groups, plt, &mut suffix, &mut out);
         obs.gauge("hybrid.topdown_budget", self.topdown_budget);
         obs.stop("mine/hybrid", t0);
-        result
+        obs.time("mine/finish", || out.finish())
     }
 }
 
@@ -99,7 +99,7 @@ impl HybridMiner {
         mut groups: SumGroups,
         plt: &Plt,
         suffix: &mut Vec<Rank>,
-        result: &mut MiningResult,
+        result: &mut ResultBuilder,
     ) {
         // Top-down finish for the whole current structure when cheap:
         // propagate every subset's frequency once and emit the frequent
@@ -129,8 +129,8 @@ impl HybridMiner {
                 continue;
             }
             suffix.push(j);
-            let items = plt.ranking().items_for_ranks(suffix);
-            result.insert(Itemset::from_sorted(items), support);
+            let ranking = plt.ranking();
+            result.push(suffix.iter().map(|&r| ranking.item(r)), support);
             let cplt = conditional_construct(&conditional, plt.min_support());
             if !cplt.is_empty() {
                 self.mine_groups(cplt, plt, suffix, result);
@@ -146,16 +146,15 @@ impl HybridMiner {
         groups: &SumGroups,
         plt: &Plt,
         suffix: &[Rank],
-        result: &mut MiningResult,
+        result: &mut ResultBuilder,
     ) {
+        let ranking = plt.ranking();
         let entries = groups.values().flat_map(|m| m.iter().map(|(v, &f)| (v, f)));
         let table = all_subset_supports_of(entries);
         for (v, support) in table.iter() {
             if support >= plt.min_support() {
-                let mut ranks = v.ranks();
-                ranks.extend_from_slice(suffix);
-                let items = plt.ranking().items_for_ranks(&ranks);
-                result.insert(Itemset::from_sorted(items), support);
+                let ranks = v.ranks_iter().chain(suffix.iter().copied());
+                result.push(ranks.map(|r| ranking.item(r)), support);
             }
         }
     }

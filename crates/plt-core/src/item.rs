@@ -194,14 +194,7 @@ impl<const N: usize> From<[Item; N]> for Itemset {
 
 impl std::fmt::Display for Itemset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{{")?;
-        for (i, item) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{item}")?;
-        }
-        write!(f, "}}")
+        ItemsetRef(&self.0).fmt(f)
     }
 }
 
@@ -218,6 +211,70 @@ impl<'a> IntoIterator for &'a Itemset {
     type IntoIter = std::slice::Iter<'a, Item>;
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
+    }
+}
+
+/// A borrowed itemset: sorted, duplicate-free items held elsewhere — a
+/// row of a [`MiningResult`](crate::miner::MiningResult)'s item buffer.
+/// `Copy`, like the slice it wraps, so it passes and destructures by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ItemsetRef<'a>(&'a [Item]);
+
+impl<'a> ItemsetRef<'a> {
+    /// Wraps a slice already known to be sorted and duplicate-free. Debug
+    /// builds verify the invariant.
+    pub(crate) fn from_sorted(items: &'a [Item]) -> Self {
+        debug_assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "ItemsetRef::from_sorted requires strictly increasing items"
+        );
+        ItemsetRef(items)
+    }
+
+    /// The items, sorted ascending.
+    #[inline]
+    pub fn items(self) -> &'a [Item] {
+        self.0
+    }
+
+    /// Number of items.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// True if this is the empty itemset.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// True if `item` is a member.
+    pub fn contains(self, item: Item) -> bool {
+        self.0.binary_search(&item).is_ok()
+    }
+
+    /// Set-containment test (`self ⊆ other`), linear in both lengths.
+    pub fn is_subset_of(self, other: ItemsetRef<'_>) -> bool {
+        sorted_subset(self.0, other.0)
+    }
+
+    /// An owned copy.
+    pub fn to_itemset(self) -> Itemset {
+        Itemset(self.0.to_vec())
+    }
+}
+
+impl std::fmt::Display for ItemsetRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{{")?;
+        for (i, item) in self.0.iter().enumerate() {
+            if i > 0 {
+                write!(f, ",")?;
+            }
+            write!(f, "{item}")?;
+        }
+        write!(f, "}}")
     }
 }
 
@@ -314,6 +371,21 @@ mod tests {
     fn display_formats_as_braced_list() {
         assert_eq!(Itemset::from([3, 1]).to_string(), "{1,3}");
         assert_eq!(Itemset::empty().to_string(), "{}");
+    }
+
+    #[test]
+    fn itemset_ref_views_sorted_items() {
+        let owned = Itemset::from([2, 5, 9]);
+        let r = ItemsetRef::from_sorted(owned.items());
+        let copy = r; // Copy: `r` stays usable
+        assert_eq!(r.items(), copy.items());
+        assert_eq!((r.len(), r.is_empty()), (3, false));
+        assert!(r.contains(5) && !r.contains(4));
+        assert!(ItemsetRef::from_sorted(&[2, 9]).is_subset_of(r));
+        assert!(!r.is_subset_of(ItemsetRef::from_sorted(&[2, 9])));
+        assert_eq!(r.to_itemset(), owned);
+        assert_eq!(r.to_string(), owned.to_string());
+        assert_eq!(r.to_string(), "{2,5,9}");
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub use arena::{ArenaPool, MineStats};
 pub use conditional::ConditionalMiner;
 pub use error::{PltError, Result};
 pub use hybrid::HybridMiner;
-pub use item::{Item, Itemset, Rank, Support};
-pub use miner::{Mine, Miner, MiningResult};
+pub use item::{Item, Itemset, ItemsetRef, Rank, Support};
+pub use miner::{Mine, Miner, MiningResult, ResultBuilder};
 pub use plt::{Plt, PltEntry};
 pub use posvec::PositionVector;
 pub use query::{canonical_key, SupportOracle};

@@ -2,13 +2,46 @@
 //! miner used as ground truth in tests.
 
 use crate::hash::FxHashMap;
-use crate::item::{Item, Itemset, Support};
+use crate::item::{Item, Itemset, ItemsetRef, Support};
+
+/// One itemset of a result table: `len` items at `offset` in the item
+/// buffer, and its support.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    offset: u32,
+    len: u32,
+    support: Support,
+}
+
+impl Entry {
+    /// The entry's items within the buffer.
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        let o = self.offset as usize;
+        o..o + self.len as usize
+    }
+}
+
+/// A buffer length as an entry offset.
+fn offset_of(len: usize) -> u32 {
+    u32::try_from(len).expect("a result holds fewer than 2^32 items")
+}
 
 /// The outcome of a frequent-itemset mining run: every frequent itemset
 /// with its (absolute) support.
+///
+/// Stored as a columnar table: one item buffer plus one
+/// `(offset, len, support)` entry per itemset, in canonical order — by
+/// size, then lexicographically by items — and without duplicates. So the
+/// table is partitioned by size like the PLT's `D_1 … D_k`, a lookup is a
+/// binary search inside one size group, and dropping a result frees two
+/// buffers. A result is only ever built through a [`ResultBuilder`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MiningResult {
-    supports: FxHashMap<Itemset, Support>,
+    /// Every itemset's items, back to back in canonical order.
+    items: Vec<Item>,
+    /// One entry per itemset, in canonical order.
+    entries: Vec<Entry>,
     min_support: Support,
     num_transactions: u64,
 }
@@ -17,27 +50,46 @@ impl MiningResult {
     /// Creates an empty result with run metadata.
     pub fn new(min_support: Support, num_transactions: u64) -> Self {
         MiningResult {
-            supports: FxHashMap::default(),
             min_support,
             num_transactions,
+            ..MiningResult::default()
         }
     }
 
-    /// Records a frequent itemset. Re-recording the same itemset must use
-    /// the same support (debug-asserted); miners never legitimately produce
-    /// conflicting counts.
-    pub fn insert(&mut self, itemset: Itemset, support: Support) {
-        debug_assert!(!itemset.is_empty(), "the empty itemset is never reported");
-        let prev = self.supports.insert(itemset, support);
-        debug_assert!(
-            prev.is_none() || prev == Some(support),
-            "conflicting supports for an itemset"
-        );
+    /// An empty builder for a result with this run metadata.
+    pub fn builder(min_support: Support, num_transactions: u64) -> ResultBuilder {
+        ResultBuilder {
+            min_support,
+            num_transactions,
+            ..ResultBuilder::default()
+        }
     }
 
-    /// Support of `items`, if the itemset is frequent.
+    /// Support of `items`, if the itemset is frequent. A sorted,
+    /// duplicate-free probe is a binary search in its size group and
+    /// allocates nothing; any other probe is normalised first.
     pub fn support(&self, items: &[Item]) -> Option<Support> {
-        self.supports.get(&Itemset::from(items)).copied()
+        if items.windows(2).all(|w| w[0] < w[1]) {
+            self.lookup(items)
+        } else {
+            self.lookup(Itemset::from(items).items())
+        }
+    }
+
+    /// [`support`](Self::support) of a sorted, duplicate-free probe.
+    fn lookup(&self, items: &[Item]) -> Option<Support> {
+        let group = self.group(items.len());
+        group
+            .binary_search_by(|e| self.items[e.range()].cmp(items))
+            .ok()
+            .map(|i| group[i].support)
+    }
+
+    /// The entries of exactly `k` items: one contiguous run.
+    fn group(&self, k: usize) -> &[Entry] {
+        let lo = self.entries.partition_point(|e| (e.len as usize) < k);
+        let n = self.entries[lo..].partition_point(|e| e.len as usize == k);
+        &self.entries[lo..lo + n]
     }
 
     /// True if the itemset is in the frequent set.
@@ -47,12 +99,12 @@ impl MiningResult {
 
     /// Number of frequent itemsets.
     pub fn len(&self) -> usize {
-        self.supports.len()
+        self.entries.len()
     }
 
     /// True when nothing was frequent.
     pub fn is_empty(&self) -> bool {
-        self.supports.is_empty()
+        self.entries.is_empty()
     }
 
     /// The minimum support of the run.
@@ -65,28 +117,34 @@ impl MiningResult {
         self.num_transactions
     }
 
-    /// Iterates over `(itemset, support)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Itemset, Support)> {
-        self.supports.iter().map(|(k, &v)| (k, v))
+    /// Iterates over `(itemset, support)` in canonical order: by size,
+    /// then lexicographically.
+    pub fn iter(&self) -> impl Iterator<Item = (ItemsetRef<'_>, Support)> {
+        self.rows(&self.entries)
     }
 
-    /// All frequent itemsets of exactly `k` items.
-    pub fn of_size(&self, k: usize) -> impl Iterator<Item = (&Itemset, Support)> {
-        self.iter().filter(move |(s, _)| s.len() == k)
+    /// All frequent itemsets of exactly `k` items, in canonical order: the
+    /// size group's slice of the table.
+    pub fn of_size(&self, k: usize) -> impl Iterator<Item = (ItemsetRef<'_>, Support)> {
+        self.rows(self.group(k))
+    }
+
+    /// The `(itemset, support)` rows of `entries`, a run of this table.
+    fn rows<'a>(&'a self, entries: &'a [Entry]) -> impl Iterator<Item = (ItemsetRef<'a>, Support)> {
+        entries
+            .iter()
+            .map(|e| (ItemsetRef::from_sorted(&self.items[e.range()]), e.support))
     }
 
     /// Size of the largest frequent itemset.
     pub fn max_size(&self) -> usize {
-        self.supports.keys().map(Itemset::len).max().unwrap_or(0)
+        self.entries.last().map_or(0, |e| e.len as usize)
     }
 
-    /// Deterministically ordered view (by size, then lexicographically) for
-    /// display and golden tests.
+    /// The itemsets as owned values, in canonical order (by size, then
+    /// lexicographically), for display and golden tests.
     pub fn sorted(&self) -> Vec<(Itemset, Support)> {
-        let mut v: Vec<(Itemset, Support)> =
-            self.supports.iter().map(|(k, &s)| (k.clone(), s)).collect();
-        v.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-        v
+        self.iter().map(|(s, sup)| (s.to_itemset(), sup)).collect()
     }
 
     /// Verifies the anti-monotone property internally: every non-empty
@@ -96,12 +154,12 @@ impl MiningResult {
     /// (crate::error::PltError::AntiMonotoneViolation).
     pub fn check_anti_monotone(&self) -> crate::error::Result<()> {
         for (itemset, support) in self.iter() {
-            for sub in itemset.subsets() {
+            for sub in itemset.to_itemset().subsets() {
                 match self.support(sub.items()) {
                     None => {
                         return Err(crate::error::PltError::AntiMonotoneViolation {
                             subset: sub,
-                            superset: itemset.clone(),
+                            superset: itemset.to_itemset(),
                             subset_support: None,
                             superset_support: support,
                         })
@@ -109,7 +167,7 @@ impl MiningResult {
                     Some(s) if s < support => {
                         return Err(crate::error::PltError::AntiMonotoneViolation {
                             subset: sub,
-                            superset: itemset.clone(),
+                            superset: itemset.to_itemset(),
                             subset_support: Some(s),
                             superset_support: support,
                         })
@@ -122,24 +180,121 @@ impl MiningResult {
     }
 }
 
-impl MiningResult {
-    /// Merges another result into this one (used by the parallel miners,
-    /// whose per-partition results are disjoint by construction). Shared
-    /// itemsets must agree on support.
-    pub fn merge(&mut self, other: MiningResult) {
-        for (itemset, support) in other.supports {
-            self.insert(itemset, support);
+impl FromIterator<(Itemset, Support)> for MiningResult {
+    fn from_iter<I: IntoIterator<Item = (Itemset, Support)>>(iter: I) -> Self {
+        let mut builder = MiningResult::builder(0, 0);
+        for (s, sup) in iter {
+            builder.push(s, sup);
         }
+        builder.finish()
     }
 }
 
-impl FromIterator<(Itemset, Support)> for MiningResult {
-    fn from_iter<I: IntoIterator<Item = (Itemset, Support)>>(iter: I) -> Self {
-        let mut r = MiningResult::new(0, 0);
-        for (s, sup) in iter {
-            r.insert(s, sup);
+/// Accumulates itemsets in any order, duplicates allowed, and orders them
+/// once in [`finish`](Self::finish). Miners push every itemset they find
+/// straight into one builder; merging results is appending builders (or
+/// [`extend_from`](Self::extend_from) a finished result) and finishing
+/// once, never a canonical merge per part.
+#[derive(Debug, Default)]
+pub struct ResultBuilder {
+    items: Vec<Item>,
+    entries: Vec<Entry>,
+    min_support: Support,
+    num_transactions: u64,
+}
+
+impl ResultBuilder {
+    /// Records a frequent itemset given as distinct items in any order.
+    /// Re-recording the same itemset must use the same support
+    /// (debug-asserted in [`finish`](Self::finish)); miners never
+    /// legitimately produce conflicting counts.
+    pub fn push<I: IntoIterator<Item = Item>>(&mut self, items: I, support: Support) {
+        let start = self.items.len();
+        self.items.extend(items);
+        // Offset and length are both at most the new buffer length.
+        let _ = offset_of(self.items.len());
+        let row = &mut self.items[start..];
+        if !row.windows(2).all(|w| w[0] < w[1]) {
+            row.sort_unstable();
         }
-        r
+        debug_assert!(!row.is_empty(), "the empty itemset is never reported");
+        debug_assert!(
+            row.windows(2).all(|w| w[0] < w[1]),
+            "an itemset holds distinct items"
+        );
+        self.entries.push(Entry {
+            offset: start as u32,
+            len: row.len() as u32,
+            support,
+        });
+    }
+
+    /// Records every itemset of a finished result.
+    pub fn extend_from(&mut self, result: &MiningResult) {
+        self.extend_rows(&result.items, &result.entries);
+    }
+
+    /// Records every itemset of another builder.
+    pub fn append(&mut self, other: ResultBuilder) {
+        if self.entries.is_empty() {
+            self.items = other.items;
+            self.entries = other.entries;
+        } else {
+            self.extend_rows(&other.items, &other.entries);
+        }
+    }
+
+    fn extend_rows(&mut self, items: &[Item], entries: &[Entry]) {
+        let base = self.items.len();
+        // Every shifted offset lies below the new length: one check.
+        let _ = offset_of(base + items.len());
+        self.items.extend_from_slice(items);
+        self.entries.extend(entries.iter().map(|e| Entry {
+            offset: e.offset + base as u32,
+            ..*e
+        }));
+    }
+
+    /// Orders the itemsets canonically (by size, then items) with one
+    /// comparison sort, then copies them out in that order, merging each
+    /// run of duplicates into one row (debug-asserting equal supports) and
+    /// compacting the buffer.
+    pub fn finish(self) -> MiningResult {
+        let ResultBuilder {
+            items,
+            mut entries,
+            min_support,
+            num_transactions,
+        } = self;
+        entries.sort_unstable_by(|a, b| {
+            a.len
+                .cmp(&b.len)
+                .then_with(|| items[a.range()].cmp(&items[b.range()]))
+        });
+        let mut out = MiningResult {
+            items: Vec::with_capacity(items.len()),
+            entries: Vec::with_capacity(entries.len()),
+            min_support,
+            num_transactions,
+        };
+        for e in &entries {
+            let row = &items[e.range()];
+            if let Some(last) = out.entries.last() {
+                if out.items[last.range()] == *row {
+                    debug_assert_eq!(
+                        last.support, e.support,
+                        "conflicting supports for an itemset"
+                    );
+                    continue;
+                }
+            }
+            out.entries.push(Entry {
+                offset: out.items.len() as u32,
+                ..*e
+            });
+            out.items.extend_from_slice(row);
+        }
+        out
     }
 }
 
@@ -224,13 +379,13 @@ impl Miner for BruteForceMiner {
                 *counts.entry(sub).or_insert(0) += 1;
             }
         }
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
         for (itemset, support) in counts {
             if support >= min_support {
-                result.insert(itemset, support);
+                result.push(itemset, support);
             }
         }
-        result
+        result.finish()
     }
 }
 
@@ -317,13 +472,18 @@ mod tests {
 
     #[test]
     fn check_anti_monotone_detects_violations() {
-        let mut r = MiningResult::new(1, 10);
-        r.insert(Itemset::from([1, 2]), 5);
+        let result = |rows: &[(&[Item], Support)]| {
+            let mut b = MiningResult::builder(1, 10);
+            for &(items, support) in rows {
+                b.push(items.iter().copied(), support);
+            }
+            b.finish()
+        };
         // {1} and {2} missing → violation.
-        assert!(r.check_anti_monotone().is_err());
-        r.insert(Itemset::from([1]), 5);
-        r.insert(Itemset::from([2]), 3); // support below superset → violation
-        assert!(r.check_anti_monotone().is_err());
+        assert!(result(&[(&[1, 2], 5)]).check_anti_monotone().is_err());
+        // {2}'s support below its superset's → violation.
+        let low = result(&[(&[1, 2], 5), (&[1], 5), (&[2], 3)]);
+        assert!(low.check_anti_monotone().is_err());
     }
 
     #[test]

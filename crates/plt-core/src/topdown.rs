@@ -33,7 +33,7 @@
 use crate::construct::{construct, ConstructOptions};
 use crate::error::Result;
 use crate::hash::FxHashMap;
-use crate::item::{Item, Itemset, Support};
+use crate::item::{Item, Support};
 use crate::miner::{Miner, MiningResult};
 use crate::plt::Plt;
 use crate::posvec::PositionVector;
@@ -208,7 +208,7 @@ impl TopDownMiner {
 
 /// The PLT-level entry point: the propagation and the support filter are
 /// reported as `mine/topdown/propagate` and `mine/topdown/filter` spans,
-/// plus a gauge for the table size.
+/// the result's ordering as `mine/finish`, plus a gauge for the table size.
 impl crate::miner::Mine for TopDownMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         assert!(
@@ -220,15 +220,15 @@ impl crate::miner::Mine for TopDownMiner {
         let table = obs.time("mine/topdown/propagate", || all_subset_supports(plt));
         obs.gauge("topdown.table_entries", table.len() as u64);
         let t0 = obs.start();
-        let mut result = MiningResult::new(plt.min_support(), plt.num_transactions());
+        let ranking = plt.ranking();
+        let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
         for (v, support) in table.iter() {
             if support >= plt.min_support() {
-                let items = plt.ranking().items_for_ranks(&v.ranks());
-                result.insert(Itemset::from_sorted(items), support);
+                out.push(v.ranks_iter().map(|r| ranking.item(r)), support);
             }
         }
         obs.stop("mine/topdown/filter", t0);
-        result
+        obs.time("mine/finish", || out.finish())
     }
 }
 

@@ -7,8 +7,8 @@
 
 use rayon::prelude::*;
 
-use plt_core::item::{Item, Itemset, Support};
-use plt_core::miner::{Miner, MiningResult};
+use plt_core::item::{Item, Support};
+use plt_core::miner::{Miner, MiningResult, ResultBuilder};
 use plt_data::transaction::TransactionDb;
 use plt_data::vertical::{Tid, VerticalDb};
 
@@ -29,7 +29,7 @@ impl Miner for ParallelEclatMiner {
 
     fn mine(&self, transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
         assert!(min_support >= 1, "minimum support must be at least 1");
-        let mut result = MiningResult::new(min_support, transactions.len() as u64);
+        let mut result = MiningResult::builder(min_support, transactions.len() as u64);
         let db = TransactionDb::from_sorted(transactions.to_vec());
         let vertical = VerticalDb::from_horizontal(&db);
 
@@ -44,22 +44,20 @@ impl Miner for ParallelEclatMiner {
         root.sort_by_key(|m| (m.tids.len(), m.item));
 
         for m in &root {
-            result.insert(Itemset::from_sorted(vec![m.item]), m.tids.len() as Support);
+            result.push([m.item], m.tids.len() as Support);
         }
 
         // Fan out the first-level subtrees.
-        let locals: Vec<MiningResult> = (0..root.len())
+        let locals: Vec<ResultBuilder> = (0..root.len())
             .into_par_iter()
             .map(|i| {
-                let mut local = MiningResult::new(min_support, transactions.len() as u64);
+                let mut local = MiningResult::builder(min_support, transactions.len() as u64);
                 let mut prefix = vec![root[i].item];
                 let mut class: Vec<Member> = Vec::new();
                 for b in &root[i + 1..] {
                     let tids = VerticalDb::intersect(&root[i].tids, &b.tids);
                     if tids.len() as Support >= min_support {
-                        let mut items = prefix.clone();
-                        items.push(b.item);
-                        local.insert(Itemset::new(items), tids.len() as Support);
+                        local.push([root[i].item, b.item], tids.len() as Support);
                         class.push(Member { item: b.item, tids });
                     }
                 }
@@ -68,23 +66,22 @@ impl Miner for ParallelEclatMiner {
             })
             .collect();
         for local in locals {
-            result.merge(local);
+            result.append(local);
         }
-        result
+        result.finish()
     }
 }
 
 /// Sequential depth-first extension inside one task.
-fn extend(class: &[Member], min_support: Support, prefix: &mut Vec<Item>, out: &mut MiningResult) {
+fn extend(class: &[Member], min_support: Support, prefix: &mut Vec<Item>, out: &mut ResultBuilder) {
     for i in 0..class.len() {
         prefix.push(class[i].item);
         let mut child: Vec<Member> = Vec::new();
         for b in &class[i + 1..] {
             let tids = VerticalDb::intersect(&class[i].tids, &b.tids);
             if tids.len() as Support >= min_support {
-                let mut items = prefix.clone();
-                items.push(b.item);
-                out.insert(Itemset::new(items), tids.len() as Support);
+                let items = prefix.iter().copied().chain([b.item]);
+                out.push(items, tids.len() as Support);
                 child.push(Member { item: b.item, tids });
             }
         }

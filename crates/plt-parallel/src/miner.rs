@@ -3,9 +3,10 @@
 //! Pipeline: parallel construction → one projection pass (flat per-item
 //! conditional databases) → per-item tasks on the Rayon pool, each running
 //! the sequential conditional miner on its own conditional database →
-//! tree-shaped `reduce` merge. Task `j` emits exactly the frequent
-//! itemsets whose highest-ranked item is `j`, so the per-task results
-//! partition the answer and the merge is conflict-free.
+//! tree-shaped `reduce` of the per-worker result builders → one
+//! `finish`. Task `j` emits exactly the frequent itemsets whose
+//! highest-ranked item is `j`, so the per-task results partition the
+//! answer and the reduce only concatenates.
 //!
 //! Each worker folds its items through a private [`ArenaPool`], so the
 //! arena storage (position buffers, buckets, scratch arrays) is warmed
@@ -16,7 +17,7 @@ use rayon::prelude::*;
 
 use plt_core::arena::{ArenaPool, MineStats};
 use plt_core::construct::ConstructOptions;
-use plt_core::item::{Item, Itemset, Rank, Support};
+use plt_core::item::{Item, Rank, Support};
 use plt_core::miner::{Miner, MiningResult};
 use plt_core::plt::Plt;
 use plt_core::ranking::RankPolicy;
@@ -41,31 +42,32 @@ impl ParallelPltMiner {
     }
 }
 
-/// The PLT-level entry point: the projection pass and the fan-out are
-/// reported as `mine/project` and `mine/items` spans, and the per-worker
-/// arena counters are merged at reduce time and flushed into the recorder
-/// (with a `parallel.workers` gauge for the pool width).
+/// The PLT-level entry point: the projection pass, the fan-out and the
+/// result's ordering are reported as `mine/project`, `mine/items` and
+/// `mine/finish` spans, and the per-worker arena counters are merged at
+/// reduce time and flushed into the recorder (with a `parallel.workers`
+/// gauge for the pool width).
 impl plt_core::miner::Mine for ParallelPltMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let projections = obs.time("mine/project", || project_all(plt));
         let n = plt.ranking().len() as Rank;
-        let empty = || MiningResult::new(plt.min_support(), plt.num_transactions());
+        let empty = || MiningResult::builder(plt.min_support(), plt.num_transactions());
         let t0 = obs.start();
-        let (result, stats) = (1..=n)
+        let (out, stats) = (1..=n)
             .into_par_iter()
-            // Per-worker fold: the (pool, local-result) accumulator lives
+            // Per-worker fold: the (pool, local-builder) accumulator lives
             // on one worker for its whole run of items, so every item it
-            // mines reuses the same warmed arena storage.
+            // mines reuses the same warmed arena storage and pushes into
+            // the same builder.
             .fold(
                 || (ArenaPool::new(), empty()),
                 |(mut pool, mut local), j| {
                     let support = projections.support(j);
                     if support >= plt.min_support() {
-                        let item = plt.ranking().item(j);
-                        local.insert(Itemset::from_sorted(vec![item]), support);
+                        local.push([plt.ranking().item(j)], support);
                         let cd = projections.conditional(j);
                         if !cd.is_empty() {
-                            local.merge(pool.mine_conditional(cd.iter(), plt, &[j]));
+                            pool.mine_conditional(cd.iter(), plt, &[j], &mut local);
                         }
                     }
                     (pool, local)
@@ -74,12 +76,12 @@ impl plt_core::miner::Mine for ParallelPltMiner {
             // The pool hands its accumulated engine counters over as the
             // worker's fold state retires.
             .map(|(mut pool, local)| (local, pool.take_stats()))
-            // Tree-shaped merge on the pool instead of a sequential loop
-            // on the calling thread.
+            // Tree-shaped concatenation on the pool instead of a
+            // sequential loop on the calling thread.
             .reduce(
                 || (empty(), MineStats::default()),
                 |(mut a, mut sa), (b, sb)| {
-                    a.merge(b);
+                    a.append(b);
                     sa.merge(&sb);
                     (a, sa)
                 },
@@ -87,7 +89,7 @@ impl plt_core::miner::Mine for ParallelPltMiner {
         obs.stop("mine/items", t0);
         stats.record(obs);
         obs.gauge("parallel.workers", rayon::current_num_threads() as u64);
-        result
+        obs.time("mine/finish", || out.finish())
     }
 }
 

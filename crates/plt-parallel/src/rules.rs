@@ -9,7 +9,7 @@
 
 use rayon::prelude::*;
 
-use plt_core::item::Itemset;
+use plt_core::item::ItemsetRef;
 use plt_core::miner::MiningResult;
 use plt_rules::{rules_for_itemset, Rule, RuleConfig};
 
@@ -21,7 +21,8 @@ pub fn par_generate_rules(result: &MiningResult, config: RuleConfig) -> Vec<Rule
         (0.0..=1.0).contains(&config.min_confidence),
         "confidence is a probability"
     );
-    let itemsets: Vec<(&Itemset, u64)> = result.iter().filter(|(s, _)| s.len() >= 2).collect();
+    let itemsets: Vec<(ItemsetRef<'_>, u64)> =
+        result.iter().filter(|(s, _)| s.len() >= 2).collect();
     itemsets
         .par_iter()
         .map(|&(itemset, support)| rules_for_itemset(itemset, support, result, config))

@@ -13,7 +13,7 @@
 use rayon::prelude::*;
 
 use plt_core::hash::FxHashMap;
-use plt_core::item::{Item, Itemset, Support};
+use plt_core::item::{Item, Support};
 use plt_core::miner::{Miner, MiningResult};
 use plt_core::plt::Plt;
 use plt_core::posvec::PositionVector;
@@ -96,14 +96,14 @@ impl Miner for ParallelTopDownMiner {
             plt.max_len()
         );
         let table = par_all_subset_supports(&plt);
-        let mut result = MiningResult::new(min_support, plt.num_transactions());
+        let ranking = plt.ranking();
+        let mut result = MiningResult::builder(min_support, plt.num_transactions());
         for (v, support) in table.iter() {
             if support >= min_support {
-                let items = plt.ranking().items_for_ranks(&v.ranks());
-                result.insert(Itemset::from_sorted(items), support);
+                result.push(v.ranks_iter().map(|r| ranking.item(r)), support);
             }
         }
-        result
+        result.finish()
     }
 }
 

@@ -123,7 +123,7 @@ impl Snapshot {
         let mut ranked = Vec::with_capacity(result.len());
 
         for (itemset, support) in result.iter() {
-            ranked.push((itemset.clone(), support));
+            ranked.push((itemset.to_itemset(), support));
             let key = canonical_key(itemset.items(), &plt)
                 .expect("mined itemsets are non-empty and fully ranked");
             if itemset.len() == 1 {
@@ -147,11 +147,9 @@ impl Snapshot {
             exts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         }
         roots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then(a.0.len().cmp(&b.0.len()))
-                .then(a.0.cmp(&b.0))
-        });
+        // `result` iterates in canonical order (size, then items), so a
+        // stable sort by support alone breaks ties by size, then items.
+        ranked.sort_by_key(|&(_, support)| std::cmp::Reverse(support));
 
         let mut rules = generate_rules(result, rule_config);
         sort_rules(&mut rules);

@@ -18,7 +18,7 @@ pub mod nonredundant;
 
 pub use nonredundant::{confidence_improvement, productive_rules};
 
-use plt_core::item::{Itemset, Support};
+use plt_core::item::{Itemset, ItemsetRef, Support};
 use plt_core::miner::MiningResult;
 
 /// An association rule `antecedent → consequent`.
@@ -105,9 +105,10 @@ pub fn generate_rules(result: &MiningResult, config: RuleConfig) -> Vec<Rule> {
 /// The per-itemset *ap-genrules* step: all rules splitting `itemset`
 /// (whose support is `support`) that meet the confidence threshold.
 /// `result` serves the subset-support lookups and must be subset-closed
-/// over `itemset`. Exposed so parallel callers can fan out per itemset.
+/// over `itemset`, which is borrowed (typically from `result` itself).
+/// Exposed so parallel callers can fan out per itemset.
 pub fn rules_for_itemset(
-    itemset: &Itemset,
+    itemset: ItemsetRef<'_>,
     support: Support,
     result: &MiningResult,
     config: RuleConfig,
@@ -145,14 +146,21 @@ pub fn rules_for_itemset(
 /// Builds the rule `itemset \ consequent → consequent` if it passes the
 /// confidence threshold.
 fn try_rule(
-    itemset: &Itemset,
+    itemset: ItemsetRef<'_>,
     consequent: &Itemset,
     support: Support,
     result: &MiningResult,
     config: RuleConfig,
     n: f64,
 ) -> Option<Rule> {
-    let antecedent = itemset.difference(consequent);
+    let antecedent = Itemset::from_sorted(
+        itemset
+            .items()
+            .iter()
+            .copied()
+            .filter(|&i| !consequent.contains(i))
+            .collect(),
+    );
     debug_assert!(!antecedent.is_empty() && !consequent.is_empty());
     let sup_x = result
         .support(antecedent.items())
@@ -329,7 +337,7 @@ mod tests {
             if z.len() < 2 {
                 continue;
             }
-            for consequent in z.subsets() {
+            for consequent in z.to_itemset().subsets() {
                 if consequent.len() == z.len() || consequent.is_empty() {
                     continue;
                 }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use plt_core::arena::ArenaPool;
 use plt_core::error::{PltError, Result};
 use plt_core::hash::{FxHashMap, FxHashSet};
-use plt_core::item::{Item, Itemset, Rank, Support};
+use plt_core::item::{Item, Rank, Support};
 use plt_core::miner::MiningResult;
 use plt_core::plt::Plt;
 use plt_core::ranking::{ItemRanking, RankPolicy};
@@ -410,21 +410,18 @@ impl ShardedPipeline {
                 || (ArenaPool::new(), Vec::new()),
                 |(mut pool, mut acc), &s| {
                     let shard_started = Instant::now();
-                    let mut frag = MiningResult::new(min_support, plt.num_transactions());
+                    let mut frag = MiningResult::builder(min_support, plt.num_transactions());
                     for r in bounds[s] + 1..=bounds[s + 1] {
                         let slot = &slots[(r - 1) as usize];
                         if slot.support < min_support {
                             continue;
                         }
-                        frag.insert(
-                            Itemset::from_sorted(vec![plt.ranking().item(r)]),
-                            slot.support,
-                        );
+                        frag.push([plt.ranking().item(r)], slot.support);
                         if !slot.is_empty() {
-                            frag.merge(pool.mine_conditional(slot.iter(), plt, &[r]));
+                            pool.mine_conditional(slot.iter(), plt, &[r], &mut frag);
                         }
                     }
-                    acc.push((s, frag, shard_started.elapsed()));
+                    acc.push((s, frag.finish(), shard_started.elapsed()));
                     (pool, acc)
                 },
             )
@@ -445,7 +442,8 @@ impl ShardedPipeline {
     }
 
     fn merge_fragments(&self) -> MiningResult {
-        let mut merged = MiningResult::new(self.config.min_support, self.plt.num_transactions());
+        let mut merged =
+            MiningResult::builder(self.config.min_support, self.plt.num_transactions());
         for frag in &self.fragments {
             debug_assert!(
                 frag.is_some(),
@@ -453,10 +451,10 @@ impl ShardedPipeline {
                  evicting callers must set defer_merge"
             );
             if let Some(frag) = frag {
-                merged.merge(frag.clone());
+                merged.extend_from(frag);
             }
         }
-        merged
+        merged.finish()
     }
 }
 

@@ -21,8 +21,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use plt_core::error::PltError;
-use plt_core::item::{Item, Itemset, Rank, Support};
-use plt_core::miner::MiningResult;
+use plt_core::item::{Item, Rank, Support};
+use plt_core::miner::{MiningResult, ResultBuilder};
 use plt_core::posvec::PositionVector;
 use plt_core::ranking::ItemRanking;
 use plt_obs::Obs;
@@ -301,22 +301,17 @@ impl DurablePipeline {
         let min_support = self.pipeline.config().min_support;
         let num_transactions = self.pipeline.len() as u64;
         let ranking = self.pipeline.plt().ranking();
-        let mut merged = MiningResult::new(min_support, num_transactions);
+        let mut merged = MiningResult::builder(min_support, num_transactions);
         for s in 0..self.pipeline.shard_count() {
             if let Some(frag) = self.pipeline.fragment(s) {
-                merged.merge(frag.clone());
+                merged.extend_from(frag);
             } else if let Some(entries) = self.store.load_shard(s) {
-                merged.merge(entries_fragment(
-                    &entries,
-                    ranking,
-                    min_support,
-                    num_transactions,
-                ));
+                entries_fragment(&entries, ranking, &mut merged);
             }
             // A shard that is neither resident nor persisted holds
             // nothing (fresh shard before its first re-mine).
         }
-        self.merged = merged;
+        self.merged = merged.finish();
     }
 
     /// Publishes a checkpoint: every changed or never-persisted fragment
@@ -439,25 +434,20 @@ fn fragment_entries(shard: usize, frag: &MiningResult, ranking: &ItemRanking) ->
     }
 }
 
-/// Inverse of [`fragment_entries`]: decode segment entries back into a
-/// fragment under `ranking`.
+/// Inverse of [`fragment_entries`]: decodes segment entries under
+/// `ranking` into `out` (prefix sums of the positions are the ranks,
+/// Lemma 4.1.1).
 fn entries_fragment(
     entries: &[(Vec<Rank>, Support)],
     ranking: &ItemRanking,
-    min_support: Support,
-    num_transactions: u64,
-) -> MiningResult {
-    let mut frag = MiningResult::new(min_support, num_transactions);
+    out: &mut ResultBuilder,
+) {
     for (positions, support) in entries {
-        let mut ranks = Vec::with_capacity(positions.len());
-        let mut acc: Rank = 0;
-        for &p in positions {
-            acc += p;
-            ranks.push(acc);
-        }
-        let mut items = ranking.items_for_ranks(&ranks);
-        items.sort_unstable();
-        frag.insert(Itemset::from_sorted(items), *support);
+        let mut rank: Rank = 0;
+        let items = positions.iter().map(|&p| {
+            rank += p;
+            ranking.item(rank)
+        });
+        out.push(items, *support);
     }
-    frag
 }

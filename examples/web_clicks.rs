@@ -51,7 +51,7 @@ fn main() {
     }
 
     let mut bundles: Vec<_> = result.iter().filter(|(s, _)| s.len() >= 2).collect();
-    bundles.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+    bundles.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     println!("\ntop multi-page bundles:");
     for (itemset, support) in bundles.iter().take(10) {
         let pages: Vec<String> = itemset.items().iter().map(|&p| page_name(p)).collect();

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use plt::baselines::{EclatMiner, FpGrowthMiner};
 use plt::core::construct::{construct, ConstructOptions};
-use plt::core::miner::{BruteForceMiner, Miner};
+use plt::core::miner::{BruteForceMiner, Miner, MiningResult};
 use plt::core::subset::{NaiveChecker, SubsetChecker};
 use plt::core::HybridMiner;
 use plt::data::{DenseConfig, DenseGenerator, QuestConfig, QuestGenerator};
@@ -116,6 +116,13 @@ fn arena_agrees_under_every_rank_policy() {
 /// Most frequent ranks a database may keep and still be mined as masks.
 const MASK_BITS: u32 = 64;
 
+/// One `mine_plt` call on `pool`, finished.
+fn pool_mine(pool: &mut ArenaPool, plt: &plt::Plt) -> MiningResult {
+    let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+    pool.mine_plt(plt, &mut out);
+    out.finish()
+}
+
 /// Mines `db` on a fresh pool, checks it against every reference, and
 /// returns how many databases the pool mined as masks.
 fn mask_levels_of(db: &[Vec<u32>], min_support: u64, label: &str) -> u64 {
@@ -123,7 +130,7 @@ fn mask_levels_of(db: &[Vec<u32>], min_support: u64, label: &str) -> u64 {
     let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
     let mut pool = ArenaPool::new();
     assert_eq!(
-        pool.mine_plt(&plt).sorted(),
+        pool_mine(&mut pool, &plt).sorted(),
         FpGrowthMiner.mine(db, min_support).sorted(),
         "{label}"
     );
@@ -201,8 +208,8 @@ fn one_pool_across_heterogeneous_databases() {
         for min_support in [3u64, 20, 60] {
             let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
             roots[usize::from(plt.ranking().len() > MASK_BITS as usize)] += 1;
-            let reused = pool.mine_plt(&plt).sorted();
-            let fresh = ArenaPool::new().mine_plt(&plt).sorted();
+            let reused = pool_mine(&mut pool, &plt).sorted();
+            let fresh = pool_mine(&mut ArenaPool::new(), &plt).sorted();
             assert_eq!(reused, fresh, "min_support {min_support}");
             let fp = FpGrowthMiner.mine(db, min_support).sorted();
             assert_eq!(reused, fp, "min_support {min_support}");
@@ -282,9 +289,9 @@ proptest! {
             let projections = project_all(&plt);
             let mut pool = ArenaPool::new();
             for j in 1..=ranking.len() as u32 {
-                let got = pool
-                    .mine_conditional(projections.conditional(j).iter(), &plt, &[j])
-                    .sorted();
+                let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
+                pool.mine_conditional(projections.conditional(j).iter(), &plt, &[j], &mut out);
+                let got = out.finish().sorted();
                 let expect: Vec<_> = full
                     .iter()
                     .filter(|(s, _)| {

@@ -4,13 +4,13 @@
 //! against every baseline, and against brute force wherever the database
 //! is small enough to enumerate.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use plt::baselines::apriori::{AprioriMiner, CountingStrategy, PruneStrategy};
 use plt::baselines::{
     AisMiner, DicMiner, EclatMiner, FpGrowthMiner, HMineMiner, PartitionMiner, SamplingMiner,
 };
-use plt::core::miner::{BruteForceMiner, Miner};
+use plt::core::miner::{BruteForceMiner, Miner, MiningResult};
 use plt::core::HybridMiner;
 use plt::data::{
     BasketConfig, BasketGenerator, DenseConfig, DenseGenerator, QuestConfig, QuestGenerator,
@@ -18,6 +18,8 @@ use plt::data::{
 use plt::parallel::{ParallelEclatMiner, ParallelPltMiner};
 use plt::{ConditionalMiner, RankPolicy, TopDownMiner};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{diff_support_maps, support_map};
@@ -286,5 +288,127 @@ proptest! {
             let outcome = engines_agree(&db, min_support);
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
+    }
+}
+
+/// Item alphabets for the ordering oracle, as the first of 40 ids: small
+/// ids, ids around 2^16 and ids up to `u32::MAX`.
+const ALPHABETS: [u32; 3] = [0, (1 << 16) - 20, u32::MAX - 39];
+
+/// A support that is a function of the itemset, so duplicate pushes
+/// agree on it.
+fn oracle_support(items: &[u32]) -> u64 {
+    items.iter().fold(items.len() as u64, |h, &i| {
+        h.wrapping_mul(0x9e37_79b9).wrapping_add(u64::from(i)) % 1_000_003
+    }) + 1
+}
+
+/// `v` in a random order: items as a miner may push them, or rows.
+fn shuffled<T>(mut v: Vec<T>, rng: &mut SmallRng) -> Vec<T> {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.gen_range(0..i + 1));
+    }
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The canonical order checked against an oracle that shares no code
+    /// with `ResultBuilder::finish`: a `BTreeMap` keyed by `(len, items)`.
+    /// Every miner orders its result through `finish`, so miner-vs-miner
+    /// equality alone cannot catch an ordering bug. Size groups hold 0 to
+    /// 199 itemsets; pushes come in random order, with duplicates, split
+    /// across `push`, `append` and `extend_from`.
+    #[test]
+    fn prop_result_builder_matches_a_btree_oracle(
+        seed in any::<u64>(),
+        alphabets in 1usize..8,
+        groups in proptest::collection::vec((1usize..7, 0usize..200), 1..5),
+        dup_percent in 0u64..50,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // A non-empty subset of the three alphabets, as a bit mask.
+        let alphabets: Vec<_> = (0..3).filter(|b| alphabets & (1 << b) != 0).collect();
+        let mut pushes: Vec<(Vec<u32>, u64)> = Vec::new();
+        let mut oracle: BTreeMap<(usize, Vec<u32>), u64> = BTreeMap::new();
+        for &(k, n) in &groups {
+            for _ in 0..n {
+                let mut set = BTreeSet::new();
+                while set.len() < k {
+                    let base = ALPHABETS[alphabets[rng.gen_range(0..alphabets.len())]];
+                    set.insert(base + rng.gen_range(0..40));
+                }
+                let items: Vec<u32> = set.into_iter().collect();
+                let support = oracle_support(&items);
+                oracle.insert((k, items.clone()), support);
+                if rng.gen_range(0..100) < dup_percent {
+                    pushes.push((shuffled(items.clone(), &mut rng), support));
+                }
+                pushes.push((shuffled(items, &mut rng), support));
+            }
+        }
+        let order: Vec<(Vec<u32>, u64)> = shuffled(pushes.clone(), &mut rng);
+
+        // Three routes into one builder: push, append, extend_from.
+        let (a, rest) = order.split_at(order.len() / 3);
+        let (b, c) = rest.split_at(rest.len() / 2);
+        let builder_of = |rows: &[(Vec<u32>, u64)]| {
+            let mut builder = MiningResult::builder(3, 17);
+            for (items, support) in rows {
+                builder.push(items.iter().copied(), *support);
+            }
+            builder
+        };
+        let mut main = builder_of(a);
+        main.append(builder_of(b));
+        main.extend_from(&builder_of(c).finish());
+        let result = main.finish();
+
+        let expect: Vec<(Vec<u32>, u64)> =
+            oracle.iter().map(|((_, items), &s)| (items.clone(), s)).collect();
+        let got: Vec<(Vec<u32>, u64)> =
+            result.iter().map(|(s, sup)| (s.items().to_vec(), sup)).collect();
+        prop_assert_eq!(&got, &expect, "iteration order, seed {}", seed);
+        let sorted: Vec<(Vec<u32>, u64)> =
+            result.sorted().into_iter().map(|(s, sup)| (s.into_items(), sup)).collect();
+        prop_assert_eq!(&sorted, &expect, "sorted(), seed {}", seed);
+        prop_assert_eq!(result.len(), oracle.len());
+        prop_assert_eq!(result.max_size(), oracle.keys().last().map_or(0, |(k, _)| *k));
+        prop_assert_eq!((result.min_support(), result.num_transactions()), (3, 17));
+        for k in 0..=result.max_size() + 1 {
+            let group: Vec<(Vec<u32>, u64)> =
+                result.of_size(k).map(|(s, sup)| (s.items().to_vec(), sup)).collect();
+            let want: Vec<(Vec<u32>, u64)> =
+                expect.iter().filter(|(items, _)| items.len() == k).cloned().collect();
+            prop_assert_eq!(group, want, "of_size({}), seed {}", k, seed);
+        }
+
+        // Probes: present (sorted, unsorted, with a repeated item) and
+        // absent (sorted and unsorted).
+        for ((_, items), &support) in &oracle {
+            prop_assert_eq!(result.support(items), Some(support), "seed {}", seed);
+            let mut reversed = items.clone();
+            reversed.reverse();
+            prop_assert_eq!(result.support(&reversed), Some(support), "seed {}", seed);
+            let mut repeated = items.clone();
+            repeated.push(items[0]);
+            prop_assert_eq!(result.support(&repeated), Some(support), "seed {}", seed);
+        }
+        for _ in 0..64 {
+            let k = rng.gen_range(1..8usize);
+            let base = ALPHABETS[alphabets[rng.gen_range(0..alphabets.len())]];
+            let probe: BTreeSet<u32> = (0..k).map(|_| base + rng.gen_range(0..40)).collect();
+            let probe: Vec<u32> = probe.into_iter().collect();
+            let want = oracle.get(&(probe.len(), probe.clone())).copied();
+            prop_assert_eq!(result.support(&probe), want, "seed {}", seed);
+            let unsorted = shuffled(probe, &mut rng);
+            prop_assert_eq!(result.support(&unsorted), want, "seed {}", seed);
+        }
+        prop_assert_eq!(result.support(&[]), None);
+
+        // The same multiset in another order finishes to an equal result.
+        let again = builder_of(&shuffled(pushes, &mut rng)).finish();
+        prop_assert!(again == result, "finish depends on push order, seed {}", seed);
     }
 }

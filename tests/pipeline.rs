@@ -94,10 +94,10 @@ fn closed_and_maximal_reconstruct_the_frequency_family() {
     assert!(closed.len() <= all.len());
 
     // Every frequent itemset is a subset of some maximal itemset.
-    let maximal_sets: Vec<_> = maximal.iter().map(|(s, _)| s.clone()).collect();
+    let maximal_sets: Vec<_> = maximal.iter().map(|(s, _)| s).collect();
     for (itemset, _) in all.iter() {
         assert!(
-            maximal_sets.iter().any(|m| itemset.is_subset_of(m)),
+            maximal_sets.iter().any(|m| itemset.is_subset_of(*m)),
             "{itemset} not covered by any maximal set"
         );
     }
@@ -107,7 +107,7 @@ fn closed_and_maximal_reconstruct_the_frequency_family() {
     for (itemset, support) in all.iter() {
         let closure_sup = closed
             .iter()
-            .filter(|(c, _)| itemset.is_subset_of(c))
+            .filter(|(c, _)| itemset.is_subset_of(*c))
             .map(|(_, s)| s)
             .max()
             .expect("some closed superset exists");
