@@ -55,8 +55,8 @@ pub enum CountingStrategy {
     SubsetEnumeration,
     /// Probe each candidate against per-item TID bitmaps: support is the
     /// popcount of the AND across its items' rows (`AND`+popcount through
-    /// the kernel layer, AVX2 under the `simd` feature). Replaces the
-    /// per-transaction subset tests entirely; best on dense data, where
+    /// the kernel layer). Replaces the per-transaction subset tests
+    /// entirely; best on dense data, where
     /// [`BitsetTidDb::prefer_bitmaps`] holds.
     BitsetProbe,
 }

@@ -8,7 +8,7 @@
 //!        (default: paper — the exhibits that come straight from the text)
 //!   --full: evaluation-scale workloads instead of the quick ones
 //!   --json-out: also write the machine-readable record of the one
-//!               x13..x18 experiment selected to this path
+//!               x13 or x15..x18 experiment selected to this path
 //! ```
 
 use std::fmt::Display;
@@ -18,7 +18,7 @@ use plt_bench::experiments::{self, Scale};
 use plt_bench::figures;
 
 /// The experiments that write a machine-readable record with `--json-out`.
-const RECORDS: [&str; 6] = ["x13", "x14", "x15", "x16", "x17", "x18"];
+const RECORDS: [&str; 5] = ["x13", "x15", "x16", "x17", "x18"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,10 +81,11 @@ fn main() {
     }
 
     // Every record goes to the one `--json-out` path, so a second record
-    // would silently overwrite the first.
+    // would silently overwrite the first, and with none the path would
+    // silently stay unwritten.
     let records = expanded.iter().filter(|id| RECORDS.contains(&id.as_str()));
-    if json_out.is_some() && records.count() > 1 {
-        usage("--json-out writes one record: select at most one of x13..x18");
+    if json_out.is_some() && records.count() != 1 {
+        usage("--json-out writes one record: select exactly one of x13, x15..x18");
     }
 
     for id in expanded {
@@ -139,17 +140,11 @@ fn run_one(out: &mut impl Write, id: &str, scale: Scale, json_out: Option<&str>)
         "x8" => writeln!(out, "{}", experiments::x8_construction(scale)).unwrap(),
         "x9" => writeln!(out, "{}", experiments::x9_rank_policy(scale)).unwrap(),
         "x10" => writeln!(out, "{}", experiments::x10_zipf_sweep(scale)).unwrap(),
+        "x14" => writeln!(out, "{}", experiments::x14_eclat_bitsets(scale)).unwrap(),
         "x13" => {
             let cells = experiments::x13_incremental_cells(scale);
             let json = || experiments::x13_json(&cells, scale);
             emit(out, experiments::x13_table(&cells), json_out, json);
-        }
-        "x14" => {
-            let cells = experiments::x14_simd_cells(scale);
-            let kernels = experiments::x14_kernel_cells(scale);
-            let table = experiments::x14_table(&cells, &kernels);
-            let json = || experiments::x14_json(&cells, &kernels, scale);
-            emit(out, table, json_out, json);
         }
         "x15" => {
             let cells = experiments::x15_storage_cells(scale);

@@ -961,119 +961,12 @@ pub fn x15_json(cells: &[StorageCell], scale: Scale) -> String {
         .finish()
 }
 
-/// One X14 end-to-end measurement: Eclat over sorted tidsets vs packed
-/// bitsets on one dataset cell. Both answers are asserted identical to
-/// each other and to the arena engine's before any number is reported.
-#[derive(Debug, Clone)]
-pub struct SimdCell {
-    /// Dataset label, e.g. `DENSE16.D600@30%`.
-    pub dataset: String,
-    /// Absolute minimum support used.
-    pub min_sup: Support,
-    /// Number of frequent itemsets (identical across runs — asserted).
-    pub itemsets: usize,
-    /// Eclat over sorted tidsets (transaction-level, includes its own
-    /// vertical-database build).
-    pub eclat_tidset_secs: f64,
-    /// Eclat over packed `u64` bitsets (AND + popcount joins).
-    pub eclat_bitset_secs: f64,
-    /// Kernel calls dispatched to the vector backend during one
-    /// instrumented bitset Eclat pass.
-    pub simd_calls: u64,
-    /// Kernel calls dispatched to the scalar backend in the same pass.
-    pub scalar_calls: u64,
-    /// Bitset joins performed by the instrumented bitset Eclat pass.
-    pub bitmap_intersections: u64,
-}
-
-impl SimdCell {
-    /// Eclat speedup from the bitset representation — the cell's
-    /// headline, written as both `eclat_speedup` and `speedup`.
-    pub fn eclat_speedup(&self) -> f64 {
-        self.eclat_tidset_secs / self.eclat_bitset_secs
-    }
-
-    fn json(&self) -> Object {
-        let kernel = Object::new()
-            .int("simd_calls", self.simd_calls)
-            .int("scalar_calls", self.scalar_calls)
-            .int("bitmap_intersections", self.bitmap_intersections);
-        Object::new()
-            .str("dataset", &self.dataset)
-            .int("min_sup", self.min_sup)
-            .int("itemsets", self.itemsets)
-            .num("eclat_tidset_secs", self.eclat_tidset_secs, 6)
-            .num("eclat_bitset_secs", self.eclat_bitset_secs, 6)
-            .num("eclat_speedup", self.eclat_speedup(), 3)
-            .num("speedup", self.eclat_speedup(), 3)
-            .obj("kernel", kernel)
-    }
-}
-
-/// One X14 microbenchmark: a single `plt_core::kernels` primitive timed
-/// through the scalar oracle and through dispatch over the same
-/// synthetic input, with the results checksummed and asserted equal —
-/// the differential check runs inside the benchmark itself.
-#[derive(Debug, Clone)]
-pub struct KernelCell {
-    /// Kernel name (`prefix_sum`, `and_popcount`).
-    pub kernel: String,
-    /// Input length in elements (words for the bitset kernel).
-    pub len: usize,
-    /// Best wall time calling `kernels::scalar` directly.
-    pub scalar_secs: f64,
-    /// Best wall time through dispatch, on the backend the CPU resolves
-    /// to (the scalar code again on builds without SIMD).
-    pub simd_secs: f64,
-}
-
-impl KernelCell {
-    /// Scalar-over-SIMD speedup (1.0 when the build has no SIMD).
-    pub fn speedup(&self) -> f64 {
-        self.scalar_secs / self.simd_secs
-    }
-
-    fn json(&self) -> Object {
-        Object::new()
-            .str("kernel", &self.kernel)
-            .int("len", self.len)
-            .num("scalar_secs", self.scalar_secs, 6)
-            .num("simd_secs", self.simd_secs, 6)
-            .num("speedup", self.speedup(), 3)
-    }
-}
-
-/// Deterministic synthetic `u32` values in `0..modulo` (xorshift; the
-/// workspace carries no RNG dependency).
-fn synth_u32(len: usize, seed: u64, modulo: u32) -> Vec<u32> {
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x as u32) % modulo
-        })
-        .collect()
-}
-
-/// Deterministic synthetic `u64` words (same generator, full width).
-fn synth_u64(len: usize, seed: u64) -> Vec<u64> {
-    let mut x = seed.wrapping_mul(0xC2B2_AE3D_27D4_EB4F) | 1;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        })
-        .collect()
-}
-
-/// X14 — end-to-end kernel cells: Eclat under each tidset
-/// representation on sparse, dense, and power-law workloads, with the
-/// arena engine's answer as the oracle.
-pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
+/// X14 — Eclat over sorted tidsets vs packed bitsets (AND + popcount
+/// joins through the kernel layer) on sparse, dense and power-law
+/// workloads. Both answers are asserted identical to each other and to
+/// the arena engine's before any number is reported; `joins` counts the
+/// bitset intersections of one untimed bitset pass.
+pub fn x14_eclat_bitsets(scale: Scale) -> Table {
     use plt_core::kernels::KernelStats;
 
     let runs = scale.runs().max(2);
@@ -1097,11 +990,12 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
         workloads.push((format!("ZIPF1.1.D{n}@1.0%"), db, ms));
     }
 
-    let mut cells = Vec::new();
+    let mut table = Table::new(
+        "X14: Eclat tidsets vs bitsets",
+        &["dataset", "|F|", "tidset", "bitset", "speedup", "joins"],
+    );
     for (dataset, db, min_sup) in workloads {
         let arena = ConditionalMiner::default().mine(&db, min_sup);
-        // The bitset path's joins run on the backend the CPU picks, same
-        // as production use.
         let tidset = EclatMiner::default().with_repr(TidRepr::Tidset);
         let bitset = EclatMiner::default().with_repr(TidRepr::Bitset);
         let (tid_result, t_tid) = time_best(runs, || tidset.mine(&db, min_sup));
@@ -1116,138 +1010,19 @@ pub fn x14_simd_cells(scale: Scale) -> Vec<SimdCell> {
             arena.sorted(),
             "Eclat and the arena disagree on {dataset}"
         );
-        // One untimed instrumented pass for the dispatch counters.
         let before = KernelStats::snapshot_thread();
         let _ = bitset.mine(&db, min_sup);
-        let bit_kernels = KernelStats::snapshot_thread().since(&before);
-
-        cells.push(SimdCell {
+        let joins = KernelStats::snapshot_thread().since(&before);
+        table.row(vec![
             dataset,
-            min_sup,
-            itemsets: arena.len(),
-            eclat_tidset_secs: t_tid.as_secs_f64(),
-            eclat_bitset_secs: t_bit.as_secs_f64(),
-            simd_calls: bit_kernels.simd_calls,
-            scalar_calls: bit_kernels.scalar_calls,
-            bitmap_intersections: bit_kernels.bitmap_intersections,
-        });
-    }
-    cells
-}
-
-/// Times one kernel through the scalar oracle and through dispatch; both
-/// closures fold their outputs into a checksum that must match.
-fn kernel_cell(
-    kernel: &str,
-    len: usize,
-    runs: usize,
-    oracle: impl FnMut() -> u64,
-    dispatch: impl FnMut() -> u64,
-) -> KernelCell {
-    let (sum_scalar, t_scalar) = time_best(runs, oracle);
-    let (sum_simd, t_simd) = time_best(runs, dispatch);
-    assert_eq!(
-        sum_scalar, sum_simd,
-        "{kernel}[{len}] dispatch disagrees with the scalar oracle"
-    );
-    KernelCell {
-        kernel: kernel.to_string(),
-        len,
-        scalar_secs: t_scalar.as_secs_f64(),
-        simd_secs: t_simd.as_secs_f64(),
-    }
-}
-
-/// X14 — raw kernel microcells: `prefix_sum` and `and_popcount`, each
-/// timed as a direct `kernels::scalar` call against the dispatched entry
-/// point over deterministic synthetic inputs at two sizes.
-pub fn x14_kernel_cells(scale: Scale) -> Vec<KernelCell> {
-    use plt_core::kernels::{self, scalar};
-
-    let runs = scale.runs().max(3);
-    let reps = scale.pick(64, 512);
-    let mut cells = Vec::new();
-    for len in [4_096usize, 65_536] {
-        let deltas = synth_u32(len, 1, 7);
-        let words_a = synth_u64(len / 16, 3);
-        let words_b = synth_u64(len / 16, 4);
-
-        let prefix_sum = |f: fn(&[u32], &mut Vec<u32>)| {
-            let deltas = &deltas;
-            let mut out = Vec::new();
-            move || {
-                let mut acc = 0u64;
-                for _ in 0..reps {
-                    f(deltas, &mut out);
-                    acc = acc.wrapping_add(u64::from(*out.last().unwrap()));
-                }
-                acc
-            }
-        };
-        cells.push(kernel_cell(
-            "prefix_sum",
-            len,
-            runs,
-            prefix_sum(scalar::prefix_sum_into),
-            prefix_sum(kernels::prefix_sum_into),
-        ));
-
-        let and_popcount = |f: fn(&[u64], &[u64]) -> u64| {
-            let (a, b) = (&words_a, &words_b);
-            move || {
-                let mut acc = 0u64;
-                for _ in 0..reps {
-                    acc = acc.wrapping_add(f(a, b));
-                }
-                acc
-            }
-        };
-        cells.push(kernel_cell(
-            "and_popcount",
-            len / 16,
-            runs,
-            and_popcount(scalar::and_popcount),
-            and_popcount(kernels::and_popcount),
-        ));
-    }
-    cells
-}
-
-/// X14 rendered as a table: one row per dataset cell (Eclat
-/// representation) then one row per kernel microcell.
-pub fn x14_table(cells: &[SimdCell], kernels: &[KernelCell]) -> Table {
-    let mut table = Table::new(
-        "X14: SIMD/bitset kernels — Eclat representation, raw kernels",
-        &["cell", "|F|/len", "scalar", "simd", "speedup"],
-    );
-    for c in cells {
-        table.row(vec![
-            format!("{} eclat", c.dataset),
-            c.itemsets.to_string(),
-            fmt_duration(Duration::from_secs_f64(c.eclat_tidset_secs)),
-            fmt_duration(Duration::from_secs_f64(c.eclat_bitset_secs)),
-            format!("{:.2}x", c.eclat_speedup()),
-        ]);
-    }
-    for k in kernels {
-        table.row(vec![
-            k.kernel.clone(),
-            k.len.to_string(),
-            fmt_duration(Duration::from_secs_f64(k.scalar_secs)),
-            fmt_duration(Duration::from_secs_f64(k.simd_secs)),
-            format!("{:.2}x", k.speedup()),
+            arena.len().to_string(),
+            fmt_duration(t_tid),
+            fmt_duration(t_bit),
+            format!("{:.2}x", t_tid.as_secs_f64() / t_bit.as_secs_f64()),
+            joins.bitmap_intersections.to_string(),
         ]);
     }
     table
-}
-
-/// Machine-readable record of an X14 run (the committed
-/// `BENCH_simd.json`).
-pub fn x14_json(cells: &[SimdCell], kernels: &[KernelCell], scale: Scale) -> String {
-    Record::new("x14_simd_kernels", scale)
-        .array("cells", cells.iter().map(SimdCell::json))
-        .array("kernels", kernels.iter().map(KernelCell::json))
-        .finish()
 }
 
 /// One X16 load measurement: `clients` concurrent connections driving
@@ -2535,43 +2310,21 @@ mod tests {
     }
 
     #[test]
-    fn x14_kernels_agree_and_emit_json() {
-        let cells = x14_simd_cells(Scale::Quick);
-        // 3 datasets; agreement of both representations with the arena
-        // is asserted inside the cell builder itself.
-        assert_eq!(cells.len(), 3);
-        for c in &cells {
-            assert!(c.itemsets > 0, "empty family on {}", c.dataset);
-            assert!(c.eclat_tidset_secs > 0.0 && c.eclat_bitset_secs > 0.0);
+    fn x14_representations_agree_and_join_through_the_kernels() {
+        // Agreement of both representations with the arena is asserted
+        // inside the experiment itself.
+        let table = x14_eclat_bitsets(Scale::Quick);
+        assert_eq!(table.num_rows(), 3);
+        for row in 0..3 {
+            let dataset = table.cell(row, 0);
+            let itemsets: usize = table.cell(row, 1).parse().unwrap();
+            assert!(itemsets > 0, "empty family on {dataset}");
+            let joins: u64 = table.cell(row, 5).parse().unwrap();
             assert!(
-                c.simd_calls + c.scalar_calls > 0,
-                "no kernel dispatches recorded on {}",
-                c.dataset
+                joins > 0,
+                "bitset Eclat must join through the bitmap kernels on {dataset}"
             );
-            assert!(
-                c.bitmap_intersections > 0,
-                "bitset Eclat must join through the bitmap kernels on {}",
-                c.dataset
-            );
-            // Without the `simd` feature every dispatch must be scalar.
-            if !plt_core::kernels::simd_available() {
-                assert_eq!(c.simd_calls, 0, "phantom SIMD calls on {}", c.dataset);
-            }
         }
-        let kernels = x14_kernel_cells(Scale::Quick);
-        // 2 primitives x 2 sizes; checksums compared inside the builder.
-        assert_eq!(kernels.len(), 4);
-        for k in &kernels {
-            assert!(k.scalar_secs > 0.0 && k.simd_secs > 0.0, "{}", k.kernel);
-        }
-        let json = x14_json(&cells, &kernels, Scale::Quick);
-        assert!(json.contains("\"experiment\": \"x14_simd_kernels\""));
-        assert!(json.contains("\"bench_meta\""));
-        assert_eq!(json.matches("\"dataset\"").count(), 3);
-        assert_eq!(json.matches("\"eclat_speedup\"").count(), 3);
-        assert_eq!(json.matches("\"bitmap_intersections\"").count(), 3);
-        assert_eq!(json.matches("\"kernel\":").count(), 7); // 3 nested + 4 micro
-        assert_eq!(x14_table(&cells, &kernels).num_rows(), 3 + 4);
     }
 
     #[test]

@@ -117,19 +117,17 @@ impl std::fmt::Display for Table {
 
 /// Provenance block stamped into every machine-readable benchmark record
 /// (`BENCH_*.json`): the commit and toolchain that produced the numbers,
-/// the host CPU, and whether the SIMD backend was compiled in and live at
-/// run time. Returned as one hand-rolled JSON object (the workspace is
-/// dependency-free by design) for `record::Record` to splice in under
-/// a `"bench_meta"` key.
+/// and the host CPU. Returned as one hand-rolled JSON object (the
+/// workspace is dependency-free by design) for `record::Record` to splice
+/// in under a `"bench_meta"` key. Schema v1 keeps the two SIMD flags as
+/// constants: the kernels have one implementation, so both are `false`.
 pub fn bench_meta_json() -> String {
     format!(
         "{{\"git_commit\": \"{}\", \"rustc\": \"{}\", \"cpu\": \"{}\", \
-         \"simd_compiled\": {}, \"simd_available\": {}}}",
+         \"simd_compiled\": false, \"simd_available\": false}}",
         json_escape(&git_commit(".")),
         json_escape(&command_line("rustc", &["--version"]).unwrap_or_else(|| "unknown".into())),
         json_escape(&cpu_model()),
-        plt_core::kernels::simd_compiled(),
-        plt_core::kernels::simd_available(),
     )
 }
 
@@ -334,23 +332,12 @@ mod tests {
     #[test]
     fn bench_meta_carries_provenance_fields() {
         let meta = bench_meta_json();
-        for key in [
-            "\"git_commit\"",
-            "\"rustc\"",
-            "\"cpu\"",
-            "\"simd_compiled\"",
-            "\"simd_available\"",
-        ] {
+        for key in ["\"git_commit\"", "\"rustc\"", "\"cpu\""] {
             assert!(meta.contains(key), "missing {key} in {meta}");
         }
-        // The flags must reflect the build: without the `simd` feature
-        // both are necessarily false; with it, availability never
-        // exceeds compilation.
+        // Schema v1's SIMD flags stay, as constants.
         assert!(meta.starts_with('{') && meta.trim_end().ends_with('}'));
-        if !plt_core::kernels::simd_compiled() {
-            assert!(meta.contains("\"simd_compiled\": false"));
-            assert!(meta.contains("\"simd_available\": false"));
-        }
+        assert!(meta.contains("\"simd_compiled\": false, \"simd_available\": false"));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 use std::process::Command;
 
 use plt_bench::experiments::{
-    x13_json, x14_json, x15_json, x16_json, x17_json, x18_json, ApproxCell, IdleCell,
-    IncrementalCell, KernelCell, QueryCell, Scale, ServeCells, ServeLoadCell, SimdCell,
-    StorageCell,
+    x13_json, x15_json, x16_json, x17_json, x18_json, ApproxCell, IdleCell, IncrementalCell,
+    QueryCell, Scale, ServeCells, ServeLoadCell, StorageCell,
 };
 
 /// Replaces the host-dependent `bench_meta` line with a fixed marker.
@@ -43,30 +42,6 @@ fn records_keep_their_committed_bytes() {
             itemsets: 87,
             incremental_secs: 1.5,
             full_secs: 2.25,
-        },
-    ];
-    let x14 = [SimdCell {
-        dataset: "DENSE16.D600@30%".into(),
-        min_sup: 180,
-        itemsets: 4_095,
-        eclat_tidset_secs: 0.012_345_678,
-        eclat_bitset_secs: 0.003_456_789,
-        simd_calls: 0,
-        scalar_calls: 98_765,
-        bitmap_intersections: 4_321,
-    }];
-    let kernels = [
-        KernelCell {
-            kernel: "prefix_sum".into(),
-            len: 4_096,
-            scalar_secs: 0.000_001_234_5,
-            simd_secs: 0.000_000_987_6,
-        },
-        KernelCell {
-            kernel: "and_popcount".into(),
-            len: 65_536,
-            scalar_secs: 0.000_123_456,
-            simd_secs: 0.000_123_456,
         },
     ];
     let x15 = [StorageCell {
@@ -156,7 +131,6 @@ fn records_keep_their_committed_bytes() {
 
     let cases = [
         ("x13", x13_json(&x13, Scale::Full), X13),
-        ("x14", x14_json(&x14, &kernels, Scale::Quick), X14),
         ("x15", x15_json(&x15, Scale::Full), X15),
         ("x16", x16_json(&x16, Scale::Full), X16),
         ("x16 no idle", x16_json(&no_idle, Scale::Quick), X16_NO_IDLE),
@@ -171,7 +145,8 @@ fn records_keep_their_committed_bytes() {
 #[test]
 fn json_out_rejects_more_than_one_record_before_running_anything() {
     let path = std::env::temp_dir().join(format!("plt-bench-json-out-{}.json", std::process::id()));
-    for exp in ["x13,x17", "all"] {
+    // X14 and the paper exhibits write no record.
+    for exp in ["x13,x17", "all", "x14", "t1"] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(["--exp", exp, "--json-out", path.to_str().unwrap()])
             .output()
@@ -194,20 +169,6 @@ const X13: &str = r#"{
   "cells": [
     {"dataset": "T10.I4.D2000", "mode": "localized", "transactions": 2000, "delta_size": 20, "shards": 16, "dirty_shards": 3, "itemsets": 1234, "incremental_secs": 0.001235, "full_secs": 0.045679, "speedup": 37.000},
     {"dataset": "ZIPF1.1.D2000", "mode": "uniform", "transactions": 2000, "delta_size": 20, "shards": 16, "dirty_shards": 16, "itemsets": 87, "incremental_secs": 1.500000, "full_secs": 2.250000, "speedup": 1.500}
-  ]
-}
-"#;
-
-const X14: &str = r#"{
-  "experiment": "x14_simd_kernels",
-  "bench_meta": "masked",
-  "scale": "quick",
-  "cells": [
-    {"dataset": "DENSE16.D600@30%", "min_sup": 180, "itemsets": 4095, "eclat_tidset_secs": 0.012346, "eclat_bitset_secs": 0.003457, "eclat_speedup": 3.571, "speedup": 3.571, "kernel": {"simd_calls": 0, "scalar_calls": 98765, "bitmap_intersections": 4321}}
-  ],
-  "kernels": [
-    {"kernel": "prefix_sum", "len": 4096, "scalar_secs": 0.000001, "simd_secs": 0.000001, "speedup": 1.250},
-    {"kernel": "and_popcount", "len": 65536, "scalar_secs": 0.000123, "simd_secs": 0.000123, "speedup": 1.000}
   ]
 }
 "#;

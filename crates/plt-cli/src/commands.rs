@@ -626,11 +626,8 @@ fn mine(
             ("algo", format!("{:?}", algo.name())),
             // Schema v1 keeps the field; the arena is the only engine.
             ("engine", format!("{:?}", "arena")),
-            // The bitset kernels' backend, picked from the CPU.
-            (
-                "kernel",
-                format!("{:?}", plt_core::kernels::active_backend().name()),
-            ),
+            // Schema v1 keeps the field; the kernels have one implementation.
+            ("kernel", format!("{:?}", "scalar")),
             ("min_support", family.min_support().to_string()),
             ("num_transactions", db.len().to_string()),
             ("itemsets", family.len().to_string()),

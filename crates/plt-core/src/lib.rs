@@ -59,13 +59,12 @@
 
 pub mod arena;
 pub mod conditional;
-/// Data-parallel kernel layer — re-export of the [`plt_simd`] crate.
+/// Bitset kernel layer — re-export of the [`plt_simd`] crate.
 ///
-/// Position-vector decoding and the baselines' bitset intersections
-/// call these kernels (the arena engine runs plain fused loops and
-/// dispatches none); backend selection
-/// (`scalar` oracle vs the AVX2 path under the `simd` feature) and the
-/// dispatch counters live here. See `DESIGN.md` §11.
+/// The baselines' bitset intersections call these kernels (the arena
+/// engine runs plain fused loops and calls none); each kernel is one
+/// plain loop, and the intersection counter lives here. See `DESIGN.md`
+/// §11.
 pub mod kernels {
     pub use plt_simd::*;
 }

@@ -111,7 +111,11 @@ impl PositionVector {
     /// Lemma 4.1.1: recover the rank sequence by prefix-summing.
     pub fn ranks(&self) -> Vec<Rank> {
         let mut out = Vec::with_capacity(self.0.len());
-        plt_simd::prefix_sum_into(&self.0, &mut out);
+        let mut acc: Rank = 0;
+        for &p in self.0.iter() {
+            acc = acc.wrapping_add(p);
+            out.push(acc);
+        }
         out
     }
 

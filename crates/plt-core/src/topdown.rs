@@ -47,13 +47,6 @@ pub struct AllSubsetSupports {
 }
 
 impl AllSubsetSupports {
-    /// Wraps a precomputed vector→support map. Used by alternative
-    /// propagation strategies (e.g. the parallel per-vector expansion in
-    /// `plt-parallel`) that produce the same table by other means.
-    pub fn from_map(supports: FxHashMap<PositionVector, Support>) -> Self {
-        AllSubsetSupports { supports }
-    }
-
     /// Support of the itemset encoded by `vector` (0 if it never occurs).
     pub fn support(&self, vector: &PositionVector) -> Support {
         self.supports.get(vector).copied().unwrap_or(0)

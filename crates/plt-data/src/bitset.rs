@@ -7,8 +7,7 @@
 //! bits(Y))`, one wide AND per 64 transactions with no branches at all.
 //! This is the classic vertical-bitmap rendering of Eclat (Zaki, TKDE
 //! 2000 — the paper's reference \[12\]); the AND+popcount runs through
-//! `plt-simd`, so it picks up the AVX2 backend when the `simd` feature
-//! and the CPU allow.
+//! `plt-simd`'s kernels.
 //!
 //! [`BitsetTidDb::prefer_bitmaps`] is the density heuristic: bitmaps win
 //! exactly when their fixed `⌈n/64⌉`-word footprint undercuts the sorted

@@ -20,9 +20,6 @@
 //!   structures that merge associatively.
 //! * [`ParallelEclatMiner`] — a parallel baseline for the X5 speedup
 //!   comparison, fanning out the first-level equivalence classes.
-//! * [`par_all_subset_supports`] — the top-down pass as an embarrassingly
-//!   parallel per-vector expansion.
-//! * [`par_generate_rules`] — ap-genrules fanned out per frequent itemset.
 //! * [`run_with_threads`] — pins work to a pool of an exact size, for the
 //!   thread-scaling sweeps.
 
@@ -30,15 +27,11 @@ pub mod construct;
 pub mod eclat;
 pub mod miner;
 pub mod projection;
-pub mod rules;
-pub mod topdown;
 
 pub use construct::par_construct;
 pub use eclat::ParallelEclatMiner;
 pub use miner::ParallelPltMiner;
 pub use projection::{project_all, Projections};
-pub use rules::par_generate_rules;
-pub use topdown::{par_all_subset_supports, ParallelTopDownMiner};
 
 /// Runs `f` on a dedicated Rayon pool with exactly `threads` workers.
 /// All `par_iter` work spawned inside `f` stays on that pool — the knob

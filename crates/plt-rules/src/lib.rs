@@ -106,8 +106,7 @@ pub fn generate_rules(result: &MiningResult, config: RuleConfig) -> Vec<Rule> {
 /// (whose support is `support`) that meet the confidence threshold.
 /// `result` serves the subset-support lookups and must be subset-closed
 /// over `itemset`, which is borrowed (typically from `result` itself).
-/// Exposed so parallel callers can fan out per itemset.
-pub fn rules_for_itemset(
+fn rules_for_itemset(
     itemset: ItemsetRef<'_>,
     support: Support,
     result: &MiningResult,

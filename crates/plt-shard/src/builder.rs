@@ -92,11 +92,11 @@ impl MinerBuilder {
         self
     }
 
-    /// Sets the absolute minimum support (used by [`build_miner`]'s
-    /// transaction-level view and by [`build_pipeline`]).
-    ///
-    /// [`build_miner`]: Self::build_miner
-    /// [`build_pipeline`]: Self::build_pipeline
+    /// Sets the absolute minimum support of the pipeline side:
+    /// [`shard_config`](Self::shard_config) and
+    /// [`build_pipeline`](Self::build_pipeline) read it. The miners that
+    /// [`build`](Self::build) and [`build_miner`](Self::build_miner)
+    /// return take theirs per call.
     pub fn min_support(mut self, min_support: Support) -> MinerBuilder {
         self.min_support = min_support;
         self

@@ -1,30 +1,28 @@
-//! Differential equivalence for the kernel layer: every dispatched
-//! `plt-simd` kernel must produce bit-identical results to the scalar
-//! oracle (`kernels::scalar`), over adversarial shapes — empty inputs,
-//! single elements, lengths straddling the vector lane width, misaligned
-//! slices, all-zero and all-max words — and the Eclat miners built on the
-//! kernels (bitset and tidset) must agree on full support maps with the
-//! arena engine, which dispatches no kernels and serves as the reference.
-//!
-//! Dispatch runs whatever backend the CPU resolves to. On builds without
-//! the `simd` feature that is the scalar code itself and every kernel
-//! check passes trivially; CI runs this suite with `--features simd` as
-//! well, so the AVX2 path is exercised wherever the host supports it.
+//! Differential equivalence for the kernel layer: every `plt-simd`
+//! bitset kernel must produce bit-identical results to an independent
+//! per-bit reference, and the Lemma 4.1.1 decode
+//! (`PositionVector::ranks`) must match per-element prefix sums, over
+//! adversarial shapes — empty inputs, single elements, lengths around
+//! word-group boundaries, misaligned slices, all-zero and all-max words.
+//! The Eclat miners built on the kernels (bitset and tidset) must agree on
+//! full support maps with the arena engine, which calls no kernels and
+//! serves as the reference.
 
 use std::collections::BTreeSet;
 
 use plt::baselines::{EclatMiner, TidRepr};
-use plt::core::kernels::{self, scalar};
+use plt::core::kernels;
 use plt::core::miner::Miner;
-use plt::ConditionalMiner;
+use plt::core::PltError;
+use plt::{ConditionalMiner, PositionVector};
 use proptest::prelude::*;
 
 mod common;
 use common::{diff_support_maps, support_map};
 
-/// One implementation of the kernel set, as plain function pointers.
+/// One implementation of the bitset kernel set, as plain function
+/// pointers.
 struct Kernels {
-    prefix_sum_into: fn(&[u32], &mut Vec<u32>),
     popcount: fn(&[u64]) -> u64,
     and_popcount: fn(&[u64], &[u64]) -> u64,
     and_into: fn(&[u64], &[u64], &mut Vec<u64>) -> u64,
@@ -32,9 +30,8 @@ struct Kernels {
     andnot_into: fn(&[u64], &[u64], &mut Vec<u64>) -> u64,
 }
 
-/// The public entry points, on the backend this build and CPU resolve to.
-const DISPATCH: Kernels = Kernels {
-    prefix_sum_into: kernels::prefix_sum_into,
+/// The kernels under test.
+const KERNELS: Kernels = Kernels {
     popcount: kernels::popcount,
     and_popcount: kernels::and_popcount,
     and_into: kernels::and_into,
@@ -42,29 +39,115 @@ const DISPATCH: Kernels = Kernels {
     andnot_into: kernels::andnot_into,
 };
 
-/// The always-compiled scalar module, called directly.
+/// The per-bit reference.
 const ORACLE: Kernels = Kernels {
-    prefix_sum_into: scalar::prefix_sum_into,
-    popcount: scalar::popcount,
-    and_popcount: scalar::and_popcount,
-    and_into: scalar::and_into,
-    and_assign_popcount: scalar::and_assign_popcount,
-    andnot_into: scalar::andnot_into,
+    popcount: reference::popcount,
+    and_popcount: reference::and_popcount,
+    and_into: reference::and_into,
+    and_assign_popcount: reference::and_assign_popcount,
+    andnot_into: reference::andnot_into,
 };
 
-/// Runs `f` through dispatch and through the oracle and returns both
-/// results; callers assert equality.
-fn dispatch_and_oracle<R>(f: impl Fn(&Kernels) -> R) -> (R, R) {
-    (f(&DISPATCH), f(&ORACLE))
+/// Reference kernels that read and write one bit at a time, so none of
+/// them shares a loop shape (or `count_ones`) with the kernels under
+/// test.
+mod reference {
+    fn bit(word: u64, i: u32) -> bool {
+        (word >> i) & 1 == 1
+    }
+
+    /// Applies `op` bit by bit to two equal-length word slices.
+    fn combine(a: &[u64], b: &[u64], op: fn(bool, bool) -> bool) -> Vec<u64> {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| {
+                (0..64)
+                    .filter(|&i| op(bit(x, i), bit(y, i)))
+                    .fold(0u64, |w, i| w | (1 << i))
+            })
+            .collect()
+    }
+
+    pub fn popcount(words: &[u64]) -> u64 {
+        words
+            .iter()
+            .map(|&w| (0..64).filter(|&i| bit(w, i)).count() as u64)
+            .sum()
+    }
+
+    pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
+        popcount(&combine(a, b, |x, y| x && y))
+    }
+
+    pub fn and_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> u64 {
+        *out = combine(a, b, |x, y| x && y);
+        popcount(out)
+    }
+
+    pub fn and_assign_popcount(acc: &mut [u64], b: &[u64]) -> u64 {
+        let words = combine(acc, b, |x, y| x && y);
+        acc.copy_from_slice(&words);
+        popcount(acc)
+    }
+
+    pub fn andnot_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> u64 {
+        *out = combine(a, b, |x, y| x && !y);
+        popcount(out)
+    }
 }
 
-/// Lengths around the AVX2 lane widths (8 × u32, 4 × u64) plus the empty,
-/// singleton, and bulk cases.
+/// Runs `f` through the kernels and through the reference and returns
+/// both results; callers assert equality.
+fn kernel_and_oracle<R>(f: impl Fn(&Kernels) -> R) -> (R, R) {
+    (f(&KERNELS), f(&ORACLE))
+}
+
+/// Checks `PositionVector::ranks` on `positions` against per-element
+/// prefix sums, and Lemma 4.1.1 in reverse: differencing the recovered
+/// ranks gives the positions back. An empty sequence has no vector.
+fn check_ranks(positions: &[u32]) -> Result<(), String> {
+    if positions.is_empty() {
+        return match PositionVector::from_positions(Vec::new()) {
+            Err(PltError::Empty) => Ok(()),
+            other => Err(format!("empty positions gave {other:?}")),
+        };
+    }
+    let ranks = PositionVector::from_positions(positions.to_vec())
+        .map_err(|e| format!("from_positions at len {}: {e}", positions.len()))?
+        .ranks();
+    for (i, &rank) in ranks.iter().enumerate() {
+        let want: u64 = positions[..=i].iter().map(|&p| u64::from(p)).sum();
+        if u64::from(rank) != want {
+            return Err(format!("rank {i} is {rank}, prefix sum is {want}"));
+        }
+    }
+    let mut prev = 0u32;
+    let back: Vec<u32> = ranks
+        .iter()
+        .map(|&r| {
+            let d = r - prev;
+            prev = r;
+            d
+        })
+        .collect();
+    if back != positions {
+        return Err(format!(
+            "delta/prefix round trip at len {}",
+            positions.len()
+        ));
+    }
+    Ok(())
+}
+
+/// Lengths around 4- and 8-word groups plus the empty, singleton, and
+/// bulk cases.
 const ADVERSARIAL_LENS: &[usize] = &[
     0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 10_000,
 ];
 
-/// Deterministic non-trivial u32 payload.
+/// Deterministic non-trivial u32 payload; every value is a valid
+/// position (>= 1).
 fn pattern_u32(len: usize) -> Vec<u32> {
     (0..len as u32)
         .map(|i| (i.wrapping_mul(37) % 101) + 1)
@@ -81,26 +164,7 @@ fn pattern_u64(len: usize) -> Vec<u64> {
 #[test]
 fn scan_kernels_agree_across_adversarial_lengths() {
     for &len in ADVERSARIAL_LENS {
-        let deltas = pattern_u32(len);
-        let (a, b) = dispatch_and_oracle(|k| {
-            let mut out = Vec::new();
-            (k.prefix_sum_into)(&deltas, &mut out);
-            out
-        });
-        assert_eq!(a, b, "prefix_sum_into at len {len}");
-
-        // Lemma 4.1.1 in reverse: differencing the recovered ranks gives
-        // the deltas back.
-        let mut prev = 0u32;
-        let back: Vec<u32> = a
-            .iter()
-            .map(|&r| {
-                let d = r - prev;
-                prev = r;
-                d
-            })
-            .collect();
-        assert_eq!(back, deltas, "delta/prefix round trip at len {len}");
+        check_ranks(&pattern_u32(len)).unwrap();
     }
 }
 
@@ -109,28 +173,27 @@ fn bitset_kernels_agree_across_adversarial_lengths() {
     for &len in ADVERSARIAL_LENS {
         let a_words = pattern_u64(len);
         let b_words: Vec<u64> = pattern_u64(len).iter().map(|w| w.rotate_left(17)).collect();
-        let (s, v) = dispatch_and_oracle(|k| (k.popcount)(&a_words));
+        let (s, v) = kernel_and_oracle(|k| (k.popcount)(&a_words));
         assert_eq!(s, v, "popcount at len {len}");
 
-        let (s, v) = dispatch_and_oracle(|k| (k.and_popcount)(&a_words, &b_words));
+        let (s, v) = kernel_and_oracle(|k| (k.and_popcount)(&a_words, &b_words));
         assert_eq!(s, v, "and_popcount at len {len}");
 
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut out = Vec::new();
             let count = (k.and_into)(&a_words, &b_words, &mut out);
             (count, out)
         });
         assert_eq!(s, v, "and_into at len {len}");
-        assert_eq!(s.0, scalar::popcount(&s.1), "and_into count at len {len}");
 
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut acc = a_words.clone();
             let count = (k.and_assign_popcount)(&mut acc, &b_words);
             (count, acc)
         });
         assert_eq!(s, v, "and_assign_popcount at len {len}");
 
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut out = Vec::new();
             let count = (k.andnot_into)(&a_words, &b_words, &mut out);
             (count, out)
@@ -151,7 +214,7 @@ fn bitset_kernels_handle_all_zero_and_all_max_words() {
     for &len in &[4usize, 5, 64, 1_000] {
         let zeros = vec![0u64; len];
         let maxed = vec![u64::MAX; len];
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             (
                 (k.popcount)(&zeros),
                 (k.popcount)(&maxed),
@@ -164,7 +227,7 @@ fn bitset_kernels_handle_all_zero_and_all_max_words() {
         assert_eq!(s.1, 64 * len as u64);
         assert_eq!(s.2, 0);
         assert_eq!(s.3, 64 * len as u64);
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut out = Vec::new();
             (k.andnot_into)(&maxed, &zeros, &mut out)
         });
@@ -175,26 +238,31 @@ fn bitset_kernels_handle_all_zero_and_all_max_words() {
 
 #[test]
 fn kernels_agree_on_misaligned_slices() {
-    // Slicing off a prefix shifts the data relative to any 16/32-byte
-    // boundary the backing allocation had; the kernels take unaligned
-    // loads, so every offset must produce identical answers.
+    // Slicing off a prefix shifts the data relative to any boundary the
+    // backing allocation had; every offset must produce identical answers.
     let deltas = pattern_u32(4_099);
+    let full = PositionVector::from_positions(deltas.clone())
+        .unwrap()
+        .ranks();
     let words = pattern_u64(1_027);
     let words_b: Vec<u64> = pattern_u64(1_027).iter().map(|w| !w).collect();
     for offset in 1..=7usize {
         let d = &deltas[offset..];
-        let (a, b) = dispatch_and_oracle(|k| {
-            let mut out = Vec::new();
-            (k.prefix_sum_into)(d, &mut out);
-            out
-        });
-        assert_eq!(a, b, "prefix_sum_into at offset {offset}");
+        check_ranks(d).unwrap();
+        // Decoding a suffix of the positions gives the full decode's
+        // ranks shifted down by the rank the suffix starts after.
+        let shifted: Vec<u32> = full[offset..]
+            .iter()
+            .map(|&r| r - full[offset - 1])
+            .collect();
+        let ranks = PositionVector::from_positions(d.to_vec()).unwrap().ranks();
+        assert_eq!(ranks, shifted, "ranks at offset {offset}");
 
         let w = &words[offset..];
         let wb = &words_b[offset..];
-        let (s, v) = dispatch_and_oracle(|k| (k.and_popcount)(w, wb));
+        let (s, v) = kernel_and_oracle(|k| (k.and_popcount)(w, wb));
         assert_eq!(s, v, "and_popcount at offset {offset}");
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut out = Vec::new();
             (k.andnot_into)(w, wb, &mut out)
         });
@@ -259,30 +327,26 @@ fn bitmap_and_tidset_miners_agree_on_generated_workloads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random u32 streams: the scan kernel agrees with the oracle at
-    /// arbitrary (not just lane-aligned) lengths.
+    /// Random position streams: the decode matches per-element prefix
+    /// sums at arbitrary lengths, and the empty stream has no vector.
     #[test]
     fn prop_scan_kernels_agree(
         deltas in proptest::collection::vec(any::<u32>(), 0..600),
     ) {
-        // Cap the deltas so prefix sums cannot overflow u32.
-        let deltas: Vec<u32> = deltas.into_iter().map(|d| d % 1_000).collect();
-        let (a, b) = dispatch_and_oracle(|k| {
-            let mut out = Vec::new();
-            (k.prefix_sum_into)(&deltas, &mut out);
-            out
-        });
-        prop_assert_eq!(a, b);
+        // Positions are >= 1; the cap keeps the ranks inside u32.
+        let deltas: Vec<u32> = deltas.into_iter().map(|d| d % 1_000 + 1).collect();
+        let outcome = check_ranks(&deltas);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 
-    /// Random u64 words: every bitset kernel agrees with the oracle.
+    /// Random u64 words: every bitset kernel agrees with the reference.
     #[test]
     fn prop_bitset_kernels_agree(
         a in proptest::collection::vec(any::<u64>(), 0..200),
         mask in any::<u64>(),
     ) {
         let b: Vec<u64> = a.iter().map(|w| w ^ mask).collect();
-        let (s, v) = dispatch_and_oracle(|k| {
+        let (s, v) = kernel_and_oracle(|k| {
             let mut and_out = Vec::new();
             let mut not_out = Vec::new();
             let mut acc = a.clone();
