@@ -70,16 +70,6 @@ pub struct AprioriMiner {
     pub counting: CountingStrategy,
 }
 
-impl AprioriMiner {
-    /// Apriori with the PLT-backed prune step.
-    pub fn with_plt_prune() -> Self {
-        AprioriMiner {
-            prune: PruneStrategy::PltSubsetChecker,
-            ..Default::default()
-        }
-    }
-}
-
 impl Miner for AprioriMiner {
     fn name(&self) -> &'static str {
         match self.prune {

@@ -1026,10 +1026,10 @@ pub fn x14_eclat_bitsets(scale: Scale) -> Table {
 }
 
 /// One X16 load measurement: `clients` concurrent connections driving
-/// point queries through one serving model over real TCP sockets.
+/// point queries through the server over real TCP sockets.
 #[derive(Debug, Clone)]
 pub struct ServeLoadCell {
-    /// Serving model, `threads` or `reactor`.
+    /// Server that answered: `reactor` on Linux, `threads` elsewhere.
     pub model: String,
     /// Concurrent connections held open for the whole measurement.
     pub clients: usize,
@@ -1094,12 +1094,12 @@ impl IdleCell {
 }
 
 /// Everything X16 measures. `idle` is `None` off Linux, where the
-/// reactor model (and so the ceiling probe) does not exist.
+/// reactor (and so the ceiling probe) does not exist.
 #[derive(Debug, Clone)]
 pub struct ServeCells {
     /// Idle-connection ceiling (reactor only).
     pub idle: Option<IdleCell>,
-    /// Throughput/latency grid: models x client counts.
+    /// Throughput/latency grid, one cell per client count.
     pub load: Vec<ServeLoadCell>,
 }
 
@@ -1331,15 +1331,24 @@ fn x16_drive_load(
     (started.elapsed().as_secs_f64(), lat)
 }
 
-/// X16 — async serving: the epoll reactor vs the thread-per-connection
-/// model over real TCP sockets, plus the reactor's idle-connection
-/// ceiling. The snapshot is small on purpose: the engine answers in
-/// microseconds, so the transport and scheduling — not the miner — are
-/// what the numbers show. Every wire reply is asserted byte-identical
-/// to the engine's in-process answer before it is counted.
+/// The server `plt_serve::serve` runs on this target, as X16 labels its
+/// cells: the epoll reactor on Linux, thread-per-connection elsewhere.
+const SERVER_MODEL: &str = if cfg!(target_os = "linux") {
+    "reactor"
+} else {
+    "threads"
+};
+
+/// X16 — async serving: the server's throughput and latency over real
+/// TCP sockets at rising client counts, plus the reactor's
+/// idle-connection ceiling. The snapshot is small on purpose: the engine
+/// answers in microseconds, so the transport and scheduling — not the
+/// miner — are what the numbers show. Every wire reply is asserted
+/// byte-identical to the engine's in-process answer before it is
+/// counted.
 pub fn x16_serve_cells(scale: Scale) -> ServeCells {
     use plt_rules::RuleConfig;
-    use plt_serve::{serve, Engine, Request, ServerConfig, ServerModel, Snapshot};
+    use plt_serve::{serve, Engine, Request, ServerConfig, Snapshot};
     use std::sync::Arc;
 
     let db = datasets::sparse_small(2_000);
@@ -1382,7 +1391,6 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
             build_engine(),
             None,
             ServerConfig {
-                server_model: ServerModel::Reactor,
                 reactors,
                 accept_backlog: 8_192,
                 max_connections: target + 64,
@@ -1438,49 +1446,40 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
     #[cfg(not(target_os = "linux"))]
     let idle: Option<IdleCell> = None;
 
-    // Throughput/latency grid: both models at each client count; the
-    // thread model is the reactor's differential oracle and baseline.
+    // Throughput/latency grid: one server per client count.
     let client_counts: Vec<usize> = match scale {
         Scale::Quick => vec![32, 128],
         Scale::Full => vec![64, 512, 4_096],
     };
     let total_ops = scale.pick(6_400, 65_536);
-    let models: Vec<ServerModel> = if cfg!(target_os = "linux") {
-        vec![ServerModel::Threads, ServerModel::Reactor]
-    } else {
-        vec![ServerModel::Threads]
-    };
     let mut load = Vec::new();
     for &clients in &client_counts {
-        for &model in &models {
-            let handle = serve(
-                "127.0.0.1:0",
-                build_engine(),
-                None,
-                ServerConfig {
-                    server_model: model,
-                    accept_backlog: 8_192,
-                    max_connections: clients * 2 + 64,
-                    read_deadline: Some(Duration::from_secs(120)),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind load server");
-            let ops_per_conn = (total_ops / clients).max(4);
-            let (elapsed, mut lat) =
-                x16_drive_load(handle.addr(), clients, ops_per_conn, &payload, &expected);
-            lat.sort_unstable();
-            load.push(ServeLoadCell {
-                model: model.as_str().to_string(),
-                clients,
-                ops: lat.len(),
-                elapsed_secs: elapsed,
-                throughput: lat.len() as f64 / elapsed,
-                p50_us: percentile_us(&lat, 0.50),
-                p99_us: percentile_us(&lat, 0.99),
-            });
-            handle.shutdown();
-        }
+        let handle = serve(
+            "127.0.0.1:0",
+            build_engine(),
+            None,
+            ServerConfig {
+                accept_backlog: 8_192,
+                max_connections: clients * 2 + 64,
+                read_deadline: Some(Duration::from_secs(120)),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind load server");
+        let ops_per_conn = (total_ops / clients).max(4);
+        let (elapsed, mut lat) =
+            x16_drive_load(handle.addr(), clients, ops_per_conn, &payload, &expected);
+        lat.sort_unstable();
+        load.push(ServeLoadCell {
+            model: SERVER_MODEL.to_string(),
+            clients,
+            ops: lat.len(),
+            elapsed_secs: elapsed,
+            throughput: lat.len() as f64 / elapsed,
+            p50_us: percentile_us(&lat, 0.50),
+            p99_us: percentile_us(&lat, 0.99),
+        });
+        handle.shutdown();
     }
 
     ServeCells { idle, load }
@@ -1489,7 +1488,7 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
 /// X16 rendered as a table.
 pub fn x16_table(cells: &ServeCells) -> Table {
     let mut table = Table::new(
-        "X16: async serving — reactor vs thread-per-connection, idle ceiling",
+        "X16: async serving — load grid and idle ceiling",
         &["model", "clients", "ops", "elapsed", "ops/s", "p50", "p99"],
     );
     if let Some(idle) = &cells.idle {
@@ -2228,13 +2227,12 @@ mod tests {
         use std::sync::Arc;
 
         use plt_rules::RuleConfig;
-        use plt_serve::{serve, Engine, Request, ServerConfig, ServerModel, Snapshot};
+        use plt_serve::{serve, Engine, Request, ServerConfig, Snapshot};
 
-        // Bounded live smoke: a small herd on each model, every wire
-        // reply asserted against the in-process answer inside the
-        // driver. The full grid (and the idle ceiling) runs via
-        // `experiments --exp x16`; keeping the herd small here keeps
-        // the tier-1 suite fast.
+        // Bounded live smoke: a small herd, every wire reply asserted
+        // against the in-process answer inside `x16_drive_load`. The
+        // full grid (and the idle ceiling) runs via `experiments --exp
+        // x16`; keeping the herd small here keeps the tier-1 suite fast.
         let db = datasets::sparse_small(300);
         let result = ConditionalMiner::default().mine(&db, 2);
         let plt = construct(&db, 2, ConstructOptions::conditional()).expect("construct");
@@ -2253,41 +2251,22 @@ mod tests {
         let payload = request.to_json().to_string();
         let expected = engine.handle(&request);
 
-        let models: Vec<ServerModel> = if cfg!(target_os = "linux") {
-            vec![ServerModel::Threads, ServerModel::Reactor]
-        } else {
-            vec![ServerModel::Threads]
-        };
-        let mut load = Vec::new();
-        for model in models {
-            let handle = serve(
-                "127.0.0.1:0",
-                engine.clone(),
-                None,
-                ServerConfig {
-                    server_model: model,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind");
-            let (elapsed, mut lat) = x16_drive_load(handle.addr(), 8, 4, &payload, &expected);
-            lat.sort_unstable();
-            assert_eq!(lat.len(), 32, "{model:?}: 8 clients x 4 ops");
-            assert!(elapsed > 0.0);
-            load.push(ServeLoadCell {
-                model: model.as_str().to_string(),
-                clients: 8,
-                ops: lat.len(),
-                elapsed_secs: elapsed,
-                throughput: lat.len() as f64 / elapsed,
-                p50_us: percentile_us(&lat, 0.50),
-                p99_us: percentile_us(&lat, 0.99),
-            });
-            handle.shutdown();
-        }
-        for c in &load {
-            assert!(c.throughput > 0.0 && c.p99_us >= c.p50_us, "{}", c.model);
-        }
+        let handle = serve("127.0.0.1:0", engine, None, ServerConfig::default()).expect("bind");
+        let (elapsed, mut lat) = x16_drive_load(handle.addr(), 8, 4, &payload, &expected);
+        handle.shutdown();
+        lat.sort_unstable();
+        assert_eq!(lat.len(), 32, "8 clients x 4 ops");
+        assert!(elapsed > 0.0);
+        let load = vec![ServeLoadCell {
+            model: SERVER_MODEL.to_string(),
+            clients: 8,
+            ops: lat.len(),
+            elapsed_secs: elapsed,
+            throughput: lat.len() as f64 / elapsed,
+            p50_us: percentile_us(&lat, 0.50),
+            p99_us: percentile_us(&lat, 0.99),
+        }];
+        assert!(load[0].throughput > 0.0 && load[0].p99_us >= load[0].p50_us);
 
         let cells = ServeCells {
             idle: Some(IdleCell {

@@ -227,9 +227,6 @@ pub enum Command {
         /// recovered and the `--input` warmup is only applied on a fresh
         /// one.
         data_dir: Option<String>,
-        /// Serving concurrency model: thread-per-connection or the
-        /// epoll reactor (Linux; falls back to threads elsewhere).
-        server_model: plt_serve::ServerModel,
         /// Indicator-sketch error rate ε; attaches an approximate
         /// `SUPPORT OF` tier to every snapshot. `None` disables it.
         sketch_eps: Option<f64>,
@@ -310,7 +307,6 @@ usage:
   plt-mine serve --input <file.dat> --min-sup <frac|count>
                  [--addr 127.0.0.1:7878] [--min-conf <frac>] [--window N]
                  [--fault-seed S] [--deadline-ms MS] [--data-dir <dir>]
-                 [--server-model threads|reactor]
                  [--sketch-eps E [--sketch-delta D]]
   plt-mine store inspect --data-dir <dir>
   plt-mine query --addr <host:port> [--itemset \"1 2 3\" ...] [--top N]
@@ -623,7 +619,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             let mut min_conf = 0.5;
             let (mut fault_seed, mut deadline_ms) = (None, None);
             let mut data_dir = None;
-            let mut server_model = plt_serve::ServerModel::default();
             let (mut sketch_eps, mut sketch_delta) = (None, 0.01);
             while let Some(flag) = cur.next_flag() {
                 match flag {
@@ -657,10 +652,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         })?)
                     }
                     "--data-dir" => data_dir = Some(cur.value(flag)?.to_string()),
-                    "--server-model" => {
-                        server_model =
-                            plt_serve::ServerModel::parse(cur.value(flag)?).map_err(ParseError)?
-                    }
                     "--sketch-eps" => {
                         let v: f64 = cur.value(flag)?.parse().map_err(|e| {
                             ParseError(format!("--sketch-eps must be a number: {e}"))
@@ -694,7 +685,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 fault_seed,
                 deadline_ms,
                 data_dir,
-                server_model,
                 sketch_eps,
                 sketch_delta,
             })
@@ -845,6 +835,17 @@ mod tests {
         .unwrap_err();
         assert!(e.0.contains("unknown flag \"--rebuild-mode\""), "{}", e.0);
         let e = parse(&argv(&[
+            "serve",
+            "--input",
+            "x",
+            "--min-sup",
+            "2",
+            "--server-model",
+            "reactor",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("unknown flag \"--server-model\""), "{}", e.0);
+        let e = parse(&argv(&[
             "query",
             "--addr",
             "127.0.0.1:7878",
@@ -975,7 +976,6 @@ mod tests {
                 fault_seed: None,
                 deadline_ms: None,
                 data_dir: None,
-                server_model: plt_serve::ServerModel::Threads,
                 sketch_eps: None,
                 sketch_delta: 0.01,
             }
@@ -1073,49 +1073,6 @@ mod tests {
             "--min-sup",
             "2",
             "--data-dir",
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn parses_serve_server_model() {
-        for (spelling, model) in [
-            ("threads", plt_serve::ServerModel::Threads),
-            ("reactor", plt_serve::ServerModel::Reactor),
-        ] {
-            let c = parse(&argv(&[
-                "serve",
-                "--input",
-                "x.dat",
-                "--min-sup",
-                "2",
-                "--server-model",
-                spelling,
-            ]))
-            .unwrap();
-            assert!(matches!(
-                c,
-                Command::Serve { server_model, .. } if server_model == model
-            ));
-        }
-        // Unknown spellings and a missing value are parse errors.
-        assert!(parse(&argv(&[
-            "serve",
-            "--input",
-            "x",
-            "--min-sup",
-            "2",
-            "--server-model",
-            "fibers",
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "serve",
-            "--input",
-            "x",
-            "--min-sup",
-            "2",
-            "--server-model",
         ]))
         .is_err());
     }

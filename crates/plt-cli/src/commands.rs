@@ -84,7 +84,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             fault_seed,
             deadline_ms,
             data_dir,
-            server_model,
             sketch_eps,
             sketch_delta,
         } => serve(
@@ -96,7 +95,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             fault_seed,
             deadline_ms,
             data_dir.as_deref(),
-            server_model,
             sketch_eps,
             sketch_delta,
             out,
@@ -127,7 +125,6 @@ fn serve(
     fault_seed: Option<u64>,
     deadline_ms: Option<u64>,
     data_dir: Option<&str>,
-    server_model: plt_serve::ServerModel,
     sketch_eps: Option<f64>,
     sketch_delta: f64,
     out: &mut dyn Write,
@@ -164,7 +161,6 @@ fn serve(
         .map_err(|e| format!("cannot build snapshot: {e}"))?;
     let snapshot = engine.current();
     let mut server_config = plt_serve::ServerConfig {
-        server_model,
         fault: fault.clone(),
         ..plt_serve::ServerConfig::default()
     };
@@ -177,10 +173,9 @@ fn serve(
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     writeln!(
         out,
-        "serving {input} on {} ({} model): {} itemsets, {} rules (min_sup = {abs} of {}); \
+        "serving {input} on {}: {} itemsets, {} rules (min_sup = {abs} of {}); \
          send {{\"op\":\"shutdown\"}} to stop",
         handle.addr(),
-        server_model.as_str(),
         snapshot.num_itemsets(),
         snapshot.num_rules(),
         db.len()

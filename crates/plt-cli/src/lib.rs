@@ -70,77 +70,63 @@ mod tests {
 
     #[test]
     fn serve_and_query_round_trip() {
-        let models: &[&str] = if cfg!(target_os = "linux") {
-            &["threads", "reactor"]
-        } else {
-            &["threads"]
-        };
-        for model in models {
-            with_tmp_db(|path| {
-                // Start `serve` on an ephemeral port in a thread; it
-                // blocks until a client sends shutdown.
-                let argv: Vec<String> = [
-                    "serve",
-                    "--input",
-                    path,
-                    "--min-sup",
-                    "2",
-                    "--addr",
-                    "127.0.0.1:0",
-                    "--server-model",
-                    model,
-                ]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-                let buf = SharedBuf::default();
-                let server_buf = buf.clone();
-                let server = std::thread::spawn(move || {
-                    let mut out = server_buf;
-                    run(&argv, &mut out)
-                });
-
-                // The banner line carries the bound address:
-                // "serving <path> on 127.0.0.1:<port> (<model> model): ...".
-                let mut addr = None;
-                for _ in 0..1000 {
-                    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-                    if let Some(rest) = text.split(" on ").nth(1) {
-                        addr = rest
-                            .split_whitespace()
-                            .next()
-                            .map(|a| a.trim_end_matches(':').to_string());
-                        assert!(
-                            rest.contains(&format!("({model} model)")),
-                            "banner names the model: {text}"
-                        );
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                let addr = addr.expect("server never printed its address");
-
-                // Query it through the client subcommand.
-                let out = run_to_string(&[
-                    "query",
-                    "--addr",
-                    &addr,
-                    "--itemset",
-                    "1 2 3",
-                    "--top",
-                    "3",
-                    "--stats",
-                ])
-                .unwrap();
-                assert!(out.contains("{1,2,3}  support=3"), "{model}: {out}");
-                assert!(out.contains("top 3 itemsets:"), "{model}: {out}");
-                assert!(out.contains("\"ok\":true"), "{model}: {out}");
-
-                let out = run_to_string(&["query", "--addr", &addr, "--shutdown"]).unwrap();
-                assert!(out.contains("server stopping"), "{model}: {out}");
-                server.join().unwrap().unwrap();
+        with_tmp_db(|path| {
+            // Start `serve` on an ephemeral port in a thread; it blocks
+            // until a client sends shutdown.
+            let argv: Vec<String> = [
+                "serve",
+                "--input",
+                path,
+                "--min-sup",
+                "2",
+                "--addr",
+                "127.0.0.1:0",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let buf = SharedBuf::default();
+            let server_buf = buf.clone();
+            let server = std::thread::spawn(move || {
+                let mut out = server_buf;
+                run(&argv, &mut out)
             });
-        }
+
+            // The banner line carries the bound address:
+            // "serving <path> on 127.0.0.1:<port>: N itemsets, ...".
+            let mut addr = None;
+            for _ in 0..1000 {
+                let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+                if let Some(rest) = text.split(" on ").nth(1) {
+                    let (bound, tail) = rest.split_once(": ").expect("banner shape");
+                    assert!(tail.contains(" itemsets, "), "{text}");
+                    addr = Some(bound.to_string());
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let addr = addr.expect("server never printed its address");
+
+            // Query it through the client subcommand.
+            let out = run_to_string(&[
+                "query",
+                "--addr",
+                &addr,
+                "--itemset",
+                "1 2 3",
+                "--top",
+                "3",
+                "--stats",
+            ])
+            .unwrap();
+            assert!(out.contains("{1,2,3}  support=3"), "{out}");
+            assert!(out.contains("top 3 itemsets:"), "{out}");
+            assert!(out.contains("\"ok\":true"), "{out}");
+
+            let out = run_to_string(&["query", "--addr", &addr, "--shutdown"]).unwrap();
+            assert!(out.contains("server stopping"), "{out}");
+            server.join().unwrap().unwrap();
+        });
     }
 
     #[test]

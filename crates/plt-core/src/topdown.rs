@@ -31,7 +31,6 @@
 //!   re-deriving every subset from every transaction.
 
 use crate::construct::{construct, ConstructOptions};
-use crate::error::Result;
 use crate::hash::FxHashMap;
 use crate::item::{Item, Support};
 use crate::miner::{Miner, MiningResult};
@@ -176,26 +175,6 @@ impl TopDownMiner {
             rank_policy,
             ..Default::default()
         }
-    }
-
-    /// Convenience: construct + mine, returning both the result and the
-    /// all-subsets table (Figure 4).
-    pub fn mine_with_table(
-        &self,
-        transactions: &[Vec<Item>],
-        min_support: Support,
-    ) -> Result<(MiningResult, AllSubsetSupports, Plt)> {
-        let plt = construct(
-            transactions,
-            min_support,
-            ConstructOptions {
-                rank_policy: self.rank_policy,
-                with_prefixes: false,
-            },
-        )?;
-        let result = crate::miner::Mine::mine_plt(self, &plt);
-        let table = all_subset_supports(&plt);
-        Ok((result, table, plt))
     }
 }
 

@@ -233,11 +233,6 @@ impl MetricsRecorder {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// All span paths, sorted.
-    pub fn span_paths(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.spans.keys().copied()
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty() && self.counters.is_empty() && self.gauges.is_empty()

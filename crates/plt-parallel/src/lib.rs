@@ -31,7 +31,7 @@ pub mod projection;
 pub use construct::par_construct;
 pub use eclat::ParallelEclatMiner;
 pub use miner::ParallelPltMiner;
-pub use projection::{project_all, Projections};
+pub use projection::{project_all, project_marked, Projections};
 
 /// Runs `f` on a dedicated Rayon pool with exactly `threads` workers.
 /// All `par_iter` work spawned inside `f` stays on that pool — the knob

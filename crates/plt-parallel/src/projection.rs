@@ -96,6 +96,20 @@ impl Projections {
 /// deltas, so the prefix before rank `r_i` is just the first `i` positions
 /// of the vector — a plain slice copy).
 pub fn project_all(plt: &Plt) -> Projections {
+    project(plt, |_| true)
+}
+
+/// The same pass restricted to the ranks with `marked[rank]` set
+/// (`marked` is indexed by rank, index 0 unused): every other rank is
+/// left with support 0 and an empty conditional database. An unmarked
+/// rank costs one flag test per occupied position, so the pass scales
+/// with the marked share of the position mass — what a re-mine of a few
+/// dirty rank ranges needs.
+pub fn project_marked(plt: &Plt, marked: &[bool]) -> Projections {
+    project(plt, |rank| marked[rank as usize])
+}
+
+fn project(plt: &Plt, keep: impl Fn(Rank) -> bool) -> Projections {
     let n = plt.ranking().len();
     let mut by_rank: Vec<Slot> = vec![Slot::default(); n];
     for (v, e) in plt.iter() {
@@ -103,6 +117,9 @@ pub fn project_all(plt: &Plt) -> Projections {
         let mut acc = 0;
         for (i, &p) in positions.iter().enumerate() {
             acc += p; // rank of the i-th item (Lemma 4.1.1)
+            if !keep(acc) {
+                continue;
+            }
             let slot = &mut by_rank[(acc - 1) as usize];
             slot.support += e.freq;
             if i > 0 {
@@ -184,6 +201,27 @@ mod tests {
         }
         // 4 prefix-contributing occurrences (ABC×2, ABCD, BCD).
         assert_eq!(total, 4);
+    }
+
+    #[test]
+    fn marked_ranks_project_as_in_the_full_pass() {
+        let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
+        let all = project_all(&plt);
+        let marked = project_marked(&plt, &[false, false, true, false, true]);
+        let windows = |p: &Projections, r: Rank| -> Vec<(Vec<Rank>, Support)> {
+            p.conditional(r)
+                .iter()
+                .map(|(w, f)| (w.to_vec(), f))
+                .collect()
+        };
+        for r in [2, 4] {
+            assert_eq!(marked.support(r), all.support(r));
+            assert_eq!(windows(&marked, r), windows(&all, r));
+        }
+        for r in [1, 3] {
+            assert_eq!(marked.support(r), 0);
+            assert!(marked.conditional(r).is_empty());
+        }
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //! Every rule carries the standard interestingness measures: confidence,
 //! lift, leverage and conviction.
 
-pub mod nonredundant;
-
-pub use nonredundant::{confidence_improvement, productive_rules};
-
 use plt_core::item::{Itemset, ItemsetRef, Support};
 use plt_core::miner::MiningResult;
 

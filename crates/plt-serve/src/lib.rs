@@ -25,12 +25,12 @@
 //!   published (one pointer swap; cache cleared).
 //! * [`server`]/[`client`] — a TCP wire: length-prefixed JSON frames
 //!   ([`proto`]) carrying one flat reply envelope (`{"ok":…}`, the
-//!   engine's rendered string as is), served by one of two
-//!   [`ServerModel`]s: N acceptor threads with a thread per connection,
-//!   or (Linux) an epoll reactor with reader pools. `std::net` only; no
-//!   async runtime. Connections carry read/write deadlines, a max-frame
-//!   bound, and a capacity cap; the client retries idempotent requests
-//!   with capped backoff.
+//!   engine's rendered string as is). On Linux one acceptor feeds an
+//!   epoll [`reactor`] whose few event-loop threads multiplex every
+//!   connection; targets without epoll fall back to a thread per
+//!   connection. `std::net` only; no async runtime. Connections carry
+//!   read/write deadlines, a max-frame bound, and a capacity cap; the
+//!   client retries idempotent requests with capped backoff.
 //! * [`fault`] — seed-deterministic fault injection (torn/oversized
 //!   frames, short I/O, stalls, builder panics) threaded through all of
 //!   the above for reproducible chaos testing. A failed rebuild degrades
@@ -48,7 +48,7 @@
 //! let config = BuilderConfig { min_support: 2, ..BuilderConfig::default() };
 //! let (engine, builder) = bootstrap(&warmup, config).unwrap();
 //! let handle = serve("127.0.0.1:0", engine, Some(builder.queue()),
-//!                    ServerConfig { acceptors: 1, ..ServerConfig::default() }).unwrap();
+//!                    ServerConfig { reactors: 1, ..ServerConfig::default() }).unwrap();
 //!
 //! let mut client = Client::connect(handle.addr()).unwrap();
 //! assert_eq!(client.support(&[1, 2]).unwrap().support, 2);
@@ -80,4 +80,4 @@ pub use plt_approx::SketchConfig;
 pub use plt_query::{Recommendation, Snapshot, SupportAnswer, SupportSource};
 pub use proto::Request;
 pub use reader_pool::{ReadGuard, ReaderCache, ReaderPool};
-pub use server::{serve, ServerConfig, ServerHandle, ServerModel};
+pub use server::{serve, ServerConfig, ServerHandle};

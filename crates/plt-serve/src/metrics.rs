@@ -148,8 +148,9 @@ pub struct Metrics {
     /// Durable-store gauges; all zero (and hidden from `STATS`) when the
     /// service runs without a data directory.
     pub storage: StorageMetrics,
-    /// Reactor counters; all zero (and hidden from `STATS`) under the
-    /// thread-per-connection model.
+    /// Reactor counters; all zero (and hidden from `STATS`) while no
+    /// reactor serves the engine: in-process use, or the non-Linux
+    /// thread-per-connection fallback.
     pub reactor: ReactorMetrics,
     /// Query-language counters; all zero (and hidden from `STATS`) until
     /// the first `query` request.
@@ -252,11 +253,11 @@ impl QueryStats {
     }
 }
 
-/// Counters for the epoll reactor server model, following the
+/// Counters for the epoll reactor server, following the
 /// [`StorageMetrics`] enabled-flag pattern: `enabled` flips to 1 when a
-/// reactor starts, so `stats` omits the block for the thread model.
-/// Reactor and acceptor threads update them directly; `stats` reports
-/// them under `"reactor"`.
+/// reactor starts, so `stats` omits the block for an engine no reactor
+/// serves. The reactor threads and the acceptor update them directly;
+/// `stats` reports them under `"reactor"`.
 #[derive(Debug, Default)]
 pub struct ReactorMetrics {
     pub enabled: AtomicU64,
@@ -272,8 +273,8 @@ pub struct ReactorMetrics {
     pub active_connections: AtomicU64,
     /// Connections refused with a `shed` response — reactor budget or
     /// accept backlog full. Also counted into
-    /// [`Metrics::rejected_connections`] so both models share one
-    /// refusal counter.
+    /// [`Metrics::rejected_connections`], the refusal counter the
+    /// non-Linux fallback shares.
     pub shed_connections: AtomicU64,
     /// Poll-loop latency (one sample per `epoll_wait` round trip).
     pub poll: EndpointStats,

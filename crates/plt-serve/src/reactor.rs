@@ -1,14 +1,14 @@
-//! Epoll reactor server model: thousands of connections per core,
+//! Epoll reactor: the Linux server, thousands of connections per core,
 //! `std`-only.
 //!
-//! The thread-per-connection model in [`server`](crate::server) burns a
-//! stack per peer; this module serves the same framed protocol from a
-//! fixed set of reactor threads. One blocking *dispatching acceptor*
-//! accepts and hands sockets round-robin to per-reactor bounded queues
-//! (admission control happens right there — a peer past the connection
-//! budget or the accept backlog gets an explicit `shed` error frame, not
-//! a hang); each reactor runs an `epoll` loop over nonblocking
-//! connection state machines built on the incremental
+//! A fixed set of reactor threads serves the framed protocol for every
+//! connection, so a peer costs a slab slot and its buffers, not a thread
+//! stack. One blocking *dispatching acceptor* accepts and hands sockets
+//! round-robin to per-reactor bounded queues (admission control happens
+//! right there — a peer past the connection budget or the accept
+//! backlog gets an explicit `shed` error frame, not a hang); each
+//! reactor runs an `epoll` loop over nonblocking connection state
+//! machines built on the incremental
 //! [`FrameDecoder`](crate::decode::FrameDecoder), with partial-read and
 //! partial-write resumption.
 //!
@@ -25,13 +25,13 @@
 //! Kernel access is direct `extern "C"` (`epoll_create1`/`epoll_ctl`/
 //! `epoll_wait`/`eventfd`), the same pattern plt-store uses for `mmap` —
 //! no `libc` crate. The module is Linux-only; on other platforms
-//! [`serve`](crate::server::serve) falls back to the thread model.
+//! [`serve`](crate::server::serve) runs a thread per connection instead.
 //!
-//! Fault injection mirrors the blocking path: `short_io`/`stall` apply
-//! per nonblocking read/write at `ServerRead`/`ServerWrite`, and frame
-//! faults (torn/oversized) are applied when a response is encoded —
-//! after the injected bytes flush, the connection closes, exactly like
-//! the blocking writer erroring out.
+//! Fault injection matches the blocking streams of that fallback and of
+//! the client: `short_io`/`stall` apply per nonblocking read/write at
+//! `ServerRead`/`ServerWrite`, and frame faults (torn/oversized) are
+//! applied when a response is encoded — after the injected bytes flush,
+//! the connection closes, as a blocking writer erroring out would.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -52,7 +52,7 @@ use crate::fault::{IoFault, Site};
 use crate::proto::err_response;
 use crate::reader_pool::ReaderCache;
 use crate::server::{
-    dispatch_request, ingest_ack_response, wake_acceptors, Dispatch, ServerConfig, ServerHandle,
+    dispatch_request, ingest_ack_response, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
 };
 
 /// Raw kernel bindings, declared directly like `plt_store::mmap` does.
@@ -251,6 +251,9 @@ struct Reactor {
     all_wakers: Arc<Vec<Arc<Waker>>>,
     addr: SocketAddr,
     reader: ReaderCache<Snapshot>,
+    /// Scratch for nonblocking reads, allocated once per reactor rather
+    /// than zeroed per read.
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -389,16 +392,15 @@ impl Reactor {
     }
 
     fn do_read(&mut self, idx: usize) {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             let window = if self.short_io(Site::ServerRead) {
                 1
             } else {
-                buf.len()
+                self.read_buf.len()
             };
             let read = {
-                let conn = self.conn(idx);
-                conn.stream.read(&mut buf[..window])
+                let conn = self.slab[idx].as_mut().expect("live connection slot");
+                conn.stream.read(&mut self.read_buf[..window])
             };
             match read {
                 Ok(0) => {
@@ -418,11 +420,18 @@ impl Reactor {
                 }
                 Ok(n) => {
                     {
-                        let conn = self.conn(idx);
+                        let conn = self.slab[idx].as_mut().expect("live connection slot");
                         conn.last_activity = Instant::now();
-                        conn.decoder.push(&buf[..n]);
+                        conn.decoder.push(&self.read_buf[..n]);
                     }
                     self.drain_decoder(idx);
+                    // A short read emptied the socket. The registration
+                    // is level-triggered, so later bytes (or EOF) are
+                    // reported again; skip the read that would only
+                    // return WouldBlock.
+                    if n < window {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -514,11 +523,10 @@ impl Reactor {
     }
 
     fn dispatch_one(&mut self, idx: usize, payload: &str) {
-        let ingest = self.ingest.clone();
         match dispatch_request(
             payload,
             &self.engine,
-            ingest.as_ref(),
+            self.ingest.as_ref(),
             Some(&mut self.reader),
         ) {
             Dispatch::Respond(response) => self.queue_response(idx, &response),
@@ -527,7 +535,7 @@ impl Reactor {
                 for w in self.all_wakers.iter() {
                     w.wake();
                 }
-                wake_acceptors(self.addr, usize::MAX);
+                wake_acceptor(self.addr);
                 self.conn(idx).close_after_flush = true;
                 self.queue_response(idx, &response);
             }
@@ -662,9 +670,9 @@ impl Reactor {
         }
     }
 
-    /// Times out stalled peers, mirroring the blocking model's socket
-    /// deadlines: reading conns against `read_deadline`, writing conns
-    /// (peer not draining) against `write_deadline`.
+    /// Times out stalled peers, as socket deadlines would in a blocking
+    /// loop: reading conns against `read_deadline`, writing conns (peer
+    /// not draining) against `write_deadline`.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let mut expired = Vec::new();
@@ -823,8 +831,7 @@ fn acceptor_loop(
 
 /// Refuses a connection with an explicit shed frame (bounded write so a
 /// hostile peer cannot pin the acceptor) and counts it in
-/// `reactor.shed_connections` and the model-agnostic
-/// `rejected_connections`.
+/// `reactor.shed_connections` and `rejected_connections`.
 fn shed(engine: &Engine, mut stream: TcpStream, reason: &str) {
     let m = engine.metrics();
     m.rejected_connections.fetch_add(1, Ordering::Relaxed);
@@ -835,7 +842,7 @@ fn shed(engine: &Engine, mut stream: TcpStream, reason: &str) {
     let _ = stream.flush();
 }
 
-/// Starts the reactor-model server on an already-bound listener.
+/// Starts the reactor server on an already-bound listener.
 pub(crate) fn serve_reactor(
     listener: TcpListener,
     engine: Arc<Engine>,
@@ -892,6 +899,7 @@ pub(crate) fn serve_reactor(
             all_wakers: wakers.clone(),
             addr,
             reader: ReaderCache::new(),
+            read_buf: vec![0; 16 * 1024].into_boxed_slice(),
         };
         threads.push(
             std::thread::Builder::new()

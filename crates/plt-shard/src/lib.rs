@@ -33,7 +33,6 @@
 
 pub mod builder;
 pub mod pipeline;
-mod project;
 
 pub use builder::{MineStrategy, MinerBuilder};
 pub use pipeline::{Delta, RebuildReport, ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};

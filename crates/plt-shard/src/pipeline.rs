@@ -18,9 +18,8 @@ use plt_core::miner::MiningResult;
 use plt_core::plt::Plt;
 use plt_core::ranking::{ItemRanking, RankPolicy};
 use plt_obs::Obs;
+use plt_parallel::project_marked;
 use rayon::prelude::*;
-
-use crate::project::project_marked;
 
 /// Default number of rank-range shards. Small enough that fragments stay
 /// chunky (merge cost is per-itemset, not per-shard), large enough that a
@@ -306,11 +305,6 @@ impl ShardedPipeline {
         self.dirty.len()
     }
 
-    /// The rank range `(lo, hi]` each shard covers.
-    pub fn shard_ranges(&self) -> Vec<(Rank, Rank)> {
-        self.bounds.windows(2).map(|w| (w[0], w[1])).collect()
-    }
-
     /// The configuration the pipeline was built with.
     pub fn config(&self) -> &ShardConfig {
         &self.config
@@ -399,7 +393,7 @@ impl ShardedPipeline {
                 marked[r as usize] = true;
             }
         }
-        let slots = project_marked(&self.plt, &marked);
+        let projections = project_marked(&self.plt, &marked);
 
         let plt = &self.plt;
         let bounds = &self.bounds;
@@ -412,13 +406,14 @@ impl ShardedPipeline {
                     let shard_started = Instant::now();
                     let mut frag = MiningResult::builder(min_support, plt.num_transactions());
                     for r in bounds[s] + 1..=bounds[s + 1] {
-                        let slot = &slots[(r - 1) as usize];
-                        if slot.support < min_support {
+                        let support = projections.support(r);
+                        if support < min_support {
                             continue;
                         }
-                        frag.push([plt.ranking().item(r)], slot.support);
-                        if !slot.is_empty() {
-                            pool.mine_conditional(slot.iter(), plt, &[r], &mut frag);
+                        frag.push([plt.ranking().item(r)], support);
+                        let conditional = projections.conditional(r);
+                        if !conditional.is_empty() {
+                            pool.mine_conditional(conditional.iter(), plt, &[r], &mut frag);
                         }
                     }
                     acc.push((s, frag.finish(), shard_started.elapsed()));
@@ -458,7 +453,7 @@ impl ShardedPipeline {
     }
 }
 
-/// Storage hooks: fragment eviction/restoration and crash recovery.
+/// Storage hooks: fragment eviction and crash recovery.
 /// Consumed by plt-store's `DurablePipeline`; of no use to in-memory
 /// callers (the pipeline manages its fragments itself).
 impl ShardedPipeline {
@@ -489,13 +484,6 @@ impl ShardedPipeline {
     /// [`ShardConfig::defer_merge`].
     pub fn evict_fragment(&mut self, s: usize) -> Option<MiningResult> {
         self.fragments[s].take()
-    }
-
-    /// Re-installs a previously evicted (spilled) fragment. Does not touch
-    /// the dirty flag: a shard dirtied after eviction is re-mined from the
-    /// PLT on the next apply regardless of what is installed here.
-    pub fn restore_fragment(&mut self, s: usize, fragment: MiningResult) {
-        self.fragments[s] = Some(fragment);
     }
 
     /// Rebuilds a pipeline from checkpointed state: the window, the exact

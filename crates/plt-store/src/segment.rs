@@ -300,11 +300,6 @@ impl SegmentReader {
             .map(|i| &self.shards[i])
     }
 
-    /// True when the segment carries `shard`.
-    pub fn has_shard(&self, shard: u32) -> bool {
-        self.index_of(shard).is_some()
-    }
-
     /// Point lookup: the support of the itemset whose canonical position
     /// vector is `positions`, or `None` if absent. Binary search over the
     /// block first-keys, then a decode of at most one block.

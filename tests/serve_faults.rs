@@ -13,19 +13,9 @@ use std::time::Duration;
 use plt::core::miner::Miner;
 use plt::serve::{
     bootstrap, serve, BuilderConfig, Client, ClientConfig, FaultConfig, FaultPlan, RetryPolicy,
-    ServerConfig, ServerHandle, ServerModel,
+    ServerConfig, ServerHandle,
 };
 use plt::ConditionalMiner;
-
-/// Both serving models where the platform has them; the chaos and
-/// malformed-input suites must hold for each.
-fn server_models() -> Vec<ServerModel> {
-    if cfg!(target_os = "linux") {
-        vec![ServerModel::Threads, ServerModel::Reactor]
-    } else {
-        vec![ServerModel::Threads]
-    }
-}
 
 /// Seeds every chaos test runs under — distinct, fixed, and echoed in
 /// assertion messages so a failure names its seed.
@@ -49,7 +39,6 @@ fn start(
     min_support: u64,
     server_fault: Option<Arc<FaultPlan>>,
     builder_fault: Option<Arc<FaultPlan>>,
-    model: ServerModel,
 ) -> (
     ServerHandle,
     plt::serve::BuilderHandle,
@@ -67,8 +56,6 @@ fn start(
         engine.clone(),
         Some(builder.queue()),
         ServerConfig {
-            server_model: model,
-            acceptors: 2,
             reactors: 2,
             fault: server_fault,
             ..ServerConfig::default()
@@ -122,14 +109,10 @@ fn chaos_runs_never_return_a_wrong_answer() {
     let truth = ConditionalMiner::default().mine(&db, min_support);
     assert!(truth.len() >= 10, "fixture must have a real family");
 
-    for (seed, model) in CHAOS_SEEDS
-        .iter()
-        .flat_map(|&s| server_models().into_iter().map(move |m| (s, m)))
-    {
+    for seed in CHAOS_SEEDS {
         let server_plan = FaultPlan::shared(FaultConfig::chaos(seed));
         let client_plan = FaultPlan::shared(FaultConfig::chaos(seed.wrapping_add(1)));
-        let (handle, builder, _engine) =
-            start(&db, min_support, Some(server_plan.clone()), None, model);
+        let (handle, builder, _engine) = start(&db, min_support, Some(server_plan.clone()), None);
 
         let mut client = Client::with_config(
             handle.addr(),
@@ -213,56 +196,53 @@ fn builder_panics_degrade_to_the_last_good_snapshot() {
     let db = warmup_db();
     let min_support = 6;
     let truth = ConditionalMiner::default().mine(&db, min_support);
-    for model in server_models() {
-        let builder_plan = FaultPlan::shared(FaultConfig {
-            builder_panic: 1.0,
-            ..FaultConfig::disabled(0xDEAD)
-        });
-        // The warmup build is never faulted; every later rebuild panics.
-        let (handle, builder, _engine) =
-            start(&db, min_support, None, Some(builder_plan.clone()), model);
-        let mut client = Client::connect(handle.addr()).expect("connect");
+    let builder_plan = FaultPlan::shared(FaultConfig {
+        builder_panic: 1.0,
+        ..FaultConfig::disabled(0xDEAD)
+    });
+    // The warmup build is never faulted; every later rebuild panics.
+    let (handle, builder, _engine) = start(&db, min_support, None, Some(builder_plan.clone()));
+    let mut client = Client::connect(handle.addr()).expect("connect");
 
-        assert_eq!(client.ping().expect("ping"), 1);
-        assert!(!client.support(&[1, 2]).expect("fresh support").stale);
+    assert_eq!(client.ping().expect("ping"), 1);
+    assert!(!client.support(&[1, 2]).expect("fresh support").stale);
 
-        // Two ingests, both rebuilds panic: flush still acks (with the old
-        // generation), the server never hangs.
-        for _ in 0..2 {
-            let g = client
-                .ingest(vec![vec![1, 2, 3], vec![1, 2, 3]], true)
-                .expect("ingest must not hang on a failed rebuild");
-            assert_eq!(g, Some(1), "failed rebuild keeps the old generation");
-        }
-        assert!(
-            builder_plan.events().iter().any(|e| e.kind == "panic"),
-            "builder fault never fired"
-        );
-
-        // Degradation is visible: answers carry stale=true but are still the
-        // last good snapshot's exact answers.
-        for (itemset, support) in truth.iter().take(10) {
-            let reply = client.support(itemset.items()).expect("degraded support");
-            assert_eq!(reply.support, support, "degraded answer for {itemset}");
-            assert!(reply.stale, "degraded answers must be marked stale");
-        }
-        assert_eq!(client.ping().expect("ping"), 1, "generation unchanged");
-
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.get("stale").and_then(|v| v.as_bool()), Some(true));
-        assert_eq!(stats.get("state").and_then(|v| v.as_str()), Some("stale"));
-        // Each `ingest wait=true` triggers one or two rebuilds (the batch
-        // and the racing flush may coalesce or not), all of which panic.
-        let failures = stats
-            .get("builder_failures")
-            .and_then(|v| v.as_u64())
-            .expect("builder_failures in stats");
-        assert!((2..=4).contains(&failures), "failures = {failures}");
-
-        client.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
+    // Two ingests, both rebuilds panic: flush still acks (with the old
+    // generation), the server never hangs.
+    for _ in 0..2 {
+        let g = client
+            .ingest(vec![vec![1, 2, 3], vec![1, 2, 3]], true)
+            .expect("ingest must not hang on a failed rebuild");
+        assert_eq!(g, Some(1), "failed rebuild keeps the old generation");
     }
+    assert!(
+        builder_plan.events().iter().any(|e| e.kind == "panic"),
+        "builder fault never fired"
+    );
+
+    // Degradation is visible: answers carry stale=true but are still the
+    // last good snapshot's exact answers.
+    for (itemset, support) in truth.iter().take(10) {
+        let reply = client.support(itemset.items()).expect("degraded support");
+        assert_eq!(reply.support, support, "degraded answer for {itemset}");
+        assert!(reply.stale, "degraded answers must be marked stale");
+    }
+    assert_eq!(client.ping().expect("ping"), 1, "generation unchanged");
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("stale").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(stats.get("state").and_then(|v| v.as_str()), Some("stale"));
+    // Each `ingest wait=true` triggers one or two rebuilds (the batch
+    // and the racing flush may coalesce or not), all of which panic.
+    let failures = stats
+        .get("builder_failures")
+        .and_then(|v| v.as_u64())
+        .expect("builder_failures in stats");
+    assert!((2..=4).contains(&failures), "failures = {failures}");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -307,75 +287,70 @@ fn assert_error_frame(frame: Option<String>, needle: &str, label: &str) {
 
 #[test]
 fn malformed_wire_input_yields_typed_error_frames() {
-    for model in server_models() {
-        let (handle, builder, engine) = start(&warmup_db(), 6, None, None, model);
-        let addr = handle.addr();
+    let (handle, builder, engine) = start(&warmup_db(), 6, None, None);
+    let addr = handle.addr();
 
-        // Non-numeric length prefix: error frame, then the connection closes.
-        assert_error_frame(
-            raw_exchange(addr, b"notanumber\n{}\n"),
-            "invalid frame header",
-            "non-numeric length",
-        );
+    // Non-numeric length prefix: error frame, then the connection closes.
+    assert_error_frame(
+        raw_exchange(addr, b"notanumber\n{}\n"),
+        "invalid frame header",
+        "non-numeric length",
+    );
 
-        // Length past the frame limit: rejected before allocation.
-        let huge = format!("{}\n", 16 * 1024 * 1024 + 1);
-        assert_error_frame(
-            raw_exchange(addr, huge.as_bytes()),
-            "exceeds limit",
-            "oversized length",
-        );
+    // Length past the frame limit: rejected before allocation.
+    let huge = format!("{}\n", 16 * 1024 * 1024 + 1);
+    assert_error_frame(
+        raw_exchange(addr, huge.as_bytes()),
+        "exceeds limit",
+        "oversized length",
+    );
 
-        // Missing trailing newline after the payload.
-        assert_error_frame(
-            raw_exchange(addr, b"2\n{}X"),
-            "trailing newline",
-            "missing frame terminator",
-        );
+    // Missing trailing newline after the payload.
+    assert_error_frame(
+        raw_exchange(addr, b"2\n{}X"),
+        "trailing newline",
+        "missing frame terminator",
+    );
 
-        // Truncated JSON in a well-formed frame: error frame, and the
-        // connection *stays usable* — JSON-level errors are recoverable.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let bad = r#"{"op":"sup"#;
-        write!(stream, "{}\n{}\n", bad.len(), bad).unwrap();
-        let read_stream = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(read_stream);
-        let frame = read_raw_frame(&mut reader).expect("error frame for truncated JSON");
-        assert!(frame.contains("\"ok\":false"), "{frame}");
-        // Same connection, now a valid request:
-        let ping = r#"{"op":"ping"}"#;
-        write!(stream, "{}\n{}\n", ping.len(), ping).unwrap();
-        let frame = read_raw_frame(&mut reader).expect("ping after recoverable error");
-        assert!(frame.contains("\"ok\":true"), "{frame}");
+    // Truncated JSON in a well-formed frame: error frame, and the
+    // connection *stays usable* — JSON-level errors are recoverable.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let bad = r#"{"op":"sup"#;
+    write!(stream, "{}\n{}\n", bad.len(), bad).unwrap();
+    let read_stream = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(read_stream);
+    let frame = read_raw_frame(&mut reader).expect("error frame for truncated JSON");
+    assert!(frame.contains("\"ok\":false"), "{frame}");
+    // Same connection, now a valid request:
+    let ping = r#"{"op":"ping"}"#;
+    write!(stream, "{}\n{}\n", ping.len(), ping).unwrap();
+    let frame = read_raw_frame(&mut reader).expect("ping after recoverable error");
+    assert!(frame.contains("\"ok\":true"), "{frame}");
 
-        // Trailing garbage after a complete JSON value.
-        let garbage = r#"{"op":"ping"} extra"#;
-        let framed = format!("{}\n{}\n", garbage.len(), garbage);
-        assert_error_frame(
-            raw_exchange(addr, framed.as_bytes()),
-            "trailing characters",
-            "trailing garbage",
-        );
+    // Trailing garbage after a complete JSON value.
+    let garbage = r#"{"op":"ping"} extra"#;
+    let framed = format!("{}\n{}\n", garbage.len(), garbage);
+    assert_error_frame(
+        raw_exchange(addr, framed.as_bytes()),
+        "trailing characters",
+        "trailing garbage",
+    );
 
-        // Every case above was counted, and none of them took the server
-        // down.
-        let errors = engine
-            .metrics()
-            .protocol_errors
-            .load(std::sync::atomic::Ordering::Relaxed);
-        assert!(
-            errors >= 5,
-            "{model:?}: expected >=5 protocol errors, saw {errors}"
-        );
-        let mut client = Client::connect(addr).expect("server still up");
-        assert_eq!(client.ping().expect("ping"), 1);
-        client.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
-    }
+    // Every case above was counted, and none of them took the server
+    // down.
+    let errors = engine
+        .metrics()
+        .protocol_errors
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(errors >= 5, "expected >=5 protocol errors, saw {errors}");
+    let mut client = Client::connect(addr).expect("server still up");
+    assert_eq!(client.ping().expect("ping"), 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -385,121 +360,113 @@ fn malformed_wire_input_yields_typed_error_frames() {
 #[test]
 fn connections_past_the_cap_are_refused_with_an_error_frame() {
     let db = warmup_db();
-    for model in server_models() {
-        let config = BuilderConfig {
-            window_capacity: db.len() * 2,
-            min_support: 6,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine.clone(),
-            Some(builder.queue()),
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                max_connections: 1,
-                ..ServerConfig::default()
+    let config = BuilderConfig {
+        window_capacity: db.len() * 2,
+        min_support: 6,
+        ..BuilderConfig::default()
+    };
+    let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
+    let handle = serve(
+        "127.0.0.1:0",
+        engine.clone(),
+        Some(builder.queue()),
+        ServerConfig {
+            reactors: 1,
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    // First connection holds the only slot.
+    let mut first = Client::connect(handle.addr()).expect("first connection");
+    assert_eq!(first.ping().expect("ping"), 1);
+
+    // Second is refused with a typed error frame.
+    assert_error_frame(
+        raw_exchange(handle.addr(), b""),
+        "connection capacity",
+        "capacity rejection",
+    );
+    assert!(
+        engine
+            .metrics()
+            .rejected_connections
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    );
+
+    // Dropping the first frees the slot; a new client gets in (the
+    // server releases it once it sees the close, so poll briefly).
+    drop(first);
+    let mut again = None;
+    for _ in 0..50 {
+        if let Ok(mut c) = Client::with_config(
+            handle.addr(),
+            ClientConfig {
+                retry: RetryPolicy::none(),
+                ..ClientConfig::default()
             },
-        )
-        .expect("bind");
-
-        // First connection holds the only permit.
-        let mut first = Client::connect(handle.addr()).expect("first connection");
-        assert_eq!(first.ping().expect("ping"), 1);
-
-        // Second is refused with a typed error frame.
-        assert_error_frame(
-            raw_exchange(handle.addr(), b""),
-            "connection capacity",
-            "capacity rejection",
-        );
-        assert!(
-            engine
-                .metrics()
-                .rejected_connections
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1
-        );
-
-        // Dropping the first frees the permit; a new client gets in (the
-        // permit is released by the handler thread, so poll briefly).
-        drop(first);
-        let mut again = None;
-        for _ in 0..50 {
-            if let Ok(mut c) = Client::with_config(
-                handle.addr(),
-                ClientConfig {
-                    retry: RetryPolicy::none(),
-                    ..ClientConfig::default()
-                },
-            ) {
-                if c.ping().is_ok() {
-                    again = Some(c);
-                    break;
-                }
+        ) {
+            if c.ping().is_ok() {
+                again = Some(c);
+                break;
             }
-            std::thread::sleep(Duration::from_millis(10));
         }
-        let mut again = again.expect("permit was never released");
-        again.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
+        std::thread::sleep(Duration::from_millis(10));
     }
+    let mut again = again.expect("slot was never released");
+    again.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }
 
 #[test]
 fn a_silent_peer_is_dropped_at_the_read_deadline() {
     let db = warmup_db();
-    for model in server_models() {
-        let config = BuilderConfig {
-            window_capacity: db.len() * 2,
-            min_support: 6,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine.clone(),
-            None,
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                read_deadline: Some(Duration::from_millis(100)),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+    let config = BuilderConfig {
+        window_capacity: db.len() * 2,
+        min_support: 6,
+        ..BuilderConfig::default()
+    };
+    let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
+    let handle = serve(
+        "127.0.0.1:0",
+        engine.clone(),
+        None,
+        ServerConfig {
+            reactors: 1,
+            read_deadline: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
 
-        // Connect and send nothing: the server must hang up, not park a
-        // handler thread forever.
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut buf = [0u8; 64];
-        let n = (&stream).read(&mut buf).expect("read until server close");
-        assert_eq!(n, 0, "{model:?}: server should close a silent connection");
-        assert!(
-            engine
-                .metrics()
-                .timeouts
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1,
-            "{model:?}: deadline expiry must be counted"
-        );
+    // Connect and send nothing: the server must hang up, not hold the
+    // connection forever.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    let n = (&stream).read(&mut buf).expect("read until server close");
+    assert_eq!(n, 0, "server should close a silent connection");
+    assert!(
+        engine
+            .metrics()
+            .timeouts
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1,
+        "deadline expiry must be counted"
+    );
 
-        handle.shutdown();
-        builder.stop();
-    }
+    handle.shutdown();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
 // Adversarial clients: slowloris, one-byte writes, mid-frame disconnects.
-// Both server models must shrug all of them off.
+// The server must shrug all of them off.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -515,39 +482,37 @@ fn slowloris_one_byte_writes_still_get_exact_answers() {
     .to_string();
     let framed = format!("{}\n{}\n", request.len(), request);
 
-    for model in server_models() {
-        let (handle, builder, _engine) = start(&db, min_support, None, None, model);
+    let (handle, builder, _engine) = start(&db, min_support, None, None);
 
-        // Dribble the frame one byte at a time with small pauses — slow,
-        // but inside the read deadline. The server must buffer partial
-        // frames and answer exactly.
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for &b in framed.as_bytes() {
-            stream.write_all(&[b]).expect("one-byte write");
-            stream.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let frame = read_raw_frame(&mut reader).expect("response to slowloris frame");
-        assert!(
-            frame.contains(&format!("\"support\":{some_support}")),
-            "{model:?}: slowloris answer wrong: {frame}"
-        );
-
-        // A second dribbled request on the same connection also works —
-        // decoder state is per-connection, not per-read.
-        for &b in framed.as_bytes() {
-            stream.write_all(&[b]).expect("one-byte write");
-        }
-        let frame = read_raw_frame(&mut reader).expect("second slowloris response");
-        assert!(frame.contains("\"ok\":true"), "{model:?}: {frame}");
-
-        handle.shutdown();
-        builder.stop();
+    // Dribble the frame one byte at a time with small pauses — slow,
+    // but inside the read deadline. The server must buffer partial
+    // frames and answer exactly.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for &b in framed.as_bytes() {
+        stream.write_all(&[b]).expect("one-byte write");
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let frame = read_raw_frame(&mut reader).expect("response to slowloris frame");
+    assert!(
+        frame.contains(&format!("\"support\":{some_support}")),
+        "slowloris answer wrong: {frame}"
+    );
+
+    // A second dribbled request on the same connection also works —
+    // decoder state is per-connection, not per-read.
+    for &b in framed.as_bytes() {
+        stream.write_all(&[b]).expect("one-byte write");
+    }
+    let frame = read_raw_frame(&mut reader).expect("second slowloris response");
+    assert!(frame.contains("\"ok\":true"), "{frame}");
+
+    handle.shutdown();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -600,14 +565,10 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
         .collect();
     assert!(expected.iter().any(|rows| !rows.is_empty()));
 
-    for (seed, model) in CHAOS_SEEDS
-        .iter()
-        .flat_map(|&s| server_models().into_iter().map(move |m| (s, m)))
-    {
+    for seed in CHAOS_SEEDS {
         let server_plan = FaultPlan::shared(FaultConfig::chaos(seed));
         let client_plan = FaultPlan::shared(FaultConfig::chaos(seed.wrapping_add(1)));
-        let (handle, builder, _engine) =
-            start(&db, min_support, Some(server_plan.clone()), None, model);
+        let (handle, builder, _engine) = start(&db, min_support, Some(server_plan.clone()), None);
         let addr = handle.addr();
 
         // A burst of peers that send a complete query frame and hang up
@@ -652,7 +613,7 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
                 assert_eq!(
                     wire_itemset_rows(&v),
                     expected[i],
-                    "seed {seed:#x} {model:?}: wrong answer for `{}`",
+                    "seed {seed:#x}: wrong answer for `{}`",
                     exprs[i]
                 );
                 answered += 1;
@@ -660,7 +621,7 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
         }
         assert!(
             answered >= 4,
-            "seed {seed:#x} {model:?}: chaos starved the query client ({answered}/12)"
+            "seed {seed:#x}: chaos starved the query client ({answered}/12)"
         );
 
         // The server survived every disconnect and fault.
@@ -688,106 +649,100 @@ fn deadline_expiry_during_mine_cond_drops_the_peer_not_the_server() {
     let db = warmup_db();
     let min_support = 6;
     let expected = offline_itemset_rows(&db, min_support, "MINE COND {1} TOP 5");
-    for model in server_models() {
-        let config = BuilderConfig {
-            window_capacity: db.len() * 2,
-            min_support,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine.clone(),
-            None,
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                read_deadline: Some(Duration::from_millis(100)),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+    let config = BuilderConfig {
+        window_capacity: db.len() * 2,
+        min_support,
+        ..BuilderConfig::default()
+    };
+    let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
+    let handle = serve(
+        "127.0.0.1:0",
+        engine.clone(),
+        None,
+        ServerConfig {
+            reactors: 1,
+            read_deadline: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
 
-        // Half a MINE COND frame, then silence: the read deadline must
-        // fire mid-query and close the connection — not park a handler.
-        let req = plt::serve::Request::Query {
-            expr: "MINE COND {1} TOP 5".into(),
-        }
-        .to_json()
-        .to_string();
-        let framed = format!("{}\n{}\n", req.len(), req);
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream
-            .write_all(&framed.as_bytes()[..framed.len() / 2])
-            .expect("half frame");
-        let mut buf = [0u8; 64];
-        let n = (&stream)
-            .read(&mut buf)
-            .expect("read until server closes the stalled query");
-        assert_eq!(n, 0, "{model:?}: stalled MINE COND must be dropped");
-        assert!(
-            engine
-                .metrics()
-                .timeouts
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1,
-            "{model:?}: deadline expiry must be counted"
-        );
-
-        // Degraded for that peer only: a fresh client gets the exact
-        // mined answer immediately.
-        let mut client = Client::connect(handle.addr()).expect("server still up");
-        let v = client.query("MINE COND {1} TOP 5").expect("query");
-        assert_eq!(wire_itemset_rows(&v), expected, "{model:?}");
-
-        handle.shutdown();
-        builder.stop();
+    // Half a MINE COND frame, then silence: the read deadline must
+    // fire mid-query and close the connection — not hold it open.
+    let req = plt::serve::Request::Query {
+        expr: "MINE COND {1} TOP 5".into(),
     }
+    .to_json()
+    .to_string();
+    let framed = format!("{}\n{}\n", req.len(), req);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&framed.as_bytes()[..framed.len() / 2])
+        .expect("half frame");
+    let mut buf = [0u8; 64];
+    let n = (&stream)
+        .read(&mut buf)
+        .expect("read until server closes the stalled query");
+    assert_eq!(n, 0, "stalled MINE COND must be dropped");
+    assert!(
+        engine
+            .metrics()
+            .timeouts
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1,
+        "deadline expiry must be counted"
+    );
+
+    // Degraded for that peer only: a fresh client gets the exact
+    // mined answer immediately.
+    let mut client = Client::connect(handle.addr()).expect("server still up");
+    let v = client.query("MINE COND {1} TOP 5").expect("query");
+    assert_eq!(wire_itemset_rows(&v), expected);
+
+    handle.shutdown();
+    builder.stop();
 }
 
 #[test]
 fn mid_frame_disconnects_leave_the_server_healthy() {
     let db = warmup_db();
-    for model in server_models() {
-        let (handle, builder, engine) = start(&db, 6, None, None, model);
-        let addr = handle.addr();
+    let (handle, builder, engine) = start(&db, 6, None, None);
+    let addr = handle.addr();
 
-        // A burst of clients that all hang up mid-frame: after the header,
-        // mid-payload, and right before the trailing newline.
-        for cut in [
-            b"1".as_slice(),
-            b"24\n".as_slice(),
-            b"24\n{\"op\":\"supp".as_slice(),
-        ] {
-            for _ in 0..8 {
-                let mut s = TcpStream::connect(addr).expect("connect");
-                s.write_all(cut).expect("partial write");
-                drop(s); // RST or FIN mid-frame
-            }
+    // A burst of clients that all hang up mid-frame: after the header,
+    // mid-payload, and right before the trailing newline.
+    for cut in [
+        b"1".as_slice(),
+        b"24\n".as_slice(),
+        b"24\n{\"op\":\"supp".as_slice(),
+    ] {
+        for _ in 0..8 {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(cut).expect("partial write");
+            drop(s); // RST or FIN mid-frame
         }
-
-        // Give the server a beat to reap them, then verify health: a
-        // clean client still gets exact answers and nothing leaked into
-        // the protocol-error path (truncation is a disconnect, not a
-        // protocol violation).
-        std::thread::sleep(Duration::from_millis(100));
-        let mut client = Client::connect(addr).expect("server still accepting");
-        assert_eq!(client.ping().expect("ping"), 1, "{model:?}");
-        assert_eq!(
-            engine
-                .metrics()
-                .protocol_errors
-                .load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "{model:?}: mid-frame EOF must not count as a protocol error"
-        );
-
-        client.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
     }
+
+    // Give the server a beat to reap them, then verify health: a
+    // clean client still gets exact answers and nothing leaked into
+    // the protocol-error path (truncation is a disconnect, not a
+    // protocol violation).
+    std::thread::sleep(Duration::from_millis(100));
+    let mut client = Client::connect(addr).expect("server still accepting");
+    assert_eq!(client.ping().expect("ping"), 1);
+    assert_eq!(
+        engine
+            .metrics()
+            .protocol_errors
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0,
+        "mid-frame EOF must not count as a protocol error"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }

@@ -1,6 +1,6 @@
 //! Differential property suite for the wire-protocol codecs: the
-//! incremental [`FrameDecoder`] (reactor path) against the blocking
-//! `read_frame_limited` (thread path), over arbitrary byte streams fed
+//! incremental [`FrameDecoder`] (the server's path) against the blocking
+//! `read_frame_limited` (the client's), over arbitrary byte streams fed
 //! at arbitrary split boundaries.
 //!
 //! The two codecs are independent implementations of the same grammar;
@@ -202,25 +202,53 @@ fn runaway_headers_are_capped_not_buffered() {
 }
 
 /// A valid frame around `payload`.
-#[cfg(target_os = "linux")]
 fn frame(payload: &str) -> Vec<u8> {
     format!("{}\n{}\n", payload.len(), payload).into_bytes()
 }
 
-/// Deterministic cross-model differential on the wire: the same
-/// malformed inputs produce byte-identical error frames from a threads
-/// server and a reactor server, and so does a `hello` asking for an
-/// envelope version the server does not speak.
-#[cfg(target_os = "linux")]
+/// The replies a server owes for `bytes` sent on one connection,
+/// computed in process: each frame the blocking codec decodes is
+/// answered as the server's dispatch answers it (`Json::parse`, then
+/// `Request::from_json`, then `Engine::handle`), and a framing violation
+/// ends the exchange with `err_response` of the codec's error.
+fn reference_replies(bytes: &[u8], engine: &plt::serve::Engine, max_frame: usize) -> Vec<String> {
+    use plt::serve::json::Json;
+    use plt::serve::proto::{err_response, read_frame_limited};
+    use plt::serve::Request;
+
+    let mut replies = Vec::new();
+    let mut r = std::io::BufReader::new(bytes);
+    loop {
+        match read_frame_limited(&mut r, max_frame) {
+            Ok(Some(frame)) => replies.push(match Json::parse(&frame) {
+                Err(e) => err_response(e.to_string()).to_string(),
+                Ok(v) => match Request::from_json(&v) {
+                    Err(e) => err_response(e).to_string(),
+                    Ok(request) => engine.handle(&request),
+                },
+            }),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                replies.push(err_response(e.to_string()).to_string());
+                return replies;
+            }
+            Ok(None) | Err(_) => return replies,
+        }
+    }
+}
+
+/// Deterministic differential on the wire: for each malformed input the
+/// server answers with byte-identical replies to the in-process
+/// reference over a twin engine, and so it does for a `hello` asking for
+/// an envelope version the server does not speak.
 #[test]
 fn both_server_models_emit_identical_error_frames() {
     use std::io::Write;
 
-    use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig, ServerModel};
+    use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig};
 
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
     // Each case: the bytes one connection sends, and how many reply
-    // frames it reads back (`<closed>` once the server hangs up).
+    // frames the reference owes for them.
     let cases: Vec<(Vec<u8>, usize)> = vec![
         (b"notanumber\n{}\n".to_vec(), 1),
         (format!("{}\n", 16 * 1024 * 1024 + 1).into_bytes(), 1),
@@ -245,56 +273,56 @@ fn both_server_models_emit_identical_error_frames() {
         ),
     ];
 
-    let mut per_model = Vec::new();
-    for model in [ServerModel::Threads, ServerModel::Reactor] {
-        let config = BuilderConfig {
-            window_capacity: 64,
-            min_support: 2,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine,
-            Some(builder.queue()),
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+    let config = BuilderConfig {
+        window_capacity: 64,
+        min_support: 2,
+        ..BuilderConfig::default()
+    };
+    let (twin, twin_builder) = bootstrap(&warmup, config.clone()).expect("bootstrap twin");
+    let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
+    let server_config = ServerConfig {
+        reactors: 1,
+        ..ServerConfig::default()
+    };
+    let max_frame = server_config.max_frame;
+    let handle = serve("127.0.0.1:0", engine, Some(builder.queue()), server_config).expect("bind");
 
-        let mut replies = Vec::new();
-        for (bytes, count) in &cases {
-            let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
-            s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-                .unwrap();
-            s.write_all(bytes).expect("write");
-            let mut r = std::io::BufReader::new(s);
-            for _ in 0..*count {
-                let mut line = String::new();
-                if r.read_line(&mut line).unwrap_or(0) == 0 {
-                    replies.push(String::from("<closed>"));
-                    break;
-                }
-                let len: usize = line.trim().parse().expect("response header");
-                let mut payload = vec![0u8; len + 1];
-                std::io::Read::read_exact(&mut r, &mut payload).expect("response payload");
-                payload.pop();
-                replies.push(String::from_utf8(payload).expect("utf-8 response"));
+    let (mut wire, mut reference) = (Vec::new(), Vec::new());
+    for (bytes, count) in &cases {
+        let expected = reference_replies(bytes, &twin, max_frame);
+        assert_eq!(
+            expected.len(),
+            *count,
+            "reference for {:?}",
+            &bytes[..16.min(bytes.len())]
+        );
+        let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        s.write_all(bytes).expect("write");
+        let mut r = std::io::BufReader::new(s);
+        for _ in 0..*count {
+            let mut line = String::new();
+            if r.read_line(&mut line).unwrap_or(0) == 0 {
+                wire.push(String::from("<closed>"));
+                break;
             }
+            let len: usize = line.trim().parse().expect("response header");
+            let mut payload = vec![0u8; len + 1];
+            std::io::Read::read_exact(&mut r, &mut payload).expect("response payload");
+            payload.pop();
+            wire.push(String::from_utf8(payload).expect("utf-8 response"));
         }
-        handle.shutdown();
-        builder.stop();
-        per_model.push(replies);
+        reference.extend(expected);
     }
+    handle.shutdown();
+    builder.stop();
+    twin_builder.stop();
     assert_eq!(
-        per_model[0], per_model[1],
-        "threads and reactor answered malformed input differently"
+        wire, reference,
+        "the server answered malformed input unlike the in-process reference"
     );
-    let [.., ack, pong] = per_model[0].as_slice() else {
+    let [.., ack, pong] = wire.as_slice() else {
         panic!("no replies");
     };
     assert!(ack.starts_with(r#"{"ok":true,"version":1,"#), "{ack}");

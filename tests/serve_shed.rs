@@ -10,14 +10,14 @@ use std::time::Duration;
 
 use plt::serve::{
     bootstrap, serve, BuilderConfig, Client, ClientConfig, FaultConfig, FaultPlan, Request,
-    RetryPolicy, ServerConfig, ServerModel,
+    RetryPolicy, ServerConfig,
 };
 
 fn warmup() -> Vec<Vec<u32>> {
     (0..16).map(|_| vec![1, 2, 3]).collect()
 }
 
-fn start_reactor(config: ServerConfig) -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
+fn start(config: ServerConfig) -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
     let (engine, builder) = bootstrap(
         &warmup(),
         BuilderConfig {
@@ -64,8 +64,7 @@ fn read_volunteered_frame(stream: TcpStream, wait: Duration) -> Option<String> {
 #[test]
 fn the_connection_budget_edge_sheds_exactly_past_the_cap() {
     let cap = 4;
-    let (handle, builder) = start_reactor(ServerConfig {
-        server_model: ServerModel::Reactor,
+    let (handle, builder) = start(ServerConfig {
         reactors: 1,
         max_connections: cap,
         ..ServerConfig::default()
@@ -162,8 +161,7 @@ fn a_full_accept_backlog_sheds_instead_of_queueing() {
         stall_ms: 150,
         ..FaultConfig::disabled(0xBAC0)
     });
-    let (handle, builder) = start_reactor(ServerConfig {
-        server_model: ServerModel::Reactor,
+    let (handle, builder) = start(ServerConfig {
         reactors: 1,
         accept_backlog: 1,
         max_connections: 1024,
@@ -209,62 +207,57 @@ fn a_full_accept_backlog_sheds_instead_of_queueing() {
     builder.stop();
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn pipelined_batches_answer_in_order_on_both_models() {
-    for model in [ServerModel::Threads, ServerModel::Reactor] {
-        let (handle, builder) = start_reactor(ServerConfig {
-            server_model: model,
-            acceptors: 1,
-            reactors: 1,
-            ..ServerConfig::default()
-        });
+    let (handle, builder) = start(ServerConfig {
+        reactors: 1,
+        ..ServerConfig::default()
+    });
 
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        // A mixed batch: point queries, a bad request in the middle (it
-        // must not abort the batch), and more queries after it.
-        let mut requests: Vec<Request> = Vec::new();
-        for i in 0..32 {
-            requests.push(Request::Support {
-                items: if i % 2 == 0 {
-                    vec![1, 2]
-                } else {
-                    vec![1, 2, 3]
-                },
-            });
-        }
-        requests.insert(
-            16,
-            Request::Extensions {
-                items: vec![],
-                k: 0,
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    // A mixed batch: point queries, a bad request in the middle (it
+    // must not abort the batch), and more queries after it.
+    let mut requests: Vec<Request> = Vec::new();
+    for i in 0..32 {
+        requests.push(Request::Support {
+            items: if i % 2 == 0 {
+                vec![1, 2]
+            } else {
+                vec![1, 2, 3]
             },
-        );
-
-        let replies = client.pipeline(&requests, 8).expect("pipeline transport");
-        assert_eq!(replies.len(), requests.len());
-        for (i, reply) in replies.iter().enumerate() {
-            match (&requests[i], reply) {
-                (Request::Support { .. }, Ok(v)) => {
-                    // All 16 warmup baskets are {1,2,3}, so every
-                    // queried subset has support 16.
-                    assert_eq!(
-                        v.get("support").and_then(|s| s.as_u64()),
-                        Some(16),
-                        "{model:?}: reply {i} out of order or wrong"
-                    );
-                }
-                (Request::Extensions { .. }, _) => {
-                    // Empty-itemset extensions may answer or error by
-                    // protocol rules; either way it lands at position 16.
-                }
-                (req, Err(e)) => panic!("{model:?}: {req:?} failed: {e}"),
-                _ => {}
-            }
-        }
-
-        client.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
+        });
     }
+    requests.insert(
+        16,
+        Request::Extensions {
+            items: vec![],
+            k: 0,
+        },
+    );
+
+    let replies = client.pipeline(&requests, 8).expect("pipeline transport");
+    assert_eq!(replies.len(), requests.len());
+    for (i, reply) in replies.iter().enumerate() {
+        match (&requests[i], reply) {
+            (Request::Support { .. }, Ok(v)) => {
+                // All 16 warmup baskets are {1,2,3}, so every
+                // queried subset has support 16.
+                assert_eq!(
+                    v.get("support").and_then(|s| s.as_u64()),
+                    Some(16),
+                    "reply {i} out of order or wrong"
+                );
+            }
+            (Request::Extensions { .. }, _) => {
+                // Empty-itemset extensions may answer or error by
+                // protocol rules; either way it lands at position 16.
+            }
+            (req, Err(e)) => panic!("{req:?} failed: {e}"),
+            _ => {}
+        }
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }
