@@ -71,8 +71,8 @@ impl SketchConfig {
     }
 }
 
-/// The sketch. Feed every window arrival through [`observe`]
-/// (`IndicatorSketch::observe`); it mirrors the pipeline's FIFO
+/// The sketch. Feed every window arrival through
+/// [`observe`](IndicatorSketch::observe); it mirrors the pipeline's FIFO
 /// eviction internally, so no eviction callback is needed.
 #[derive(Debug, Clone)]
 pub struct IndicatorSketch {

@@ -1240,28 +1240,6 @@ fn x16_spawn_herd(
     (herd.len(), None, herd)
 }
 
-/// Reads one `<len>\n<payload>\n` reply frame off a buffered socket.
-fn x16_read_frame(r: &mut impl std::io::BufRead) -> std::io::Result<String> {
-    let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed the connection",
-        ));
-    }
-    let len: usize = header.trim().parse().map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad reply header {header:?}"),
-        )
-    })?;
-    let mut payload = vec![0u8; len + 1];
-    std::io::Read::read_exact(r, &mut payload)?;
-    payload.pop();
-    String::from_utf8(payload)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "reply is not utf-8"))
-}
-
 /// `p`-th percentile of an ascending latency vector, in microseconds.
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
@@ -1288,7 +1266,7 @@ fn x16_drive_load(
     use std::sync::{Arc, Barrier};
 
     let workers = clients.clamp(1, 16);
-    let frame: Arc<Vec<u8>> = Arc::new(format!("{}\n{}\n", payload.len(), payload).into_bytes());
+    let frame: Arc<Vec<u8>> = Arc::new(plt_serve::decode::encode_frame(payload));
     let barrier = Arc::new(Barrier::new(workers + 1));
     let mut handles = Vec::new();
     for w in 0..workers {
@@ -1314,7 +1292,9 @@ fn x16_drive_load(
                     stream.write_all(&frame).expect("request write");
                 }
                 for (i, (_, reader)) in conns.iter_mut().enumerate() {
-                    let reply = x16_read_frame(reader).expect("reply read");
+                    let reply = plt_serve::proto::read_frame(reader)
+                        .expect("reply read")
+                        .expect("server closed the connection");
                     lat.push(starts[i].elapsed().as_nanos() as u64);
                     assert_eq!(reply, expected, "reply diverged under load");
                 }

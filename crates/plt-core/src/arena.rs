@@ -29,7 +29,7 @@
 //!   dedup probe is O(1) too. A map layout pays an allocation plus an
 //!   O(len) hash insert for the same step;
 //! * a conditional database with **at most 64 locally frequent ranks** is
-//!   a [`MaskLevel`] instead: one `u64` per vector, where bit `b` stands
+//!   a `MaskLevel` instead: one `u64` per vector, where bit `b` stands
 //!   for the `b`-th smallest kept rank. Bits follow rank order, so the top
 //!   set bit is the vector's sum (its bucket), a fold clears that bit, two
 //!   vectors are duplicates exactly when their words are equal, and a

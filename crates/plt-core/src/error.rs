@@ -45,9 +45,9 @@ pub enum PltError {
     },
     /// A mining result violated the anti-monotone property: a subset of a
     /// frequent itemset was missing, or had a smaller support than its
-    /// superset. Produced by [`MiningResult::check_anti_monotone`]
-    /// (`crate::miner::MiningResult::check_anti_monotone`); a correct miner
-    /// never produces such a family.
+    /// superset. Produced by
+    /// [`MiningResult::check_anti_monotone`](crate::miner::MiningResult::check_anti_monotone);
+    /// a correct miner never produces such a family.
     AntiMonotoneViolation {
         /// The offending subset.
         subset: crate::item::Itemset,

@@ -150,8 +150,8 @@ impl MiningResult {
     /// Verifies the anti-monotone property internally: every non-empty
     /// subset of a frequent itemset must be frequent with at least the same
     /// support. Used by tests and debug assertions; `O(Σ 2^k)`. Violations
-    /// are reported as [`PltError::AntiMonotoneViolation`]
-    /// (crate::error::PltError::AntiMonotoneViolation).
+    /// are reported as
+    /// [`PltError::AntiMonotoneViolation`](crate::error::PltError::AntiMonotoneViolation).
     pub fn check_anti_monotone(&self) -> crate::error::Result<()> {
         for (itemset, support) in self.iter() {
             for sub in itemset.to_itemset().subsets() {
@@ -330,8 +330,8 @@ pub trait Miner {
     }
 }
 
-/// A frequent-itemset miner over an already-constructed [`Plt`]
-/// (`crate::plt::Plt`).
+/// A frequent-itemset miner over an already-constructed
+/// [`Plt`](crate::plt::Plt).
 ///
 /// This is the single PLT-level entry point: one obs-taking method, plus a
 /// convenience wrapper for callers without an observability pipeline. It is

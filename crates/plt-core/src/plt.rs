@@ -11,8 +11,6 @@
 //! A pointer-tree rendering of the same data (Figure 3b) lives in
 //! [`crate::tree`].
 
-use std::collections::BTreeMap;
-
 use crate::error::{PltError, Result};
 use crate::hash::FxHashMap;
 use crate::item::{Item, Rank, Support};
@@ -248,17 +246,6 @@ impl Plt {
         self.partitions.iter().flat_map(|m| m.iter())
     }
 
-    /// Groups the stored vectors by their sum (= rank of their last item),
-    /// the access pattern of the conditional miner. The map is ordered so
-    /// that callers can peel ranks off from the highest down.
-    pub fn group_by_sum(&self) -> BTreeMap<Rank, Vec<(PositionVector, Support)>> {
-        let mut groups: BTreeMap<Rank, Vec<(PositionVector, Support)>> = BTreeMap::new();
-        for (v, e) in self.iter() {
-            groups.entry(e.sum).or_default().push((v.clone(), e.freq));
-        }
-        groups
-    }
-
     /// Computes the support of an arbitrary itemset by scanning the stored
     /// vectors with the position-vector containment test. `O(#vectors)` —
     /// exact but unindexed; the miners are the fast path, this is the
@@ -415,18 +402,6 @@ mod tests {
             assert_eq!(e.sum, v.sum());
             assert_eq!(e.sum, *v.ranks().last().unwrap());
         }
-    }
-
-    #[test]
-    fn group_by_sum_partitions_by_last_item() {
-        let plt = build_table1();
-        let groups = plt.group_by_sum();
-        // sum=3: ABC×2. sum=4: ABCD, ABD, BCD, CD.
-        assert_eq!(groups[&3].len(), 1);
-        assert_eq!(groups[&3][0].1, 2);
-        assert_eq!(groups[&4].len(), 4);
-        let total4: Support = groups[&4].iter().map(|(_, f)| f).sum();
-        assert_eq!(total4, 4); // support of D
     }
 
     #[test]

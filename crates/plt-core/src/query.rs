@@ -7,7 +7,7 @@
 //! dashboards, what-if queries). [`SupportOracle`] answers those directly
 //! from the PLT:
 //!
-//! * an **inverted index** maps each rank to the stored vectors whose
+//! * an **inverted index** maps each rank to the PLT vectors whose
 //!   itemset contains it;
 //! * a query intersects the posting lists of its ranks — rarest rank
 //!   first, merge-intersect, early exit — and sums the frequencies of the
@@ -39,10 +39,11 @@ use crate::posvec::PositionVector;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SupportOracle {
-    /// Distinct vectors with frequencies, in arbitrary but fixed order.
-    vectors: Vec<(PositionVector, Support)>,
-    /// `postings[rank − 1]` = sorted indices into `vectors` whose itemset
-    /// contains `rank`.
+    /// The frequency of each distinct vector, in the PLT's iteration
+    /// order; a query reads only these, so the vectors are not kept.
+    freqs: Vec<Support>,
+    /// `postings[rank − 1]` = sorted indices into `freqs` of the vectors
+    /// whose itemset contains `rank`.
     postings: Vec<Vec<u32>>,
     /// Total frequency (support of the empty itemset).
     total: Support,
@@ -53,19 +54,19 @@ impl SupportOracle {
     /// Builds the oracle from a PLT. `O(total positions)` once.
     pub fn new(plt: &Plt) -> SupportOracle {
         let num_ranks = plt.ranking().len();
-        let mut vectors = Vec::with_capacity(plt.num_vectors());
+        let mut freqs = Vec::with_capacity(plt.num_vectors());
         let mut postings: Vec<Vec<u32>> = vec![Vec::new(); num_ranks];
         let mut total = 0;
         for (v, e) in plt.iter() {
-            let idx = vectors.len() as u32;
+            let idx = freqs.len() as u32;
             for r in v.ranks_iter() {
                 postings[(r - 1) as usize].push(idx);
             }
             total += e.freq;
-            vectors.push((v.clone(), e.freq));
+            freqs.push(e.freq);
         }
         SupportOracle {
-            vectors,
+            freqs,
             postings,
             total,
             num_ranks,
@@ -74,7 +75,7 @@ impl SupportOracle {
 
     /// Number of indexed vectors.
     pub fn num_vectors(&self) -> usize {
-        self.vectors.len()
+        self.freqs.len()
     }
 
     /// Support of an itemset of *ranks* (strictly increasing not
@@ -98,7 +99,7 @@ impl SupportOracle {
             }
             current = intersect(&current, &self.postings[(r - 1) as usize]);
         }
-        current.iter().map(|&i| self.vectors[i as usize].1).sum()
+        current.iter().map(|&i| self.freqs[i as usize]).sum()
     }
 
     /// Support of an itemset of *items*, translated through a ranking.

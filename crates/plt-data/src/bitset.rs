@@ -130,11 +130,6 @@ impl BitsetTidDb {
         ones
     }
 
-    /// Bytes the bitmaps occupy (`num_items × words_per_row × 8`).
-    pub fn bitmap_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
     /// The density heuristic: should an Eclat-style miner use bitmaps
     /// instead of sorted TID vectors for this workload? True when the
     /// total bitmap footprint of the `num_rows` frequent items is smaller

@@ -1,9 +1,9 @@
 //! Generation-aware LRU plan cache.
 //!
-//! Keys are the **printed normalized AST** ([`Query::cache_key`]
-//! (crate::ast::Query::cache_key)), so two expressions that differ only
-//! in whitespace, keyword case, item order, or commutative AND/OR
-//! operand order hit the same entry. Each entry remembers the snapshot
+//! Keys are the **printed normalized AST**
+//! ([`Query::cache_key`](crate::ast::Query::cache_key)), so two
+//! expressions that differ only in whitespace, keyword case, item order,
+//! or commutative AND/OR operand order hit the same entry. Each entry remembers the snapshot
 //! generation it was planned against; a lookup under a different
 //! generation evicts the entry and reports a miss — snapshot swaps
 //! invalidate lazily, with no publish-side hook.

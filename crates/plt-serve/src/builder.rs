@@ -11,11 +11,11 @@
 //! with the dirty shards, not the window.
 //!
 //! A rebuild that panics does **not** kill the service: the unwind is
-//! caught, the failure is counted ([`Metrics::builder_failures`]
-//! (crate::metrics::Metrics::builder_failures)), the engine is marked
-//! [`Stale`](crate::engine::ServingState::Stale), and the last good
-//! snapshot keeps answering — with `stale: true` on every response —
-//! until a later rebuild succeeds. An acknowledged batch is acked with
+//! caught, the failure is counted
+//! ([`Metrics::builder_failures`](crate::metrics::Metrics::builder_failures)),
+//! the engine is marked [`Stale`](crate::engine::ServingState::Stale),
+//! and the last good snapshot keeps answering — with `stale: true` on
+//! every response — until a later rebuild succeeds. An acknowledged batch is acked with
 //! the *old* generation on failure, so waiting ingesters never hang on a
 //! dead rebuild.
 
@@ -151,8 +151,9 @@ enum Msg {
     Stop,
 }
 
-/// Handle to the builder thread. Dropping it without [`stop`] detaches
-/// the thread (it exits when the channel closes).
+/// Handle to the builder thread. Dropping it without
+/// [`stop`](BuilderHandle::stop) detaches the thread (it exits when the
+/// channel closes).
 pub struct BuilderHandle {
     tx: Sender<Msg>,
     thread: Option<JoinHandle<()>>,

@@ -13,9 +13,10 @@
 //!
 //! [`encode_frame`] / [`encode_frame_with`] are the write-side duals:
 //! they render a frame to owned bytes the connection drains through
-//! partial writes, mirroring `write_frame_with`'s fault injection
-//! (a torn frame truncates the bytes; an oversized one lies in the
-//! header — both mark the connection for closure after the flush).
+//! partial writes, and own the fault injection the blocking
+//! `write_frame_with` writes too (a torn frame truncates the bytes; an
+//! oversized one lies in the header — both mark the connection for
+//! closure after the flush).
 
 use crate::fault::{FaultPlan, FrameFault, Site};
 use crate::proto::MAX_FRAME_BYTES;
@@ -177,27 +178,27 @@ pub fn encode_frame(payload: &str) -> Vec<u8> {
     format!("{}\n{}\n", payload.len(), payload).into_bytes()
 }
 
-/// Renders one frame under a fault plan, mirroring
-/// [`write_frame_with`](crate::proto::write_frame_with): returns the
-/// bytes to put on the wire and whether the connection must be closed
-/// once they flush (a torn or oversized frame leaves the stream
-/// unparseable, exactly like the blocking writer erroring out).
+/// Renders one frame under a fault plan, for the reactor and for the
+/// blocking [`write_frame_with`](crate::proto::write_frame_with): returns
+/// the bytes to put on the wire and whether the connection must be
+/// closed once they flush (a torn or oversized frame leaves the stream
+/// unparseable).
 pub fn encode_frame_with(payload: &str, fault: Option<(&FaultPlan, Site)>) -> (Vec<u8>, bool) {
-    if let Some((plan, site)) = fault {
-        let encoded = format!("{}\n{}\n", payload.len(), payload);
-        match plan.frame_fault(site, encoded.len()) {
-            Some(FrameFault::Torn { keep }) => {
-                let keep = keep.min(encoded.len().saturating_sub(1));
-                return (encoded.into_bytes()[..keep].to_vec(), true);
-            }
-            Some(FrameFault::Oversized) => {
-                let bytes = format!("{}\n{}\n", MAX_FRAME_BYTES + 1, payload).into_bytes();
-                return (bytes, true);
-            }
-            None => {}
+    let mut encoded = encode_frame(payload);
+    let Some((plan, site)) = fault else {
+        return (encoded, false);
+    };
+    match plan.frame_fault(site, encoded.len()) {
+        Some(FrameFault::Torn { keep }) => {
+            encoded.truncate(keep.min(encoded.len().saturating_sub(1)));
+            (encoded, true)
         }
+        Some(FrameFault::Oversized) => {
+            let bytes = format!("{}\n{}\n", MAX_FRAME_BYTES + 1, payload).into_bytes();
+            (bytes, true)
+        }
+        None => (encoded, false),
     }
-    (encode_frame(payload), false)
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! The query engine: snapshot swap point, response cache, metrics.
+//! The query engine: snapshot slot, response cache, metrics.
 //!
 //! Readers never block writers and writers never block readers for long:
-//! the current [`Snapshot`] lives in a generation-aware
-//! [`ReaderPool`] — a request pins one generation for its whole
-//! lifetime (a single `Arc` clone in the critical section) and queries
-//! run against that pin however many rebuild swaps land meanwhile.
-//! Publishing a new snapshot is one pointer swap plus a cache clear;
-//! reactor workers skip even the swap lock on the fast path via a
-//! per-worker [`ReaderCache`].
+//! the current [`Snapshot`] sits in one slot, an `RwLock<Arc<Snapshot>>`.
+//! A request pins one generation for its whole lifetime by cloning that
+//! `Arc` (the lock is held only for the clone) and answers from it
+//! however many rebuilds publish meanwhile; a replaced snapshot is freed
+//! when its last `Arc` drops. Publishing is one pointer swap plus a cache
+//! clear. A lock-free generation gauge beside the slot tags the response
+//! cache, and lets each reactor keep its own `Option<Arc<Snapshot>>`
+//! that it refreshes through the lock only after a publish.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use plt_query::Snapshot;
@@ -19,7 +20,10 @@ use crate::cache::ShardedCache;
 use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
 use crate::proto::{err_response, ok_response, Request};
-use crate::reader_pool::{ReadGuard, ReaderCache, ReaderPool};
+
+/// Response-cache geometry: rendered replies held, over this many shards.
+const CACHE_CAPACITY: usize = 1024;
+const CACHE_SHARDS: usize = 8;
 
 /// Degradation state of the serving snapshot. The builder drives the
 /// transitions: `Fresh` after a successful publish, `Rebuilding` while a
@@ -65,7 +69,13 @@ impl ServingState {
 /// connection handler.
 #[derive(Debug)]
 pub struct Engine {
-    snapshot: ReaderPool<Snapshot>,
+    snapshot: RwLock<Arc<Snapshot>>,
+    /// The slot's generation, readable without the lock: the response
+    /// cache's tag and the reactors' staleness check. `publish` stores it
+    /// (`Release`) after installing the snapshot, and readers load it
+    /// (`Acquire`), so one that sees a generation finds that snapshot, or
+    /// a newer one, behind the lock.
+    generation: AtomicU64,
     cache: ShardedCache,
     metrics: Metrics,
     state: AtomicU8,
@@ -76,21 +86,13 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wraps an initial snapshot with a default-sized cache (1024
-    /// entries over 8 shards).
+    /// Wraps an initial snapshot, with an empty response cache.
     pub fn new(initial: Snapshot) -> Engine {
-        Engine::with_cache(initial, 1024, 8)
-    }
-
-    /// Wraps an initial snapshot with an explicit cache geometry.
-    pub fn with_cache(initial: Snapshot, cache_capacity: usize, shards: usize) -> Engine {
-        let metrics = Metrics::default();
-        let generation = initial.generation();
-        metrics.generation.store(generation, Ordering::Relaxed);
         Engine {
-            snapshot: ReaderPool::new(Arc::new(initial), generation),
-            cache: ShardedCache::new(cache_capacity, shards),
-            metrics,
+            generation: AtomicU64::new(initial.generation()),
+            snapshot: RwLock::new(Arc::new(initial)),
+            cache: ShardedCache::new(CACHE_CAPACITY, CACHE_SHARDS),
+            metrics: Metrics::default(),
             state: AtomicU8::new(ServingState::Fresh.as_u8()),
             plans: plt_query::PlanCache::new(256),
         }
@@ -101,42 +103,32 @@ impl Engine {
         &self.plans
     }
 
-    /// The current snapshot. Lock held only for the `Arc` clone.
+    /// Pins the current snapshot: the `Arc` keeps answering from this
+    /// generation however many publishes land while it is held. The lock
+    /// is held only for the clone.
     pub fn current(&self) -> Arc<Snapshot> {
-        self.snapshot.pin().value_arc()
-    }
-
-    /// Pins the current snapshot generation for a request's lifetime:
-    /// the guard keeps answering from the same generation however many
-    /// publishes land while it is held.
-    pub fn pin(&self) -> ReadGuard<Snapshot> {
-        self.snapshot.pin()
-    }
-
-    /// Like [`pin`](Self::pin), but through a per-worker cache — the
-    /// reactor's lock-free fast path (one atomic generation check per
-    /// request unless a publish happened).
-    pub fn pin_with(&self, cache: &mut ReaderCache<Snapshot>) -> ReadGuard<Snapshot> {
-        self.snapshot.pin_with(cache)
-    }
-
-    /// The reader pool itself (swap/pin gauges for `stats` and tests).
-    pub fn reader_pool(&self) -> &ReaderPool<Snapshot> {
-        &self.snapshot
+        self.snapshot
+            .read()
+            .expect("no thread panics holding the snapshot slot")
+            .clone()
     }
 
     /// Publishes a new snapshot: pointer swap, then cache invalidation
     /// (cached responses answered for the old generation; the clear frees
     /// them, and their generation tag keeps a late write from ever
     /// answering for the new one). In-flight requests keep their pinned
-    /// generation; the old snapshot is freed when its last guard releases.
+    /// generation; the old snapshot is freed when its last `Arc` drops.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
         let generation = snapshot.generation();
-        self.snapshot.swap(snapshot, generation);
+        // Install first, then advance the gauge (see `generation`).
+        *self
+            .snapshot
+            .write()
+            .expect("no thread panics holding the snapshot slot") = snapshot;
+        self.generation.store(generation, Ordering::Release);
         self.state
             .store(ServingState::Fresh.as_u8(), Ordering::SeqCst);
         self.cache.clear();
-        self.metrics.generation.store(generation, Ordering::Relaxed);
         self.metrics.publishes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -193,15 +185,17 @@ impl Engine {
     }
 
     /// Like [`handle`](Self::handle), but pinning the snapshot through a
-    /// per-worker [`ReaderCache`] — the reactor's lock-free fast path.
-    pub fn handle_cached(&self, request: &Request, reader: &mut ReaderCache<Snapshot>) -> String {
+    /// per-worker slot — the reactor's lock-free fast path. The slot is
+    /// refreshed through [`current`](Self::current) only when a publish
+    /// moved the generation since it was last filled.
+    pub fn handle_cached(&self, request: &Request, reader: &mut Option<Arc<Snapshot>>) -> String {
         self.handle_inner(request, Some(reader))
     }
 
     fn handle_inner(
         &self,
         request: &Request,
-        reader: Option<&mut ReaderCache<Snapshot>>,
+        reader: Option<&mut Option<Arc<Snapshot>>>,
     ) -> String {
         let start = Instant::now();
         let endpoint = endpoint_of(request);
@@ -210,7 +204,8 @@ impl Engine {
         let stale = self.is_stale();
         if let Some(e) = endpoint.filter(|&e| cacheable(e)) {
             let key = request.cache_key();
-            if let Some(hit) = self.cache.get(&key, (self.snapshot.generation(), stale)) {
+            let generation = self.generation.load(Ordering::Acquire);
+            if let Some(hit) = self.cache.get(&key, (generation, stale)) {
                 self.metrics.endpoint(e).record(start.elapsed(), Some(true));
                 // A cached `query` payload froze the provenance of its
                 // original (fresh) run; flip `cache_hit` so `--explain`
@@ -247,17 +242,22 @@ impl Engine {
     /// Pins one generation for the whole request: every field of the
     /// response comes from the same snapshot even if a publish lands
     /// mid-answer.
-    fn pin_for(&self, reader: Option<&mut ReaderCache<Snapshot>>) -> ReadGuard<Snapshot> {
-        match reader {
-            Some(cache) => self.pin_with(cache),
-            None => self.pin(),
+    fn pin_for(&self, reader: Option<&mut Option<Arc<Snapshot>>>) -> Arc<Snapshot> {
+        let Some(slot) = reader else {
+            return self.current();
+        };
+        match slot {
+            Some(snap) if snap.generation() == self.generation.load(Ordering::Acquire) => {
+                snap.clone()
+            }
+            _ => slot.insert(self.current()).clone(),
         }
     }
 
     /// Every query response names its generation and whether that
     /// generation is known-stale (`stale`: the last rebuild failed), so
     /// clients can tell degraded answers from fresh ones.
-    fn answer(&self, request: &Request, snap: ReadGuard<Snapshot>, stale: bool) -> Json {
+    fn answer(&self, request: &Request, snap: Arc<Snapshot>, stale: bool) -> Json {
         match request {
             Request::Support { items } => {
                 let a = snap.support(items);
@@ -467,12 +467,6 @@ impl Engine {
                         } else {
                             Json::Null
                         }
-                    }),
-                    ("reader_pool", {
-                        Json::obj(vec![
-                            ("swaps", Json::from(self.snapshot.swaps())),
-                            ("active_pins", Json::from(self.snapshot.active_pins())),
-                        ])
                     }),
                     ("reactor", {
                         let r = &self.metrics.reactor;
@@ -717,7 +711,7 @@ mod tests {
         assert_eq!(v.get("generation").unwrap().as_u64(), Some(2));
         // Old answer (support of item 1 = 5) must not leak from cache.
         assert_eq!(v.get("support").unwrap().as_u64(), Some(0));
-        assert_eq!(engine.metrics().generation.load(Ordering::Relaxed), 2);
+        assert_eq!(engine.current().generation(), 2);
     }
 
     #[test]

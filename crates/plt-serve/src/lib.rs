@@ -15,9 +15,9 @@
 //!   probe is one hash lookup; Lemma 4.1.3's level-down subsets,
 //!   inverted, give an extension index; infrequent queries fall back to
 //!   the exact [`SupportOracle`](plt_core::SupportOracle).
-//! * [`engine`] — the concurrency shell: a generation-aware
-//!   [`ReaderPool`] a request pins once (readers never wait on mining),
-//!   a sharded LRU [`cache`] of rendered responses, per-endpoint
+//! * [`engine`] — the concurrency shell: one snapshot slot a request
+//!   pins once by cloning its `Arc` (readers never wait on mining), a
+//!   sharded LRU [`cache`] of rendered responses, per-endpoint
 //!   [`metrics`] with p50/p99 latency.
 //! * [`builder`] — a background thread folding `INGEST` batches into a
 //!   [`ShardedPipeline`](plt_shard::ShardedPipeline): only the rank-range
@@ -68,7 +68,6 @@ pub mod metrics;
 pub mod proto;
 #[cfg(target_os = "linux")]
 pub mod reactor;
-pub mod reader_pool;
 pub mod server;
 
 pub use builder::{bootstrap, BuilderConfig, BuilderHandle, IngestQueue};
@@ -79,5 +78,4 @@ pub use fault::{FaultConfig, FaultEvent, FaultPlan, Site};
 pub use plt_approx::SketchConfig;
 pub use plt_query::{Recommendation, Snapshot, SupportAnswer, SupportSource};
 pub use proto::Request;
-pub use reader_pool::{ReadGuard, ReaderCache, ReaderPool};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -109,16 +109,14 @@ impl Endpoint {
     }
 }
 
-/// All service metrics.
 /// One [`Metrics::report`] row:
 /// `(name, requests, hits, misses, p50µs, p99µs)`.
 pub type EndpointReport = (&'static str, u64, u64, u64, Option<u64>, Option<u64>);
 
+/// All service metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
     endpoints: [EndpointStats; 8],
-    /// Current snapshot generation (gauge, set on publish).
-    pub generation: AtomicU64,
     /// Snapshots published over the service lifetime.
     pub publishes: AtomicU64,
     /// Builder rebuilds that panicked and were absorbed (the service kept

@@ -18,8 +18,8 @@ use std::io::{BufRead, Read, Write};
 
 use plt_core::item::Item;
 
-use crate::decode::MAX_HEADER_BYTES;
-use crate::fault::{FaultPlan, FrameFault, Site};
+use crate::decode::{encode_frame_with, MAX_HEADER_BYTES};
+use crate::fault::{FaultPlan, Site};
 use crate::json::Json;
 
 /// Frames larger than this are rejected before allocation. Generous for
@@ -224,40 +224,27 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Writes one frame, consulting a fault plan first. A torn frame sends a
-/// deterministic prefix of the encoded bytes then fails; an oversized
-/// frame lies in the length header (past [`MAX_FRAME_BYTES`]) then fails.
-/// Either way the caller sees an error and must treat the connection as
-/// dead — exactly what a real half-written frame implies.
+/// Writes one frame, consulting a fault plan first: the bytes are
+/// [`encode_frame_with`]'s. A torn frame sends a deterministic prefix of
+/// the encoded bytes then fails; an oversized frame lies in the length
+/// header (past [`MAX_FRAME_BYTES`]) then fails. Either way the caller
+/// sees `ConnectionAborted` and must treat the connection as dead —
+/// exactly what a real half-written frame implies.
 pub fn write_frame_with(
     w: &mut impl Write,
     payload: &str,
     fault: Option<(&FaultPlan, Site)>,
 ) -> std::io::Result<()> {
-    if let Some((plan, site)) = fault {
-        let encoded = format!("{}\n{}\n", payload.len(), payload);
-        match plan.frame_fault(site, encoded.len()) {
-            Some(FrameFault::Torn { keep }) => {
-                let keep = keep.min(encoded.len().saturating_sub(1));
-                w.write_all(&encoded.as_bytes()[..keep])?;
-                w.flush()?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "fault injection: torn frame",
-                ));
-            }
-            Some(FrameFault::Oversized) => {
-                write!(w, "{}\n{}\n", MAX_FRAME_BYTES + 1, payload)?;
-                w.flush()?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "fault injection: oversized frame header",
-                ));
-            }
-            None => {}
-        }
+    let (bytes, close) = encode_frame_with(payload, fault);
+    w.write_all(&bytes)?;
+    w.flush()?;
+    if close {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::ConnectionAborted,
+            "fault injection: torn or oversized frame",
+        ));
     }
-    write_frame(w, payload)
+    Ok(())
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF before a frame starts.
@@ -365,7 +352,7 @@ mod tests {
             Some((&plan, Site::ServerWrite)),
         )
         .unwrap_err();
-        assert!(err.to_string().contains("torn"), "{err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted, "{err}");
         let mut clean = Vec::new();
         write_frame(&mut clean, r#"{"op":"ping"}"#).unwrap();
         assert!(!torn.is_empty() && torn.len() < clean.len());

@@ -8,9 +8,8 @@
 //! right there — a peer past the connection budget or the accept
 //! backlog gets an explicit `shed` error frame, not a hang); each
 //! reactor runs an `epoll` loop over nonblocking connection state
-//! machines built on the incremental
-//! [`FrameDecoder`](crate::decode::FrameDecoder), with partial-read and
-//! partial-write resumption.
+//! machines built on the incremental [`FrameDecoder`], with partial-read
+//! and partial-write resumption.
 //!
 //! A connection walks `Reading → Writing → Reading …`, detouring through
 //! `AwaitingFlush` for `ingest {wait:true}` (the blocking wait for the
@@ -18,9 +17,9 @@
 //! connection stops decoding further frames until the completion
 //! arrives, preserving per-connection response ordering, and a slot
 //! *epoch* guards completions against slab reuse). Requests pin one
-//! snapshot generation via the engine's
-//! [`ReaderPool`](crate::reader_pool::ReaderPool), through a per-reactor
-//! [`ReaderCache`] so the fast path takes no lock.
+//! snapshot generation through a per-reactor `Option<Arc<Snapshot>>`
+//! that is refreshed from the engine only after a publish, so the fast
+//! path takes no lock.
 //!
 //! Kernel access is direct `extern "C"` (`epoll_create1`/`epoll_ctl`/
 //! `epoll_wait`/`eventfd`), the same pattern plt-store uses for `mmap` —
@@ -50,7 +49,6 @@ use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
 use crate::engine::Engine;
 use crate::fault::{IoFault, Site};
 use crate::proto::err_response;
-use crate::reader_pool::ReaderCache;
 use crate::server::{
     dispatch_request, ingest_ack_response, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
 };
@@ -250,7 +248,9 @@ struct Reactor {
     stop: Arc<AtomicBool>,
     all_wakers: Arc<Vec<Arc<Waker>>>,
     addr: SocketAddr,
-    reader: ReaderCache<Snapshot>,
+    /// This reactor's pin of the current snapshot, refreshed after a
+    /// publish.
+    snapshot: Option<Arc<Snapshot>>,
     /// Scratch for nonblocking reads, allocated once per reactor rather
     /// than zeroed per read.
     read_buf: Box<[u8]>,
@@ -527,7 +527,7 @@ impl Reactor {
             payload,
             &self.engine,
             self.ingest.as_ref(),
-            Some(&mut self.reader),
+            Some(&mut self.snapshot),
         ) {
             Dispatch::Respond(response) => self.queue_response(idx, &response),
             Dispatch::ShutdownRequested(response) => {
@@ -898,7 +898,7 @@ pub(crate) fn serve_reactor(
             stop: stop.clone(),
             all_wakers: wakers.clone(),
             addr,
-            reader: ReaderCache::new(),
+            snapshot: None,
             read_buf: vec![0; 16 * 1024].into_boxed_slice(),
         };
         threads.push(

@@ -7,7 +7,7 @@
 //! spawns one handler thread per connection instead — a portable
 //! fallback, the way plt-store reads a segment into memory where it
 //! cannot `mmap` it. Both loops speak the framed protocol of
-//! [`proto`](crate::proto) and answer through one [`dispatch_request`],
+//! [`proto`](crate::proto) and answer through one `dispatch_request`,
 //! so their replies cannot drift; handlers only touch the engine through
 //! `Arc`, so a slow connection never blocks another.
 //!
@@ -15,9 +15,9 @@
 //! write deadlines (a stalled peer is timed out, counted, and dropped),
 //! a max-frame limit enforced before allocation, and a connection cap —
 //! past it, new connections get an error frame and are refused rather
-//! than queueing unboundedly. A [`FaultPlan`](crate::fault::FaultPlan)
-//! wired into the config injects deterministic faults into the server's
-//! own reads and writes for chaos testing.
+//! than queueing unboundedly. A [`FaultPlan`] wired into the config
+//! injects deterministic faults into the server's own reads and writes
+//! for chaos testing.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +33,6 @@ use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::json::Json;
 use crate::proto::{err_response, ok_response, Request, MAX_FRAME_BYTES};
-use crate::reader_pool::ReaderCache;
 
 #[cfg(target_os = "linux")]
 use crate::reactor::serve_reactor as serve_listener;
@@ -174,13 +173,13 @@ pub(crate) enum Dispatch {
 
 /// Parses and dispatches one request payload. Everything except the
 /// flush wait and the stop-flag plumbing happens here. `reader`, when
-/// given, pins snapshots through a per-worker cache (the reactor's
-/// lock-free path).
+/// given, is the per-worker snapshot slot requests pin through (the
+/// reactor's lock-free path).
 pub(crate) fn dispatch_request(
     payload: &str,
     engine: &Engine,
     ingest: Option<&IngestQueue>,
-    reader: Option<&mut ReaderCache<Snapshot>>,
+    reader: Option<&mut Option<Arc<Snapshot>>>,
 ) -> Dispatch {
     let request = match Json::parse(payload) {
         Err(e) => {

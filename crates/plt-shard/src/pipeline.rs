@@ -153,7 +153,6 @@ pub struct ShardedPipeline {
     fragments: Vec<Option<MiningResult>>,
     dirty: Vec<bool>,
     merged: MiningResult,
-    last_report: RebuildReport,
 }
 
 fn normalize(transaction: &[Item]) -> Vec<Item> {
@@ -180,7 +179,6 @@ impl ShardedPipeline {
             fragments: vec![None],
             dirty: vec![true],
             merged: MiningResult::new(config.min_support, 0),
-            last_report: RebuildReport::default(),
             config,
         };
         // The initial build is just a big delta against the empty window:
@@ -196,8 +194,7 @@ impl ShardedPipeline {
     }
 
     /// Applies a batch of adds/removes, re-mines the dirty shards and
-    /// refreshes the merged snapshot. Returns the rebuild report (also
-    /// retrievable later via [`last_report`](Self::last_report)).
+    /// refreshes the merged snapshot. Returns the rebuild report.
     pub fn apply_obs(&mut self, delta: Delta, obs: &mut Obs) -> Result<RebuildReport> {
         let started = Instant::now();
         let mut touched: FxHashSet<Rank> = FxHashSet::default();
@@ -266,7 +263,7 @@ impl ShardedPipeline {
         }
         obs.gauge("shard.total", self.dirty.len() as u64);
 
-        let report = RebuildReport {
+        Ok(RebuildReport {
             total_shards: self.dirty.len(),
             dirty_shards: shard_timings.len(),
             reranked,
@@ -274,9 +271,7 @@ impl ShardedPipeline {
             remine,
             merge,
             shard_timings,
-        };
-        self.last_report = report.clone();
-        Ok(report)
+        })
     }
 
     /// The merged mining result over the current window. Matches what a
@@ -308,11 +303,6 @@ impl ShardedPipeline {
     /// The configuration the pipeline was built with.
     pub fn config(&self) -> &ShardConfig {
         &self.config
-    }
-
-    /// Report from the most recent rebuild.
-    pub fn last_report(&self) -> &RebuildReport {
-        &self.last_report
     }
 
     fn decrement_counts(counts: &mut FxHashMap<Item, Support>, transaction: &[Item]) {
@@ -534,7 +524,6 @@ impl ShardedPipeline {
             fragments,
             dirty,
             merged: MiningResult::new(config.min_support, 0),
-            last_report: RebuildReport::default(),
             config,
         };
         if pipeline.fragments.is_empty() {

@@ -186,7 +186,7 @@ impl DurablePipeline {
             }
         }
         if durable.options.materialize_merged {
-            durable.rebuild_merged();
+            durable.rebuild_merged()?;
         }
         let ms = started.elapsed().as_millis() as u64;
         durable.store.set_recovery(ms, replayed);
@@ -208,7 +208,7 @@ impl DurablePipeline {
     pub fn apply_obs(&mut self, delta: Delta, obs: &mut Obs) -> Result<RebuildReport, StoreError> {
         let report = self.apply_inner(delta, obs, true)?;
         if self.options.materialize_merged {
-            self.rebuild_merged();
+            self.rebuild_merged()?;
         }
         if let Some(every) = self.options.checkpoint_every {
             if self.applies_since_checkpoint >= every {
@@ -297,21 +297,21 @@ impl DurablePipeline {
 
     /// Merges every shard into the materialized snapshot, loading
     /// spilled fragments transiently from their segments.
-    fn rebuild_merged(&mut self) {
+    fn rebuild_merged(&mut self) -> io::Result<()> {
         let min_support = self.pipeline.config().min_support;
         let num_transactions = self.pipeline.len() as u64;
-        let ranking = self.pipeline.plt().ranking();
         let mut merged = MiningResult::builder(min_support, num_transactions);
         for s in 0..self.pipeline.shard_count() {
             if let Some(frag) = self.pipeline.fragment(s) {
                 merged.extend_from(frag);
             } else if let Some(entries) = self.store.load_shard(s) {
-                entries_fragment(&entries, ranking, &mut merged);
+                entries_fragment(&entries, s, &self.pipeline, &mut merged)?;
             }
             // A shard that is neither resident nor persisted holds
             // nothing (fresh shard before its first re-mine).
         }
         self.merged = merged.finish();
+        Ok(())
     }
 
     /// Publishes a checkpoint: every changed or never-persisted fragment
@@ -434,15 +434,30 @@ fn fragment_entries(shard: usize, frag: &MiningResult, ranking: &ItemRanking) ->
     }
 }
 
-/// Inverse of [`fragment_entries`]: decodes segment entries under
-/// `ranking` into `out` (prefix sums of the positions are the ranks,
-/// Lemma 4.1.1).
+/// Inverse of [`fragment_entries`]: decodes shard `shard`'s segment
+/// entries under `pipeline`'s ranking into `out` (prefix sums of the
+/// positions are the ranks, Lemma 4.1.1). A CRC-valid segment can still
+/// disagree with the manifest, so an entry whose ranks do not rise
+/// within the ranking, or whose last rank another shard owns, is
+/// `InvalidData`.
 fn entries_fragment(
     entries: &[(Vec<Rank>, Support)],
-    ranking: &ItemRanking,
+    shard: usize,
+    pipeline: &ShardedPipeline,
     out: &mut ResultBuilder,
-) {
+) -> io::Result<()> {
+    let ranking = pipeline.plt().ranking();
     for (positions, support) in entries {
+        let mut last: Rank = 0;
+        for &p in positions {
+            last = last
+                .checked_add(p)
+                .filter(|&r| p > 0 && r as usize <= ranking.len())
+                .ok_or_else(|| invalid_entry(shard))?;
+        }
+        if last == 0 || pipeline.shard_of_rank(last) != shard {
+            return Err(invalid_entry(shard));
+        }
         let mut rank: Rank = 0;
         let items = positions.iter().map(|&p| {
             rank += p;
@@ -450,4 +465,12 @@ fn entries_fragment(
         });
         out.push(items, *support);
     }
+    Ok(())
+}
+
+fn invalid_entry(shard: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("segment entry of shard {shard} disagrees with the manifest's ranking"),
+    )
 }

@@ -23,7 +23,8 @@
 //!
 //! Entries are sorted lexicographically by position vector. Segments are
 //! written once, fsynced, and never modified; readers mmap the file,
-//! verify the CRC, parse the directory + indexes into memory, and decode
+//! verify the CRC, parse the directory + indexes into memory, check each
+//! shard's index against one decode of its payload, and then decode
 //! payload bytes straight out of the mapping on demand.
 
 use std::io::{self, Write};
@@ -136,6 +137,48 @@ pub fn write_segment(
     Ok(bytes.len() as u64)
 }
 
+/// Decodes a shard's payload once and checks its block index against
+/// it: one block per `BLOCK_ENTRIES` entries, each offset and first key
+/// naming the entry that starts its block, keys strictly increasing, and
+/// the payload used up by `n_entries` entries. Panics where they
+/// disagree (`open` turns that into `InvalidData`), so `lookup` and
+/// `iter_shard` decode only bytes that passed here.
+fn check_shard(payload: &[u8], n_entries: usize, offsets: &[u64], first_keys: &[Vec<Rank>]) {
+    assert_eq!(
+        offsets.len(),
+        n_entries.div_ceil(BLOCK_ENTRIES),
+        "block count"
+    );
+    let mut buf = payload;
+    let (mut key, mut prev): (Vec<Rank>, Vec<Rank>) = (Vec::new(), Vec::new());
+    for ordinal in 0..n_entries {
+        let at = (payload.len() - buf.len()) as u64;
+        let klen = varint::get_u64(&mut buf) as usize;
+        let lcp = varint::get_u64(&mut buf) as usize;
+        let block = (ordinal % BLOCK_ENTRIES == 0).then_some(ordinal / BLOCK_ENTRIES);
+        assert!(lcp <= klen && lcp <= prev.len(), "prefix longer than a key");
+        assert!(
+            block.is_none() || lcp == 0,
+            "block starts with a shared prefix"
+        );
+        key.clear();
+        key.extend_from_slice(&prev[..lcp]);
+        for _ in lcp..klen {
+            key.push(varint::get_u32(&mut buf));
+        }
+        varint::get_u64(&mut buf); // support
+        assert!(ordinal == 0 || key > prev, "keys out of order");
+        if let Some(b) = block {
+            assert!(
+                offsets[b] == at && first_keys[b] == key,
+                "block index disagrees"
+            );
+        }
+        std::mem::swap(&mut key, &mut prev);
+    }
+    assert!(buf.is_empty(), "payload longer than its entries");
+}
+
 /// In-memory index of one shard inside a segment.
 struct ShardIndex {
     shard: u32,
@@ -186,7 +229,9 @@ impl std::fmt::Debug for SegmentReader {
 
 impl SegmentReader {
     /// Maps and validates a segment file, parsing the directory and
-    /// block indexes.
+    /// block indexes and checking each shard's index against one decode
+    /// of its payload. A file that is not a well-formed segment is
+    /// `InvalidData` here, so later reads never meet malformed bytes.
     pub fn open(path: &Path) -> io::Result<SegmentReader> {
         let map = Mmap::open(path)?;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
@@ -205,7 +250,8 @@ impl SegmentReader {
 
         // The varint decoder panics on corruption; the CRC has already
         // vouched for the bytes, so a panic here means a malformed write
-        // — convert it into an error all the same.
+        // (or a CRC-valid file that lies) — convert it into an error all
+        // the same.
         let parsed = std::panic::catch_unwind(|| {
             let data = &bytes[12..];
             let mut buf = data;
@@ -237,6 +283,7 @@ impl SegmentReader {
                 let payload_len = varint::get_u64(&mut buf) as usize;
                 let start = 12 + (data.len() - buf.len());
                 assert!(buf.len() >= payload_len, "payload overruns file");
+                check_shard(&buf[..payload_len], n_entries, &offsets, &first_keys);
                 buf = &buf[payload_len..];
                 shards.push(ShardIndex {
                     shard,
@@ -343,10 +390,9 @@ impl SegmentReader {
         let mut buf = payload;
         let mut out = Vec::with_capacity(idx.n_entries);
         let mut prev: Vec<Rank> = Vec::new();
-        for ordinal in 0..idx.n_entries {
+        for _ in 0..idx.n_entries {
             let klen = varint::get_u64(&mut buf) as usize;
             let lcp = varint::get_u64(&mut buf) as usize;
-            debug_assert!(ordinal % BLOCK_ENTRIES != 0 || lcp == 0);
             prev.truncate(lcp);
             for _ in lcp..klen {
                 prev.push(varint::get_u32(&mut buf));

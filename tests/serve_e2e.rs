@@ -1,18 +1,25 @@
 //! End-to-end exercise of the serving stack: mine a dataset, stand up a
 //! TCP server on an ephemeral port, and drive it through the client —
 //! cross-checking every wire answer against the miner's result, and the
-//! ingest path against a re-mine of the grown window.
+//! ingest path against a re-mine of the grown window. Below the wire, a
+//! property test drives the engine's snapshot slot through arbitrary
+//! publishes, pins and answers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use plt::baselines::FpGrowthMiner;
+use plt::core::construct::{construct, ConstructOptions};
 use plt::core::miner::Miner;
 use plt::data::{BasketConfig, BasketGenerator};
+use plt::rules::RuleConfig;
 use plt::serve::json::Json;
-use plt::serve::{bootstrap, serve, BuilderConfig, Client, Request, ServerConfig, SketchConfig};
+use plt::serve::{
+    bootstrap, serve, BuilderConfig, Client, Engine, Request, ServerConfig, SketchConfig, Snapshot,
+};
 use plt::store::DurableOptions;
 use plt::ConditionalMiner;
+use proptest::prelude::*;
 
 /// Start a server over `warmup` and return (handle, builder).
 fn start(
@@ -135,8 +142,6 @@ fn cache_hits_show_up_in_stats() {
             reactor.get("accepted").and_then(|v| v.as_u64()).unwrap() >= 1,
             "accepted connections counted"
         );
-        let pool = stats.get("reader_pool").expect("reader_pool stats");
-        assert!(pool.get("active_pins").and_then(|v| v.as_u64()).is_some());
     }
 
     client.shutdown().expect("shutdown");
@@ -508,7 +513,6 @@ fn stats_reply_fields_are_pinned() {
         "publishes",
         "query",
         "reactor",
-        "reader_pool",
         "rebuild",
         "rejected_connections",
         "sketch",
@@ -530,10 +534,6 @@ fn stats_reply_fields_are_pinned() {
             "snapshot_us",
             "total_us",
         ]
-    );
-    assert_eq!(
-        keys(stats.get("reader_pool").unwrap()),
-        ["active_pins", "swaps"]
     );
     let endpoint = &stats.get("endpoints").and_then(|e| e.as_arr()).unwrap()[0];
     assert_eq!(
@@ -716,4 +716,138 @@ fn durable_service_recovers_its_window_across_a_wire_restart() {
     handle.join();
     builder.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Itemsets whose supports move with the generation (see
+/// `generation_snapshot`), so a pin on the wrong generation shows.
+const PROBES: [&[u32]; 3] = [&[0], &[1], &[0, 1]];
+
+/// Generation `g`'s snapshot, over a window where `{0, 1}` appears
+/// `g % 4 + 1` times and `{1}` `g % 3 + 1` times beside two `{0, 2}`.
+fn generation_snapshot(generation: u64) -> Snapshot {
+    let mut db = vec![vec![0, 2], vec![0, 2]];
+    db.extend((0..generation % 4 + 1).map(|_| vec![0, 1]));
+    db.extend((0..generation % 3 + 1).map(|_| vec![1]));
+    let plt = construct(&db, 1, ConstructOptions::conditional()).unwrap();
+    let result = ConditionalMiner::default().mine(&db, 1);
+    Snapshot::build(generation, plt, &result, RuleConfig::default())
+}
+
+fn probe_supports(snapshot: &Snapshot) -> Vec<u64> {
+    PROBES.iter().map(|p| snapshot.support(p).support).collect()
+}
+
+/// One step of an engine interleaving, decoded from a `(tag, arg)` pair
+/// because the vendored proptest has no `prop_oneof`.
+#[derive(Debug)]
+enum Step {
+    /// Publish the next generation.
+    Publish,
+    /// Pin with `current()` and keep the `Arc`.
+    Pin,
+    /// Drop a kept pin (by index, modulo the pins alive).
+    Unpin(usize),
+    /// Answer a `support` request for `PROBES[probe]`, through `handle`
+    /// (`via: None`) or `handle_cached` with reactor slot `via`.
+    Answer { via: Option<usize>, probe: usize },
+}
+
+fn decode_step((tag, arg): (u8, u8)) -> Step {
+    let arg = usize::from(arg);
+    match tag {
+        0 => Step::Publish,
+        1 => Step::Pin,
+        2 => Step::Unpin(arg),
+        _ => Step::Answer {
+            via: [None, Some(0), Some(1)][arg % 3],
+            probe: arg / 3 % PROBES.len(),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Under arbitrary interleavings of publishes, kept pins, unpins and
+    /// `support` answers (direct and through two reactor slots):
+    ///
+    /// * a kept pin's generation and supports never change;
+    /// * a fresh pin and every reply name the last published generation
+    ///   and answer from it, so the response cache never answers for an
+    ///   older one;
+    /// * a replaced snapshot is freed once no pin and no reactor slot
+    ///   holds it.
+    #[test]
+    fn prop_pins_hold_one_generation_and_replaced_snapshots_are_freed(
+        raw_steps in proptest::collection::vec((0u8..4, any::<u8>()), 1..64),
+    ) {
+        let engine = Engine::new(generation_snapshot(1));
+        let mut last = 1u64;
+        // `expected[g - 1]` and `freed[g - 1]`: generation g's probe
+        // supports and a handle that upgrades while anything holds it.
+        let mut expected = vec![probe_supports(&engine.current())];
+        let mut freed = vec![Arc::downgrade(&engine.current())];
+        let mut slots: [Option<Arc<Snapshot>>; 2] = [None, None];
+        let mut pins: Vec<(Arc<Snapshot>, u64, Vec<u64>)> = Vec::new();
+
+        for step in raw_steps.into_iter().map(decode_step) {
+            match step {
+                Step::Publish => {
+                    last += 1;
+                    let snapshot = Arc::new(generation_snapshot(last));
+                    expected.push(probe_supports(&snapshot));
+                    freed.push(Arc::downgrade(&snapshot));
+                    engine.publish(snapshot);
+                }
+                Step::Pin => {
+                    let pin = engine.current();
+                    prop_assert_eq!(pin.generation(), last);
+                    let supports = probe_supports(&pin);
+                    prop_assert_eq!(&supports, &expected[last as usize - 1]);
+                    pins.push((pin, last, supports));
+                }
+                Step::Unpin(i) => {
+                    if !pins.is_empty() {
+                        pins.swap_remove(i % pins.len());
+                    }
+                }
+                Step::Answer { via, probe } => {
+                    let request = Request::Support { items: PROBES[probe].to_vec() };
+                    let reply = match via {
+                        None => engine.handle(&request),
+                        Some(slot) => engine.handle_cached(&request, &mut slots[slot]),
+                    };
+                    let v = Json::parse(&reply).unwrap();
+                    prop_assert_eq!(v.get("generation").and_then(|g| g.as_u64()), Some(last));
+                    prop_assert_eq!(
+                        v.get("support").and_then(|s| s.as_u64()),
+                        Some(expected[last as usize - 1][probe])
+                    );
+                }
+            }
+            for (pin, generation, supports) in &pins {
+                prop_assert_eq!(pin.generation(), *generation);
+                prop_assert_eq!(&probe_supports(pin), supports);
+            }
+            for (i, handle) in freed.iter().enumerate() {
+                let generation = i as u64 + 1;
+                let held = generation == last
+                    || pins.iter().any(|(_, g, _)| *g == generation)
+                    || slots.iter().flatten().any(|s| s.generation() == generation);
+                prop_assert_eq!(
+                    handle.upgrade().is_some(),
+                    held,
+                    "generation {} (last {})",
+                    generation,
+                    last
+                );
+            }
+        }
+
+        drop(pins);
+        drop(slots);
+        for (i, handle) in freed.iter().enumerate() {
+            prop_assert_eq!(handle.upgrade().is_some(), i as u64 + 1 == last);
+        }
+    }
 }

@@ -247,6 +247,109 @@ fn empty_and_single_block_segments_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every single-byte change to a small two-shard segment, with its CRC
+/// recomputed so the change reaches the parser: `open` either refuses
+/// the file as `InvalidData` or hands back a reader whose `iter_shard`
+/// and `lookup` answer without panicking.
+#[test]
+fn every_mutated_segment_byte_is_refused_or_read_without_panic() {
+    let dir = scratch("mutate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let keys = |n: u32, stride: u32| -> Vec<(Vec<u32>, u64)> {
+        (1..=n)
+            .map(|i| (vec![i, i + stride], u64::from(i % 7 + 1)))
+            .collect()
+    };
+    let shards = [
+        ShardEntries {
+            shard: 0,
+            entries: keys(BLOCK_ENTRIES as u32 + 4, 1),
+        },
+        ShardEntries {
+            shard: 3,
+            entries: keys(3, 5),
+        },
+    ];
+    let path = dir.join("mutant.seg");
+    write_segment(&path, 40, &shards).unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    let (mut refused, mut read) = (0, 0);
+    for at in 0..clean.len() {
+        for flip in [0x01u8, 0x80, 0xff] {
+            let mut bytes = clean.clone();
+            bytes[at] ^= flip;
+            let crc = plt::compress::crc32(&bytes[12..]);
+            bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let reader = match SegmentReader::open(&path) {
+                Ok(reader) => reader,
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "byte {at}: {e}");
+                    refused += 1;
+                    continue;
+                }
+            };
+            read += 1;
+            for shard in reader.shard_ids() {
+                for (positions, support) in reader.iter_shard(shard).expect("listed shard") {
+                    assert_eq!(reader.lookup(shard, &positions), Some(support), "byte {at}");
+                }
+            }
+            for shard in &shards {
+                for (positions, _) in &shard.entries {
+                    reader.lookup(shard.shard, positions);
+                }
+            }
+        }
+    }
+    assert!(refused > 0 && read > 0, "refused {refused}, read {read}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every single-byte change to a checkpoint's segment, with its CRC
+/// recomputed: reopening the data directory recovers or returns an
+/// error, and never panics — the entries must also agree with the
+/// manifest's ranking and shard bounds, which the segment alone cannot
+/// check.
+#[test]
+fn every_mutated_checkpoint_segment_byte_recovers_or_is_refused() {
+    let dir = scratch("mutate-recovery");
+    let config = ShardConfig {
+        min_support: 20,
+        ..ShardConfig::default()
+    };
+    let mut durable = DurablePipeline::open(&dir, config, DurableOptions::default()).unwrap();
+    durable.apply(Delta::add(quest(400))).unwrap();
+    durable.checkpoint().unwrap();
+    drop(durable);
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| std::fs::read(p).unwrap().starts_with(b"PLTS"))
+        .expect("the checkpoint wrote a segment");
+    let clean = std::fs::read(&segment).unwrap();
+    let (mut refused, mut recovered) = (0, 0);
+    for at in 12..clean.len() {
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x01;
+        let crc = plt::compress::crc32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&segment, &bytes).unwrap();
+        match DurablePipeline::open(&dir, config, DurableOptions::default()) {
+            Ok(_) => recovered += 1,
+            Err(e) => {
+                assert!(e.to_string().starts_with("storage:"), "byte {at}: {e}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        refused > 0 && recovered > 0,
+        "refused {refused}, recovered {recovered}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
