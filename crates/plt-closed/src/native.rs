@@ -73,7 +73,7 @@ impl ClosedMiner {
             *groups
                 .entry(e.sum)
                 .or_default()
-                .entry(v.clone())
+                .entry(v.to_owned())
                 .or_insert(0) += e.freq;
         }
         let mut state = State {

@@ -24,7 +24,7 @@ use bytes::Bytes;
 
 use plt_core::item::{Rank, Support};
 use plt_core::plt::Plt;
-use plt_core::posvec::PositionVector;
+use plt_core::posvec::{PositionVector, Positions};
 
 use crate::varint;
 
@@ -45,8 +45,8 @@ struct Partition {
 }
 
 impl Partition {
-    fn build(k: usize, mut entries: Vec<(PositionVector, Support)>) -> Partition {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
+    fn build(k: usize, mut entries: Vec<(&Positions, Support)>) -> Partition {
+        entries.sort_by(|a, b| a.0.cmp(b.0));
         let mut data = Vec::new();
         let mut restarts = Vec::new();
         let mut sum_index: BTreeMap<Rank, Vec<u32>> = BTreeMap::new();
@@ -184,8 +184,8 @@ impl CompressedPlt {
     pub fn from_plt(plt: &Plt) -> CompressedPlt {
         let mut partitions = Vec::new();
         for k in 1..=plt.max_len() {
-            let entries: Vec<(PositionVector, Support)> =
-                plt.partition(k).map(|(v, e)| (v.clone(), e.freq)).collect();
+            let entries: Vec<(&Positions, Support)> =
+                plt.partition(k).map(|(v, e)| (v, e.freq)).collect();
             if !entries.is_empty() {
                 partitions.push(Partition::build(k, entries));
             }
@@ -204,7 +204,7 @@ impl CompressedPlt {
             Plt::new(self.ranking.clone(), self.min_support).expect("stored min support was valid");
         for p in &self.partitions {
             for (v, freq) in p.iter() {
-                plt.insert_vector(v, freq);
+                plt.insert_vector(&v, freq);
             }
         }
         for _ in 0..self.num_transactions {
@@ -410,6 +410,7 @@ fn decode_body(mut buf: &[u8]) -> std::io::Result<CompressedPlt> {
         if entries.len() != num_entries {
             return Err(bad("partition entry count mismatch"));
         }
+        let entries = entries.iter().map(|(v, freq)| (&**v, *freq)).collect();
         partitions.push(Partition::build(k, entries));
     }
     Ok(CompressedPlt {
@@ -507,7 +508,7 @@ mod tests {
         let mut expect: Vec<(PositionVector, Support)> = plt
             .iter()
             .filter(|(_, e)| e.sum == 4)
-            .map(|(v, e)| (v.clone(), e.freq))
+            .map(|(v, e)| (v.to_owned(), e.freq))
             .collect();
         expect.sort();
         assert_eq!(cd, expect);
@@ -585,7 +586,7 @@ mod tests {
                     let mut expect: Vec<(PositionVector, Support)> = plt
                         .iter()
                         .filter(|(_, e)| e.sum == j)
-                        .map(|(v, e)| (v.clone(), e.freq))
+                        .map(|(v, e)| (v.to_owned(), e.freq))
                         .collect();
                     expect.sort();
                     prop_assert_eq!(got, expect);

@@ -49,9 +49,10 @@
 //! property suites here, in `tests/arena_equivalence.rs`,
 //! `tests/miners_agree.rs` and `tests/kernel_equivalence.rs`.
 
+use crate::hash::{mix, window_hash};
 use crate::item::{Rank, Support};
 use crate::miner::{MiningResult, ResultBuilder};
-use crate::plt::Plt;
+use crate::plt::{Matrix, Plt};
 use crate::posvec::PositionVector;
 use plt_obs::Obs;
 
@@ -104,29 +105,6 @@ impl MineStats {
         obs.counter("arena.mask_levels", self.mask_levels);
         obs.gauge("arena.bytes_peak", self.bytes_peak);
     }
-}
-
-/// One rank's word in an entry hash: the splitmix64 finalizer, so the
-/// wrapping sum over an entry's ranks spreads into the bits the dedup
-/// table indexes by.
-#[inline]
-fn mix(rank: Rank) -> u64 {
-    let mut z = u64::from(rank).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The entry hash of a delta window computed from scratch: the wrapping
-/// sum of [`mix`] over its ranks. Order-free, so dropping the last rank
-/// is one subtraction; a pure function of the rank set, whichever
-/// encoding the caller holds.
-fn window_hash(window: &[Rank]) -> u64 {
-    let mut rank: Rank = 0;
-    window.iter().fold(0u64, |h, &p| {
-        rank += p;
-        h.wrapping_add(mix(rank))
-    })
 }
 
 /// The dedup hash of a mask word: Fibonacci hashing, whose top bits —
@@ -355,7 +333,25 @@ impl Level {
         self.max_sum = self.max_sum.max(sum);
     }
 
+    /// Appends every row of a PLT partition matrix: its positions,
+    /// frequencies and cached hashes are copied column by column, and
+    /// each row is parked in the bucket of its cached sum.
+    fn push_matrix(&mut self, m: &Matrix) {
+        let base = self.positions.len();
+        self.positions.extend_from_slice(&m.positions);
+        self.freqs.extend_from_slice(&m.freq);
+        self.hashes.extend_from_slice(&m.hash);
+        for (r, &sum) in m.sum.iter().enumerate() {
+            let id = self.offsets.len() as EntryId;
+            self.offsets.push((base + r * m.width) as u32);
+            self.lens.push(m.width as u32);
+            self.buckets[sum as usize].push(id);
+            self.max_sum = self.max_sum.max(sum);
+        }
+    }
+
     /// Appends a delta window verbatim with its known sum and hash.
+    #[cfg(test)]
     fn push_window(&mut self, window: &[Rank], freq: Support, sum: Rank, hash: u64) {
         debug_assert!(!window.is_empty());
         debug_assert_eq!(window.iter().sum::<Rank>(), sum);
@@ -687,11 +683,10 @@ impl ArenaPool {
         } else {
             let level = &mut self.levels[0];
             level.reset(max_rank);
-            let positions = (1..=plt.max_len()).map(|k| k * plt.partition_len(k));
+            let positions = plt.matrices().iter().map(|m| m.positions.len());
             level.reserve_exact(plt.num_vectors(), positions.sum());
-            for (v, e) in plt.iter() {
-                let window = v.positions();
-                level.push_window(window, e.freq, e.sum, window_hash(window));
+            for m in plt.matrices() {
+                level.push_matrix(m);
             }
             mine_level(self, 0, plt, &mut suffix, out);
         }

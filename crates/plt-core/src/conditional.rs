@@ -128,11 +128,11 @@ pub fn extract_conditional(plt: &Plt, j: Rank) -> (Support, Vec<(PositionVector,
         if e.sum == j {
             support += e.freq;
             if let Some(prefix) = v.parent() {
-                residual.insert_vector(prefix.clone(), e.freq);
+                residual.insert_vector(&prefix, e.freq);
                 conditional.push((prefix, e.freq));
             }
         } else {
-            residual.insert_vector(v.clone(), e.freq);
+            residual.insert_vector(v, e.freq);
         }
     }
     conditional.sort_by(|a, b| a.0.cmp(&b.0));

@@ -19,7 +19,6 @@
 use crate::error::Result;
 use crate::item::{Item, Support};
 use crate::plt::Plt;
-use crate::posvec::PositionVector;
 use crate::ranking::{ItemRanking, RankPolicy};
 
 /// Knobs for [`construct`].
@@ -93,65 +92,22 @@ pub fn construct_obs<T: AsRef<[Item]>>(
     Ok(plt)
 }
 
-/// Second-scan body for a single transaction, shared with incremental use.
-fn insert_one(plt: &mut Plt, transaction: &[Item], with_prefixes: bool) -> Result<()> {
-    if !with_prefixes {
+/// Algorithm 1's second-scan step for one transaction, with or without
+/// its prefixes; parallel construction runs it per chunk.
+pub fn insert_one(plt: &mut Plt, transaction: &[Item], with_prefixes: bool) -> Result<()> {
+    if with_prefixes {
+        plt.insert_with_prefixes(transaction)?;
+    } else {
         plt.insert_transaction(transaction)?;
-        return Ok(());
-    }
-    // Prefix mode: validate/project once, then insert every prefix.
-    plt.note_transaction();
-    let ranks = plt.ranking().project(transaction);
-    if let Some(w) = ranks.windows(2).find(|w| w[0] == w[1]) {
-        return Err(crate::error::PltError::DuplicateItem {
-            item: plt.ranking().item(w[0]),
-        });
-    }
-    for end in 1..=ranks.len() {
-        let v = PositionVector::from_ranks(&ranks[..end]).expect("valid projection");
-        plt.insert_vector(v, 1);
     }
     Ok(())
-}
-
-/// Incremental construction: a builder that accepts transactions one at a
-/// time (e.g. when streaming from disk) against a ranking obtained from a
-/// prior scan or from domain knowledge.
-#[derive(Debug)]
-pub struct PltBuilder {
-    plt: Plt,
-    with_prefixes: bool,
-}
-
-impl PltBuilder {
-    /// Starts a builder over a fixed ranking.
-    pub fn new(
-        ranking: ItemRanking,
-        min_support: Support,
-        options: ConstructOptions,
-    ) -> Result<Self> {
-        Ok(PltBuilder {
-            plt: Plt::new(ranking, min_support)?,
-            with_prefixes: options.with_prefixes,
-        })
-    }
-
-    /// Inserts one transaction.
-    pub fn insert(&mut self, transaction: &[Item]) -> Result<&mut Self> {
-        insert_one(&mut self.plt, transaction, self.with_prefixes)?;
-        Ok(self)
-    }
-
-    /// Finishes construction.
-    pub fn finish(self) -> Plt {
-        self.plt
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::item::Rank;
+    use crate::posvec::PositionVector;
 
     fn table1() -> Vec<Vec<Item>> {
         vec![
@@ -195,28 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_equals_batch_construction() {
-        let db = table1();
-        let batch = construct(&db, 2, ConstructOptions::conditional()).unwrap();
-        let ranking = ItemRanking::scan(&db, 2, RankPolicy::Lexicographic);
-        let mut b = PltBuilder::new(ranking, 2, ConstructOptions::conditional()).unwrap();
-        for t in &db {
-            b.insert(t).unwrap();
-        }
-        let inc = b.finish();
-        assert_eq!(inc.num_vectors(), batch.num_vectors());
-        assert_eq!(inc.num_transactions(), batch.num_transactions());
-        for (v, e) in batch.iter() {
-            assert_eq!(inc.vector_frequency(v), e.freq);
-        }
-    }
-
-    #[test]
     fn prefix_mode_rejects_duplicates_too() {
-        let db = table1();
-        let ranking = ItemRanking::scan(&db, 2, RankPolicy::Lexicographic);
-        let mut b = PltBuilder::new(ranking, 2, ConstructOptions::top_down()).unwrap();
-        assert!(b.insert(&[1, 1]).is_err());
+        let err = construct(&[vec![1, 1]], 1, ConstructOptions::top_down()).unwrap_err();
+        assert_eq!(err, crate::error::PltError::DuplicateItem { item: 1 });
     }
 
     #[test]

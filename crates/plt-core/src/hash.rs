@@ -85,6 +85,29 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with the Fx hash.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// One rank's word in a rank-set hash: the splitmix64 finalizer, so the
+/// wrapping sum over a vector's ranks spreads into every bit.
+#[inline]
+pub(crate) fn mix(rank: crate::item::Rank) -> u64 {
+    let mut z = u64::from(rank).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The rank-set hash of a delta window: the wrapping sum of [`mix`] over
+/// its ranks. Order-free, so dropping the last rank is one subtraction; a
+/// pure function of the rank set, whichever encoding the caller holds.
+/// The PLT's row index keys its matrices by it, and the conditional
+/// arena's dedup tables start from the same cached value.
+pub(crate) fn window_hash(window: &[crate::item::Rank]) -> u64 {
+    let mut rank = 0;
+    window.iter().fold(0u64, |h, &p| {
+        rank += p;
+        h.wrapping_add(mix(rank))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,7 +80,7 @@ impl crate::miner::Mine for HybridMiner {
             *groups
                 .entry(e.sum)
                 .or_default()
-                .entry(v.clone())
+                .entry(v.to_owned())
                 .or_insert(0) += e.freq;
         }
         let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
@@ -149,7 +149,9 @@ impl HybridMiner {
         result: &mut ResultBuilder,
     ) {
         let ranking = plt.ranking();
-        let entries = groups.values().flat_map(|m| m.iter().map(|(v, &f)| (v, f)));
+        let entries = groups
+            .values()
+            .flat_map(|m| m.iter().map(|(v, &f)| (&**v, f)));
         let table = all_subset_supports_of(entries);
         for (v, support) in table.iter() {
             if support >= plt.min_support() {

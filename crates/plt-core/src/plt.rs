@@ -8,13 +8,19 @@
 //! the vector with each vector. This value will be used during the mining
 //! procedure using the conditional approach").
 //!
+//! Each partition is literally Figure 3a's matrix: one row-major buffer of
+//! `k`-wide position rows, with `freq`, `sum` and `hash` columns beside it
+//! and an open-addressed row index keyed by each row's hash. Rows are read
+//! as borrowed [`Positions`]; building, cloning and dropping a PLT touch a
+//! handful of buffers per partition, never one allocation per vector.
+//!
 //! A pointer-tree rendering of the same data (Figure 3b) lives in
 //! [`crate::tree`].
 
 use crate::error::{PltError, Result};
-use crate::hash::FxHashMap;
+use crate::hash::{mix, window_hash};
 use crate::item::{Item, Rank, Support};
-use crate::posvec::PositionVector;
+use crate::posvec::Positions;
 use crate::ranking::ItemRanking;
 
 /// Per-vector payload: frequency and cached position sum.
@@ -27,7 +33,225 @@ pub struct PltEntry {
     pub sum: Rank,
 }
 
-/// The PLT: length-partitioned map from position vectors to frequencies.
+/// The row index's empty slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Partition `D_k`: the distinct `k`-vectors as the rows of one matrix.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Matrix {
+    /// Row width `k`.
+    pub(crate) width: usize,
+    /// Row-major positions: row `r` is `positions[r·k .. (r+1)·k]`.
+    pub(crate) positions: Vec<Rank>,
+    /// Column: the frequency of each row.
+    pub(crate) freq: Vec<Support>,
+    /// Column: the cached sum of each row, the rank of its last item.
+    pub(crate) sum: Vec<Rank>,
+    /// Column: each row's order-free `window_hash`, which the index
+    /// probes by and the arena's dedup starts from.
+    pub(crate) hash: Vec<u64>,
+    /// The row index: row ids in an open-addressed table of a power-of-two
+    /// size, probed linearly from `hash & (len − 1)`, at most half full.
+    slots: Vec<u32>,
+}
+
+impl Matrix {
+    fn new(width: usize) -> Matrix {
+        Matrix {
+            width,
+            ..Matrix::default()
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub(crate) fn rows(&self) -> usize {
+        self.freq.len()
+    }
+
+    /// The positions of row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[Rank] {
+        &self.positions[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Every row with its entry, in row order.
+    fn iter(&self) -> impl Iterator<Item = (&Positions, PltEntry)> {
+        let rows = self.positions.chunks_exact(self.width);
+        rows.zip(&self.freq)
+            .zip(&self.sum)
+            .map(|((row, &freq), &sum)| (Positions::from_row(row), PltEntry { freq, sum }))
+    }
+
+    /// The slot a probe for `hash` starts at.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        hash as usize & (self.slots.len() - 1)
+    }
+
+    /// Probes for `row`: `Ok(slot)` holding its id, or `Err(slot)`, the
+    /// empty slot where it would go.
+    fn probe(&self, row: &[Rank], hash: u64) -> std::result::Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY {
+                return Err(i);
+            }
+            if self.hash[id as usize] == hash && self.row(id as usize) == row {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id of the row equal to `row`, if any.
+    fn find(&self, row: &[Rank], hash: u64) -> Option<usize> {
+        self.probe(row, hash).ok().map(|i| self.slots[i] as usize)
+    }
+
+    /// Adds `freq` to the row equal to `row`, appending it first when it
+    /// is new — Algorithm 1's "if V(t′) ∈ D_k increment, else add".
+    fn add(&mut self, row: &[Rank], sum: Rank, hash: u64, freq: Support) {
+        debug_assert_eq!(row.len(), self.width);
+        match self.probe(row, hash) {
+            Ok(i) => self.freq[self.slots[i] as usize] += freq,
+            Err(_) if 2 * (self.rows() + 1) > self.slots.len() => {
+                self.grow();
+                self.add(row, sum, hash, freq);
+            }
+            Err(i) => {
+                self.slots[i] = u32::try_from(self.rows())
+                    .ok()
+                    .filter(|&id| id != EMPTY)
+                    .expect("a partition holds fewer than 2^32 − 1 rows");
+                self.positions.extend_from_slice(row);
+                self.freq.push(freq);
+                self.sum.push(sum);
+                self.hash.push(hash);
+            }
+        }
+    }
+
+    /// Doubles the index and re-slots every row from its cached hash.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots = vec![EMPTY; len];
+        for (id, &hash) in self.hash.iter().enumerate() {
+            let mut i = self.home(hash);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = id as u32;
+        }
+    }
+
+    /// Takes one occurrence of `row` away: the row's frequency drops by
+    /// one, and a row reaching zero is swap-removed. Returns whether the
+    /// row was present.
+    fn remove_one(&mut self, row: &[Rank], hash: u64) -> bool {
+        let Ok(slot) = self.probe(row, hash) else {
+            return false;
+        };
+        let id = self.slots[slot] as usize;
+        if self.freq[id] > 1 {
+            self.freq[id] -= 1;
+            return true;
+        }
+        self.unslot(slot);
+        let last = self.rows() - 1;
+        if id != last {
+            // The last row moves into the hole; repoint its slot first.
+            let moved = self
+                .probe(self.row(last), self.hash[last])
+                .expect("every row is indexed");
+            self.slots[moved] = id as u32;
+            let w = self.width;
+            self.positions.copy_within(last * w..(last + 1) * w, id * w);
+            self.freq[id] = self.freq[last];
+            self.sum[id] = self.sum[last];
+            self.hash[id] = self.hash[last];
+        }
+        self.positions.truncate(last * self.width);
+        self.freq.truncate(last);
+        self.sum.truncate(last);
+        self.hash.truncate(last);
+        true
+    }
+
+    /// Empties `slot` with backward-shift deletion: each later slot of the
+    /// probe run moves up into the hole when its home allows, so no
+    /// tombstone is left behind.
+    fn unslot(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let id = self.slots[i];
+            if id == EMPTY {
+                break;
+            }
+            // The entry at `i` may fill the hole unless its home lies
+            // cyclically in `(hole, i]`.
+            let home = self.home(self.hash[id as usize]);
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = id;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY;
+    }
+
+    /// Checks the matrix's invariants (see [`Plt::validate`]).
+    fn validate(&self, ranked: usize) -> std::result::Result<(), String> {
+        let (k, rows) = (self.width, self.rows());
+        if self.positions.len() != rows * k || self.sum.len() != rows || self.hash.len() != rows {
+            return Err(format!("D_{k}'s columns disagree on the row count"));
+        }
+        let indexed = self.slots.iter().filter(|&&id| id != EMPTY).count();
+        if indexed != rows || 2 * rows > self.slots.len().max(1) {
+            return Err(format!(
+                "D_{k} indexes {indexed} slots of {} for {rows} rows",
+                self.slots.len()
+            ));
+        }
+        for (r, (v, e)) in self.iter().enumerate() {
+            if v.positions().contains(&0) {
+                return Err(format!("vector {v} holds a zero position"));
+            }
+            if e.sum != v.sum() {
+                return Err(format!(
+                    "vector {v} caches sum {} but positions sum to {}",
+                    e.sum,
+                    v.sum()
+                ));
+            }
+            if e.sum as usize > ranked {
+                return Err(format!(
+                    "vector {v} ends at rank {} beyond the {ranked} ranked items",
+                    e.sum
+                ));
+            }
+            if e.freq == 0 {
+                return Err(format!("vector {v} is a dead row: zero frequency"));
+            }
+            if self.hash[r] != window_hash(v.positions()) {
+                return Err(format!("vector {v} caches a stale hash"));
+            }
+            if self.find(v.positions(), self.hash[r]) != Some(r) {
+                return Err(format!("vector {v} is not indexed as row {r} of D_{k}"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The PLT: length-partitioned matrices of distinct position vectors with
+/// their frequencies.
 ///
 /// # Examples
 ///
@@ -48,12 +272,14 @@ pub struct PltEntry {
 #[derive(Debug, Clone)]
 pub struct Plt {
     /// `partitions[k − 1]` is the paper's `D_k`.
-    partitions: Vec<FxHashMap<PositionVector, PltEntry>>,
+    partitions: Vec<Matrix>,
     ranking: ItemRanking,
     min_support: Support,
-    /// Transactions scanned during construction (including those that
+    /// Transactions accepted into the structure (including those that
     /// projected to nothing).
     num_transactions: u64,
+    /// Projection scratch, reused by every insert and remove.
+    scratch: Vec<Rank>,
 }
 
 impl Plt {
@@ -67,6 +293,7 @@ impl Plt {
             ranking,
             min_support,
             num_transactions: 0,
+            scratch: Vec::new(),
         })
     }
 
@@ -82,17 +309,17 @@ impl Plt {
         self.min_support
     }
 
-    /// Number of transactions scanned into the structure.
+    /// Number of transactions accepted into the structure. A transaction
+    /// rejected with an error is not counted.
     #[inline]
     pub fn num_transactions(&self) -> u64 {
         self.num_transactions
     }
 
     /// Records that one more transaction was scanned without going through
-    /// [`insert_transaction`](Self::insert_transaction) — construction
-    /// paths that project and insert vectors manually (e.g. prefix-mode
-    /// insertion) call this to keep [`num_transactions`](Self::num_transactions)
-    /// honest.
+    /// [`insert_transaction`](Self::insert_transaction) — paths that
+    /// insert vectors directly (e.g. decompression) call this to keep
+    /// [`num_transactions`](Self::num_transactions) honest.
     pub fn note_transaction(&mut self) {
         self.num_transactions += 1;
     }
@@ -101,74 +328,114 @@ impl Plt {
     pub fn max_len(&self) -> usize {
         self.partitions
             .iter()
-            .rposition(|p| !p.is_empty())
+            .rposition(|m| m.rows() > 0)
             .map_or(0, |i| i + 1)
     }
 
-    /// Partition `D_k`: the distinct vectors of length `k` (empty slice
-    /// semantics for `k` beyond the longest vector).
-    pub fn partition(&self, k: usize) -> impl Iterator<Item = (&PositionVector, &PltEntry)> {
+    /// Partition `D_k`: its distinct vectors as borrowed rows, in row
+    /// order (nothing for `k` beyond the longest vector).
+    pub fn partition(&self, k: usize) -> impl Iterator<Item = (&Positions, PltEntry)> {
         self.partitions
             .get(k.wrapping_sub(1))
             .into_iter()
-            .flat_map(|m| m.iter())
+            .flat_map(Matrix::iter)
     }
 
     /// Number of distinct vectors in partition `D_k`.
     pub fn partition_len(&self, k: usize) -> usize {
         self.partitions
             .get(k.wrapping_sub(1))
-            .map_or(0, |m| m.len())
+            .map_or(0, Matrix::rows)
     }
 
     /// Total number of distinct vectors across all partitions.
     pub fn num_vectors(&self) -> usize {
-        self.partitions.iter().map(|m| m.len()).sum()
+        self.partitions.iter().map(Matrix::rows).sum()
+    }
+
+    /// The partition matrices `D_1 … D_k`, for the arena's level-0 fill.
+    pub(crate) fn matrices(&self) -> &[Matrix] {
+        &self.partitions
     }
 
     /// Sum of frequencies across all vectors (= number of transactions that
     /// projected onto at least one frequent item, when the PLT was built
     /// without prefix insertion).
     pub fn total_frequency(&self) -> Support {
-        self.partitions
-            .iter()
-            .flat_map(|m| m.values())
-            .map(|e| e.freq)
-            .sum()
+        self.partitions.iter().flat_map(|m| m.freq.iter()).sum()
+    }
+
+    /// The matrix of `D_k`, created (with any shorter ones) on first use.
+    fn matrix_mut(partitions: &mut Vec<Matrix>, k: usize) -> &mut Matrix {
+        while partitions.len() < k {
+            partitions.push(Matrix::new(partitions.len() + 1));
+        }
+        &mut partitions[k - 1]
     }
 
     /// Inserts (or increments) a vector with the given frequency —
     /// Algorithm 1's "If V(t′) ∈ D_k increment … else add with freq".
-    pub fn insert_vector(&mut self, vector: PositionVector, freq: Support) {
-        let k = vector.len();
-        if self.partitions.len() < k {
-            self.partitions.resize_with(k, FxHashMap::default);
+    /// The row is copied into the matrix of its length.
+    pub fn insert_vector(&mut self, vector: &Positions, freq: Support) {
+        let row = vector.positions();
+        Self::matrix_mut(&mut self.partitions, row.len()).add(
+            row,
+            vector.sum(),
+            window_hash(row),
+            freq,
+        );
+    }
+
+    /// Projects `transaction` through the ranking into the scratch buffer
+    /// as a position vector and returns its hash, or `None` when no item
+    /// is ranked. Rejects duplicate items.
+    fn project(&mut self, transaction: &[Item]) -> Result<Option<u64>> {
+        self.ranking.project_into(transaction, &mut self.scratch);
+        let (mut prev, mut hash) = (0, 0u64);
+        for p in self.scratch.iter_mut() {
+            let rank = *p;
+            if rank == prev {
+                return Err(PltError::DuplicateItem {
+                    item: self.ranking.item(rank),
+                });
+            }
+            hash = hash.wrapping_add(mix(rank));
+            *p = rank - prev;
+            prev = rank;
         }
-        let sum = vector.sum();
-        let entry = self.partitions[k - 1]
-            .entry(vector)
-            .or_insert(PltEntry { freq: 0, sum });
-        entry.freq += freq;
+        Ok((!self.scratch.is_empty()).then_some(hash))
     }
 
     /// Projects a raw transaction through the ranking and inserts its
     /// vector. Returns `Ok(false)` when the transaction has no frequent
-    /// items (nothing inserted). Rejects duplicate items.
+    /// items (nothing inserted). Rejects duplicate items, leaving the PLT
+    /// and its transaction count unchanged.
     pub fn insert_transaction(&mut self, transaction: &[Item]) -> Result<bool> {
+        let hash = self.project(transaction)?;
         self.num_transactions += 1;
-        let ranks = self.ranking.project(transaction);
-        if ranks.windows(2).any(|w| w[0] == w[1]) {
-            let dup_rank = ranks.windows(2).find(|w| w[0] == w[1]).unwrap()[0];
-            return Err(PltError::DuplicateItem {
-                item: self.ranking.item(dup_rank),
-            });
-        }
-        if ranks.is_empty() {
+        let Some(hash) = hash else {
             return Ok(false);
-        }
-        let vector = PositionVector::from_ranks(&ranks).expect("projection yields valid ranks");
-        self.insert_vector(vector, 1);
+        };
+        let row = &self.scratch;
+        let sum = row.iter().sum();
+        Self::matrix_mut(&mut self.partitions, row.len()).add(row, sum, hash, 1);
         Ok(true)
+    }
+
+    /// [`insert_transaction`](Self::insert_transaction) for the top-down
+    /// miner: inserts every prefix of the transaction's vector alongside
+    /// the vector itself (the paper's part-A-at-construction step, see
+    /// [`crate::construct`]). Errors and counts like `insert_transaction`.
+    pub fn insert_with_prefixes(&mut self, transaction: &[Item]) -> Result<bool> {
+        let projected = self.project(transaction)?;
+        self.num_transactions += 1;
+        let (mut rank, mut hash) = (0, 0u64);
+        for end in 1..=self.scratch.len() {
+            rank += self.scratch[end - 1];
+            hash = hash.wrapping_add(mix(rank));
+            Self::matrix_mut(&mut self.partitions, end).add(&self.scratch[..end], rank, hash, 1);
+        }
+        Ok(projected.is_some())
     }
 
     /// Removes one occurrence of a previously inserted transaction —
@@ -176,36 +443,26 @@ impl Plt {
     /// databases" story (a PLT can track a sliding window without
     /// rebuilding, as long as the ranking stays fixed).
     ///
-    /// Returns `Ok(true)` when a vector was decremented (and dropped at
-    /// frequency zero), `Ok(false)` when the transaction projects to
-    /// nothing under the ranking. Removing a transaction that was never
-    /// inserted is an error.
+    /// Returns `Ok(true)` when a vector was decremented (and its row
+    /// swap-removed at frequency zero), `Ok(false)` when the transaction
+    /// projects to nothing under the ranking. Removing a transaction that
+    /// was never inserted is an error.
     ///
     /// Note the ranking is *not* re-derived: items that fell below the
     /// original support threshold keep their ranks. Callers that need
     /// exact re-ranking after heavy churn should reconstruct.
     pub fn remove_transaction(&mut self, transaction: &[Item]) -> Result<bool> {
-        let ranks = self.ranking.project(transaction);
-        if let Some(w) = ranks.windows(2).find(|w| w[0] == w[1]) {
-            return Err(PltError::DuplicateItem {
-                item: self.ranking.item(w[0]),
-            });
-        }
-        if ranks.is_empty() {
+        let Some(hash) = self.project(transaction)? else {
             self.num_transactions = self.num_transactions.saturating_sub(1);
             return Ok(false);
-        }
-        let vector = PositionVector::from_ranks(&ranks).expect("projection yields valid ranks");
-        let k = vector.len();
-        let partition = self.partitions.get_mut(k - 1).ok_or(PltError::NotPresent)?;
-        match partition.get_mut(&vector) {
-            Some(entry) if entry.freq > 1 => {
-                entry.freq -= 1;
-            }
-            Some(_) => {
-                partition.remove(&vector);
-            }
-            None => return Err(PltError::NotPresent),
+        };
+        let row = &self.scratch;
+        let present = self
+            .partitions
+            .get_mut(row.len() - 1)
+            .is_some_and(|m| m.remove_one(row, hash));
+        if !present {
+            return Err(PltError::NotPresent);
         }
         self.num_transactions = self.num_transactions.saturating_sub(1);
         Ok(true)
@@ -214,6 +471,7 @@ impl Plt {
     /// Absorbs another PLT built over the same ranking, summing vector
     /// frequencies and transaction counts. Fuel for parallel construction:
     /// chunks of the database build local PLTs that are merged at the end.
+    /// A partition this PLT does not hold yet is moved over whole.
     ///
     /// # Panics
     /// Debug-asserts the rankings agree; merging PLTs with different rank
@@ -221,29 +479,37 @@ impl Plt {
     pub fn absorb(&mut self, other: Plt) {
         debug_assert_eq!(self.ranking, other.ranking, "rankings must match");
         self.num_transactions += other.num_transactions;
-        for partition in other.partitions {
-            for (v, e) in partition {
-                self.insert_vector(v, e.freq);
+        for theirs in other.partitions {
+            let ours = Self::matrix_mut(&mut self.partitions, theirs.width);
+            if ours.rows() == 0 {
+                *ours = theirs;
+                continue;
+            }
+            for r in 0..theirs.rows() {
+                ours.add(theirs.row(r), theirs.sum[r], theirs.hash[r], theirs.freq[r]);
             }
         }
     }
 
     /// Frequency of `vector` *as a stored vector* (not itemset support).
-    pub fn vector_frequency(&self, vector: &PositionVector) -> Support {
-        self.partitions
-            .get(vector.len() - 1)
-            .and_then(|m| m.get(vector))
-            .map_or(0, |e| e.freq)
+    pub fn vector_frequency(&self, vector: &Positions) -> Support {
+        self.get(vector).map_or(0, |e| e.freq)
     }
 
     /// Looks up a full entry.
-    pub fn get(&self, vector: &PositionVector) -> Option<&PltEntry> {
-        self.partitions.get(vector.len() - 1)?.get(vector)
+    pub fn get(&self, vector: &Positions) -> Option<PltEntry> {
+        let row = vector.positions();
+        let m = self.partitions.get(row.len() - 1)?;
+        let r = m.find(row, window_hash(row))?;
+        Some(PltEntry {
+            freq: m.freq[r],
+            sum: m.sum[r],
+        })
     }
 
     /// Iterates over every `(vector, entry)` pair, shortest vectors first.
-    pub fn iter(&self) -> impl Iterator<Item = (&PositionVector, &PltEntry)> {
-        self.partitions.iter().flat_map(|m| m.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (&Positions, PltEntry)> {
+        self.partitions.iter().flat_map(Matrix::iter)
     }
 
     /// Computes the support of an arbitrary itemset by scanning the stored
@@ -251,18 +517,14 @@ impl Plt {
     /// exact but unindexed; the miners are the fast path, this is the
     /// ad-hoc query path.
     pub fn itemset_support(&self, items: &[Item]) -> Support {
-        let mut ranks = Vec::with_capacity(items.len());
-        for &item in items {
-            match self.ranking.rank(item) {
-                Some(r) => ranks.push(r),
-                None => return 0, // contains an infrequent item
-            }
-        }
-        ranks.sort_unstable();
-        ranks.dedup();
-        let needle = match PositionVector::from_ranks(&ranks) {
-            Ok(v) => v,
-            Err(_) => return self.total_frequency(), // empty itemset
+        let Some(needle) = crate::posvec::PositionVector::canonical_for(items, &self.ranking)
+        else {
+            // The empty itemset is in every vector; an unranked item in none.
+            return if items.is_empty() {
+                self.total_frequency()
+            } else {
+                0
+            };
         };
         let mut support = 0;
         for k in needle.len()..=self.max_len() {
@@ -279,37 +541,22 @@ impl Plt {
     /// description of the first violation. Meant for tests, debugging and
     /// post-deserialisation sanity checks; `O(total positions)`.
     ///
-    /// Invariants: every vector sits in the partition of its length, all
+    /// Invariants: every matrix holds rows of its partition's length, all
     /// positions are `>= 1`, the cached sum equals the position sum, the
-    /// last rank does not exceed the ranking size, and frequencies are
-    /// non-zero.
+    /// last rank does not exceed the ranking size, no row is dead (zero
+    /// frequency), each cached hash is the row's hash, and every row is
+    /// indexed exactly once, by its own hash, in an index at most half
+    /// full.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        for (k0, partition) in self.partitions.iter().enumerate() {
-            for (v, e) in partition {
-                if v.len() != k0 + 1 {
-                    return Err(format!("vector {v} stored in partition D_{}", k0 + 1));
-                }
-                if v.positions().contains(&0) {
-                    return Err(format!("vector {v} holds a zero position"));
-                }
-                if e.sum != v.sum() {
-                    return Err(format!(
-                        "vector {v} caches sum {} but positions sum to {}",
-                        e.sum,
-                        v.sum()
-                    ));
-                }
-                if e.sum as usize > self.ranking.len() {
-                    return Err(format!(
-                        "vector {v} ends at rank {} beyond the {} ranked items",
-                        e.sum,
-                        self.ranking.len()
-                    ));
-                }
-                if e.freq == 0 {
-                    return Err(format!("vector {v} stored with zero frequency"));
-                }
+        for (k0, m) in self.partitions.iter().enumerate() {
+            if m.width != k0 + 1 {
+                return Err(format!(
+                    "matrix of width {} stored as D_{}",
+                    m.width,
+                    k0 + 1
+                ));
             }
+            m.validate(self.ranking.len())?;
         }
         Ok(())
     }
@@ -324,7 +571,7 @@ impl Plt {
                 continue;
             }
             writeln!(out, "D_{k}:").unwrap();
-            let mut rows: Vec<(&PositionVector, &PltEntry)> = self.partition(k).collect();
+            let mut rows: Vec<(&Positions, PltEntry)> = self.partition(k).collect();
             rows.sort_by(|a, b| a.0.cmp(b.0));
             for (v, e) in rows {
                 writeln!(out, "  {v}  sum={}  freq={}", e.sum, e.freq).unwrap();
@@ -337,6 +584,7 @@ impl Plt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posvec::PositionVector;
     use crate::ranking::RankPolicy;
 
     fn table1() -> Vec<Vec<Item>> {
@@ -409,8 +657,15 @@ mod tests {
         let db = table1();
         let ranking = ItemRanking::scan(&db, 2, RankPolicy::Lexicographic);
         let mut plt = Plt::new(ranking, 2).unwrap();
+        plt.insert_transaction(&[0, 1]).unwrap();
         let err = plt.insert_transaction(&[0, 1, 0]).unwrap_err();
         assert_eq!(err, PltError::DuplicateItem { item: 0 });
+        let err = plt.insert_with_prefixes(&[2, 1, 2]).unwrap_err();
+        assert_eq!(err, PltError::DuplicateItem { item: 2 });
+        // A rejected transaction is not counted and leaves no vector.
+        assert_eq!(plt.num_transactions(), 1);
+        assert_eq!(plt.num_vectors(), 1);
+        plt.validate().unwrap();
     }
 
     #[test]
@@ -496,6 +751,49 @@ mod tests {
     }
 
     #[test]
+    fn swap_remove_keeps_every_row_indexed() {
+        // All 780 pairs of 40 items fill one matrix (and grow its index
+        // several times); every third pair is inserted twice. Removing
+        // them in a scrambled order exercises backward-shift deletion
+        // across wrapped probe runs and the repointing of moved rows.
+        let db: Vec<Vec<Item>> = (0..40)
+            .flat_map(|a| (a + 1..40).map(move |b| vec![a, b]))
+            .collect();
+        let ranking = ItemRanking::scan(&db, 1, RankPolicy::Lexicographic);
+        let mut plt = Plt::new(ranking, 1).unwrap();
+        let mut live: Vec<(Vec<Item>, Support)> = Vec::new();
+        for (i, t) in db.iter().enumerate() {
+            let copies = if i % 3 == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                plt.insert_transaction(t).unwrap();
+            }
+            live.push((t.clone(), copies));
+        }
+        plt.validate().unwrap();
+        let mut step = 0usize;
+        while !live.is_empty() {
+            step += 1;
+            let i = (step * 7919) % live.len();
+            plt.remove_transaction(&live[i].0).unwrap();
+            live[i].1 -= 1;
+            if live[i].1 == 0 {
+                live.swap_remove(i);
+            }
+            plt.validate().unwrap();
+            if step % 64 == 0 {
+                assert_eq!(plt.num_vectors(), live.len());
+                for (t, freq) in &live {
+                    let ranks = plt.ranking().project(t);
+                    let v = PositionVector::from_ranks(&ranks).unwrap();
+                    assert_eq!(plt.vector_frequency(&v), *freq, "{t:?}");
+                }
+            }
+        }
+        assert_eq!(plt.num_vectors(), 0);
+        assert_eq!(plt.num_transactions(), 0);
+    }
+
+    #[test]
     fn absorb_merges_chunked_construction() {
         let db = table1();
         let ranking = ItemRanking::scan(&db, 2, RankPolicy::Lexicographic);
@@ -529,7 +827,7 @@ mod tests {
 
         // Corrupt: insert a vector whose last rank exceeds the ranking.
         let mut bad = build_table1();
-        bad.insert_vector(pv(&[9]), 1);
+        bad.insert_vector(&pv(&[9]), 1);
         let err = bad.validate().unwrap_err();
         assert!(err.contains("beyond"), "{err}");
     }
@@ -607,8 +905,8 @@ mod tests {
     fn insert_vector_accumulates() {
         let ranking = ItemRanking::scan(&table1(), 2, RankPolicy::Lexicographic);
         let mut plt = Plt::new(ranking, 1).unwrap();
-        plt.insert_vector(pv(&[1, 2]), 3);
-        plt.insert_vector(pv(&[1, 2]), 2);
+        plt.insert_vector(&pv(&[1, 2]), 3);
+        plt.insert_vector(&pv(&[1, 2]), 2);
         assert_eq!(plt.vector_frequency(&pv(&[1, 2])), 5);
         assert_eq!(plt.get(&pv(&[1, 2])).unwrap().sum, 3);
     }

@@ -4,21 +4,26 @@
 //! `X = {x_1 < … < x_k}` (ordered by rank) as the sequence of rank deltas
 //! `pos(x_i) = Rank(x_i) − Rank(x_{i−1})` with `Rank(x_0) = Rank(null) = 0`.
 //!
+//! A vector comes in two forms, as a path does in `Path` and `PathBuf`:
+//! the borrowed [`Positions`], which a PLT's partition matrices hand out
+//! row by row and which holds every read-only operation, and the owned
+//! [`PositionVector`], which derefs to it.
+//!
 //! The module implements, with direct references to the paper:
 //!
-//! * **Lemma 4.1.1**: `Rank(x_i) = Σ_{j≤i} pos(x_j)` — [`PositionVector::ranks`].
+//! * **Lemma 4.1.1**: `Rank(x_i) = Σ_{j≤i} pos(x_j)` — [`Positions::ranks`].
 //! * **Lemma 4.1.2** (uniqueness): round-tripping through
-//!   [`PositionVector::from_ranks`]/[`ranks`](PositionVector::ranks) is the
+//!   [`PositionVector::from_ranks`]/[`ranks`](Positions::ranks) is the
 //!   identity, so equality of vectors is equality of itemsets (property
 //!   tested below).
 //! * **Lemma 4.1.3**: the `(k−1)`-subsets of `X` are obtained by (a)
-//!   dropping the last position — [`PositionVector::parent`] — or (b)
+//!   dropping the last position — [`Positions::parent`] — or (b)
 //!   replacing two consecutive positions by their sum —
-//!   [`PositionVector::merged_at`]. [`PositionVector::level_down_subsets`]
+//!   [`Positions::merged_at`]. [`Positions::level_down_subsets`]
 //!   enumerates all of them.
 //! * The generalisation used by the top-down miner: *every* subset of `X`
 //!   corresponds to dropping a suffix and merging runs of consecutive
-//!   positions — [`PositionVector::subset_vectors`].
+//!   positions — [`Positions::subset_vectors`].
 
 use crate::error::{PltError, Result};
 use crate::item::{Item, Rank};
@@ -26,10 +31,20 @@ use crate::ranking::ItemRanking;
 
 /// A position vector: non-empty sequence of positions, each `>= 1`.
 ///
-/// Stored as a boxed slice (two words instead of `Vec`'s three) because PLT
-/// partitions hold millions of these as hash-map keys.
+/// The owned form: it derefs to [`Positions`], where every read-only
+/// operation lives. A PLT stores no `PositionVector`: its partitions are
+/// row matrices that hand out `&Positions` rows. Owned vectors are keys
+/// built outside a PLT (canonical keys, subset enumeration, tests).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PositionVector(Box<[Rank]>);
+
+/// A borrowed position vector: a row of a PLT partition matrix, or the
+/// contents of a [`PositionVector`]. Unsized like `Path` and used behind
+/// `&`, so a `&PositionVector` coerces to `&Positions` wherever one is
+/// asked for, and `to_owned` makes the owned form.
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
+pub struct Positions([Rank]);
 
 impl PositionVector {
     /// Builds the vector for a strictly increasing rank sequence
@@ -81,13 +96,56 @@ impl PositionVector {
 
     /// Wraps raw positions, validating that each is `>= 1`.
     pub fn from_positions(positions: Vec<Rank>) -> Result<PositionVector> {
+        Positions::new(&positions)?;
+        Ok(PositionVector(positions.into_boxed_slice()))
+    }
+}
+
+impl std::ops::Deref for PositionVector {
+    type Target = Positions;
+
+    #[inline]
+    fn deref(&self) -> &Positions {
+        Positions::from_row(&self.0)
+    }
+}
+
+impl std::borrow::Borrow<Positions> for PositionVector {
+    fn borrow(&self) -> &Positions {
+        self
+    }
+}
+
+impl ToOwned for Positions {
+    type Owned = PositionVector;
+
+    fn to_owned(&self) -> PositionVector {
+        PositionVector(self.0.into())
+    }
+}
+
+impl Positions {
+    /// Views `positions` as a position vector, validating that it is
+    /// non-empty and that each position is `>= 1`.
+    pub fn new(positions: &[Rank]) -> Result<&Positions> {
         if positions.is_empty() {
             return Err(PltError::Empty);
         }
         if positions.contains(&0) {
             return Err(PltError::ZeroPosition);
         }
-        Ok(PositionVector(positions.into_boxed_slice()))
+        Ok(Positions::from_row(positions))
+    }
+
+    /// Views a slice already known to be a valid position vector — a
+    /// row of a partition matrix. Debug builds check the invariant.
+    #[inline]
+    pub(crate) fn from_row(positions: &[Rank]) -> &Positions {
+        debug_assert!(!positions.is_empty() && !positions.contains(&0));
+        // SAFETY: `Positions` is a `repr(transparent)` wrapper around
+        // `[Rank]`, so both slice pointers share layout and length
+        // metadata.
+        unsafe { &*(positions as *const [Rank] as *const Positions) }
     }
 
     /// The raw positions.
@@ -135,9 +193,7 @@ impl PositionVector {
         if self.0.len() <= 1 {
             None
         } else {
-            Some(PositionVector(
-                self.0[..self.0.len() - 1].to_vec().into_boxed_slice(),
-            ))
+            Some(PositionVector(self.0[..self.0.len() - 1].into()))
         }
     }
 
@@ -184,7 +240,7 @@ impl PositionVector {
     /// Subset check in position-vector space: does `self`'s itemset contain
     /// `other`'s? Runs in `O(len(self))` by walking both prefix-sum streams
     /// in lockstep — the "light subset checking" the paper advertises.
-    pub fn contains(&self, other: &PositionVector) -> bool {
+    pub fn contains(&self, other: &Positions) -> bool {
         let mut acc = 0;
         let mut need_iter = other.ranks_iter();
         let mut need = match need_iter.next() {
@@ -254,7 +310,7 @@ impl PositionVector {
     }
 }
 
-impl std::fmt::Display for PositionVector {
+impl std::fmt::Display for Positions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[")?;
         for (i, p) in self.0.iter().enumerate() {
@@ -264,6 +320,12 @@ impl std::fmt::Display for PositionVector {
             write!(f, "{p}")?;
         }
         write!(f, "]")
+    }
+}
+
+impl std::fmt::Display for PositionVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 

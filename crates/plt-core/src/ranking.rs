@@ -145,12 +145,18 @@ impl ItemRanking {
     /// projection); duplicate items within a transaction are an input error
     /// handled by the construction layer.
     pub fn project(&self, transaction: &[Item]) -> Vec<Rank> {
-        let mut ranks: Vec<Rank> = transaction
-            .iter()
-            .filter_map(|&item| self.rank(item))
-            .collect();
-        ranks.sort_unstable();
+        let mut ranks = Vec::new();
+        self.project_into(transaction, &mut ranks);
         ranks
+    }
+
+    /// [`project`](Self::project) into a caller's buffer, cleared first:
+    /// the allocation-free form that PLT insertion reuses per
+    /// transaction.
+    pub fn project_into(&self, transaction: &[Item], ranks: &mut Vec<Rank>) {
+        ranks.clear();
+        ranks.extend(transaction.iter().filter_map(|&item| self.rank(item)));
+        ranks.sort_unstable();
     }
 
     /// Maps a strictly increasing rank sequence back to items, returned in

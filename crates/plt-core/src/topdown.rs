@@ -35,7 +35,7 @@ use crate::hash::FxHashMap;
 use crate::item::{Item, Support};
 use crate::miner::{Miner, MiningResult};
 use crate::plt::Plt;
-use crate::posvec::PositionVector;
+use crate::posvec::{PositionVector, Positions};
 use crate::ranking::RankPolicy;
 
 /// Complete subset-support table: the "database after the top-down
@@ -47,7 +47,7 @@ pub struct AllSubsetSupports {
 
 impl AllSubsetSupports {
     /// Support of the itemset encoded by `vector` (0 if it never occurs).
-    pub fn support(&self, vector: &PositionVector) -> Support {
+    pub fn support(&self, vector: &Positions) -> Support {
         self.supports.get(vector).copied().unwrap_or(0)
     }
 
@@ -73,7 +73,7 @@ impl AllSubsetSupports {
         let mut out = Plt::new(plt.ranking().clone(), plt.min_support())
             .expect("source PLT had valid min support");
         for (v, s) in self.iter() {
-            out.insert_vector(v.clone(), s);
+            out.insert_vector(v, s);
         }
         out
     }
@@ -94,7 +94,7 @@ pub fn all_subset_supports(plt: &Plt) -> AllSubsetSupports {
 /// `(vector, frequency)` entries — the form the hybrid miner feeds
 /// conditional databases through.
 pub fn all_subset_supports_of<'a>(
-    entries: impl Iterator<Item = (&'a PositionVector, Support)>,
+    entries: impl Iterator<Item = (&'a Positions, Support)>,
 ) -> AllSubsetSupports {
     // levels[k − 1]: in-flight vectors of length k, keyed by
     // (vector, merge bound): value = accumulated inherited frequency.

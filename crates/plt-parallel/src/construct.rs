@@ -8,17 +8,17 @@
 //! * scan 2 — vector insertion: each chunk builds a local [`Plt`] over the
 //!   shared ranking; PLTs merge with [`Plt::absorb`] (frequencies sum).
 //!
-//! The merged structure is byte-for-byte the sequential one because PLT
-//! partitions are multiset maps — insertion order never matters.
+//! The merged structure holds the same rows as the sequential one: a
+//! partition is a set of distinct vectors with summed frequencies, so
+//! insertion order changes only the order of its rows.
 
 use rayon::prelude::*;
 
-use plt_core::construct::ConstructOptions;
+use plt_core::construct::{insert_one, ConstructOptions};
 use plt_core::error::Result;
 use plt_core::hash::FxHashMap;
 use plt_core::item::{Item, Support};
 use plt_core::plt::Plt;
-use plt_core::posvec::PositionVector;
 use plt_core::ranking::ItemRanking;
 
 /// Transactions per parallel chunk. Large enough to amortise the local-map
@@ -62,7 +62,7 @@ pub fn par_construct(
         .map(|chunk| -> Result<Plt> {
             let mut local = Plt::new(ranking.clone(), min_support)?;
             for t in chunk {
-                insert(&mut local, t, options.with_prefixes)?;
+                insert_one(&mut local, t, options.with_prefixes)?;
             }
             Ok(local)
         })
@@ -74,25 +74,6 @@ pub fn par_construct(
             },
         )?;
     Ok(plt)
-}
-
-fn insert(plt: &mut Plt, transaction: &[Item], with_prefixes: bool) -> Result<()> {
-    if !with_prefixes {
-        plt.insert_transaction(transaction)?;
-        return Ok(());
-    }
-    plt.note_transaction();
-    let ranks = plt.ranking().project(transaction);
-    if let Some(w) = ranks.windows(2).find(|w| w[0] == w[1]) {
-        return Err(plt_core::error::PltError::DuplicateItem {
-            item: plt.ranking().item(w[0]),
-        });
-    }
-    for end in 1..=ranks.len() {
-        let v = PositionVector::from_ranks(&ranks[..end]).expect("valid projection");
-        plt.insert_vector(v, 1);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -192,6 +192,17 @@ impl Engine {
         self.handle_inner(request, Some(reader))
     }
 
+    /// Empties a reactor's slot (see [`handle_cached`](Self::handle_cached))
+    /// once a publish has replaced the generation it pins, so an idle
+    /// reactor does not keep a replaced snapshot alive. One atomic load
+    /// when the slot is current or empty.
+    pub fn release_replaced(&self, reader: &mut Option<Arc<Snapshot>>) {
+        let current = self.generation.load(Ordering::Acquire);
+        if reader.as_ref().is_some_and(|s| s.generation() != current) {
+            *reader = None;
+        }
+    }
+
     fn handle_inner(
         &self,
         request: &Request,

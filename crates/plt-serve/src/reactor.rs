@@ -248,8 +248,8 @@ struct Reactor {
     stop: Arc<AtomicBool>,
     all_wakers: Arc<Vec<Arc<Waker>>>,
     addr: SocketAddr,
-    /// This reactor's pin of the current snapshot, refreshed after a
-    /// publish.
+    /// This reactor's pin of the current snapshot, refreshed by the next
+    /// request after a publish and emptied by the next poll turn.
     snapshot: Option<Arc<Snapshot>>,
     /// Scratch for nonblocking reads, allocated once per reactor rather
     /// than zeroed per read.
@@ -730,6 +730,9 @@ impl Reactor {
                 }
             }
             self.sweep_deadlines();
+            // At most one poll timeout after a publish, even with no
+            // request to refresh it, the replaced snapshot is let go.
+            self.engine.release_replaced(&mut self.snapshot);
             if handled > 0 {
                 let r = &self.engine.metrics().reactor;
                 r.events.fetch_add(handled, Ordering::Relaxed);

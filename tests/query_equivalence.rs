@@ -20,9 +20,10 @@ use std::collections::BTreeSet;
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::{ConditionalMiner, Miner};
 use plt::query::{
-    applicable_ops, parse, run, run_forced, NaiveExecutor, QueryKind, Rows, Snapshot, SupportSource,
+    applicable_ops, parse, run, run_forced, NaiveExecutor, QueryKind, Recommendation, Rows,
+    Snapshot, SupportSource,
 };
-use plt::rules::RuleConfig;
+use plt::rules::{Rule, RuleConfig};
 use proptest::prelude::*;
 
 /// Tiny deterministic generator (xorshift64*) so each proptest case —
@@ -136,6 +137,24 @@ fn gen_queries(rng: &mut Rng, n_items: u32) -> Vec<String> {
         let cond = BTreeSet::from([a, b]);
         qs.push(format!("MINE COND {{{}}} TOP {k}", join(&cond)));
     }
+
+    // Top-level `contains` conjuncts, the shape a pushdown would seed
+    // its traversal from; either item may be out of vocabulary.
+    let (c, d) = (item(rng), item(rng));
+    qs.push(format!("TOP {k} WHERE size >= 2 AND contains {{{c}}}"));
+    qs.push(format!(
+        "TOP {k} WHERE contains {{{c}}} AND contains {{{d}}} AND support >= {}",
+        1 + rng.below(4)
+    ));
+    qs.push(format!(
+        "TOP {k} WHERE contains {{{c}}} AND NOT contains {{{d}}}"
+    ));
+    if c != d {
+        qs.push(format!(
+            "TOP {k} WHERE contains {{{}}}",
+            join(&BTreeSet::from([c, d]))
+        ));
+    }
     qs
 }
 
@@ -232,9 +251,56 @@ fn check_all_plans(src: &Snapshot, expr: &str) -> Result<(), String> {
 }
 
 fn build_source(db: &[Vec<u32>], min_support: u64) -> Snapshot {
+    build_with_rules(db, min_support, RuleConfig::default())
+}
+
+fn build_with_rules(db: &[Vec<u32>], min_support: u64, rules: RuleConfig) -> Snapshot {
     let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
     let result = ConditionalMiner::default().mine(db, min_support);
-    Snapshot::build(1, plt, &result, RuleConfig::default())
+    Snapshot::build(1, plt, &result, rules)
+}
+
+/// `Snapshot::recommend` by a naive scan of `rules`: every rule whose
+/// antecedent lies in the basket offers its consequent items outside
+/// the basket; each item keeps its best offer by (confidence, lift,
+/// support), the first in rule order on a tie; the survivors sort by
+/// confidence, lift and support (descending), then item, and the first
+/// `k` are kept.
+fn naive_recommend(rules: &[Rule], basket: &[u32], k: usize) -> Vec<Recommendation> {
+    let basket: BTreeSet<u32> = basket.iter().copied().collect();
+    let mut best: Vec<Recommendation> = Vec::new();
+    for rule in rules {
+        if !rule.antecedent.items().iter().all(|i| basket.contains(i)) {
+            continue;
+        }
+        for &item in rule.consequent.items() {
+            if basket.contains(&item) {
+                continue;
+            }
+            let offer = Recommendation {
+                item,
+                confidence: rule.confidence,
+                lift: rule.lift,
+                support: rule.support,
+                because: rule.antecedent.clone(),
+            };
+            let key = |r: &Recommendation| (r.confidence, r.lift, r.support);
+            match best.iter_mut().find(|r| r.item == item) {
+                Some(held) if key(&offer) > key(held) => *held = offer,
+                Some(_) => {}
+                None => best.push(offer),
+            }
+        }
+    }
+    best.sort_by(|a, b| {
+        b.confidence
+            .total_cmp(&a.confidence)
+            .then(b.lift.total_cmp(&a.lift))
+            .then(b.support.cmp(&a.support))
+            .then(a.item.cmp(&b.item))
+    });
+    best.truncate(k);
+    best
 }
 
 proptest! {
@@ -261,6 +327,43 @@ proptest! {
                         "shape={shape} min_support={min_support} db={db:?}\n{msg}"
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `recommend` equals a naive scan of the snapshot's own rules, for
+    /// baskets with duplicate and unranked items and every `k` from 0.
+    #[test]
+    fn prop_recommend_matches_a_naive_rule_scan(
+        seed in any::<u64>(),
+        shape in 0u8..3,
+        n_tx in 4usize..48,
+        n_items in 3u32..9,
+        confidence in 0u32..10,
+    ) {
+        let mut rng = Rng::new(seed);
+        let db = gen_db(&mut rng, shape, n_tx, n_items);
+        let rules = RuleConfig { min_confidence: f64::from(confidence) / 10.0 };
+        for min_support in [1, 2, (db.len() as u64 / 4).max(3)] {
+            let src = build_with_rules(&db, min_support, rules);
+            for _ in 0..8 {
+                // Items up to n_items + 1 may be unranked or unseen, and
+                // a draw may repeat an item.
+                let len = rng.below(n_items as u64 + 2) as usize;
+                let basket: Vec<u32> =
+                    (0..len).map(|_| rng.below(n_items as u64 + 2) as u32).collect();
+                let k = rng.below(6) as usize;
+                let got = src.recommend(&basket, k);
+                let want = naive_recommend(src.rules(), &basket, k);
+                prop_assert!(
+                    got == want,
+                    "shape={shape} min_support={min_support} confidence={confidence} \
+                     basket={basket:?} k={k} db={db:?}\n  got: {got:?}\n want: {want:?}"
+                );
             }
         }
     }

@@ -7,6 +7,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use plt::baselines::FpGrowthMiner;
 use plt::core::construct::{construct, ConstructOptions};
@@ -716,6 +717,40 @@ fn durable_service_recovers_its_window_across_a_wire_restart() {
     handle.join();
     builder.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reactor lets go of a replaced snapshot on its next poll turn, even
+/// when no request arrives to refresh its pin.
+#[test]
+fn idle_reactor_releases_a_replaced_snapshot() {
+    let engine = Arc::new(Engine::new(generation_snapshot(1)));
+    let handle = serve(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        None,
+        ServerConfig {
+            reactors: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(client.support(&[0, 1]).expect("support").support, 2);
+    let replaced = Arc::downgrade(&engine.current());
+    engine.publish(Arc::new(generation_snapshot(2)));
+
+    // Nothing is sent from here on.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while replaced.upgrade().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "an idle reactor still holds generation 1 a second after the publish"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// Itemsets whose supports move with the generation (see
