@@ -1594,7 +1594,7 @@ pub fn x17_query_cells(scale: Scale) -> Vec<QueryCell> {
         let plt = construct(&db, min_sup, ConstructOptions::conditional()).expect("construct");
         let result = ConditionalMiner::default().mine(&db, min_sup);
         let src = Snapshot::build(1, plt, &result, RuleConfig::default());
-        let ranked = src.ranked();
+        let ranked: Vec<_> = src.ranked().collect();
         assert!(!ranked.is_empty(), "{dataset} must induce frequent sets");
 
         // A mid-ranked itemset: far enough down that the naive support
@@ -1834,7 +1834,7 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
         let src =
             Snapshot::build(1, plt, &result, RuleConfig::default()).with_sketch(Box::new(sketch));
 
-        let ranked = src.ranked();
+        let ranked: Vec<_> = src.ranked().collect();
         assert!(!ranked.is_empty(), "{dataset} must induce frequent sets");
         let items: Vec<Item> = src
             .extensions(&[], usize::MAX)

@@ -290,8 +290,10 @@ mod tests {
                 if frequent.is_empty() {
                     continue;
                 }
-                let original = plt_core::canonical_key(&frequent, &plt);
-                let reloaded = plt_core::canonical_key(&frequent, &decoded);
+                let key = |p: &plt_core::Plt| {
+                    plt_core::PositionVector::canonical_for(&frequent, p.ranking())
+                };
+                let (original, reloaded) = (key(&plt), key(&decoded));
                 prop_assert!(original.is_some(), "no key for {:?}", frequent);
                 prop_assert_eq!(original, reloaded, "keys diverge for {:?}", frequent);
             }

@@ -223,7 +223,7 @@ pub struct ItemsetRef<'a>(&'a [Item]);
 impl<'a> ItemsetRef<'a> {
     /// Wraps a slice already known to be sorted and duplicate-free. Debug
     /// builds verify the invariant.
-    pub(crate) fn from_sorted(items: &'a [Item]) -> Self {
+    pub fn from_sorted(items: &'a [Item]) -> Self {
         debug_assert!(
             items.windows(2).all(|w| w[0] < w[1]),
             "ItemsetRef::from_sorted requires strictly increasing items"

@@ -90,6 +90,6 @@ pub use item::{Item, Itemset, ItemsetRef, Rank, Support};
 pub use miner::{Mine, Miner, MiningResult, ResultBuilder};
 pub use plt::{Plt, PltEntry};
 pub use posvec::PositionVector;
-pub use query::{canonical_key, SupportOracle};
+pub use query::SupportOracle;
 pub use ranking::{ItemRanking, RankPolicy};
 pub use topdown::TopDownMiner;

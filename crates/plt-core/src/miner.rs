@@ -33,15 +33,21 @@ fn offset_of(len: usize) -> u32 {
 /// Stored as a columnar table: one item buffer plus one
 /// `(offset, len, support)` entry per itemset, in canonical order — by
 /// size, then lexicographically by items — and without duplicates. So the
-/// table is partitioned by size like the PLT's `D_1 … D_k`, a lookup is a
-/// binary search inside one size group, and dropping a result frees two
-/// buffers. A result is only ever built through a [`ResultBuilder`].
+/// table is partitioned by size like the PLT's `D_1 … D_k`, each group's
+/// rows lie back to back as a `k`-wide matrix, a lookup is a binary search
+/// of one such matrix, and dropping a result frees three buffers. An
+/// itemset's index in the table is its *id* ([`position`](Self::position),
+/// [`get`](Self::get)). A result is only ever built through a
+/// [`ResultBuilder`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MiningResult {
     /// Every itemset's items, back to back in canonical order.
     items: Vec<Item>,
     /// One entry per itemset, in canonical order.
     entries: Vec<Entry>,
+    /// `group_ends[k − 1]` is the end of the size-`k` group in `entries`,
+    /// for `k` in `1..=max_size`; found once, in `finish`.
+    group_ends: Vec<u32>,
     min_support: Support,
     num_transactions: u64,
 }
@@ -65,31 +71,49 @@ impl MiningResult {
         }
     }
 
-    /// Support of `items`, if the itemset is frequent. A sorted,
+    /// Support of `items`, if the itemset is frequent.
+    pub fn support(&self, items: &[Item]) -> Option<Support> {
+        self.position(items).map(|id| self.entries[id].support)
+    }
+
+    /// The id of `items`, if the itemset is frequent. A sorted,
     /// duplicate-free probe is a binary search in its size group and
     /// allocates nothing; any other probe is normalised first.
-    pub fn support(&self, items: &[Item]) -> Option<Support> {
-        if items.windows(2).all(|w| w[0] < w[1]) {
-            self.lookup(items)
-        } else {
-            self.lookup(Itemset::from(items).items())
+    pub fn position(&self, items: &[Item]) -> Option<usize> {
+        if !items.windows(2).all(|w| w[0] < w[1]) {
+            return self.position(Itemset::from(items).items());
         }
+        let (k, group) = (items.len(), self.group(items.len()));
+        if group.is_empty() {
+            return None;
+        }
+        // The group's rows are a `k`-wide row-major matrix in the item
+        // buffer, so the search reads rows, not entries.
+        let rows = &self.items[self.entries[group.start].range().start..][..group.len() * k];
+        let row = |i: usize| &rows[i * k..][..k];
+        let (mut at, mut size) = (0, group.len());
+        while size > 1 {
+            let half = size / 2;
+            if row(at + half) <= items {
+                at += half;
+            }
+            size -= half;
+        }
+        (row(at) == items).then_some(group.start + at)
     }
 
-    /// [`support`](Self::support) of a sorted, duplicate-free probe.
-    fn lookup(&self, items: &[Item]) -> Option<Support> {
-        let group = self.group(items.len());
-        group
-            .binary_search_by(|e| self.items[e.range()].cmp(items))
-            .ok()
-            .map(|i| group[i].support)
+    /// The ids of the entries of exactly `k` items: one contiguous run.
+    fn group(&self, k: usize) -> std::ops::Range<usize> {
+        let Some(&end) = k.checked_sub(1).and_then(|i| self.group_ends.get(i)) else {
+            return 0..0;
+        };
+        let start = if k >= 2 { self.group_ends[k - 2] } else { 0 };
+        start as usize..end as usize
     }
 
-    /// The entries of exactly `k` items: one contiguous run.
-    fn group(&self, k: usize) -> &[Entry] {
-        let lo = self.entries.partition_point(|e| (e.len as usize) < k);
-        let n = self.entries[lo..].partition_point(|e| e.len as usize == k);
-        &self.entries[lo..lo + n]
+    /// The itemset with id `id` and its support, or `None` past the end.
+    pub fn get(&self, id: usize) -> Option<(ItemsetRef<'_>, Support)> {
+        self.entries.get(id).map(|e| self.row(e))
     }
 
     /// True if the itemset is in the frequent set.
@@ -120,20 +144,18 @@ impl MiningResult {
     /// Iterates over `(itemset, support)` in canonical order: by size,
     /// then lexicographically.
     pub fn iter(&self) -> impl Iterator<Item = (ItemsetRef<'_>, Support)> {
-        self.rows(&self.entries)
+        self.entries.iter().map(|e| self.row(e))
     }
 
     /// All frequent itemsets of exactly `k` items, in canonical order: the
     /// size group's slice of the table.
     pub fn of_size(&self, k: usize) -> impl Iterator<Item = (ItemsetRef<'_>, Support)> {
-        self.rows(self.group(k))
+        self.entries[self.group(k)].iter().map(|e| self.row(e))
     }
 
-    /// The `(itemset, support)` rows of `entries`, a run of this table.
-    fn rows<'a>(&'a self, entries: &'a [Entry]) -> impl Iterator<Item = (ItemsetRef<'a>, Support)> {
-        entries
-            .iter()
-            .map(|e| (ItemsetRef::from_sorted(&self.items[e.range()]), e.support))
+    /// The `(itemset, support)` row of one entry of this table.
+    fn row(&self, e: &Entry) -> (ItemsetRef<'_>, Support) {
+        (ItemsetRef::from_sorted(&self.items[e.range()]), e.support)
     }
 
     /// Size of the largest frequent itemset.
@@ -258,7 +280,7 @@ impl ResultBuilder {
     /// Orders the itemsets canonically (by size, then items) with one
     /// comparison sort, then copies them out in that order, merging each
     /// run of duplicates into one row (debug-asserting equal supports) and
-    /// compacting the buffer.
+    /// compacting the buffer. Last, it finds where each size group ends.
     pub fn finish(self) -> MiningResult {
         let ResultBuilder {
             items,
@@ -274,6 +296,7 @@ impl ResultBuilder {
         let mut out = MiningResult {
             items: Vec::with_capacity(items.len()),
             entries: Vec::with_capacity(entries.len()),
+            group_ends: Vec::new(),
             min_support,
             num_transactions,
         };
@@ -294,6 +317,9 @@ impl ResultBuilder {
             });
             out.items.extend_from_slice(row);
         }
+        out.group_ends = (1..=out.max_size())
+            .map(|k| out.entries.partition_point(|e| e.len as usize <= k) as u32)
+            .collect();
         out
     }
 }
@@ -447,6 +473,28 @@ mod tests {
         assert_eq!(r.of_size(2).count(), 6);
         assert_eq!(r.of_size(3).count(), 3);
         assert_eq!(r.of_size(4).count(), 0);
+    }
+
+    #[test]
+    fn ids_round_trip_through_position_and_get() {
+        let r = BruteForceMiner.mine(&table1(), 2);
+        for (id, (itemset, support)) in r.iter().enumerate() {
+            assert_eq!(r.position(itemset.items()), Some(id));
+            assert_eq!(r.get(id), Some((itemset, support)));
+        }
+        // Any spelling of a frequent itemset finds its id.
+        assert_eq!(r.position(&[2, 0, 1, 0]), r.position(&[0, 1, 2]));
+        assert_eq!(r.position(&[0, 2, 3]), None); // infrequent
+        assert_eq!(r.position(&[]), None);
+        assert_eq!(r.position(&[0, 1, 2, 3]), None); // past the largest size
+        assert_eq!(r.get(r.len()), None);
+        // A result with a gap between its sizes still finds every group.
+        let gap: MiningResult = vec![(Itemset::from([1]), 3u64), (Itemset::from([1, 2, 3]), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(gap.position(&[1, 2, 3]), Some(1));
+        assert_eq!(gap.of_size(2).count(), 0);
+        assert_eq!(MiningResult::new(1, 0).position(&[1]), None);
     }
 
     #[test]

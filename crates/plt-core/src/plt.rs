@@ -512,31 +512,6 @@ impl Plt {
         self.partitions.iter().flat_map(Matrix::iter)
     }
 
-    /// Computes the support of an arbitrary itemset by scanning the stored
-    /// vectors with the position-vector containment test. `O(#vectors)` —
-    /// exact but unindexed; the miners are the fast path, this is the
-    /// ad-hoc query path.
-    pub fn itemset_support(&self, items: &[Item]) -> Support {
-        let Some(needle) = crate::posvec::PositionVector::canonical_for(items, &self.ranking)
-        else {
-            // The empty itemset is in every vector; an unranked item in none.
-            return if items.is_empty() {
-                self.total_frequency()
-            } else {
-                0
-            };
-        };
-        let mut support = 0;
-        for k in needle.len()..=self.max_len() {
-            for (v, e) in self.partition(k) {
-                if v.contains(&needle) {
-                    support += e.freq;
-                }
-            }
-        }
-        support
-    }
-
     /// Checks every structural invariant of the PLT, returning a
     /// description of the first violation. Meant for tests, debugging and
     /// post-deserialisation sanity checks; `O(total positions)`.
@@ -676,19 +651,6 @@ mod tests {
         assert!(!plt.insert_transaction(&[4, 5]).unwrap());
         assert_eq!(plt.num_vectors(), 0);
         assert_eq!(plt.num_transactions(), 1);
-    }
-
-    #[test]
-    fn itemset_support_by_scan() {
-        let plt = build_table1();
-        assert_eq!(plt.itemset_support(&[0]), 4); // A
-        assert_eq!(plt.itemset_support(&[1]), 5); // B
-        assert_eq!(plt.itemset_support(&[0, 1]), 4); // AB
-        assert_eq!(plt.itemset_support(&[0, 2, 3]), 1); // ACD
-        assert_eq!(plt.itemset_support(&[0, 1, 2, 3]), 1); // ABCD
-        assert_eq!(plt.itemset_support(&[4]), 0); // E infrequent
-        assert_eq!(plt.itemset_support(&[0, 4]), 0);
-        assert_eq!(plt.itemset_support(&[]), 6); // empty set: every vector
     }
 
     #[test]

@@ -472,6 +472,36 @@ mod tests {
         assert_eq!(pv(&[1, 1, 2]).to_string(), "[1,1,2]");
     }
 
+    #[test]
+    fn canonical_key_identifies_itemsets() {
+        // Table 1 of the paper at min_support 2: A–D ranked, E and F not.
+        let db: Vec<Vec<Item>> = vec![
+            vec![0, 1, 2],
+            vec![0, 1, 2],
+            vec![0, 1, 2, 3],
+            vec![0, 1, 3, 4],
+            vec![1, 2, 3],
+            vec![2, 3, 5],
+        ];
+        let ranking = ItemRanking::scan(&db, 2, crate::RankPolicy::Lexicographic);
+        let key = |items: &[Item]| PositionVector::canonical_for(items, &ranking);
+        // Same set, any presentation order or repetition → same key
+        // (Lemma 4.1.2).
+        let k1 = key(&[0, 1, 2]).unwrap();
+        assert_eq!(key(&[2, 0, 1]), Some(k1.clone()));
+        assert_eq!(key(&[1, 2, 0, 2]), Some(k1.clone()));
+        // Different sets → different keys.
+        assert_ne!(key(&[0, 1]).unwrap(), k1);
+        // Unranked or empty → no key.
+        assert_eq!(key(&[4]), None); // infrequent at build
+        assert_eq!(key(&[0, 4]), None);
+        assert_eq!(key(&[]), None);
+        // Round-trip: the key's ranks name exactly the queried items.
+        let mut items = ranking.items_for_ranks(&k1.ranks());
+        items.sort_unstable();
+        assert_eq!(items, vec![0, 1, 2]);
+    }
+
     proptest! {
         /// Lemma 4.1.2: `from_ranks ∘ ranks` is the identity, hence the
         /// encoding is injective on itemsets.

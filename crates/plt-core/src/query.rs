@@ -8,7 +8,7 @@
 //! from the PLT:
 //!
 //! * an **inverted index** maps each rank to the PLT vectors whose
-//!   itemset contains it;
+//!   itemset contains it, all posting lists in one buffer;
 //! * a query intersects the posting lists of its ranks — rarest rank
 //!   first, merge-intersect, early exit — and sums the frequencies of the
 //!   surviving vectors.
@@ -20,7 +20,6 @@
 
 use crate::item::{Item, Rank, Support};
 use crate::plt::Plt;
-use crate::posvec::PositionVector;
 
 /// An immutable support-query index over a PLT snapshot.
 ///
@@ -42,34 +41,44 @@ pub struct SupportOracle {
     /// The frequency of each distinct vector, in the PLT's iteration
     /// order; a query reads only these, so the vectors are not kept.
     freqs: Vec<Support>,
-    /// `postings[rank − 1]` = sorted indices into `freqs` of the vectors
-    /// whose itemset contains `rank`.
-    postings: Vec<Vec<u32>>,
+    /// `postings[starts[rank − 1]..starts[rank]]` = sorted indices into
+    /// `freqs` of the vectors whose itemset contains `rank`.
+    starts: Vec<u32>,
+    postings: Vec<u32>,
     /// Total frequency (support of the empty itemset).
     total: Support,
-    num_ranks: usize,
 }
 
 impl SupportOracle {
-    /// Builds the oracle from a PLT. `O(total positions)` once.
+    /// Builds the oracle from a PLT. `O(total positions)` once: one pass
+    /// counts each rank's list, a second fills them.
     pub fn new(plt: &Plt) -> SupportOracle {
         let num_ranks = plt.ranking().len();
+        let mut starts = vec![0u32; num_ranks + 1];
         let mut freqs = Vec::with_capacity(plt.num_vectors());
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); num_ranks];
-        let mut total = 0;
         for (v, e) in plt.iter() {
-            let idx = freqs.len() as u32;
             for r in v.ranks_iter() {
-                postings[(r - 1) as usize].push(idx);
+                starts[r as usize] += 1;
             }
-            total += e.freq;
             freqs.push(e.freq);
         }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut next = starts.clone();
+        let mut postings = vec![0u32; starts[num_ranks] as usize];
+        for (idx, (v, _)) in plt.iter().enumerate() {
+            for r in v.ranks_iter() {
+                let at = &mut next[(r - 1) as usize];
+                postings[*at as usize] = idx as u32;
+                *at += 1;
+            }
+        }
         SupportOracle {
+            total: freqs.iter().sum(),
             freqs,
+            starts,
             postings,
-            total,
-            num_ranks,
         }
     }
 
@@ -78,54 +87,51 @@ impl SupportOracle {
         self.freqs.len()
     }
 
-    /// Support of an itemset of *ranks* (strictly increasing not
-    /// required; duplicates tolerated). Ranks outside `1..=n` yield 0.
-    pub fn support_of_ranks(&self, ranks: &[Rank]) -> Support {
-        if ranks.is_empty() {
-            return self.total;
-        }
-        if ranks.iter().any(|&r| r == 0 || r as usize > self.num_ranks) {
+    /// The posting list of `rank`, which must lie in `1..=n`.
+    fn list(&self, rank: Rank) -> &[u32] {
+        let r = rank as usize;
+        &self.postings[self.starts[r - 1] as usize..self.starts[r] as usize]
+    }
+
+    /// Support of an itemset of *items*, in any order and with
+    /// duplicates tolerated, translated through `plt`'s ranking. Items
+    /// without a rank (infrequent at construction) yield 0.
+    pub fn support(&self, items: &[Item], plt: &Plt) -> Support {
+        let ranks: Option<Vec<Rank>> = items
+            .iter()
+            .map(|&i| {
+                plt.ranking()
+                    .rank(i)
+                    .filter(|&r| (r as usize) < self.starts.len())
+            })
+            .collect();
+        let Some(mut ranks) = ranks else {
             return 0;
-        }
-        let mut ranks: Vec<Rank> = ranks.to_vec();
+        };
         ranks.sort_unstable();
         ranks.dedup();
         // Rarest-first intersection keeps intermediate lists short.
-        ranks.sort_by_key(|&r| self.postings[(r - 1) as usize].len());
-        let mut current: Vec<u32> = self.postings[(ranks[0] - 1) as usize].clone();
-        for &r in &ranks[1..] {
-            if current.is_empty() {
-                return 0;
+        ranks.sort_by_key(|&r| self.list(r).len());
+        match ranks[..] {
+            [] => self.total,
+            [r] => self.sum(self.list(r)),
+            [a, b, ref rest @ ..] => {
+                let mut common = intersect(self.list(a), self.list(b));
+                for &r in rest {
+                    common = intersect(&common, self.list(r));
+                }
+                self.sum(&common)
             }
-            current = intersect(&current, &self.postings[(r - 1) as usize]);
         }
-        current.iter().map(|&i| self.freqs[i as usize]).sum()
     }
 
-    /// Support of an itemset of *items*, translated through a ranking.
-    /// Items without a rank (infrequent at construction) yield 0.
-    pub fn support(&self, items: &[Item], plt: &Plt) -> Support {
-        let mut ranks = Vec::with_capacity(items.len());
-        for &item in items {
-            match plt.ranking().rank(item) {
-                Some(r) => ranks.push(r),
-                None => return 0,
-            }
-        }
-        self.support_of_ranks(&ranks)
+    /// Total frequency of the vectors at `indices`.
+    fn sum(&self, indices: &[u32]) -> Support {
+        indices.iter().map(|&i| self.freqs[i as usize]).sum()
     }
 }
 
-/// The canonical lookup key for `items` in `plt`'s rank space — the
-/// itemset's unique [`PositionVector`] (Lemma 4.1.2) under the PLT's
-/// ranking. `None` when the itemset is empty or mentions an item the
-/// ranking never saw as frequent. Index layers (e.g. a serving snapshot)
-/// key mined results by this vector so that lookups are a single hash
-/// probe instead of a set comparison.
-pub fn canonical_key(items: &[Item], plt: &Plt) -> Option<PositionVector> {
-    PositionVector::canonical_for(items, plt.ranking())
-}
-
+/// The sorted indices in both `a` and `b`.
 fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -177,38 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn rank_queries_handle_edge_ranks() {
+    fn queries_tolerate_duplicates_order_and_foreign_ranks() {
         let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
         let oracle = SupportOracle::new(&plt);
-        assert_eq!(oracle.support_of_ranks(&[0]), 0); // rank 0 invalid
-        assert_eq!(oracle.support_of_ranks(&[5]), 0); // beyond n
-        assert_eq!(oracle.support_of_ranks(&[2, 2]), 5); // dup tolerated
-        assert_eq!(oracle.support_of_ranks(&[4, 1]), 2); // order-free (AD)
-    }
-
-    #[test]
-    fn canonical_key_identifies_itemsets() {
-        let plt = construct(&table1(), 2, ConstructOptions::conditional()).unwrap();
-        // Same set, any presentation order → same key (Lemma 4.1.2).
-        let k1 = canonical_key(&[0, 1, 2], &plt).unwrap();
-        let k2 = canonical_key(&[2, 0, 1], &plt).unwrap();
-        assert_eq!(k1, k2);
-        // Different sets → different keys.
-        let k3 = canonical_key(&[0, 1], &plt).unwrap();
-        assert_ne!(k1, k3);
-        // Unranked or empty → no key.
-        assert_eq!(canonical_key(&[4], &plt), None); // infrequent at build
-        assert_eq!(canonical_key(&[], &plt), None);
-        // Round-trip: the key's ranks name exactly the queried items.
-        let items = plt.ranking().items_for_ranks(&k1.ranks());
-        let mut items = items;
-        items.sort_unstable();
-        assert_eq!(items, vec![0, 1, 2]);
+        assert_eq!(oracle.support(&[1, 1], &plt), 5); // dup tolerated
+        assert_eq!(oracle.support(&[3, 0], &plt), 2); // order-free (AD)
+                                                      // A PLT whose ranking knows more items than the oracle's: a rank
+                                                      // the oracle never indexed answers 0.
+        let wider = construct(&table1(), 1, ConstructOptions::conditional()).unwrap();
+        assert_eq!(oracle.support(&[5], &wider), 0);
     }
 
     #[test]
     fn agrees_with_linear_scan_lookup() {
-        let plt = construct(&table1(), 1, ConstructOptions::conditional()).unwrap();
+        let db = table1();
+        let plt = construct(&db, 1, ConstructOptions::conditional()).unwrap();
         let oracle = SupportOracle::new(&plt);
         for items in [
             vec![0],
@@ -218,11 +207,11 @@ mod tests {
             vec![2, 3, 5],
             vec![0, 1, 2, 3],
         ] {
-            assert_eq!(
-                oracle.support(&items, &plt),
-                plt.itemset_support(&items),
-                "{items:?}"
-            );
+            let scan = db
+                .iter()
+                .filter(|t| items.iter().all(|i| t.contains(i)))
+                .count() as Support;
+            assert_eq!(oracle.support(&items, &plt), scan, "{items:?}");
         }
     }
 

@@ -14,7 +14,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use plt_core::error::{PltError, Result};
-use plt_core::item::{Item, Itemset, Support};
+use plt_core::item::{Item, Itemset, ItemsetRef, Support};
 use plt_rules::Rule;
 use plt_shard::MinerBuilder;
 
@@ -73,7 +73,7 @@ impl Rows {
 /// Evaluates an itemset predicate. Rule-only fields (`confidence`,
 /// `lift`) never pass here — the parser rejects them in itemset
 /// queries, and a hand-built AST using them simply matches nothing.
-pub fn eval_itemset(pred: &Pred, itemset: &Itemset, support: Support, n: u64) -> bool {
+pub fn eval_itemset(pred: &Pred, itemset: ItemsetRef<'_>, support: Support, n: u64) -> bool {
     match pred {
         Pred::And(a, b) => {
             eval_itemset(a, itemset, support, n) && eval_itemset(b, itemset, support, n)
@@ -125,8 +125,9 @@ pub fn canonical_sort(rows: &mut [(Itemset, Support)]) {
     });
 }
 
-/// The full-scan oracle: answers every query by brute force over the
-/// complete ranked array / rule list / PLT, with no index shortcuts.
+/// The full-scan oracle: answers every query by brute force over every
+/// itemset in support order / the rule list / the PLT, with no index
+/// shortcuts.
 /// This is both the `FullScan` physical operator and the ground truth
 /// the differential tests compare every other operator against.
 pub struct NaiveExecutor;
@@ -162,13 +163,12 @@ impl NaiveExecutor {
             QueryKind::Top { k, filter } => {
                 let rows = src
                     .ranked()
-                    .iter()
-                    .filter(|(set, sup)| match filter {
-                        Some(p) => eval_itemset(p, set, *sup, n),
+                    .filter(|&(set, sup)| match filter {
+                        Some(p) => eval_itemset(p, set, sup, n),
                         None => true,
                     })
                     .take(*k)
-                    .cloned()
+                    .map(|(set, sup)| (set.to_itemset(), sup))
                     .collect();
                 Rows::Itemsets(rows)
             }
@@ -188,10 +188,9 @@ impl NaiveExecutor {
             QueryKind::MineCond { cond, k } => {
                 let rows = src
                     .ranked()
-                    .iter()
                     .filter(|(set, _)| cond.iter().all(|&i| set.contains(i)))
                     .take(k.unwrap_or(usize::MAX))
-                    .cloned()
+                    .map(|(set, sup)| (set.to_itemset(), sup))
                     .collect();
                 Rows::Itemsets(rows)
             }
@@ -309,7 +308,7 @@ fn ext_traverse(
             break;
         }
         let passes = match filter {
-            Some(p) => eval_itemset(p, &set, sup, n),
+            Some(p) => eval_itemset(p, ItemsetRef::from_sorted(set.items()), sup, n),
             None => true,
         };
         if passes {

@@ -102,7 +102,7 @@ fn cost_of(op: PhysOp, q: &Query, src: &Snapshot) -> f64 {
         (PhysOp::IndexPoint, QueryKind::Support { items }) => {
             if q.tier.is_approx() {
                 // Under APPROX the point lookup competes with the sketch.
-                // Its hash probe is near-free on index hits, but misses
+                // Its table lookup is near-free on index hits, but misses
                 // fall back to a full oracle scan of the PLT vectors;
                 // without membership knowledge, charge the expectation at
                 // even odds so large snapshots prefer the sketch.

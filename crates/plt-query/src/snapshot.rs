@@ -4,17 +4,19 @@
 //! shared read-only behind an `Arc` (plt-serve's engine swaps it on
 //! every publish). It is what every query executes against: the planner
 //! prices operators from its cardinalities and the executor reads its
-//! indexes. All per-query work is lookup-shaped:
+//! indexes. It keeps the result's own table and indexes its entries by
+//! id; it copies no itemset. All per-query work is lookup-shaped:
 //!
-//! * **Point lookups** key frequent itemsets by their **canonical
-//!   position vector** (Lemma 4.1.2: the vector uniquely identifies the
-//!   itemset), so `support(X)` is one rank translation plus one hash
-//!   probe. Infrequent itemsets fall back to the exact
-//!   [`SupportOracle`], which intersects posting lists over the PLT.
+//! * **Point lookups** binary-search the result's table, which is sorted
+//!   by each itemset's one canonical key (Lemma 4.1.2: one itemset, one
+//!   position vector, one sorted item list), inside one size group.
+//!   Infrequent itemsets fall back to the exact [`SupportOracle`], which
+//!   intersects posting lists over the PLT.
 //! * **Extensions** use Lemma 4.1.3 in reverse: every frequent `Z` and
-//!   droppable item `e` contribute an entry `key(Z \ {e}) → (e,
-//!   support(Z))`, so "what extends X?" is again a single probe.
-//! * **Top-k** reads a prefix of a support-sorted array.
+//!   item `e ∈ Z` list `(e, support(Z))` under the id of `Z \ {e}`, in
+//!   one table of rows by id, so "what extends X?" is one lookup and one
+//!   slice.
+//! * **Top-k** reads a prefix of the entry ids sorted by support.
 //! * **Recommendations** scan precomputed association rules whose
 //!   antecedent is contained in the query basket.
 //!
@@ -25,10 +27,9 @@
 
 use std::collections::HashMap;
 
-use plt_core::item::{Item, Itemset, Support};
+use plt_core::item::{Item, Itemset, ItemsetRef, Support};
 use plt_core::miner::MiningResult;
-use plt_core::posvec::PositionVector;
-use plt_core::query::{canonical_key, SupportOracle};
+use plt_core::query::SupportOracle;
 use plt_core::Plt;
 use plt_rules::{generate_rules, sort_rules, Rule, RuleConfig};
 
@@ -37,7 +38,7 @@ use crate::source::SupportSketch;
 /// Where a support answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SupportSource {
-    /// Hash probe on the frequent-itemset index.
+    /// Lookup in the frequent-itemset table.
     Index,
     /// Exact fallback through the PLT's support oracle (itemset is
     /// infrequent or mentions unranked items).
@@ -82,19 +83,18 @@ pub struct Snapshot {
     generation: u64,
     plt: Plt,
     oracle: SupportOracle,
-    /// Canonical position vector → support, one entry per frequent
-    /// itemset (Lemma 4.1.2 makes this collision-free).
-    index: HashMap<PositionVector, Support>,
-    /// `key(Z \ {e}) → (e, support(Z))` for every frequent `Z` and every
-    /// droppable `e` — Lemma 4.1.3's level-down subsets, inverted.
-    /// Entries per key are sorted by descending support.
-    extensions: HashMap<PositionVector, Vec<(Item, Support)>>,
-    /// Frequent 1-extensions of the *empty* basket (i.e. frequent
-    /// single items), support-descending.
-    roots: Vec<(Item, Support)>,
-    /// All frequent itemsets, support-descending (ties: smaller first,
-    /// then lexicographic), for `top_k`.
-    ranked: Vec<(Itemset, Support)>,
+    /// Every frequent itemset, in the result's canonical (size, items)
+    /// order. An itemset's id is its index here.
+    result: MiningResult,
+    /// Every id, by descending support; ties keep the canonical order,
+    /// so they fall by size, then items.
+    by_support: Vec<u32>,
+    /// `ext[ext_start[i]..ext_start[i + 1]]` are the frequent one-item
+    /// extensions `(e, support(X ∪ {e}))` of the itemset `X` with id
+    /// `i`, by descending support, then by item. Slot `result.len()` is
+    /// the empty set's: the frequent single items.
+    ext_start: Vec<u32>,
+    ext: Vec<(Item, Support)>,
     /// Association rules sorted by the standard quality order.
     rules: Vec<Rule>,
     /// Optional approximate-tier sketch over the same window; when
@@ -116,52 +116,24 @@ impl Snapshot {
         rule_config: RuleConfig,
     ) -> Snapshot {
         let oracle = SupportOracle::new(&plt);
-
-        let mut index = HashMap::with_capacity(result.len());
-        let mut extensions: HashMap<PositionVector, Vec<(Item, Support)>> = HashMap::new();
-        let mut roots = Vec::new();
-        let mut ranked = Vec::with_capacity(result.len());
-
-        for (itemset, support) in result.iter() {
-            ranked.push((itemset.to_itemset(), support));
-            let key = canonical_key(itemset.items(), &plt)
-                .expect("mined itemsets are non-empty and fully ranked");
-            if itemset.len() == 1 {
-                roots.push((itemset.items()[0], support));
-            }
-            // Invert Lemma 4.1.3: each (k−1)-subset of this itemset,
-            // obtained by dropping one item, gains `dropped item` as a
-            // known frequent extension.
-            if itemset.len() >= 2 {
-                let ranks = key.ranks();
-                for sub in key.level_down_subsets() {
-                    let dropped_rank = dropped_rank(&ranks, &sub);
-                    let item = plt.ranking().item(dropped_rank);
-                    extensions.entry(sub).or_default().push((item, support));
-                }
-            }
-            index.insert(key, support);
-        }
-
-        for exts in extensions.values_mut() {
-            exts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        }
-        roots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        // `result` iterates in canonical order (size, then items), so a
+        let result = result.clone();
+        // The ids come in canonical order (size, then items), so a
         // stable sort by support alone breaks ties by size, then items.
-        ranked.sort_by_key(|&(_, support)| std::cmp::Reverse(support));
+        let mut by_support: Vec<u32> = (0..result.len() as u32).collect();
+        by_support.sort_by_key(|&id| std::cmp::Reverse(row(&result, id).1));
+        let (ext_start, ext) = extension_table(&result, &by_support);
 
-        let mut rules = generate_rules(result, rule_config);
+        let mut rules = generate_rules(&result, rule_config);
         sort_rules(&mut rules);
 
         Snapshot {
             generation,
             plt,
             oracle,
-            index,
-            extensions,
-            roots,
-            ranked,
+            result,
+            by_support,
+            ext_start,
+            ext,
             rules,
             sketch: None,
         }
@@ -197,7 +169,7 @@ impl Snapshot {
 
     /// Number of indexed frequent itemsets (`N` in the cost model).
     pub fn num_itemsets(&self) -> usize {
-        self.ranked.len()
+        self.result.len()
     }
 
     /// Number of precomputed rules (`R` in the cost model).
@@ -208,21 +180,22 @@ impl Snapshot {
     /// Number of frequent single items (`r` in the cost model, the
     /// extension-traversal roots).
     pub fn num_roots(&self) -> usize {
-        self.roots.len()
+        self.slot(self.result.len()).len()
     }
 
-    /// Support of an arbitrary itemset. Frequent itemsets hit the
-    /// canonical-vector index; everything else (including the empty set
-    /// and unranked items) is answered exactly by the oracle.
+    /// Support of an arbitrary itemset. Frequent itemsets are found in
+    /// the result's table; everything else (including the empty set and
+    /// unranked items) is answered exactly by the oracle.
     pub fn support(&self, items: &[Item]) -> SupportAnswer {
-        if let Some(key) = canonical_key(items, &self.plt) {
-            if let Some(&support) = self.index.get(&key) {
-                return SupportAnswer {
-                    support,
-                    frequent: true,
-                    source: SupportSource::Index,
-                };
-            }
+        // An item without a rank is in no frequent itemset: checking the
+        // ranking first keeps such probes off the table.
+        let ranked = items.iter().all(|&i| self.plt.ranking().rank(i).is_some());
+        if let Some(support) = ranked.then(|| self.result.support(items)).flatten() {
+            return SupportAnswer {
+                support,
+                frequent: true,
+                source: SupportSource::Index,
+            };
         }
         let support = self.oracle.support(items, &self.plt);
         SupportAnswer {
@@ -235,11 +208,10 @@ impl Snapshot {
     /// The `k` highest-support frequent itemsets with at least
     /// `min_size` items.
     pub fn top_k(&self, k: usize, min_size: usize) -> Vec<(Itemset, Support)> {
-        self.ranked
-            .iter()
+        self.ranked()
             .filter(|(s, _)| s.len() >= min_size)
             .take(k)
-            .cloned()
+            .map(|(s, support)| (s.to_itemset(), support))
             .collect()
     }
 
@@ -255,11 +227,14 @@ impl Snapshot {
     /// index (the extension traversal's inner loop).
     pub(crate) fn all_extensions(&self, items: &[Item]) -> &[(Item, Support)] {
         if items.is_empty() {
-            return &self.roots;
+            return self.slot(self.result.len());
         }
-        canonical_key(items, &self.plt)
-            .and_then(|key| self.extensions.get(&key))
-            .map_or(&[], Vec::as_slice)
+        self.result.position(items).map_or(&[], |id| self.slot(id))
+    }
+
+    /// The extension slot of id `id` (`result.len()` for the empty set).
+    fn slot(&self, id: usize) -> &[(Item, Support)] {
+        &self.ext[self.ext_start[id] as usize..self.ext_start[id + 1] as usize]
     }
 
     /// Rule-backed recommendations for a basket: items whose rules fire
@@ -311,15 +286,15 @@ impl Snapshot {
     /// paranoia probe for operators.
     pub fn self_check(&self, limit: usize) -> Result<usize, String> {
         let mut checked = 0;
-        for (itemset, indexed) in self.ranked.iter().take(limit) {
+        for (itemset, indexed) in self.ranked().take(limit) {
             let exact = self.oracle.support(itemset.items(), &self.plt);
-            if exact != *indexed {
+            if exact != indexed {
                 return Err(format!(
                     "itemset {:?}: indexed support {indexed}, oracle says {exact}",
                     itemset.items()
                 ));
             }
-            if *indexed < self.min_support() {
+            if indexed < self.min_support() {
                 return Err(format!(
                     "itemset {:?}: indexed support {indexed} below threshold {}",
                     itemset.items(),
@@ -338,9 +313,9 @@ impl Snapshot {
     }
 
     /// All frequent itemsets in canonical order (support desc, size
-    /// asc, lexicographic asc).
-    pub fn ranked(&self) -> &[(Itemset, Support)] {
-        &self.ranked
+    /// asc, lexicographic asc), borrowed from the result's table.
+    pub fn ranked(&self) -> impl Iterator<Item = (ItemsetRef<'_>, Support)> + '_ {
+        self.by_support.iter().map(|&id| row(&self.result, id))
     }
 
     /// All precomputed rules in standard quality order.
@@ -349,17 +324,46 @@ impl Snapshot {
     }
 }
 
-/// The rank present in `superset_ranks` but missing from `sub` — the
-/// item dropped by one Lemma 4.1.3 step. `sub` has exactly one rank
-/// fewer than the superset.
-fn dropped_rank(superset_ranks: &[u32], sub: &PositionVector) -> u32 {
-    let sub_ranks = sub.ranks();
-    for (i, &r) in superset_ranks.iter().enumerate() {
-        if sub_ranks.get(i) != Some(&r) {
-            return r;
+/// The row with id `id`, which the snapshot's own tables hand out.
+fn row(result: &MiningResult, id: u32) -> (ItemsetRef<'_>, Support) {
+    result.get(id as usize).expect("ids index the result")
+}
+
+/// The extension table (`ext_start`, `ext`): Lemma 4.1.3 inverted over
+/// ids. Each frequent `Z` of support `s` lists `(z, s)` for every
+/// `z ∈ Z` under the id of its level-down subset `Z \ {z}`, which the
+/// result holds because it is subset-closed; a single item lists under
+/// the empty set's slot, `result.len()`. The rows are listed in
+/// `by_support` order and then stably sorted by slot, so each slot runs
+/// by descending support and, among equal supports, by the canonical
+/// order of `Z`, which for one subset is the order of `z`.
+fn extension_table(result: &MiningResult, by_support: &[u32]) -> (Vec<u32>, Vec<(Item, Support)>) {
+    let empty = result.len();
+    let mut rows: Vec<(u32, Item, Support)> =
+        Vec::with_capacity(result.iter().map(|(z, _)| z.len()).sum());
+    let mut sub: Vec<Item> = Vec::new();
+    for &id in by_support {
+        let (z, support) = row(result, id);
+        for &item in z.items() {
+            sub.clear();
+            sub.extend(z.items().iter().filter(|&&i| i != item));
+            let slot = match &sub[..] {
+                [] => empty,
+                _ => result.position(&sub).expect("a subset-closed result"),
+            };
+            rows.push((slot as u32, item, support));
         }
     }
-    *superset_ranks.last().expect("superset is non-empty")
+    rows.sort_by_key(|&(slot, ..)| slot);
+    // Slot `s` starts at the first row listed under a slot `≥ s`.
+    let ext_start = (0..=empty + 1)
+        .map(|s| rows.partition_point(|&(slot, ..)| (slot as usize) < s) as u32)
+        .collect();
+    let ext = rows
+        .into_iter()
+        .map(|(_, item, support)| (item, support))
+        .collect();
+    (ext_start, ext)
 }
 
 #[cfg(test)]
@@ -514,7 +518,7 @@ pub(crate) mod tests {
         assert_eq!(snap.generation(), 1);
         assert_eq!(snap.num_transactions(), 6);
         assert_eq!(snap.min_support(), 2);
-        assert_eq!(snap.num_itemsets(), snap.ranked().len());
+        assert_eq!(snap.num_itemsets(), snap.ranked().count());
         assert_eq!(snap.num_rules(), snap.rules().len());
         assert!(snap.num_rules() > 0);
         assert_eq!(snap.num_roots(), snap.extensions(&[], usize::MAX).len());
@@ -525,9 +529,10 @@ pub(crate) mod tests {
     #[test]
     fn ranked_is_canonical_and_rules_sorted() {
         let snap = snapshot(2);
-        for w in snap.ranked().windows(2) {
-            let (ref a, sa) = w[0];
-            let (ref b, sb) = w[1];
+        let ranked: Vec<_> = snap.ranked().collect();
+        for w in ranked.windows(2) {
+            let (a, sa) = w[0];
+            let (b, sb) = w[1];
             assert!(
                 sa > sb
                     || (sa == sb && a.len() < b.len())

@@ -14,7 +14,7 @@
 //! Every rule carries the standard interestingness measures: confidence,
 //! lift, leverage and conviction.
 
-use plt_core::item::{Itemset, ItemsetRef, Support};
+use plt_core::item::{Item, Itemset, ItemsetRef, Support};
 use plt_core::miner::MiningResult;
 
 /// An association rule `antecedent → consequent`.
@@ -88,120 +88,110 @@ pub fn generate_rules(result: &MiningResult, config: RuleConfig) -> Vec<Rule> {
         (0.0..=1.0).contains(&config.min_confidence),
         "confidence is a probability"
     );
-    let mut rules = Vec::new();
-    for (itemset, support) in result.iter() {
-        if itemset.len() < 2 {
-            continue;
-        }
-        rules.extend(rules_for_itemset(itemset, support, result, config));
-    }
-    rules
-}
-
-/// The per-itemset *ap-genrules* step: all rules splitting `itemset`
-/// (whose support is `support`) that meet the confidence threshold.
-/// `result` serves the subset-support lookups and must be subset-closed
-/// over `itemset`, which is borrowed (typically from `result` itself).
-fn rules_for_itemset(
-    itemset: ItemsetRef<'_>,
-    support: Support,
-    result: &MiningResult,
-    config: RuleConfig,
-) -> Vec<Rule> {
-    let n = result.num_transactions() as f64;
-    let mut rules = Vec::new();
-    if itemset.len() < 2 {
-        return rules;
-    }
-    // Level 1: single-item consequents.
-    let mut consequents: Vec<Itemset> = Vec::new();
-    for &item in itemset.items() {
-        let consequent = Itemset::from_sorted(vec![item]);
-        if let Some(rule) = try_rule(itemset, &consequent, support, result, config, n) {
-            rules.push(rule);
-            consequents.push(consequent);
-        }
-    }
-    // Levels 2..: grow consequents apriori-style from the survivors.
-    let mut m = 1;
-    while !consequents.is_empty() && itemset.len() > m + 1 {
-        let candidates = join_consequents(&consequents);
-        consequents.clear();
-        for consequent in candidates {
-            if let Some(rule) = try_rule(itemset, &consequent, support, result, config, n) {
-                rules.push(rule);
-                consequents.push(consequent);
-            }
-        }
-        m += 1;
-    }
-    rules
-}
-
-/// Builds the rule `itemset \ consequent → consequent` if it passes the
-/// confidence threshold.
-fn try_rule(
-    itemset: ItemsetRef<'_>,
-    consequent: &Itemset,
-    support: Support,
-    result: &MiningResult,
-    config: RuleConfig,
-    n: f64,
-) -> Option<Rule> {
-    let antecedent = Itemset::from_sorted(
-        itemset
-            .items()
-            .iter()
-            .copied()
-            .filter(|&i| !consequent.contains(i))
-            .collect(),
-    );
-    debug_assert!(!antecedent.is_empty() && !consequent.is_empty());
-    let sup_x = result
-        .support(antecedent.items())
-        .expect("mining results are subset-closed");
-    let confidence = support as f64 / sup_x as f64;
-    if confidence < config.min_confidence {
-        return None;
-    }
-    let sup_y = result
-        .support(consequent.items())
-        .expect("mining results are subset-closed");
-    let p_y = sup_y as f64 / n;
-    let lift = confidence / p_y;
-    let leverage = support as f64 / n - (sup_x as f64 / n) * p_y;
-    let conviction = if confidence >= 1.0 {
-        f64::INFINITY
-    } else {
-        (1.0 - p_y) / (1.0 - confidence)
+    let mut splitter = Splitter {
+        result,
+        min_confidence: config.min_confidence,
+        n: result.num_transactions() as f64,
+        antecedent: Vec::new(),
+        candidates: Vec::new(),
+        rules: Vec::new(),
     };
-    Some(Rule {
-        antecedent,
-        consequent: consequent.clone(),
-        support,
-        confidence,
-        lift,
-        leverage,
-        conviction,
-    })
+    for (itemset, support) in result.iter() {
+        splitter.split(itemset, support);
+    }
+    splitter.rules
 }
 
-/// Apriori-style join of same-size consequents sharing all but their last
-/// item (inputs and outputs sorted itemsets).
-fn join_consequents(level: &[Itemset]) -> Vec<Itemset> {
-    let mut out = Vec::new();
-    for (i, a) in level.iter().enumerate() {
-        for b in &level[i + 1..] {
-            let (ia, ib) = (a.items(), b.items());
-            let k = ia.len();
-            if ia[..k - 1] == ib[..k - 1] && ia[k - 1] < ib[k - 1] {
-                let mut items = ia.to_vec();
-                items.push(ib[k - 1]);
-                out.push(Itemset::from_sorted(items));
+/// The *ap-genrules* state over one result. Candidate consequents and
+/// antecedents are built in reused buffers, so only a rule that meets the
+/// threshold allocates.
+struct Splitter<'a> {
+    /// Serves the subset-support lookups; must be subset-closed.
+    result: &'a MiningResult,
+    min_confidence: f64,
+    n: f64,
+    /// The antecedent of the split under test.
+    antecedent: Vec<Item>,
+    /// The next level's candidate consequents, back to back.
+    candidates: Vec<Item>,
+    rules: Vec<Rule>,
+}
+
+impl Splitter<'_> {
+    /// All rules splitting `itemset` (whose support is `support`) that
+    /// meet the confidence threshold.
+    fn split(&mut self, itemset: ItemsetRef<'_>, support: Support) {
+        if itemset.len() < 2 {
+            return;
+        }
+        // Level 1: single-item consequents.
+        let mut level = self.rules.len();
+        for &item in itemset.items() {
+            self.try_rule(itemset, &[item], support);
+        }
+        // Levels 2..: join the consequents this itemset's previous level
+        // accepted, apriori-style, sharing all but their last item.
+        let mut m = 1;
+        while level < self.rules.len() && itemset.len() > m + 1 {
+            self.candidates.clear();
+            let accepted = &self.rules[level..];
+            for (i, a) in accepted.iter().enumerate() {
+                for b in &accepted[i + 1..] {
+                    let (ia, ib) = (a.consequent.items(), b.consequent.items());
+                    if ia[..m - 1] == ib[..m - 1] && ia[m - 1] < ib[m - 1] {
+                        self.candidates.extend_from_slice(ia);
+                        self.candidates.push(ib[m - 1]);
+                    }
+                }
             }
+            level = self.rules.len();
+            m += 1;
+            let candidates = std::mem::take(&mut self.candidates);
+            for consequent in candidates.chunks_exact(m) {
+                self.try_rule(itemset, consequent, support);
+            }
+            self.candidates = candidates;
         }
     }
-    out
+
+    /// Keeps the rule `itemset \ consequent → consequent` if it passes
+    /// the confidence threshold.
+    fn try_rule(&mut self, itemset: ItemsetRef<'_>, consequent: &[Item], support: Support) {
+        self.antecedent.clear();
+        self.antecedent
+            .extend(itemset.items().iter().filter(|i| !consequent.contains(i)));
+        debug_assert!(!self.antecedent.is_empty() && !consequent.is_empty());
+        let sup_x = self
+            .result
+            .support(&self.antecedent)
+            .expect("mining results are subset-closed");
+        let confidence = support as f64 / sup_x as f64;
+        if confidence < self.min_confidence {
+            return;
+        }
+        let sup_y = self
+            .result
+            .support(consequent)
+            .expect("mining results are subset-closed");
+        let n = self.n;
+        let p_y = sup_y as f64 / n;
+        let lift = confidence / p_y;
+        let leverage = support as f64 / n - (sup_x as f64 / n) * p_y;
+        let conviction = if confidence >= 1.0 {
+            f64::INFINITY
+        } else {
+            (1.0 - p_y) / (1.0 - confidence)
+        };
+        self.rules.push(Rule {
+            antecedent: Itemset::from_sorted(self.antecedent.clone()),
+            consequent: Itemset::from_sorted(consequent.to_vec()),
+            support,
+            confidence,
+            lift,
+            leverage,
+            conviction,
+        });
+    }
 }
 
 /// Sorts rules for presentation: by confidence, then lift, then support,
@@ -212,10 +202,7 @@ pub fn sort_rules(rules: &mut [Rule]) {
             .total_cmp(&a.confidence)
             .then(b.lift.total_cmp(&a.lift))
             .then(b.support.cmp(&a.support))
-            .then_with(|| {
-                (a.antecedent.clone(), a.consequent.clone())
-                    .cmp(&(b.antecedent.clone(), b.consequent.clone()))
-            })
+            .then_with(|| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)))
     });
 }
 
@@ -230,8 +217,8 @@ pub fn top_rules(result: &MiningResult, config: RuleConfig, k: usize) -> Vec<Rul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plt_core::item::Item;
     use plt_core::miner::{BruteForceMiner, Miner};
+    use proptest::prelude::*;
 
     fn table1() -> Vec<Vec<Item>> {
         vec![
@@ -315,43 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_exhaustive_enumeration() {
-        // Compare ap-genrules against brute-force enumeration of every
-        // (antecedent, consequent) split of every frequent itemset.
-        let result = mined();
-        let config = RuleConfig {
-            min_confidence: 0.6,
-        };
-        let fast = {
-            let mut r = generate_rules(&result, config);
-            sort_rules(&mut r);
-            r
-        };
-        let mut slow: Vec<Rule> = Vec::new();
-        for (z, support) in result.iter() {
-            if z.len() < 2 {
-                continue;
-            }
-            for consequent in z.to_itemset().subsets() {
-                if consequent.len() == z.len() || consequent.is_empty() {
-                    continue;
-                }
-                let n = result.num_transactions() as f64;
-                if let Some(rule) = try_rule(z, &consequent, support, &result, config, n) {
-                    slow.push(rule);
-                }
-            }
-        }
-        sort_rules(&mut slow);
-        assert_eq!(fast.len(), slow.len());
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.antecedent, b.antecedent);
-            assert_eq!(a.consequent, b.consequent);
-            assert!((a.confidence - b.confidence).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn multi_item_consequents_are_generated() {
         // conf(A → BC) = sup(ABC)/sup(A) = 3/4.
         let rules = generate_rules(
@@ -396,6 +346,69 @@ mod tests {
         let db = vec![vec![1], vec![1], vec![2]];
         let result = BruteForceMiner.mine(&db, 1);
         assert!(generate_rules(&result, RuleConfig::default()).is_empty());
+    }
+
+    /// Every split of every frequent itemset that meets `min_confidence`,
+    /// with its metrics computed directly, in `sort_rules` order: the
+    /// reference for ap-genrules' pruning.
+    fn all_splits(result: &MiningResult, min_confidence: f64) -> Vec<Rule> {
+        let n = result.num_transactions() as f64;
+        let mut rules = Vec::new();
+        for (z, support) in result.iter() {
+            let z = z.to_itemset();
+            for consequent in z.subsets() {
+                if consequent.is_empty() || consequent.len() == z.len() {
+                    continue;
+                }
+                let antecedent = z.difference(&consequent);
+                let sup_x = result.support(antecedent.items()).unwrap() as f64;
+                let p_y = result.support(consequent.items()).unwrap() as f64 / n;
+                let confidence = support as f64 / sup_x;
+                if confidence < min_confidence {
+                    continue;
+                }
+                rules.push(Rule {
+                    antecedent,
+                    consequent,
+                    support,
+                    confidence,
+                    lift: confidence / p_y,
+                    leverage: support as f64 / n - (sup_x / n) * p_y,
+                    conviction: if confidence >= 1.0 {
+                        f64::INFINITY
+                    } else {
+                        (1.0 - p_y) / (1.0 - confidence)
+                    },
+                });
+            }
+        }
+        sort_rules(&mut rules);
+        rules
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// ap-genrules keeps exactly the splits an exhaustive enumeration
+        /// keeps, with the same metrics, at confidences from 0 to 1.
+        #[test]
+        fn matches_exhaustive_enumeration(
+            db in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..7, 1..6),
+                1..24,
+            ),
+            min_support in 1u64..4,
+            twentieths in 0u32..=20,
+        ) {
+            let db: Vec<Vec<Item>> = db.into_iter()
+                .map(|t| t.into_iter().collect())
+                .collect();
+            let result = BruteForceMiner.mine(&db, min_support);
+            let min_confidence = f64::from(twentieths) / 20.0;
+            let mut fast = generate_rules(&result, RuleConfig { min_confidence });
+            sort_rules(&mut fast);
+            prop_assert_eq!(fast, all_splits(&result, min_confidence));
+        }
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! The layers, bottom up:
 //!
 //! * [`Snapshot`] (from `plt-query`, re-exported here) — the index, the
-//!   same one the query planner executes against. Frequent itemsets are
-//!   keyed by their **canonical position vector** (Lemma 4.1.2: a
-//!   position vector uniquely identifies its itemset), so a support
-//!   probe is one hash lookup; Lemma 4.1.3's level-down subsets,
-//!   inverted, give an extension index; infrequent queries fall back to
-//!   the exact [`SupportOracle`](plt_core::SupportOracle).
+//!   same one the query planner executes against. It keeps the mining
+//!   result's own table, sorted by each itemset's **canonical key**
+//!   (Lemma 4.1.2: a position vector uniquely identifies its itemset),
+//!   so a support probe is one binary search in one size group;
+//!   Lemma 4.1.3's level-down subsets, inverted over the table's entry
+//!   ids, give an extension table; infrequent queries fall back to the
+//!   exact [`SupportOracle`](plt_core::SupportOracle).
 //! * [`engine`] — the concurrency shell: one snapshot slot a request
 //!   pins once by cloning its `Arc` (readers never wait on mining), a
 //!   sharded LRU [`cache`] of rendered responses, per-endpoint

@@ -1,7 +1,9 @@
 //! Building a PLT allocates per partition, not per vector: each partition
 //! `D_k` is one row matrix with a few columns beside it, so the heap calls
 //! of `construct` grow with the number of partitions and the doublings of
-//! their buffers, not with the number of distinct vectors.
+//! their buffers, not with the number of distinct vectors. Likewise a
+//! serving snapshot indexes the mining result's own table: its index
+//! allocates per table, not per frequent itemset.
 //!
 //! This file is its own test binary because it installs a counting global
 //! allocator. The counter is per thread, so tests running beside it on
@@ -11,6 +13,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use plt::core::construct::{construct, ConstructOptions};
+use plt::core::{ConditionalMiner, Miner, SupportOracle};
+use plt::data::gen::zipf::{ZipfConfig, ZipfGenerator};
+use plt::query::Snapshot;
+use plt::rules::{generate_rules, sort_rules, RuleConfig};
 
 /// The system allocator, counting the allocations and reallocations the
 /// current thread makes while counting is switched on.
@@ -100,5 +106,44 @@ fn construct_allocates_per_partition_not_per_vector() {
         "construct made {calls} allocations for {} distinct vectors in {} partitions",
         plt.num_vectors(),
         plt.max_len()
+    );
+}
+
+#[test]
+fn snapshot_index_allocates_per_table_not_per_itemset() {
+    let db = ZipfGenerator::new(ZipfConfig {
+        num_transactions: 10_000,
+        seed: 7,
+        ..ZipfConfig::default()
+    })
+    .generate()
+    .into_transactions();
+    // 0.2% of the window, as the serving benchmark mines it.
+    let min_support = 20;
+    let plt = construct(&db, min_support, ConstructOptions::conditional()).expect("construct");
+    let result = ConditionalMiner::default().mine(&db, min_support);
+    assert!(
+        result.len() >= 1_000,
+        "the window must yield at least 1,000 frequent itemsets, got {}",
+        result.len()
+    );
+    let config = RuleConfig::default();
+
+    // What a snapshot holds beside its index, each built on its own.
+    let (_, plt_clone) = allocations_of(|| plt.clone());
+    let (_, oracle) = allocations_of(|| SupportOracle::new(&plt));
+    let (_, rules) = allocations_of(|| {
+        let mut rules = generate_rules(&result, config);
+        sort_rules(&mut rules);
+        rules
+    });
+    let (snapshot, build) = allocations_of(|| Snapshot::build(1, plt.clone(), &result, config));
+    let parts = plt_clone + oracle + rules;
+    assert!(
+        build < parts + 64,
+        "Snapshot::build made {build} allocations for {} itemsets, {} more than its \
+         PLT clone ({plt_clone}), support oracle ({oracle}) and rules ({rules})",
+        snapshot.num_itemsets(),
+        build.saturating_sub(parts)
     );
 }

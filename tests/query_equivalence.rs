@@ -1,5 +1,5 @@
 //! Differential proof for the query layer: every physical operator the
-//! planner can choose — canonical-key point lookup, extension-index
+//! planner can choose — point lookup in the result's table, extension-index
 //! traversal, rule-index scan, on-demand conditional mining — and the
 //! planner's own choice all return rows **identical** to the naive
 //! full-scan oracle ([`NaiveExecutor`]), including top-k tie-break
@@ -8,6 +8,9 @@
 //! against a [`Snapshot`], the same index plt-serve answers from, and
 //! each `SUPPORT OF` probe also checks the snapshot's index/oracle
 //! split: the index answers exactly the frequent, fully ranked sets.
+//! A second sweep checks the snapshot's own orders (top-k, extension
+//! lists, point lookups, roots) against references built from the
+//! mining result's rows alone.
 //!
 //! Operators are driven individually through the test-only plan
 //! override hook (`run_forced`); the vendored proptest shim does not
@@ -15,10 +18,11 @@
 //! threshold, and the query expression — everything needed to replay
 //! the case by hand.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use plt::core::construct::{construct, ConstructOptions};
-use plt::core::{ConditionalMiner, Miner};
+use plt::core::{ConditionalMiner, Item, Itemset, Miner, Support};
 use plt::query::{
     applicable_ops, parse, run, run_forced, NaiveExecutor, QueryKind, Recommendation, Rows,
     Snapshot, SupportSource,
@@ -363,6 +367,126 @@ proptest! {
                     got == want,
                     "shape={shape} min_support={min_support} confidence={confidence} \
                      basket={basket:?} k={k} db={db:?}\n  got: {got:?}\n want: {want:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The snapshot's `top_k`, `extensions`, `support` and `num_roots`
+/// against references computed from `rows`, the mining result's
+/// `sorted()` rows, alone; `Err` names the first disagreement.
+fn check_snapshot_orders(
+    src: &Snapshot,
+    rows: &[(Itemset, Support)],
+    rng: &mut Rng,
+    n_items: u32,
+) -> Result<(), String> {
+    // Top-k: the rows stable-sorted by descending support, so ties keep
+    // the canonical (size, items) order.
+    let max_size = rows.last().map_or(0, |(z, _)| z.len());
+    for min_size in 0..=max_size + 1 {
+        let mut want: Vec<(Itemset, Support)> = rows
+            .iter()
+            .filter(|(z, _)| z.len() >= min_size)
+            .cloned()
+            .collect();
+        want.sort_by_key(|&(_, support)| Reverse(support));
+        let got = src.top_k(usize::MAX, min_size);
+        if got != want {
+            return Err(format!(
+                "top_k(MAX, {min_size})\n  got: {got:?}\n want: {want:?}"
+            ));
+        }
+    }
+
+    // Extensions: every frequent `x ∪ {e}`, by descending support, then
+    // by item. A basket is a set, so any spelling of it extends alike,
+    // and one naming an item outside the vocabulary extends to nothing.
+    let naive = |basket: &[Item]| -> Vec<(Item, Support)> {
+        let x: BTreeSet<Item> = basket.iter().copied().collect();
+        let mut want: Vec<(Item, Support)> = rows
+            .iter()
+            .filter(|(z, _)| z.len() == x.len() + 1 && x.iter().all(|&i| z.contains(i)))
+            .map(|(z, support)| {
+                let e = z.items().iter().find(|i| !x.contains(i));
+                (*e.expect("z has one item beyond x"), *support)
+            })
+            .collect();
+        want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        want
+    };
+    let outside = n_items + 1;
+    let mut baskets: Vec<Vec<Item>> = vec![Vec::new(), vec![outside]];
+    for (x, _) in rows {
+        let items = x.items();
+        baskets.push(items.to_vec());
+        // Reversed, with the first item repeated.
+        let mut spelling: Vec<Item> = items.iter().rev().copied().collect();
+        spelling.push(items[0]);
+        baskets.push(spelling);
+        baskets.push([items, &[outside]].concat());
+    }
+    for _ in 0..8 {
+        let len = rng.below(4) as usize;
+        baskets.push(
+            (0..len)
+                .map(|_| rng.below(u64::from(outside) + 1) as Item)
+                .collect(),
+        );
+    }
+    for basket in &baskets {
+        let (got, want) = (src.extensions(basket, usize::MAX), naive(basket));
+        if got != want {
+            return Err(format!(
+                "extensions({basket:?})\n  got: {got:?}\n want: {want:?}"
+            ));
+        }
+    }
+
+    for (x, support) in rows {
+        let answer = src.support(x.items());
+        if (answer.support, answer.frequent, answer.source)
+            != (*support, true, SupportSource::Index)
+        {
+            return Err(format!(
+                "support({x}) answered {answer:?}, want {support} from the index"
+            ));
+        }
+    }
+    let singles = rows.iter().filter(|(z, _)| z.len() == 1).count();
+    if src.num_roots() != singles {
+        return Err(format!(
+            "num_roots() = {}, but {singles} single items are frequent",
+            src.num_roots()
+        ));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The snapshot's support order, extension lists, point lookups and
+    /// root count equal references built from the mining result's rows
+    /// alone, independent of the structures the snapshot keeps.
+    #[test]
+    fn prop_snapshot_orders_match_the_mining_result(
+        seed in any::<u64>(),
+        shape in 0u8..3,
+        n_tx in 4usize..48,
+        n_items in 3u32..9,
+    ) {
+        let mut rng = Rng::new(seed);
+        let db = gen_db(&mut rng, shape, n_tx, n_items);
+        for min_support in [1, 2, (db.len() as u64 / 4).max(3)] {
+            let plt = construct(&db, min_support, ConstructOptions::conditional()).unwrap();
+            let result = ConditionalMiner::default().mine(&db, min_support);
+            let src = Snapshot::build(1, plt, &result, RuleConfig::default());
+            if let Err(msg) = check_snapshot_orders(&src, &result.sorted(), &mut rng, n_items) {
+                prop_assert!(
+                    false,
+                    "shape={shape} min_support={min_support} db={db:?}\n{msg}"
                 );
             }
         }
