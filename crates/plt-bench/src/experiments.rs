@@ -22,7 +22,7 @@ use plt_core::posvec::PositionVector;
 use plt_core::ranking::{ItemRanking, RankPolicy};
 use plt_core::subset::{NaiveChecker, SubsetChecker};
 use plt_core::topdown::{all_subset_supports, all_subset_supports_naive};
-use plt_core::{ConditionalMiner, HybridMiner, TopDownMiner};
+use plt_core::{ConditionalMiner, TopDownMiner};
 use plt_data::vertical::VerticalDb;
 use plt_data::TransactionDb;
 use plt_parallel::{par_construct, run_with_threads, ParallelEclatMiner, ParallelPltMiner};
@@ -209,15 +209,6 @@ pub fn x4_topdown_crossover(scale: Scale) -> Table {
             "top-down".into(),
             top.len().to_string(),
             fmt_duration(t_top),
-        ]);
-
-        let (hybrid, t_hybrid) = time_best(runs, || HybridMiner::default().mine(&db, min_sup));
-        assert_eq!(cond.len(), hybrid.len(), "hybrid disagrees at {label}");
-        table.row(vec![
-            label.clone(),
-            "hybrid".into(),
-            hybrid.len().to_string(),
-            fmt_duration(t_hybrid),
         ]);
 
         // Ablation: canonical DP propagation vs naive per-vector subset
@@ -463,7 +454,6 @@ pub fn x10_zipf_sweep(scale: Scale) -> Table {
     let min_sup = ((0.01 * n as f64).ceil() as Support).max(1);
     let miners: Vec<Box<dyn Miner>> = vec![
         Box::new(ConditionalMiner::default()),
-        Box::new(HybridMiner::default()),
         Box::new(FpGrowthMiner),
         Box::new(EclatMiner::default()),
         Box::new(HMineMiner),
@@ -2036,7 +2026,7 @@ mod tests {
     #[test]
     fn x4_quick_runs_and_agrees() {
         let t = x4_topdown_crossover(Scale::Quick);
-        assert_eq!(t.num_rows(), 5 * 5);
+        assert_eq!(t.num_rows(), 5 * 4);
     }
 
     #[test]

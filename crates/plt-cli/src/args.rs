@@ -14,8 +14,6 @@ pub enum Algo {
     Conditional,
     /// PLT top-down (Algorithm 2).
     TopDown,
-    /// PLT hybrid (conditional recursion, top-down finish).
-    Hybrid,
     /// Parallel PLT (per-item partitions on a thread pool).
     Parallel,
     /// Apriori with hash-tree counting.
@@ -44,7 +42,6 @@ impl Algo {
         match self {
             Algo::Conditional => "conditional",
             Algo::TopDown => "topdown",
-            Algo::Hybrid => "hybrid",
             Algo::Parallel => "parallel",
             Algo::Apriori => "apriori",
             Algo::FpGrowth => "fp-growth",
@@ -62,7 +59,6 @@ impl Algo {
         Some(match s {
             "conditional" | "plt" => Algo::Conditional,
             "topdown" | "top-down" => Algo::TopDown,
-            "hybrid" => Algo::Hybrid,
             "parallel" => Algo::Parallel,
             "apriori" => Algo::Apriori,
             "fp-growth" | "fpgrowth" => Algo::FpGrowth,
@@ -893,7 +889,6 @@ mod tests {
             ("conditional", Algo::Conditional),
             ("plt", Algo::Conditional),
             ("topdown", Algo::TopDown),
-            ("hybrid", Algo::Hybrid),
             ("parallel", Algo::Parallel),
             ("apriori", Algo::Apriori),
             ("fp-growth", Algo::FpGrowth),

@@ -536,7 +536,6 @@ fn miner_for(algo: Algo) -> Box<dyn Miner> {
     match algo {
         Algo::Conditional => plt_miner(MineStrategy::Conditional),
         Algo::TopDown => plt_miner(MineStrategy::TopDown),
-        Algo::Hybrid => plt_miner(MineStrategy::Hybrid),
         Algo::Parallel => plt_miner(MineStrategy::Parallel),
         Algo::Apriori => Box::new(AprioriMiner::default()),
         Algo::FpGrowth => Box::new(FpGrowthMiner),

@@ -144,7 +144,6 @@ mod tests {
             let algos = [
                 "conditional",
                 "topdown",
-                "hybrid",
                 "parallel",
                 "apriori",
                 "fp-growth",

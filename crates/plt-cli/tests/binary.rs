@@ -164,6 +164,7 @@ fn mine_metrics_json_emits_schema_v1_and_creates_parent_dirs() {
         "\"counters\"",
         "arena.vectors_folded",
         "arena.mask_levels",
+        "arena.subset_sum_finishes",
         "\"gauges\"",
         "arena.bytes_peak",
     ] {

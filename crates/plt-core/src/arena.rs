@@ -2,11 +2,11 @@
 //!
 //! A literal rendering of Algorithm 3 keeps a
 //! `BTreeMap<Rank, FxHashMap<PositionVector, Support>>` of sum-groups and
-//! heap-allocates a fresh vector for every prefix at every recursion level
-//! (the hybrid miner in [`crate::hybrid`] still works that way). This
-//! module is the same algorithm on a flat layout that exploits what the
-//! paper actually promises — the PLT is "a table-like data structure"
-//! whose cached sums make conditional extraction a lookup, not a rebuild:
+//! heap-allocates a fresh vector for every prefix at every recursion
+//! level. This module is the same algorithm on a flat layout that
+//! exploits what the paper actually promises — the PLT is "a table-like
+//! data structure" whose cached sums make conditional extraction a
+//! lookup, not a rebuild:
 //!
 //! * a (conditional) database is **one contiguous position buffer**
 //!   (`Vec<Rank>`) plus packed per-entry columns — no per-vector
@@ -36,6 +36,11 @@
 //!   child is built from per-bit counts and one AND. A child keeps a
 //!   subset of its parent's bits, so a mask subtree never returns to
 //!   positions and one bit→rank table in the pool serves all of it;
+//! * a mask level whose `w` live bits span a lattice no larger than a
+//!   small multiple of its entries is **finished top-down** instead: the
+//!   paper's Algorithm 2 as one superset-sum pass over `2^w` counters
+//!   gives every subset's support at once, and the frequent ones are
+//!   emitted without a drain — §6's coupling of the two approaches;
 //! * the two local scans of `Conditional_Construct` are **one fused
 //!   routine** over the positions: scan 1 recovers ranks and counts them
 //!   in one loop, and its counts pick the child's representation; scan 2
@@ -44,8 +49,8 @@
 //!   per-depth levels and one rank-count table held in a reusable
 //!   [`ArenaPool`], so steady-state mining performs zero allocations.
 //!
-//! Correctness (same itemsets, same supports as brute force, the hybrid
-//! and top-down PLT miners, FP-growth and Eclat) is enforced by the
+//! Correctness (same itemsets, same supports as brute force, the
+//! top-down PLT miner, FP-growth and Eclat) is enforced by the
 //! property suites here, in `tests/arena_equivalence.rs`,
 //! `tests/miners_agree.rs` and `tests/kernel_equivalence.rs`.
 
@@ -63,6 +68,17 @@ type EntryId = u32;
 /// be mined as a [`MaskLevel`]: the bits of one word.
 const MASK_BITS: usize = 64;
 
+/// Widest mask level the superset-sum finish takes: `2^20` counters.
+const FINISH_MAX_WIDTH: usize = 20;
+
+/// A mask level of `n > 1` entries over `w` live bits is finished when
+/// `2^w ≤ FINISH_FACTOR · n`, so the pass's `w · 2^(w−1)` adds stay a
+/// small multiple of the entries a drain would fold. Chosen by
+/// measurement on mine-dense: 8, 16 and 32 tied within the run-to-run
+/// spread, 128 was no faster than draining every level, and 8 holds the
+/// fewest counters.
+const FINISH_FACTOR: usize = 8;
+
 /// Engine counters accumulated by every arena mining call. Kept always-on
 /// (plain `u64` adds are far below measurement noise) so the numbers exist
 /// whether or not an observability recorder is installed; [`MineStats::record`]
@@ -75,13 +91,18 @@ pub struct MineStats {
     pub dedup_hits: u64,
     /// Single-entry databases emitted via the subset shortcut.
     pub single_path_shortcuts: u64,
-    /// Databases mined as rank masks (one `u64` per vector): conditional
-    /// databases with at most 64 locally frequent ranks, and the root when
-    /// the ranking has at most 64 ranks.
+    /// Databases mined as rank masks (one `u64` per vector) by the bucket
+    /// drain or the single-path shortcut: conditional databases with at
+    /// most 64 locally frequent ranks, and the root when the ranking has at
+    /// most 64 ranks. Like `vectors_folded` and `dedup_hits`, it leaves
+    /// out the databases the superset-sum finish takes.
     pub mask_levels: u64,
+    /// Mask databases finished by one superset-sum pass (Algorithm 2)
+    /// instead of a drain.
+    pub subset_sum_finishes: u64,
     /// Peak bytes held across the pool's storage (positions, words, entry
-    /// columns, rank counts, dedup tables; excludes per-bucket spine
-    /// capacity).
+    /// columns, rank counts, dedup tables, the finish's counters; excludes
+    /// per-bucket spine capacity).
     pub bytes_peak: u64,
 }
 
@@ -93,6 +114,7 @@ impl MineStats {
         self.dedup_hits += other.dedup_hits;
         self.single_path_shortcuts += other.single_path_shortcuts;
         self.mask_levels += other.mask_levels;
+        self.subset_sum_finishes += other.subset_sum_finishes;
         self.bytes_peak = self.bytes_peak.max(other.bytes_peak);
     }
 
@@ -103,6 +125,7 @@ impl MineStats {
         obs.counter("arena.dedup_hits", self.dedup_hits);
         obs.counter("arena.single_path_shortcuts", self.single_path_shortcuts);
         obs.counter("arena.mask_levels", self.mask_levels);
+        obs.counter("arena.subset_sum_finishes", self.subset_sum_finishes);
         obs.gauge("arena.bytes_peak", self.bytes_peak);
     }
 }
@@ -629,6 +652,9 @@ pub struct ArenaPool {
     /// The global rank each mask bit stands for, in the active mask
     /// subtree.
     bit_ranks: Vec<Rank>,
+    /// The superset-sum finish's counters, one per subset of a level's
+    /// live bits.
+    sums: Vec<Support>,
     /// Engine counters accumulated across mining calls on this pool.
     stats: MineStats,
 }
@@ -713,7 +739,8 @@ impl ArenaPool {
         let mut bytes = self.counts.counts.capacity() * size_of::<Support>()
             + self.counts.touched.capacity() * size_of::<Rank>()
             + self.counts.bits.capacity() * size_of::<u64>()
-            + self.bit_ranks.capacity() * size_of::<Rank>();
+            + self.bit_ranks.capacity() * size_of::<Rank>()
+            + self.sums.capacity() * size_of::<Support>();
         for level in &self.levels {
             bytes += level.positions.capacity() * size_of::<Rank>()
                 + level.offsets.capacity() * size_of::<u32>()
@@ -795,6 +822,27 @@ fn emit(out: &mut ResultBuilder, plt: &Plt, suffix: &[Rank], support: Support) {
     out.push(suffix.iter().rev().map(|&r| ranking.item(r)), support);
 }
 
+/// Pushes `suffix` extended by `ranks[b]` for every set bit `b` of
+/// `bits`, with `support`. Top bit first, keeping the suffix descending.
+fn emit_bits(
+    out: &mut ResultBuilder,
+    plt: &Plt,
+    suffix: &mut Vec<Rank>,
+    bits: u64,
+    ranks: &[Rank],
+    support: Support,
+) {
+    let base = suffix.len();
+    let mut rest = bits;
+    while rest != 0 {
+        let b = top_bit(rest);
+        suffix.push(ranks[b]);
+        rest ^= 1 << b;
+    }
+    emit(out, plt, suffix, support);
+    suffix.truncate(base);
+}
+
 /// Emits `suffix ∪ S` with support `freq` for every non-empty subset `S`
 /// of the mask word's ranks: the single-path shortcut. A one-entry
 /// database supports every non-empty subset of its vector with the
@@ -810,18 +858,9 @@ fn emit_subsets(
     suffix: &mut Vec<Rank>,
     out: &mut ResultBuilder,
 ) {
-    let base = suffix.len();
     let mut subset = word;
     while subset != 0 {
-        // Top bit first, keeping the suffix descending.
-        let mut bits = subset;
-        while bits != 0 {
-            let b = top_bit(bits);
-            suffix.push(bit_ranks[b]);
-            bits ^= 1 << b;
-        }
-        emit(out, plt, suffix, freq);
-        suffix.truncate(base);
+        emit_bits(out, plt, suffix, subset, bit_ranks, freq);
         subset = (subset - 1) & word;
     }
 }
@@ -928,9 +967,9 @@ fn mine_level(
     }
 }
 
-/// [`mine_level`] on a [`MaskLevel`]: the same peel, fold, dedup and
-/// construction as word operations. Bucket `b` holds the words whose top
-/// bit is `b`; a fold clears that bit; a dedup probe compares words.
+/// Mines the [`MaskLevel`] at `depth` one of three ways: a single entry
+/// by the subset shortcut, a level whose subset lattice is small next to
+/// its entries by the superset-sum finish, and any other by the drain.
 fn mine_masks(
     pool: &mut ArenaPool,
     depth: usize,
@@ -938,19 +977,104 @@ fn mine_masks(
     suffix: &mut Vec<Rank>,
     out: &mut ResultBuilder,
 ) {
-    pool.stats.mask_levels += 1;
     let level = &mut pool.masks[depth];
-    if level.num_entries() == 1 {
+    let (entries, width) = (level.num_entries(), level.span.count_ones() as usize);
+    if entries == 1 {
+        pool.stats.mask_levels += 1;
         pool.stats.single_path_shortcuts += 1;
         let (word, freq) = (level.words[0], level.freqs[0]);
         // Consume the entry's bucket so the level resets clean for the
         // next sibling.
         level.buckets[top_bit(word)].clear();
         emit_subsets(word, freq, &pool.bit_ranks, plt, suffix, out);
-        return;
+    } else if width <= FINISH_MAX_WIDTH && 1 << width <= FINISH_FACTOR * entries {
+        finish_masks(pool, depth, plt, suffix, out);
+    } else {
+        drain_masks(pool, depth, plt, suffix, out);
+    }
+}
+
+/// Algorithm 2 on a [`MaskLevel`]: every entry's frequency lands on the
+/// counter of its word, renumbered densely over the level's `w` live
+/// bits, and one superset-sum pass leaves each counter holding the
+/// support of its subset. Every non-empty subset that reaches
+/// `min_support` is emitted under `suffix`: the same family a drain
+/// finds, in one sweep of `2^w` counters.
+fn finish_masks(
+    pool: &mut ArenaPool,
+    depth: usize,
+    plt: &Plt,
+    suffix: &mut Vec<Rank>,
+    out: &mut ResultBuilder,
+) {
+    pool.stats.subset_sum_finishes += 1;
+    let ArenaPool {
+        masks,
+        sums,
+        bit_ranks,
+        ..
+    } = pool;
+    let level = &mut masks[depth];
+    // Live bit `b` becomes counter-index bit `slot[b]`, which stands for
+    // rank `ranks[slot[b]]`. The level's buckets are consumed here so it
+    // resets clean for the next sibling.
+    let mut slot = [0u8; MASK_BITS];
+    let mut ranks = [0 as Rank; FINISH_MAX_WIDTH];
+    let mut width = 0;
+    let mut live = level.span;
+    while live != 0 {
+        let b = live.trailing_zeros() as usize;
+        slot[b] = width as u8;
+        ranks[width] = bit_ranks[b];
+        level.buckets[b].clear();
+        width += 1;
+        live &= live - 1;
+    }
+    let n = 1usize << width;
+    sums.clear();
+    sums.resize(n, 0);
+    for (&word, &freq) in level.words.iter().zip(&level.freqs) {
+        let (mut bits, mut index) = (word, 0usize);
+        while bits != 0 {
+            index |= 1 << slot[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        sums[index] += freq;
+    }
+    // Superset sums, one index bit at a time: in the round for bit `h`,
+    // each counter without `h` adds the counter with it. After the last
+    // round, counter `x` totals every entry whose index contains `x`.
+    let mut half = 1;
+    while half < n {
+        for pair in sums.chunks_exact_mut(2 * half) {
+            let (without, with) = pair.split_at_mut(half);
+            for (w, &h) in without.iter_mut().zip(with.iter()) {
+                *w += h;
+            }
+        }
+        half *= 2;
     }
     let min_support = plt.min_support();
-    let mut pending = level.span;
+    for (subset, &support) in sums.iter().enumerate().skip(1) {
+        if support >= min_support {
+            emit_bits(out, plt, suffix, subset as u64, &ranks, support);
+        }
+    }
+}
+
+/// [`mine_level`] on a [`MaskLevel`]: the same peel, fold, dedup and
+/// construction as word operations. Bucket `b` holds the words whose top
+/// bit is `b`; a fold clears that bit; a dedup probe compares words.
+fn drain_masks(
+    pool: &mut ArenaPool,
+    depth: usize,
+    plt: &Plt,
+    suffix: &mut Vec<Rank>,
+    out: &mut ResultBuilder,
+) {
+    pool.stats.mask_levels += 1;
+    let min_support = plt.min_support();
+    let mut pending = pool.masks[depth].span;
     while pending != 0 {
         let b = top_bit(pending);
         pending ^= 1 << b;
@@ -1036,8 +1160,9 @@ mod tests {
     use crate::construct::{construct, ConstructOptions};
     use crate::item::{Item, Itemset};
     use crate::miner::{BruteForceMiner, Miner};
-    use crate::ranking::RankPolicy;
+    use crate::ranking::{ItemRanking, RankPolicy};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn table1() -> Vec<Vec<Item>> {
         vec![
@@ -1137,13 +1262,15 @@ mod tests {
     #[test]
     fn stats_accumulate_and_take_resets() {
         let mut pool = ArenaPool::new();
-        let plt = build(&table1(), 2);
-        mine(&mut pool, &plt);
+        // Eight vectors over eight ranks: the root's lattice is too large
+        // for the finish, so it drains, and some levels below it finish.
+        let db: Vec<Vec<Item>> = (0..8).map(|i| vec![i, (i + 1) % 8, (i + 3) % 8]).collect();
+        mine(&mut pool, &build(&db, 1));
         let stats = *pool.stats();
         assert!(stats.vectors_folded > 0, "{stats:?}");
         assert!(stats.bytes_peak > 0, "{stats:?}");
-        // Six ranks: the root and every conditional database are masks.
         assert!(stats.mask_levels > 1, "{stats:?}");
+        assert!(stats.subset_sum_finishes > 0, "{stats:?}");
         // Taking hands the counters over and resets the pool's block.
         let taken = pool.take_stats();
         assert_eq!(taken, stats);
@@ -1154,6 +1281,7 @@ mod tests {
         assert_eq!(merged.vectors_folded, 2 * taken.vectors_folded);
         assert_eq!(merged.dedup_hits, 2 * taken.dedup_hits);
         assert_eq!(merged.mask_levels, 2 * taken.mask_levels);
+        assert_eq!(merged.subset_sum_finishes, 2 * taken.subset_sum_finishes);
         assert_eq!(merged.bytes_peak, taken.bytes_peak);
         // Recording flushes under the arena.* names.
         let mut rec = plt_obs::MetricsRecorder::new();
@@ -1163,6 +1291,10 @@ mod tests {
             taken.vectors_folded
         );
         assert_eq!(rec.counter_value("arena.mask_levels"), taken.mask_levels);
+        assert_eq!(
+            rec.counter_value("arena.subset_sum_finishes"),
+            taken.subset_sum_finishes
+        );
         assert_eq!(rec.gauge_value("arena.bytes_peak"), taken.bytes_peak);
     }
 
@@ -1228,6 +1360,167 @@ mod tests {
         assert_eq!(full, mix(1).wrapping_add(mix(3)).wrapping_add(mix(4)));
         assert_eq!(full.wrapping_sub(mix(4)), window_hash(&[1, 2]));
         assert_ne!(window_hash(&[1, 2]), window_hash(&[2, 1]));
+    }
+
+    /// SplitMix64: the width sweep's level generator, seeded per case.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A mask level of exactly `width` live bits scattered over the word:
+    /// distinct words of at most ten bits with frequencies 1 to 4.
+    fn random_level(rng: &mut SplitMix, width: u32) -> Vec<(u64, Support)> {
+        let mut span = 0u64;
+        while span.count_ones() < width {
+            span |= 1 << rng.below(64);
+        }
+        let live: Vec<u64> = (0..64)
+            .map(|b| 1 << b)
+            .filter(|bit| span & bit != 0)
+            .collect();
+        let mut words: BTreeMap<u64, Support> = BTreeMap::new();
+        for _ in 0..2 + rng.below(23) {
+            let bits = 1 + rng.below(u64::from(width.min(10)));
+            let word = (0..bits).fold(0, |w, _| w | live[rng.below(live.len() as u64) as usize]);
+            *words.entry(word).or_insert(0) += 1 + rng.below(4);
+        }
+        // Every live bit lands in some word, so the level is `width` wide.
+        let mut missing = span & !words.keys().fold(0, |a, w| a | w);
+        while missing != 0 {
+            let word = live.iter().filter(|&&bit| missing & bit != 0).take(10);
+            let word = word.fold(0, |w, bit| w | bit);
+            *words.entry(word).or_insert(0) += 1 + rng.below(4);
+            missing &= !word;
+        }
+        words.into_iter().collect()
+    }
+
+    /// A PLT over 72 items with distinct supports, so that under
+    /// `FrequencyDescending` rank order is not item order.
+    fn ranked_plt(policy: RankPolicy, min_support: Support) -> Plt {
+        let frequent = (0..72)
+            .map(|i| (i, Support::from(i * 29 % 72) + 1))
+            .collect();
+        Plt::new(
+            ItemRanking::from_frequent_items(frequent, policy),
+            min_support,
+        )
+        .unwrap()
+    }
+
+    /// The itemsets of a result keyed by their items.
+    fn by_items(result: &MiningResult) -> BTreeMap<Vec<Item>, Support> {
+        result
+            .iter()
+            .map(|(s, sup)| (s.items().to_vec(), sup))
+            .collect()
+    }
+
+    type MaskPath = fn(&mut ArenaPool, usize, &Plt, &mut Vec<Rank>, &mut ResultBuilder);
+
+    /// Mines `level` (bit `b` standing for rank `b + 1`) under `suffix` on
+    /// `path` alone, checking that the level resets clean afterwards.
+    fn mine_mask_level(
+        path: MaskPath,
+        level: &[(u64, Support)],
+        plt: &Plt,
+        suffix: &[Rank],
+    ) -> BTreeMap<Vec<Item>, Support> {
+        let mut pool = ArenaPool::new();
+        pool.prepare(plt.ranking().len());
+        pool.bit_ranks.extend(1..=MASK_BITS as Rank);
+        pool.masks[0].reset();
+        for &(word, freq) in level {
+            pool.masks[0].push(word, freq);
+        }
+        let mut out = MiningResult::builder(plt.min_support(), 0);
+        path(&mut pool, 0, plt, &mut suffix.to_vec(), &mut out);
+        assert!(pool.masks[0].buckets.iter().all(Vec::is_empty));
+        by_items(&out.finish())
+    }
+
+    /// Every subset of every word, counted one by one.
+    fn brute_force_level(
+        level: &[(u64, Support)],
+        plt: &Plt,
+        suffix: &[Rank],
+    ) -> BTreeMap<Vec<Item>, Support> {
+        let mut supports: BTreeMap<u64, Support> = BTreeMap::new();
+        for &(word, freq) in level {
+            let mut subset = word;
+            while subset != 0 {
+                *supports.entry(subset).or_insert(0) += freq;
+                subset = (subset - 1) & word;
+            }
+        }
+        let ranking = plt.ranking();
+        supports
+            .into_iter()
+            .filter(|&(_, support)| support >= plt.min_support())
+            .map(|(subset, support)| {
+                let bits = (0..64).filter(|b| subset >> b & 1 == 1).map(|b| b + 1);
+                let ranks = bits.chain(suffix.iter().copied());
+                let mut items: Vec<Item> = ranks.map(|r| ranking.item(r)).collect();
+                items.sort_unstable();
+                (items, support)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn finish_takes_small_lattices_and_drains_wide_ones() {
+        // Table 1's root, five vectors over four ranks, is finished by
+        // one superset-sum pass: nothing is drained or folded.
+        let mut pool = ArenaPool::new();
+        mine(&mut pool, &build(&table1(), 2));
+        let stats = pool.stats();
+        assert_eq!(stats.subset_sum_finishes, 1, "{stats:?}");
+        assert_eq!((stats.mask_levels, stats.vectors_folded), (0, 0));
+        // Two vectors over six ranks: 2^6 > 8 × 2, so the root drains.
+        let db = vec![vec![0, 1, 2], vec![3, 4, 5]];
+        let mut pool = ArenaPool::new();
+        let got = mine(&mut pool, &build(&db, 1));
+        assert_eq!(got.sorted(), BruteForceMiner.mine(&db, 1).sorted());
+        assert_eq!(pool.stats().subset_sum_finishes, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// At every width from 1 to 20, the superset-sum finish and the
+        /// drain of one random mask level both emit exactly the
+        /// brute-force family, under an empty and a non-empty suffix and
+        /// under a ranking that does (`Lexicographic`) and one that does
+        /// not (`FrequencyDescending`) follow item order.
+        #[test]
+        fn prop_finish_matches_brute_force_and_the_drain_at_every_width(
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SplitMix(seed);
+            for width in 1..=FINISH_MAX_WIDTH as u32 {
+                let level = random_level(&mut rng, width);
+                let min_support = 1 + rng.below(6);
+                for policy in [RankPolicy::Lexicographic, RankPolicy::FrequencyDescending] {
+                    let plt = ranked_plt(policy, min_support);
+                    for suffix in [&[][..], &[70, 66]] {
+                        let expect = brute_force_level(&level, &plt, suffix);
+                        let finished = mine_mask_level(finish_masks, &level, &plt, suffix);
+                        let drained = mine_mask_level(drain_masks, &level, &plt, suffix);
+                        let case = format!("width {width}, {policy:?}, suffix {suffix:?}, seed {seed}");
+                        prop_assert_eq!(&finished, &expect, "finish: {}", case);
+                        prop_assert_eq!(&drained, &expect, "drain: {}", case);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -62,7 +62,9 @@ impl ConditionalMiner {
 
 /// The PLT-level entry point: the recursion is reported as a
 /// `mine/conditional` span and the result's ordering as `mine/finish`,
-/// and the arena flushes its `arena.*` counters into the recorder.
+/// and the arena flushes its `arena.*` counters into the recorder. The
+/// arena's storage is released before the result is ordered, so the two
+/// never peak together.
 /// (Implemented with a qualified path so the two `mine` methods never
 /// collide inside this module.)
 impl crate::miner::Mine for ConditionalMiner {
@@ -72,6 +74,7 @@ impl crate::miner::Mine for ConditionalMiner {
         let mut out = MiningResult::builder(plt.min_support(), plt.num_transactions());
         pool.mine_plt(plt, &mut out);
         pool.take_stats().record(obs);
+        drop(pool);
         obs.stop("mine/conditional", t0);
         obs.time("mine/finish", || out.finish())
     }

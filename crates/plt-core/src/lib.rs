@@ -71,7 +71,6 @@ pub mod kernels {
 pub mod construct;
 pub mod error;
 pub mod hash;
-pub mod hybrid;
 pub mod item;
 pub mod miner;
 pub mod plt;
@@ -85,7 +84,6 @@ pub mod tree;
 pub use arena::{ArenaPool, MineStats};
 pub use conditional::ConditionalMiner;
 pub use error::{PltError, Result};
-pub use hybrid::HybridMiner;
 pub use item::{Item, Itemset, ItemsetRef, Rank, Support};
 pub use miner::{Mine, Miner, MiningResult, ResultBuilder};
 pub use plt::{Plt, PltEntry};

@@ -278,21 +278,18 @@ impl ResultBuilder {
     }
 
     /// Orders the itemsets canonically (by size, then items) with one
-    /// comparison sort, then copies them out in that order, merging each
-    /// run of duplicates into one row (debug-asserting equal supports) and
-    /// compacting the buffer. Last, it finds where each size group ends.
+    /// radix sort (`canonical_order`), then copies them out in that
+    /// order, merging each run of duplicates into one row
+    /// (debug-asserting equal supports) and compacting the buffer. Last,
+    /// it finds where each size group ends.
     pub fn finish(self) -> MiningResult {
         let ResultBuilder {
             items,
-            mut entries,
+            entries,
             min_support,
             num_transactions,
         } = self;
-        entries.sort_unstable_by(|a, b| {
-            a.len
-                .cmp(&b.len)
-                .then_with(|| items[a.range()].cmp(&items[b.range()]))
-        });
+        let order = canonical_order(&items, &entries);
         let mut out = MiningResult {
             items: Vec::with_capacity(items.len()),
             entries: Vec::with_capacity(entries.len()),
@@ -300,7 +297,8 @@ impl ResultBuilder {
             min_support,
             num_transactions,
         };
-        for e in &entries {
+        for &id in &order {
+            let e = &entries[id as usize];
             let row = &items[e.range()];
             if let Some(last) = out.entries.last() {
                 if out.items[last.range()] == *row {
@@ -322,6 +320,85 @@ impl ResultBuilder {
             .collect();
         out
     }
+}
+
+/// Bits of an item one counting pass sorts by: three passes cover a
+/// 32-bit item, with 2^11 buckets each.
+const DIGIT_BITS: u32 = 11;
+
+/// The ids of `entries` in canonical order: a counting sort by length,
+/// then within each size group one stable LSD counting sort per item
+/// column, from the last column to the first, [`DIGIT_BITS`] bits at a
+/// time. A digit that is the same in every row of the group orders
+/// nothing and is skipped, so items below 2^11 cost one pass per column.
+fn canonical_order(items: &[Item], entries: &[Entry]) -> Vec<u32> {
+    let max_len = entries.iter().map(|e| e.len as usize).max().unwrap_or(0);
+    // `starts[k]` is where the size-`k` group begins in the order.
+    let mut starts = vec![0usize; max_len + 2];
+    for e in entries {
+        starts[e.len as usize + 1] += 1;
+    }
+    for k in 1..starts.len() {
+        starts[k] += starts[k - 1];
+    }
+    let mut order = vec![0u32; entries.len()];
+    let mut next = starts.clone();
+    for (id, e) in entries.iter().enumerate() {
+        order[next[e.len as usize]] = id as u32;
+        next[e.len as usize] += 1;
+    }
+    let mut scratch = vec![0u32; entries.len()];
+    let mut digits: Vec<u16> = Vec::new();
+    let mut counts = vec![0u32; 1 << DIGIT_BITS];
+    let mut varying = vec![0; max_len];
+    let digit_mask = (1 << DIGIT_BITS) - 1;
+    for k in 1..=max_len {
+        let group = starts[k]..starts[k + 1];
+        if group.len() < 2 {
+            continue;
+        }
+        let (mut src, mut dst) = (&mut order[group.clone()], &mut scratch[group]);
+        let row = |id: u32| &items[entries[id as usize].range()];
+        // The bits that vary down each column pick the passes it needs.
+        let first = row(src[0]);
+        varying[..k].fill(0);
+        for &id in src.iter() {
+            for ((v, a), b) in varying.iter_mut().zip(row(id)).zip(first) {
+                *v |= a ^ b;
+            }
+        }
+        let mut swapped = false;
+        for col in (0..k).rev() {
+            for shift in (0..Item::BITS).step_by(DIGIT_BITS as usize) {
+                if (varying[col] >> shift) & digit_mask == 0 {
+                    continue;
+                }
+                digits.clear();
+                digits.extend(
+                    src.iter()
+                        .map(|&id| ((row(id)[col] >> shift) & digit_mask) as u16),
+                );
+                counts.fill(0);
+                for &d in &digits {
+                    counts[d as usize] += 1;
+                }
+                let mut at = 0;
+                for c in counts.iter_mut() {
+                    (*c, at) = (at, at + *c);
+                }
+                for (&id, &d) in src.iter().zip(&digits) {
+                    dst[counts[d as usize] as usize] = id;
+                    counts[d as usize] += 1;
+                }
+                std::mem::swap(&mut src, &mut dst);
+                swapped = !swapped;
+            }
+        }
+        if swapped {
+            dst.copy_from_slice(src);
+        }
+    }
+    order
 }
 
 /// A frequent-itemset miner over a horizontal transaction database.
@@ -362,9 +439,9 @@ pub trait Miner {
 /// This is the single PLT-level entry point: one obs-taking method, plus a
 /// convenience wrapper for callers without an observability pipeline. It is
 /// object-safe, so services and benchmarks dispatch engines through
-/// `Box<dyn Mine>` instead of per-type match arms. All four PLT miners
-/// implement it: `ConditionalMiner`, `TopDownMiner`, `HybridMiner`
-/// (plt-core) and `ParallelPltMiner` (plt-parallel).
+/// `Box<dyn Mine>` instead of per-type match arms. All three PLT miners
+/// implement it: `ConditionalMiner`, `TopDownMiner` (plt-core) and
+/// `ParallelPltMiner` (plt-parallel).
 ///
 /// Note: types implementing both [`Miner`] and [`Mine`] have two `mine`
 /// methods of different arity; when both traits are in scope on a concrete

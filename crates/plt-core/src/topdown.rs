@@ -87,15 +87,6 @@ impl AllSubsetSupports {
 /// lattice); callers are expected to bound transaction length — the
 /// [`TopDownMiner`] enforces a limit.
 pub fn all_subset_supports(plt: &Plt) -> AllSubsetSupports {
-    all_subset_supports_of(plt.iter().map(|(v, e)| (v, e.freq)))
-}
-
-/// The same canonical propagation over any collection of
-/// `(vector, frequency)` entries — the form the hybrid miner feeds
-/// conditional databases through.
-pub fn all_subset_supports_of<'a>(
-    entries: impl Iterator<Item = (&'a Positions, Support)>,
-) -> AllSubsetSupports {
     // levels[k − 1]: in-flight vectors of length k, keyed by
     // (vector, merge bound): value = accumulated inherited frequency.
     // A merge bound of b permits merges at 0-based indices < b.
@@ -103,7 +94,7 @@ pub fn all_subset_supports_of<'a>(
 
     // Seeding: every stored vector contributes each of its prefixes with
     // full merge freedom (the paper's part A, folded into construction).
-    for (v, freq) in entries {
+    for (v, e) in plt.iter() {
         let ranks = v.ranks();
         if levels.len() < ranks.len() {
             levels.resize_with(ranks.len(), FxHashMap::default);
@@ -111,7 +102,7 @@ pub fn all_subset_supports_of<'a>(
         for end in 1..=ranks.len() {
             let prefix = PositionVector::from_ranks(&ranks[..end]).expect("valid prefix");
             let bound = (end - 1) as u32;
-            *levels[end - 1].entry((prefix, bound)).or_insert(0) += freq;
+            *levels[end - 1].entry((prefix, bound)).or_insert(0) += e.freq;
         }
     }
     let max_len = levels.len();

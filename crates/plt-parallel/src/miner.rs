@@ -46,7 +46,8 @@ impl ParallelPltMiner {
 /// result's ordering are reported as `mine/project`, `mine/items` and
 /// `mine/finish` spans, and the per-worker arena counters are merged at
 /// reduce time and flushed into the recorder (with a `parallel.workers`
-/// gauge for the pool width).
+/// gauge for the pool width). The projections are released before the
+/// result is ordered.
 impl plt_core::miner::Mine for ParallelPltMiner {
     fn mine(&self, plt: &Plt, obs: &mut plt_obs::Obs) -> MiningResult {
         let projections = obs.time("mine/project", || project_all(plt));
@@ -86,6 +87,7 @@ impl plt_core::miner::Mine for ParallelPltMiner {
                     (a, sa)
                 },
             );
+        drop(projections);
         obs.stop("mine/items", t0);
         stats.record(obs);
         obs.gauge("parallel.workers", rayon::current_num_threads() as u64);
@@ -173,9 +175,10 @@ mod tests {
         assert_eq!(rec.span_count("mine/project"), 1);
         assert_eq!(rec.span_count("mine/items"), 1);
         assert!(rec.gauge_value("parallel.workers") >= 1);
-        // Table 1 has non-trivial conditional databases, so the merged
-        // per-worker arena counters must be non-zero.
-        assert!(rec.counter_value("arena.vectors_folded") > 0);
+        // Table 1's conditional databases hold several vectors over a few
+        // ranks each, so the superset-sum finish takes them and the
+        // merged per-worker arena counters must show it.
+        assert!(rec.counter_value("arena.subset_sum_finishes") > 0);
         assert!(rec.gauge_value("arena.bytes_peak") > 0);
     }
 

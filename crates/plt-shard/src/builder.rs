@@ -10,7 +10,7 @@
 use plt_core::error::Result;
 use plt_core::item::{Item, Support};
 use plt_core::ranking::RankPolicy;
-use plt_core::{ConditionalMiner, HybridMiner, Mine, Miner, TopDownMiner};
+use plt_core::{ConditionalMiner, Mine, Miner, TopDownMiner};
 use plt_parallel::ParallelPltMiner;
 
 use crate::pipeline::{ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};
@@ -23,20 +23,17 @@ pub enum MineStrategy {
     Conditional,
     /// Top-down propagation over the full subset lattice.
     TopDown,
-    /// Conditional mining with a top-down fallback for small groups.
-    Hybrid,
     /// Per-item parallel conditional mining via rayon.
     Parallel,
 }
 
 impl MineStrategy {
     /// Parses a strategy name as used by `plt-cli` (`conditional`,
-    /// `topdown`, `hybrid`, `parallel`).
+    /// `topdown`, `parallel`).
     pub fn parse(name: &str) -> Option<MineStrategy> {
         match name {
             "conditional" => Some(MineStrategy::Conditional),
             "topdown" => Some(MineStrategy::TopDown),
-            "hybrid" => Some(MineStrategy::Hybrid),
             "parallel" => Some(MineStrategy::Parallel),
             _ => None,
         }
@@ -47,7 +44,6 @@ impl MineStrategy {
         match self {
             MineStrategy::Conditional => "conditional",
             MineStrategy::TopDown => "topdown",
-            MineStrategy::Hybrid => "hybrid",
             MineStrategy::Parallel => "parallel",
         }
     }
@@ -116,10 +112,6 @@ impl MinerBuilder {
                 rank_policy: self.rank_policy,
                 ..TopDownMiner::default()
             }),
-            MineStrategy::Hybrid => Box::new(HybridMiner {
-                rank_policy: self.rank_policy,
-                ..HybridMiner::default()
-            }),
             MineStrategy::Parallel => Box::new(ParallelPltMiner::with_policy(self.rank_policy)),
         }
     }
@@ -132,10 +124,6 @@ impl MinerBuilder {
             MineStrategy::TopDown => Box::new(TopDownMiner {
                 rank_policy: self.rank_policy,
                 ..TopDownMiner::default()
-            }),
-            MineStrategy::Hybrid => Box::new(HybridMiner {
-                rank_policy: self.rank_policy,
-                ..HybridMiner::default()
             }),
             MineStrategy::Parallel => Box::new(ParallelPltMiner::with_policy(self.rank_policy)),
         }
@@ -191,11 +179,7 @@ mod tests {
     fn all_strategies_agree_through_the_builder() {
         let plt = sample_plt(2);
         let reference = MinerBuilder::new().build().mine_plt(&plt);
-        for strategy in [
-            MineStrategy::TopDown,
-            MineStrategy::Hybrid,
-            MineStrategy::Parallel,
-        ] {
+        for strategy in [MineStrategy::TopDown, MineStrategy::Parallel] {
             let miner = MinerBuilder::new().strategy(strategy).build();
             let got = miner.mine_plt(&plt);
             assert_eq!(
@@ -222,7 +206,6 @@ mod tests {
         for strategy in [
             MineStrategy::Conditional,
             MineStrategy::TopDown,
-            MineStrategy::Hybrid,
             MineStrategy::Parallel,
         ] {
             assert_eq!(MineStrategy::parse(strategy.name()), Some(strategy));

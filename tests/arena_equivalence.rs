@@ -1,8 +1,7 @@
 //! Differential suite for the arena conditional engine: on random and
 //! generated databases, the arena path must produce the *exact* frequent
-//! family (itemsets and supports) of the hybrid miner (an independent
-//! map-layout PLT recursion), the top-down miner, FP-growth, Eclat and —
-//! where the database is small enough — brute force, sequentially, in
+//! family (itemsets and supports) of the top-down miner, FP-growth, Eclat
+//! and — where the database is small enough — brute force, sequentially, in
 //! parallel, per item projection, and under pool reuse. Both level
 //! representations run: rank masks for databases with at most 64
 //! frequent ranks, positions above that.
@@ -13,7 +12,6 @@ use plt::baselines::{EclatMiner, FpGrowthMiner};
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::miner::{BruteForceMiner, Miner, MiningResult};
 use plt::core::subset::{NaiveChecker, SubsetChecker};
-use plt::core::HybridMiner;
 use plt::data::{DenseConfig, DenseGenerator, QuestConfig, QuestGenerator};
 use plt::parallel::{project_all, ParallelPltMiner};
 use plt::{ArenaPool, ConditionalMiner, PositionVector, RankPolicy, TopDownMiner};
@@ -23,20 +21,9 @@ use proptest::prelude::*;
 /// many subsets in total it is left out of the reference set.
 const BRUTE_FORCE_BUDGET: u64 = 1 << 18;
 
-/// The hybrid miner with its top-down finish disabled: the plain
-/// map-layout rendering of Algorithm 3.
-fn map_recursion(rank_policy: RankPolicy) -> HybridMiner {
-    HybridMiner {
-        rank_policy,
-        topdown_budget: 0,
-    }
-}
-
 /// Everything that must agree with the arena engine on `db`.
 fn references(db: &[Vec<u32>]) -> Vec<Box<dyn Miner>> {
     let mut miners: Vec<Box<dyn Miner>> = vec![
-        Box::new(map_recursion(RankPolicy::default())),
-        Box::new(HybridMiner::default()),
         Box::new(TopDownMiner::default()),
         Box::new(FpGrowthMiner),
         Box::new(EclatMiner::default()),
@@ -106,7 +93,7 @@ fn arena_agrees_under_every_rank_policy() {
         let arena = ConditionalMiner::with_policy(policy).mine(&db, 8).sorted();
         assert_eq!(
             arena,
-            map_recursion(policy).mine(&db, 8).sorted(),
+            TopDownMiner::with_policy(policy).mine(&db, 8).sorted(),
             "{policy:?}"
         );
         assert_eq!(arena, FpGrowthMiner.mine(&db, 8).sorted(), "{policy:?}");
